@@ -47,24 +47,13 @@ class TrellisSpec:
 
     bits_per_section splits into coded bits (selecting the transition, in
     listing order per from-state) and uncoded bits (selecting the parallel
-    label within the branch).
+    label within the branch).  labels_per_branch, uncoded_bits and
+    coded_bits are derived once, at construction.
     """
 
     num_states: int
     bits_per_section: int
     transitions: tuple
-
-    @property
-    def labels_per_branch(self) -> int:
-        return len(self.transitions[0].labels)
-
-    @property
-    def uncoded_bits(self) -> int:
-        return int(np.log2(self.labels_per_branch))
-
-    @property
-    def coded_bits(self) -> int:
-        return self.bits_per_section - self.uncoded_bits
 
     def outgoing(self, state: int) -> tuple:
         return self._outgoing[state]
@@ -73,7 +62,16 @@ class TrellisSpec:
         out = [[] for _ in range(self.num_states)]
         for t in self.transitions:
             out[t.from_state].append(t)
+        labels = len(self.transitions[0].labels)
         object.__setattr__(self, "_outgoing", tuple(tuple(ts) for ts in out))
+        object.__setattr__(self, "labels_per_branch", labels)
+        object.__setattr__(self, "uncoded_bits", labels.bit_length() - 1)
+        object.__setattr__(self, "coded_bits", self.bits_per_section - self.uncoded_bits)
+
+
+#: State count -> (coset attribute, uncoded-bit attribute) of the partition
+#: that the branch labels of a trellis with that many states must follow.
+_PARTITIONS = {8: ("q8_coset", "q8_bits"), 16: ("q16_coset", "q16_bit")}
 
 
 def _validate_trellis(spec: TrellisSpec) -> None:
@@ -104,24 +102,17 @@ def _validate_trellis(spec: TrellisSpec) -> None:
                              % (t.from_state, t.to_state))
         incoming_tags.setdefault(t.to_state, set()).update(tagset)
         # coset id and label order cross-checked against the partition tables
-        if spec.num_states == 8:
+        if spec.num_states in _PARTITIONS:
+            coset_attr, bits_attr = _PARTITIONS[spec.num_states]
             for pos, idx in enumerate(t.labels):
                 e = by_index[idx]
-                if e.q8_coset != t.coset:
+                if getattr(e, coset_attr) != t.coset:
                     raise ValueError("transition %d->%d declares coset %d but "
-                                     "label %d sits in q8 coset %d"
-                                     % (t.from_state, t.to_state, t.coset, idx, e.q8_coset))
-                if int(e.q8_bits, 2) != pos:
-                    raise ValueError("transition %d->%d label %d out of "
-                                     "uncoded-bit order" % (t.from_state, t.to_state, idx))
-        elif spec.num_states == 16:
-            for pos, idx in enumerate(t.labels):
-                e = by_index[idx]
-                if e.q16_coset != t.coset:
-                    raise ValueError("transition %d->%d declares coset %d but "
-                                     "label %d sits in q16 coset %d"
-                                     % (t.from_state, t.to_state, t.coset, idx, e.q16_coset))
-                if int(e.q16_bit, 2) != pos:
+                                     "label %d sits in %s %d"
+                                     % (t.from_state, t.to_state, t.coset, idx,
+                                        coset_attr.replace("_", " "),
+                                        getattr(e, coset_attr)))
+                if int(getattr(e, bits_attr), 2) != pos:
                     raise ValueError("transition %d->%d label %d out of "
                                      "uncoded-bit order" % (t.from_state, t.to_state, idx))
     for st, tags in incoming_tags.items():
@@ -195,12 +186,22 @@ def default_trellis() -> TrellisSpec:
     return load_trellis(text)
 
 
+def squared_distances(received, faded_t) -> np.ndarray:
+    """||r - C h||^2 of received blocks from faded candidates.
+
+    received (..., T) against faded_t (..., T, M), the candidates C h laid
+    out channel use first so that the inner loops run over the M
+    candidates, gives (..., M).  The one distance computation behind ML
+    detection and the Viterbi branch metrics.
+    """
+    return np.sum(np.abs(received[..., :, None] - faded_t) ** 2, axis=-2)
+
+
 def block_metrics(received, ch: ChannelRealization,
                   candidate_matrices: np.ndarray) -> np.ndarray:
     """||r - C h||^2 for a stack of candidate codematrices."""
     r = np.asarray(received, dtype=np.complex128).reshape(-1)
-    faded = candidate_matrices @ ch.h          # (M, T)
-    return np.sum(np.abs(r[None, :] - faded) ** 2, axis=1)
+    return squared_distances(r, (candidate_matrices @ ch.h).T)
 
 
 def ml_block_decode(received, ch: ChannelRealization, candidates) -> DecodeResult:
@@ -220,54 +221,161 @@ def ml_block_decode(received, ch: ChannelRealization, candidates) -> DecodeResul
                         ties_broken=ties)
 
 
-def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
-    """Map a bit sequence to codematrix indices along the trellis.
+@dataclass(frozen=True, eq=False)
+class _AcsTables:
+    """Transition arrays for table-driven encoding and the batched ACS.
 
-    Each section consumes bits_per_section bits, most significant first: the
-    coded bits pick the outgoing transition in listing order, the uncoded
-    bits pick the parallel label.
+    Transition k leaves from_state[k] on coded value coded[k] with label
+    row labels[k].  The distinct label rows are cosets: coset_of[k] is the
+    row of transition k and coset_count[c] the number of transitions on
+    row c.  groups[s] lists the transitions into state s by from-state,
+    padded with the index len(transitions), whose candidate metric is +inf.
+    The encoder tables are indexed (state, coded value): next_state, and
+    branch_labels with the label row on the last axis.
     """
-    b = np.asarray(bits, dtype=np.int64).reshape(-1)
-    if b.size % spec.bits_per_section != 0:
-        raise ValueError("bit count %d is not a multiple of %d"
-                         % (b.size, spec.bits_per_section))
-    if not 0 <= initial_state < spec.num_states:
-        raise ValueError("initial state out of range")
-    if not np.all((b == 0) | (b == 1)):
-        raise ValueError("bits must be 0 or 1")
-    state = initial_state
-    out = []
-    for s in range(b.size // spec.bits_per_section):
-        chunk = b[s * spec.bits_per_section:(s + 1) * spec.bits_per_section]
-        coded = 0
-        for bit in chunk[:spec.coded_bits]:
-            coded = (coded << 1) | int(bit)
-        uncoded = 0
-        for bit in chunk[spec.coded_bits:]:
-            uncoded = (uncoded << 1) | int(bit)
-        t = spec.outgoing(state)[coded]
-        out.append(t.labels[uncoded])
-        state = t.to_state
-    return out
+
+    from_state: np.ndarray
+    coded: np.ndarray
+    labels: np.ndarray
+    cosets: np.ndarray
+    coset_of: np.ndarray
+    coset_count: np.ndarray
+    groups: np.ndarray
+    next_state: np.ndarray
+    branch_labels: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _acs_tables(spec: TrellisSpec):
-    """Flat transition arrays plus per-to-state grouping for the ACS sweep."""
+def _acs_tables(spec: TrellisSpec) -> _AcsTables:
     trans = spec.transitions
-    from_arr = np.array([t.from_state for t in trans])
-    label_rows = np.array([t.labels for t in trans])
-    coded_arr = np.empty(len(trans), dtype=np.int64)
     pos_of = {id(t): k for k, t in enumerate(trans)}
-    for st in range(spec.num_states):
-        for coded, t in enumerate(spec.outgoing(st)):
-            coded_arr[pos_of[id(t)]] = coded
-    groups = []
-    for st in range(spec.num_states):
-        rows = [k for k, t in enumerate(trans) if t.to_state == st]
-        rows.sort(key=lambda k: trans[k].from_state)
-        groups.append(np.array(rows, dtype=np.int64))
-    return from_arr, label_rows, coded_arr, groups
+    branch = np.array([[pos_of[id(t)] for t in spec.outgoing(st)]
+                       for st in range(spec.num_states)], dtype=np.intp)
+    coded = np.empty(len(trans), dtype=np.intp)
+    coded[branch] = np.arange(branch.shape[1])
+    distinct = {}
+    coset_of = np.array([distinct.setdefault(t.labels, len(distinct)) for t in trans],
+                        dtype=np.intp)
+    into = [sorted((k for k, t in enumerate(trans) if t.to_state == st),
+                   key=lambda k: trans[k].from_state)
+            for st in range(spec.num_states)]
+    width = max(len(rows) for rows in into)
+    groups = np.array([rows + [len(trans)] * (width - len(rows)) for rows in into],
+                      dtype=np.intp)
+    to_state = np.array([t.to_state for t in trans], dtype=np.intp)
+    labels = np.array([t.labels for t in trans], dtype=np.intp)
+    return _AcsTables(
+        from_state=np.array([t.from_state for t in trans], dtype=np.intp),
+        coded=coded, labels=labels,
+        cosets=np.array(list(distinct), dtype=np.intp), coset_of=coset_of,
+        coset_count=np.bincount(coset_of), groups=groups,
+        next_state=to_state[branch], branch_labels=labels[branch])
+
+
+def _check_initial_state(spec: TrellisSpec, initial_state: int) -> None:
+    if not 0 <= initial_state < spec.num_states:
+        raise ValueError("initial state out of range")
+
+
+def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np.ndarray:
+    """Codematrix indices (F, sections) for the bit rows (F, bits) of F frames.
+
+    Each section consumes bits_per_section bits, most significant first: the
+    coded bits pick the outgoing transition in listing order, the uncoded
+    bits pick the parallel label.  Every frame starts in initial_state.
+    """
+    b = np.asarray(bits, dtype=np.int64)
+    if b.shape[1] % spec.bits_per_section != 0:
+        raise ValueError("bit count %d is not a multiple of %d"
+                         % (b.shape[1], spec.bits_per_section))
+    _check_initial_state(spec, initial_state)
+    if not np.all((b == 0) | (b == 1)):
+        raise ValueError("bits must be 0 or 1")
+    tab = _acs_tables(spec)
+    frames, sections = b.shape[0], b.shape[1] // spec.bits_per_section
+    weights = 1 << np.arange(spec.bits_per_section - 1, -1, -1)
+    value = b.reshape(frames, sections, spec.bits_per_section) @ weights
+    coded = value >> spec.uncoded_bits
+    uncoded = value & (spec.labels_per_branch - 1)
+    out = np.empty(value.shape, dtype=np.intp)
+    state = np.full(frames, initial_state, dtype=np.intp)
+    for s in range(sections):
+        out[:, s] = tab.branch_labels[state, coded[:, s], uncoded[:, s]]
+        state = tab.next_state[state, coded[:, s]]
+    return out
+
+
+def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
+    """Map a bit sequence to codematrix indices along the trellis.
+
+    One frame of trellis_encode_frames, returned as a list.
+    """
+    b = np.asarray(bits, dtype=np.int64).reshape(1, -1)
+    return trellis_encode_frames(spec, b, initial_state)[0].tolist()
+
+
+def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int = 0):
+    """ML sequence decisions for F frames at once.
+
+    received is (F, sections, T); faded holds the faded candidates
+    matrix_stack() @ h, (F, 32, T) for one channel per frame or
+    (F, sections, 32, T) for one per section.  Every frame starts in the
+    known initial_state and ends in a free state (best final metric).
+
+    Returns (decided (F, sections), bits (F, sections * bits_per_section),
+    metric (F,), ties_broken (F,)).  Ties go to the first minimum: the
+    smaller label position within a branch, the smaller from-state within
+    a compare, the smaller state at the end.  A tie counts each branch whose
+    best label is not unique, each extra equal candidate of a finite
+    compare, and each extra equal final metric; +inf candidates never tie.
+    """
+    _check_initial_state(spec, initial_state)
+    tab = _acs_tables(spec)
+    received = np.asarray(received, dtype=np.complex128)
+    frames, sections = received.shape[:2]
+    faded_t = np.ascontiguousarray(np.swapaxes(faded, -1, -2))
+    if faded_t.ndim == 3:
+        faded_t = faded_t[:, None]
+    faded_t = np.broadcast_to(faded_t, (frames, sections) + faded_t.shape[2:])
+    states = np.arange(spec.num_states)
+    n_trans = len(spec.transitions)
+    cand = np.full((frames, n_trans + 1), np.inf)      # last column: padding
+    pm = np.full((frames, spec.num_states), np.inf)
+    pm[:, initial_state] = 0.0
+    back = np.empty((sections, frames, spec.num_states), dtype=np.intp)
+    best_pos = np.empty((sections, frames, len(tab.cosets)), dtype=np.intp)
+    ties = np.zeros(frames, dtype=np.int64)
+
+    for s in range(sections):
+        dists = squared_distances(received[:, s], faded_t[:, s])     # (F, 32)
+        per_label = dists[:, tab.cosets]                            # (F, C, L)
+        best_pos[s] = np.argmin(per_label, axis=2)
+        branch = np.min(per_label, axis=2)
+        ties += (np.sum(per_label == branch[..., None], axis=2) > 1) @ tab.coset_count
+        cand[:, :n_trans] = pm[:, tab.from_state] + branch[:, tab.coset_of]
+        vals = cand[:, tab.groups]                                  # (F, states, indeg)
+        # first minimum: smaller from-state
+        back[s] = tab.groups[states, np.argmin(vals, axis=2)]
+        pm = np.min(vals, axis=2)
+        finite = np.isfinite(pm)
+        ties += np.sum((np.sum(vals == pm[..., None], axis=2) - 1) * finite, axis=1)
+
+    state = np.argmin(pm, axis=1)
+    metric = np.min(pm, axis=1)
+    ties += (np.sum(pm == metric[:, None], axis=1) - 1) * np.isfinite(metric)
+
+    index = np.arange(frames)
+    decided = np.empty((frames, sections), dtype=np.intp)
+    value = np.empty((frames, sections), dtype=np.intp)
+    for s in range(sections - 1, -1, -1):
+        k = back[s, index, state]
+        pos = best_pos[s, index, tab.coset_of[k]]
+        decided[:, s] = tab.labels[k, pos]
+        value[:, s] = (tab.coded[k] << spec.uncoded_bits) | pos
+        state = tab.from_state[k]
+    shifts = np.arange(spec.bits_per_section - 1, -1, -1)
+    bits = ((value[..., None] >> shifts) & 1).reshape(frames, -1)
+    return decided, bits, metric, ties
 
 
 def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
@@ -277,6 +385,7 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
     received_blocks and channels are per-section sequences.  The start state
     is known to the decoder; the end state is free (best final metric).
     The returned metric equals the summed block metrics of the decided path.
+    One frame of viterbi_decode_frames.
     """
     blocks = list(received_blocks)
     chs = list(channels)
@@ -285,87 +394,13 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
                          % (len(blocks), len(chs)))
     if not blocks:
         raise ValueError("at least one section is required")
-    if not 0 <= initial_state < spec.num_states:
-        raise ValueError("initial state out of range")
-    all_mats = matrix_stack()
-    from_arr, label_rows, coded_arr, groups = _acs_tables(spec)
-    n_sections = len(blocks)
-    n_trans = len(spec.transitions)
-    arange_t = np.arange(n_trans)
-
-    # faded candidates per distinct channel object; frames reuse one draw
-    faded_cache = {}
-    for ch in chs:
-        if id(ch) not in faded_cache:
-            faded_cache[id(ch)] = all_mats @ ch.h                # (32, T)
-
-    uniform = len({g.size for g in groups}) == 1 and groups[0].size > 0
-    group_mat = np.stack(groups) if uniform else None            # (states, indeg)
-    arange_s = np.arange(spec.num_states)
-
-    pm = np.full(spec.num_states, np.inf)
-    pm[initial_state] = 0.0
-    back = np.empty((n_sections, spec.num_states), dtype=np.int64)
-    lab = np.empty((n_sections, spec.num_states), dtype=np.int64)
-    ties = 0
-
-    for s in range(n_sections):
-        r = np.asarray(blocks[s], dtype=np.complex128).reshape(-1)
-        dists = np.sum(np.abs(r[None, :] - faded_cache[id(chs[s])]) ** 2, axis=1)
-        per_label = dists[label_rows]                            # (n_trans, L)
-        best_pos = np.argmin(per_label, axis=1)
-        branch = per_label[arange_t, best_pos]
-        ties += int(np.sum(np.sum(per_label == branch[:, None], axis=1) > 1))
-        cand = pm[from_arr] + branch
-        if uniform:
-            vals = cand[group_mat]                               # (states, indeg)
-            k = np.argmin(vals, axis=1)     # first minimum: smaller from-state
-            new_pm = vals[arange_s, k]
-            rows = group_mat[arange_s, k]
-            back[s] = rows
-            lab[s] = best_pos[rows]
-            finite = np.isfinite(new_pm)
-            ties += int(np.sum((vals == new_pm[:, None]) & finite[:, None])
-                        - np.sum(finite))
-        else:
-            new_pm = np.full(spec.num_states, np.inf)
-            for st in range(spec.num_states):
-                rows = groups[st]
-                if rows.size == 0:
-                    continue
-                vals = cand[rows]
-                k = int(np.argmin(vals))
-                ties += int(np.sum(vals == vals[k]) - 1) if np.isfinite(vals[k]) else 0
-                new_pm[st] = vals[k]
-                back[s, st] = rows[k]
-                lab[s, st] = best_pos[rows[k]]
-        pm = new_pm
-
-    end_state = int(np.argmin(pm))
-    ties += int(np.sum(pm == pm[end_state]) - 1) if np.isfinite(pm[end_state]) else 0
-    metric = float(pm[end_state])
-
-    decided = []
-    bits = []
-    state = end_state
-    for s in range(n_sections - 1, -1, -1):
-        k = back[s, state]
-        pos = int(lab[s, state])
-        decided.append(int(label_rows[k, pos]))
-        piece = []
-        coded = int(coded_arr[k])
-        for shift in range(spec.coded_bits - 1, -1, -1):
-            piece.append((coded >> shift) & 1)
-        for shift in range(spec.uncoded_bits - 1, -1, -1):
-            piece.append((pos >> shift) & 1)
-        bits.append(piece)
-        state = int(from_arr[k])
-    decided.reverse()
-    bits.reverse()
-    flat_bits = np.array([b for piece in bits for b in piece], dtype=np.int64)
-    result = DecodeResult(decided_indices=tuple(decided), metric=metric,
-                          ties_broken=ties)
-    return result, flat_bits
+    rec = np.array([np.asarray(b, dtype=np.complex128).reshape(-1) for b in blocks])
+    faded = np.stack([matrix_stack() @ ch.h for ch in chs])       # (sections, 32, T)
+    decided, bits, metric, ties = viterbi_decode_frames(spec, rec[None], faded[None],
+                                                        initial_state)
+    result = DecodeResult(decided_indices=tuple(decided[0].tolist()),
+                          metric=float(metric[0]), ties_broken=int(ties[0]))
+    return result, bits[0].astype(np.int64)
 
 
 def base_subconstellation_entries():

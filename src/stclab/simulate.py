@@ -19,6 +19,13 @@ frozen in-frame draw order (payload bits, then channel, then noise).  Runs
 are therefore reproducible for a given config regardless of how frames are
 scheduled.  One channel draw per frame, held constant across the frame's
 blocks, independent across frames.
+
+Frames are drawn per stream and decoded in chunks of whole frames, up to
+CHUNK_SECTIONS sections and at least one frame: one transmit step, then ML
+or Viterbi detection over the whole chunk.  A chunk never holds more frames
+than frame errors are still allowed, so a point stops on the last frame of
+a chunk, at exactly the frame where a frame-by-frame run stops, and no
+frame past it is drawn.  Results therefore do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -36,9 +43,15 @@ from .detectors import (
     base_subconstellation_entries,
     default_trellis,
     load_trellis,
-    trellis_encode,
-    viterbi_decode,
+    squared_distances,
+    trellis_encode_frames,
+    viterbi_decode_frames,
 )
+
+#: Sections drawn and decoded together by run_point, in whole frames (64
+#: frames of 50 sections); bounds the chunk's memory for any frame length.
+#: Results do not depend on it.
+CHUNK_SECTIONS = 3200
 
 CSV_HEADER = "snr_db,frames,bits,bit_errors,frame_errors,ber,fer,elapsed_seconds"
 
@@ -67,11 +80,17 @@ class SimConfig:
             raise ValueError("max_frame_errors must be positive")
         if self.sections_per_frame < 1:
             raise ValueError("sections_per_frame must be positive")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be nonnegative")
         if self.channel_redraw != "per_frame":
             raise ValueError("only per_frame channel redraw is supported, got %r"
                              % (self.channel_redraw,))
-        object.__setattr__(self, "snr_list_db",
-                           tuple(float(s) for s in self.snr_list_db))
+        snrs = tuple(float(s) for s in self.snr_list_db)
+        if not snrs:
+            raise ValueError("snr_list_db must hold at least one SNR")
+        if not all(np.isfinite(snrs)):
+            raise ValueError("snr_list_db values must be finite, got %s" % (snrs,))
+        object.__setattr__(self, "snr_list_db", snrs)
 
 
 @dataclass(frozen=True)
@@ -116,34 +135,30 @@ def _uncoded_tables():
     return mats, bits, lookup
 
 
-def _run_uncoded_frame(rng, sigma, sections, tables):
-    mats, cand_bits, lookup = tables
-    tx_bits = (rng.random((sections, 4)) < 0.5).astype(np.int64)
-    ch = sample_channel(rng, 2, sigma=sigma)
-    patt = tx_bits[:, 0] * 8 + tx_bits[:, 1] * 4 + tx_bits[:, 2] * 2 + tx_bits[:, 3]
-    tx_pos = lookup[patt]
-    clean = mats[tx_pos] @ ch.h                       # (sections, 2)
-    noise = standard_normal(rng, 4 * sections)
-    rec = clean + sigma * (noise[0::2] + 1j * noise[1::2]).reshape(sections, 2)
-    faded = mats @ ch.h                               # (16, 2)
-    dists = np.sum(np.abs(rec[:, None, :] - faded[None, :, :]) ** 2, axis=2)
-    decided = np.argmin(dists, axis=1)                # first min = lowest index
-    errs = int(np.sum(cand_bits[decided] != tx_bits))
-    return 4 * sections, errs
+def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
+                 bits_per_frame: int, sigma: float):
+    """Payload bits (F, bits), channels (F, 2) and noise (F, 4 * sections).
+
+    Frame first + f draws from its own stream in the frozen order: payload
+    bits, then channel, then noise.
+    """
+    sections = cfg.sections_per_frame
+    tx_bits = np.empty((count, bits_per_frame), dtype=np.int64)
+    h = np.empty((count, 2), dtype=np.complex128)
+    noise = np.empty((count, 4 * sections))
+    for f in range(count):
+        rng = _frame_rng(cfg.base_seed, point_index, first + f)
+        tx_bits[f] = rng.random(bits_per_frame) < 0.5
+        h[f] = sample_channel(rng, 2, sigma=sigma).h
+        noise[f] = standard_normal(rng, 4 * sections)
+    return tx_bits, h, noise
 
 
-def _run_trellis_frame(rng, sigma, sections, spec: TrellisSpec):
-    n_bits = sections * spec.bits_per_section
-    tx_bits = (rng.random(n_bits) < 0.5).astype(np.int64)
-    ch = sample_channel(rng, 2, sigma=sigma)
-    indices = trellis_encode(spec, tx_bits, initial_state=0)
-    mats = matrix_stack()[np.array(indices)]          # (sections, 2, 2)
-    clean = mats @ ch.h
-    noise = standard_normal(rng, 4 * sections)
-    rec = clean + sigma * (noise[0::2] + 1j * noise[1::2]).reshape(sections, 2)
-    _, rx_bits = viterbi_decode(spec, list(rec), [ch] * sections, initial_state=0)
-    errs = int(np.sum(rx_bits != tx_bits))
-    return n_bits, errs
+def _transmit(mats, indices, h, noise, sigma):
+    """Received blocks (F, sections, 2): codematrices mats[indices] over the
+    frame's channel h plus noise, interleaved re/im per channel use."""
+    clean = (mats[indices] @ h[:, None, :, None])[..., 0]
+    return clean + sigma * (noise[:, 0::2] + 1j * noise[:, 1::2]).reshape(clean.shape)
 
 
 def run_point(cfg: SimConfig, point_index: int, spec: TrellisSpec | None = None,
@@ -153,24 +168,40 @@ def run_point(cfg: SimConfig, point_index: int, spec: TrellisSpec | None = None,
     sigma = sigma_for_snr_db(snr_db)
     if cfg.mode == "trellis" and spec is None:
         spec = default_trellis()
-    if cfg.mode == "uncoded" and tables is None:
-        tables = _uncoded_tables()
+    if cfg.mode == "uncoded":
+        mats, cand_bits, lookup = tables if tables is not None else _uncoded_tables()
+    else:
+        mats = matrix_stack()
+    sections = cfg.sections_per_frame
+    bits_per_frame = sections * (4 if cfg.mode == "uncoded" else spec.bits_per_section)
     t0 = time.perf_counter()
-    frames = bits = bit_errors = frame_errors = 0
-    for frame_index in range(cfg.frames_per_point):
-        rng = _frame_rng(cfg.base_seed, point_index, frame_index)
+    frames = bit_errors = frame_errors = 0
+    while frames < cfg.frames_per_point and frame_errors < cfg.max_frame_errors:
+        # no chunk outruns the error budget: a stop lands on its last frame
+        count = min(max(1, CHUNK_SECTIONS // sections), cfg.frames_per_point - frames,
+                    cfg.max_frame_errors - frame_errors)
+        tx_bits, h, noise = _draw_frames(cfg, point_index, frames, count,
+                                         bits_per_frame, sigma)
         if cfg.mode == "uncoded":
-            nb, errs = _run_uncoded_frame(rng, sigma, cfg.sections_per_frame, tables)
+            patt = tx_bits.reshape(count, sections, 4) @ np.array([8, 4, 2, 1])
+            indices = lookup[patt]
         else:
-            nb, errs = _run_trellis_frame(rng, sigma, cfg.sections_per_frame, spec)
-        frames += 1
-        bits += nb
-        bit_errors += errs
-        frame_errors += int(errs > 0)
-        if frame_errors >= cfg.max_frame_errors:
-            break
+            indices = trellis_encode_frames(spec, tx_bits)
+        rec = _transmit(mats, indices, h, noise, sigma)
+        faded = (mats @ h[:, None, :, None])[..., 0]                # (F, M, 2)
+        if cfg.mode == "uncoded":
+            faded_t = np.ascontiguousarray(np.swapaxes(faded, 1, 2))
+            # first minimum = lowest BASE position
+            decided = np.argmin(squared_distances(rec, faded_t[:, None]), axis=2)
+            rx_bits = cand_bits[decided].reshape(count, bits_per_frame)
+        else:
+            rx_bits = viterbi_decode_frames(spec, rec, faded)[1]
+        errs = np.count_nonzero(rx_bits != tx_bits, axis=1)
+        frames += count
+        bit_errors += int(np.sum(errs))
+        frame_errors += int(np.count_nonzero(errs))
     elapsed = time.perf_counter() - t0
-    return SimResultRow(snr_db=snr_db, frames=frames, bits=bits,
+    return SimResultRow(snr_db=snr_db, frames=frames, bits=frames * bits_per_frame,
                         bit_errors=bit_errors, frame_errors=frame_errors,
                         elapsed_seconds=elapsed)
 

@@ -1,0 +1,122 @@
+"""Write the golden fixtures that pin simulate and viterbi_decode outputs.
+
+The fixtures were recorded once, before the frame-batched engine replaced
+the per-frame, per-section code, and the tests compare later code against
+them.  Never rerun this to make a failing golden test pass: a changed
+fixture is a changed result, and it must be explained, not re-recorded.
+
+    PYTHONPATH=src python tests/golden/record.py
+"""
+
+from __future__ import annotations
+
+import importlib.resources
+import json
+from pathlib import Path
+
+import numpy as np
+
+from stclab.channel import ChannelRealization, sample_channel, standard_normal
+from stclab.constellation import matrix_stack
+from stclab.detectors import default_trellis, load_trellis, trellis_encode, viterbi_decode
+from stclab.simulate import SimConfig, format_csv, run_simulation
+
+HERE = Path(__file__).resolve().parent
+
+# Both modes; every config has a point that stops on max_frame_errors
+# part-way through a 64-frame chunk and a frame budget that is not a
+# multiple of 64.
+SIMULATE_CONFIGS = {
+    "simulate_uncoded.csv": SimConfig(
+        mode="uncoded", snr_list_db=(0.0, 6.0, 12.0, 30.0), frames_per_point=200,
+        base_seed=5, sections_per_frame=20, max_frame_errors=40),
+    "simulate_trellis.csv": SimConfig(
+        mode="trellis", snr_list_db=(3.0, 6.0, 9.0, 30.0), frames_per_point=160,
+        base_seed=5, sections_per_frame=12, max_frame_errors=70),
+}
+
+
+def strip_elapsed(csv_text: str) -> str:
+    """The CSV without its wall-clock column; every other byte is pinned."""
+    out = []
+    for ln in csv_text.splitlines():
+        out.append(ln if ln.startswith("#") else ln.rsplit(",", 1)[0])
+    return "\n".join(out) + "\n"
+
+
+def irregular_trellis_text() -> str:
+    """The shipped trellis with 0->1 rerouted to 0->0: in-degrees 5, 3, 4, ..."""
+    text = importlib.resources.files("stclab.data").joinpath("trellis8.txt").read_text()
+    lines = [("0 0 " + ln[4:]) if ln.startswith("0 1 3 ") else ln
+             for ln in text.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+def _cases(spec, rng):
+    """Noisy frames (one channel, or one per section) and all-tie frames."""
+    mats = matrix_stack()
+    cases = []
+    for k in range(16):
+        n = int(rng.integers(1, 13))
+        start = int(rng.integers(0, spec.num_states))
+        bits = rng.integers(0, 2, size=n * spec.bits_per_section)
+        idx = trellis_encode(spec, bits, initial_state=start)
+        sigma = float(rng.choice([0.05, 0.3, 0.7, 1.2]))
+        if k < 12:
+            chs = [sample_channel(rng, 2, sigma=sigma)] * n
+        else:
+            chs = [sample_channel(rng, 2, sigma=sigma) for _ in range(n)]
+        noise = standard_normal(rng, 4 * n)
+        z = noise[0::2] + 1j * noise[1::2]
+        rec = [mats[i] @ ch.h + sigma * z[2 * s:2 * s + 2]
+               for s, (i, ch) in enumerate(zip(idx, chs))]
+        cases.append((rec, [c.h for c in chs], start))
+    for start, n in ((0, 5), (3, 2)):
+        cases.append(([np.zeros(2, complex)] * n, [np.zeros(2, complex)] * n, start))
+    return cases
+
+
+def viterbi_fixture() -> dict:
+    rng = np.random.default_rng(20240505)
+    out = {"irregular_trellis": irregular_trellis_text(), "cases": []}
+    for name, spec in (("default", default_trellis()),
+                       ("irregular", load_trellis(irregular_trellis_text()))):
+        for rec, hs, start in _cases(spec, rng):
+            chs = [ChannelRealization(h=h, sigma=0.0) for h in hs]
+            res, bits = viterbi_decode(spec, rec, chs, initial_state=start)
+            out["cases"].append({
+                "trellis": name, "initial_state": start,
+                "received": [[[z.real, z.imag] for z in r] for r in rec],
+                "channels": [[[z.real, z.imag] for z in h] for h in hs],
+                "decided_indices": list(res.decided_indices),
+                "bits": bits.tolist(), "metric": res.metric,
+                "ties_broken": res.ties_broken,
+            })
+        enc_bits = rng.integers(0, 2, size=40 * spec.bits_per_section)
+        out.setdefault("encode", []).append({
+            "trellis": name, "bits": enc_bits.tolist(),
+            "initial_state": 5,
+            "indices": trellis_encode(spec, enc_bits, initial_state=5)})
+    return out
+
+
+def dump(fixture: dict) -> str:
+    """JSON with one list item per line, so that a changed case shows alone."""
+    fields = []
+    for key, val in fixture.items():
+        if isinstance(val, list):
+            val = "[\n%s\n ]" % ",\n".join("  " + json.dumps(v) for v in val)
+        else:
+            val = json.dumps(val)
+        fields.append("%s: %s" % (json.dumps(key), val))
+    return "{\n %s\n}\n" % ",\n ".join(fields)
+
+
+def main() -> None:
+    for fname, cfg in SIMULATE_CONFIGS.items():
+        (HERE / fname).write_text(strip_elapsed(format_csv(cfg, run_simulation(cfg))))
+    (HERE / "viterbi.json").write_text(dump(viterbi_fixture()))
+
+
+if __name__ == "__main__":
+    main()

@@ -89,6 +89,9 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
 def test_simulate_bad_mode_is_exit_2(capsys):
     cfg_err = main(["simulate", "--snr", "oops"])
     assert cfg_err == 2
+    for bad in (["--snr", "nan"], ["--snr", "4,inf"], ["--seed", "-1"]):
+        assert main(["simulate", "--frames", "1"] + bad) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_simulate_trellis_file(tmp_path, capsys):

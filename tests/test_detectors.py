@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from golden.record import irregular_trellis_text
 
 from stclab.channel import ChannelRealization, sample_channel, standard_normal, transmit
-from stclab.constellation import build_constellation, matrix_stack, q8_cosets
+from stclab.constellation import build_constellation, matrix_stack, q8_cosets, q16_cosets
 from stclab.detectors import (
     base_subconstellation_entries,
     block_metrics,
@@ -10,7 +11,9 @@ from stclab.detectors import (
     load_trellis,
     ml_block_decode,
     trellis_encode,
+    trellis_encode_frames,
     viterbi_decode,
+    viterbi_decode_frames,
 )
 
 
@@ -76,6 +79,35 @@ def test_load_trellis_error_lines(tmp_path):
     kept = [ln for ln in lines if not ln.strip().startswith("0 1 ")]
     with pytest.raises(ValueError, match="outgoing"):
         load_trellis("\n".join(kept))
+
+
+def test_load_trellis_checks_the_partition_of_its_state_count():
+    import importlib.resources
+    text = importlib.resources.files("stclab.data").joinpath("trellis8.txt").read_text()
+    with pytest.raises(ValueError, match="coset 5 but label 0 sits in q8 coset 0"):
+        load_trellis(text.replace("\n0 0 0 0 8 2 10", "\n0 0 5 0 8 2 10"))
+    # 16 states, one coded and one uncoded bit: state s goes to s and s^1 on
+    # two q16 cosets of its half (BASE below 8, PRIMED from 8)
+    entries = build_constellation()
+    cosets = q16_cosets()
+    halves = [[c for c in sorted(cosets)
+               if entries[cosets[c][0]].subconstellation.value == tag]
+              for tag in ("BASE", "PRIMED")]
+    lines = ["states=16 bits_per_section=2"]
+    for st in range(16):
+        half = halves[st // 8]
+        for to, c in ((st, half[st % 8]), (st ^ 1, half[(st + 1) % 8])):
+            lines.append("%d %d %d %d %d" % ((st, to, c) + cosets[c]))
+    spec = load_trellis("\n".join(lines))
+    assert (spec.num_states, spec.coded_bits, spec.uncoded_bits) == (16, 1, 1)
+    c = halves[0][0]
+    first = "0 0 %d %d %d" % ((c,) + cosets[c])
+    with pytest.raises(ValueError, match="uncoded-bit order"):
+        load_trellis("\n".join(lines).replace(
+            first, "0 0 %d %d %d" % (c, cosets[c][1], cosets[c][0])))
+    with pytest.raises(ValueError, match="sits in q16 coset %d" % c):
+        load_trellis("\n".join(lines).replace(
+            first, "0 0 %d %d %d" % ((halves[0][1],) + cosets[c])))
 
 
 def test_block_metrics_against_direct_formula():
@@ -240,6 +272,51 @@ def test_viterbi_beats_or_matches_any_single_path():
         other_metric = sum(float(np.sum(np.abs(b - entries[i].matrix @ ch.h) ** 2))
                            for b, i in zip(blocks, other))
         assert res.metric <= other_metric + 1e-12
+
+
+@pytest.mark.parametrize("spec", [default_trellis(),
+                                  load_trellis(irregular_trellis_text())],
+                         ids=["regular", "irregular"])
+@pytest.mark.parametrize("per_section", [False, True])
+def test_frame_batch_matches_single_frame_decodes(spec, per_section):
+    # noisy frames plus all-tie frames (zero channel, zero received) in one
+    # batch: every frame's result equals its own F=1 viterbi_decode
+    mats = matrix_stack()
+    rng = np.random.default_rng(39)
+    frames, sections, start = 9, 7, 2
+    bits = rng.integers(0, 2, size=(frames, 4 * sections))
+    idx = trellis_encode_frames(spec, bits, initial_state=start)
+    shape = (frames, sections) if per_section else (frames, 1)
+    h = (rng.standard_normal(shape + (2,)) + 1j * rng.standard_normal(shape + (2,)))
+    h[-2:] = 0.0
+    faded = (mats @ h[..., None, :, None])[..., 0]          # (F, 1|n, 32, 2)
+    rec = (mats[idx] @ h[..., None])[..., 0]
+    rec = rec + 0.6 * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
+    rec[-2:] = 0.0
+    decided, got_bits, metric, ties = viterbi_decode_frames(
+        spec, rec, faded if per_section else faded[:, 0], initial_state=start)
+    assert ties[-1] > 0 and ties[-2] == ties[-1]
+    for f in range(frames):
+        chs = [ChannelRealization(h=hh, sigma=0.0) for hh in h[f]]
+        if not per_section:
+            chs = chs * sections
+        res, one_bits = viterbi_decode(spec, list(rec[f]), chs, initial_state=start)
+        assert list(res.decided_indices) == decided[f].tolist()
+        assert one_bits.tolist() == got_bits[f].tolist()
+        assert res.metric == metric[f]
+        assert res.ties_broken == ties[f]
+        assert trellis_encode(spec, bits[f], initial_state=start) == idx[f].tolist()
+
+
+def test_all_tie_frame_prefers_smaller_state_and_label():
+    # every candidate ties: the decoder takes coded 00, label position 0
+    # from state 0 at every section, so it decides index 0 and all-zero bits
+    spec = default_trellis()
+    ch0 = ChannelRealization(h=np.zeros(2, complex), sigma=0.0)
+    res, bits = viterbi_decode(spec, [np.zeros(2, complex)] * 3, [ch0] * 3)
+    assert res.decided_indices == (0, 0, 0)
+    assert not bits.any()
+    assert res.metric == 0.0
 
 
 def test_viterbi_input_validation():

@@ -1,0 +1,73 @@
+"""Outputs pinned by fixtures recorded before the frame-batched engine.
+
+tests/golden/record.py wrote the fixtures with the per-frame simulator and
+the per-section Viterbi decoder, including its irregular-trellis branch.
+Later code must reproduce them exactly; a fixture is never re-recorded to
+hide a changed result.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from golden.record import SIMULATE_CONFIGS, strip_elapsed
+
+from stclab.channel import ChannelRealization
+from stclab.detectors import (
+    default_trellis,
+    load_trellis,
+    trellis_encode,
+    viterbi_decode,
+)
+from stclab.simulate import format_csv, run_simulation
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURE = json.loads((GOLDEN / "viterbi.json").read_text())
+
+
+def _spec(name):
+    if name == "default":
+        return default_trellis()
+    return load_trellis(FIXTURE["irregular_trellis"])
+
+
+def _complex(rows):
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+@pytest.mark.parametrize("fname", sorted(SIMULATE_CONFIGS))
+def test_simulate_csv_matches_golden(fname):
+    cfg = SIMULATE_CONFIGS[fname]
+    got = strip_elapsed(format_csv(cfg, run_simulation(cfg)))
+    assert got == (GOLDEN / fname).read_text()
+
+
+def test_irregular_trellis_has_uneven_in_degree():
+    spec = _spec("irregular")
+    indeg = np.bincount([t.to_state for t in spec.transitions],
+                        minlength=spec.num_states)
+    assert indeg.tolist() == [5, 3, 4, 4, 4, 4, 4, 4]
+
+
+@pytest.mark.parametrize("k", range(len(FIXTURE["cases"])))
+def test_viterbi_decode_matches_golden(k):
+    case = FIXTURE["cases"][k]
+    hs = _complex(case["channels"])
+    if all(np.array_equal(h, hs[0]) for h in hs):
+        chs = [ChannelRealization(h=hs[0], sigma=0.0)] * len(hs)
+    else:
+        chs = [ChannelRealization(h=h, sigma=0.0) for h in hs]
+    res, bits = viterbi_decode(_spec(case["trellis"]), list(_complex(case["received"])),
+                               chs, initial_state=case["initial_state"])
+    assert list(res.decided_indices) == case["decided_indices"]
+    assert bits.tolist() == case["bits"]
+    assert res.metric == case["metric"]
+    assert res.ties_broken == case["ties_broken"]
+
+
+@pytest.mark.parametrize("case", FIXTURE["encode"], ids=lambda c: c["trellis"])
+def test_trellis_encode_matches_golden(case):
+    got = trellis_encode(_spec(case["trellis"]), case["bits"],
+                         initial_state=case["initial_state"])
+    assert got == case["indices"]

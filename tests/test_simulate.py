@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stclab import simulate
 from stclab.simulate import (
     CSV_HEADER,
     SimConfig,
@@ -42,6 +43,12 @@ def test_config_validation():
         SimConfig(sections_per_frame=0)
     with pytest.raises(ValueError):
         SimConfig(channel_redraw="per_section")
+    for bad in ((float("nan"),), (0.0, float("inf")), (-float("inf"),), ()):
+        with pytest.raises(ValueError, match="snr_list_db"):
+            SimConfig(snr_list_db=bad)
+    with pytest.raises(ValueError, match="base_seed"):
+        SimConfig(base_seed=-1)
+    assert SimConfig(base_seed=0).base_seed == 0
     cfg = SimConfig(snr_list_db=[0, 4])
     assert cfg.snr_list_db == (0.0, 4.0)
 
@@ -113,6 +120,21 @@ def test_run_simulation_is_reproducible():
                                      frames_per_point=40, base_seed=12,
                                      sections_per_frame=10))
     assert [r.bit_errors for r in rows3] != [r.bit_errors for r in rows1]
+
+
+@pytest.mark.parametrize("mode", ["uncoded", "trellis"])
+def test_counts_do_not_depend_on_chunk_size(mode, monkeypatch):
+    # a chunk of one frame is the frame-by-frame run; 0 dB stops early
+    cfg = SimConfig(mode=mode, snr_list_db=(0.0, 10.0), frames_per_point=45,
+                    base_seed=9, max_frame_errors=20, sections_per_frame=6)
+    want = [(r.frames, r.bits, r.bit_errors, r.frame_errors)
+            for r in run_simulation(cfg)]
+    assert want[0][0] < 45 and want[0][3] == 20
+    for chunk in (1, 7, 45):
+        monkeypatch.setattr(simulate, "CHUNK_SECTIONS", chunk * cfg.sections_per_frame)
+        got = [(r.frames, r.bits, r.bit_errors, r.frame_errors)
+               for r in run_simulation(cfg)]
+        assert got == want, chunk
 
 
 def test_points_are_decoupled():
