@@ -1,9 +1,10 @@
 """Quasi-static flat-fading channel and the equivalent real signal model.
 
 One receive antenna.  Over a block of T channel uses with codematrix C and
-channel vector h (length N, constant over the block), the received samples
+channel vector h (length N, constant over the frame), the received samples
 are r = C h + n with circularly symmetric Gaussian noise, variance sigma^2
-per real dimension.
+per real dimension.  transmit applies this to whole frames at once, with
+noise drawn beforehand (the simulator draws it from each frame's stream).
 
 Flattening r to real coordinates turns each tagged design into a frame of
 orthonormal columns: g_k = flatten(B_k h) / (sqrt(c) ||h||).  Stacking the
@@ -22,7 +23,7 @@ import numpy as np
 
 from .designs import GeneratorSet
 from .expansion import ExpandedConstellation, Subconstellation
-from .linalg import as_complex_matrix, matrix_to_real_vector
+from .linalg import matrix_to_real_vector
 
 
 def standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -44,10 +45,9 @@ def standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One channel draw: coefficient vector h and per-real-dim noise sigma."""
+    """One channel draw: the coefficient vector h."""
 
     h: np.ndarray
-    sigma: float
 
     def __post_init__(self):
         v = np.asarray(self.h, dtype=np.complex128).reshape(-1)
@@ -56,16 +56,13 @@ class ChannelRealization:
         if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
             raise ValueError("channel coefficients must be finite")
         object.__setattr__(self, "h", v)
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
 
     @property
     def h_norm(self) -> float:
         return float(np.linalg.norm(self.h))
 
 
-def sample_channel(rng: np.random.Generator, num_antennas: int,
-                   sigma: float = 0.0) -> ChannelRealization:
+def sample_channel(rng: np.random.Generator, num_antennas: int) -> ChannelRealization:
     """Rayleigh draw: h_n = (a + jb)/sqrt(2), a, b standard normal.
 
     E||h||^2 = num_antennas.
@@ -74,20 +71,19 @@ def sample_channel(rng: np.random.Generator, num_antennas: int,
         raise ValueError("num_antennas must be positive")
     g = standard_normal(rng, 2 * num_antennas)
     h = (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
-    return ChannelRealization(h=h, sigma=sigma)
+    return ChannelRealization(h=h)
 
 
-def transmit(codematrix, ch: ChannelRealization, rng: np.random.Generator) -> np.ndarray:
-    """Received block r = C h + n, noise sigma per real dimension."""
-    c = as_complex_matrix(codematrix)
-    if c.shape[1] != ch.h.size:
-        raise ValueError("codematrix has %d columns but channel has %d coefficients"
-                         % (c.shape[1], ch.h.size))
-    clean = c @ ch.h
-    if ch.sigma == 0.0:
-        return clean
-    g = standard_normal(rng, 2 * c.shape[0])
-    return clean + ch.sigma * (g[0::2] + 1j * g[1::2])
+def transmit(codematrices: np.ndarray, h: np.ndarray, noise: np.ndarray,
+             sigma: float) -> np.ndarray:
+    """Received blocks r = C h + n of F frames, shape (F, blocks, T).
+
+    codematrices (F, blocks, T, N) go over the frame's channel h[f] (h is
+    (F, N)); noise (F, 2 * blocks * T) holds standard normal draws,
+    interleaved re/im per channel use, scaled by sigma per real dimension.
+    """
+    clean = (codematrices @ h[:, None, :, None])[..., 0]
+    return clean + sigma * (noise[:, 0::2] + 1j * noise[:, 1::2]).reshape(clean.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,22 +123,6 @@ def build_equivalent_real_model(e: ExpandedConstellation,
     stacked[two_t:, two_k:] = gp
     return EquivalentRealModel(base_frame=gb, primed_frame=gp,
                                stacked_frame=stacked, h_norm=hn, gain=gain)
-
-
-def received_stacked_vector(point_matrix, tag: Subconstellation,
-                            ch: ChannelRealization) -> np.ndarray:
-    """Noiseless received block in stacked real coordinates.
-
-    BASE points occupy the first 2T slots, PRIMED points the last 2T; equals
-    gain * stacked_frame @ chi_oplus for constellation points.
-    """
-    y = matrix_to_real_vector((as_complex_matrix(point_matrix) @ ch.h).reshape(-1, 1))
-    out = np.zeros(2 * y.size)
-    if tag is Subconstellation.BASE:
-        out[:y.size] = y
-    else:
-        out[y.size:] = y
-    return out
 
 
 @dataclass(frozen=True)

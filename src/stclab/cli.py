@@ -17,6 +17,7 @@ from .constellation import (
     build_constellation,
     chi_coordinates,
     distance_spectrum,
+    table_expansion,
     verify_forms,
 )
 from .designs import (
@@ -26,7 +27,6 @@ from .designs import (
     radon_hurwitz_check,
     read_generator_file,
 )
-from .expansion import Subconstellation, expand
 from .expansion import corollary1_audit, theorem1_audit
 from .simulate import (
     SimConfig,
@@ -37,13 +37,26 @@ from .simulate import (
 
 AUDIT_NAMES = ("RH", "THEOREM1", "COROLLARY1", "INVARIANCE", "FORMS", "ALL")
 
+#: simulate flag dest -> the SimConfig field it overrides.
+SIMULATE_FLAGS = (
+    ("mode", "mode"),
+    ("snr", "snr_list_db"),
+    ("frames", "frames_per_point"),
+    ("seed", "base_seed"),
+    ("sections", "sections_per_frame"),
+    ("max_frame_errors", "max_frame_errors"),
+    ("trellis", "trellis_path"),
+)
 
-def _table_expansion():
-    entries = build_constellation()
-    chis = [chi_coordinates(e)[:4] for e in entries
-            if e.subconstellation is Subconstellation.BASE]
-    u = np.diag([1.0, -1.0]).astype(np.complex128)
-    return expand(alamouti_generators(), chis, u, 1.0)
+
+def _write_out(text: str, out) -> int:
+    """Write text to the file out, or to stdout when out is unset."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def _audit_rh(args) -> bool:
@@ -75,7 +88,7 @@ def _audit_rh(args) -> bool:
 
 
 def _audit_theorem1(_args) -> bool:
-    audit = theorem1_audit(_table_expansion())
+    audit = theorem1_audit(table_expansion())
     for k, r in enumerate(audit.residuals):
         print("theorem1.residual[%d]=%.12g" % (k, r))
     print("theorem1.min_residual=%.12g threshold=1e-6" % audit.min_residual)
@@ -84,7 +97,7 @@ def _audit_theorem1(_args) -> bool:
 
 
 def _audit_corollary1(_args) -> bool:
-    audit = corollary1_audit(_table_expansion())
+    audit = corollary1_audit(table_expansion())
     print("corollary1.min_residual=%.12g threshold=1e-6" % audit.min_residual)
     print("corollary1.max_residual=%.12g" % audit.max_residual)
     print("corollary1.points=%d" % audit.residuals.size)
@@ -93,7 +106,7 @@ def _audit_corollary1(_args) -> bool:
 
 
 def _audit_invariance(args) -> bool:
-    e = _table_expansion()
+    e = table_expansion()
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     gram = dist = angle = cross = 0.0
     for _ in range(args.trials):
@@ -147,46 +160,19 @@ def cmd_simulate(args) -> int:
     if args.config:
         with open(args.config) as fh:
             kwargs.update(parse_config_file(fh.read()))
-    if args.mode is not None:
-        kwargs["mode"] = args.mode
+    flags = {field: getattr(args, dest) for dest, field in SIMULATE_FLAGS}
     if args.snr is not None:
-        kwargs["snr_list_db"] = tuple(float(s) for s in args.snr.split(","))
-    if args.frames is not None:
-        kwargs["frames_per_point"] = args.frames
-    if args.seed is not None:
-        kwargs["base_seed"] = args.seed
-    if args.sections is not None:
-        kwargs["sections_per_frame"] = args.sections
-    if args.max_frame_errors is not None:
-        kwargs["max_frame_errors"] = args.max_frame_errors
-    if args.trellis is not None:
-        kwargs["trellis_path"] = args.trellis
-    try:
-        cfg = SimConfig(**kwargs)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    rows = run_simulation(cfg)
-    text = format_csv(cfg, rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+        flags["snr_list_db"] = tuple(float(s) for s in args.snr.split(","))
+    kwargs.update((field, val) for field, val in flags.items() if val is not None)
+    cfg = SimConfig(**kwargs)
+    return _write_out(format_csv(cfg, run_simulation(cfg)), args.out)
 
 
 def cmd_spectrum(args) -> int:
     spec = distance_spectrum(which=args.which.upper())
     lines = ["distance_sq,multiplicity"]
     lines += ["%.12g,%d" % (d2, mult) for d2, mult in spec.items()]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_out("\n".join(lines) + "\n", args.out)
 
 
 def cmd_show_constellation(_args) -> int:

@@ -17,14 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .designs import (
-    GeneratorSet,
-    alamouti_generators,
-    analyze,
-    primed_alamouti_generators,
-)
-from .expansion import Subconstellation
-from .linalg import as_complex_matrix
+from .designs import alamouti_generators, analyze, primed_alamouti_generators
+from .expansion import ExpandedConstellation, Subconstellation, expand
 
 #: 4PSK alphabet; index k is exp(j*(pi/4 + k*pi/2)).
 QPSK = tuple(
@@ -56,24 +50,6 @@ def matrix_from_indices(index_matrix) -> np.ndarray:
         raise ValueError("index matrix must be 2x2, got %s" % (im.shape,))
     return np.array([[QPSK[int(im[r, c])] for c in range(2)] for r in range(2)],
                     dtype=np.complex128)
-
-
-def indices_from_matrix(m, tol: float = 1e-9) -> tuple:
-    """Round a codematrix back to 4PSK alphabet indices."""
-    a = as_complex_matrix(m)
-    if a.shape != (2, 2):
-        raise ValueError("expected a 2x2 codematrix, got %s" % (a.shape,))
-    out = []
-    for r in range(2):
-        row = []
-        for c in range(2):
-            dists = [abs(a[r, c] - s) for s in QPSK]
-            k = int(np.argmin(dists))
-            if dists[k] > tol:
-                raise ValueError("entry (%d, %d) = %r is not a 4PSK point" % (r, c, a[r, c]))
-            row.append(k)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _parse_table(text: str):
@@ -127,14 +103,6 @@ def matrix_stack() -> np.ndarray:
     return np.stack([e.matrix for e in build_constellation()])
 
 
-def base_generator_set() -> GeneratorSet:
-    return alamouti_generators()
-
-
-def primed_generator_set() -> GeneratorSet:
-    return primed_alamouti_generators()
-
-
 def chi_coordinates(entry: CodematrixEntry) -> np.ndarray:
     """Direct-sum coordinates (length 8) of an entry over its own basis.
 
@@ -143,15 +111,25 @@ def chi_coordinates(entry: CodematrixEntry) -> np.ndarray:
     """
     out = np.zeros(8)
     if entry.subconstellation is Subconstellation.BASE:
-        chi, resid = analyze(base_generator_set(), entry.matrix)
+        chi, resid = analyze(alamouti_generators(), entry.matrix)
         out[:4] = chi
     else:
-        chi, resid = analyze(primed_generator_set(), entry.matrix)
+        chi, resid = analyze(primed_alamouti_generators(), entry.matrix)
         out[4:] = chi
     if resid > 1e-9:
         raise ValueError("entry %d does not lie in its tagged design (residual %g)"
                          % (entry.index, resid))
     return out
+
+
+def table_expansion(unitary=((1, 0), (0, -1))) -> ExpandedConstellation:
+    """expand() of the 16 BASE points by unitary over the base generators.
+
+    The default diag(1, -1) reproduces the 32-entry table.
+    """
+    chis = [chi_coordinates(e)[:4] for e in build_constellation()
+            if e.subconstellation is Subconstellation.BASE]
+    return expand(alamouti_generators(), chis, unitary)
 
 
 @dataclass(frozen=True)

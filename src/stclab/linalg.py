@@ -23,24 +23,6 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def hermitian(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(m).conj().T
-
-
-def frobenius_inner(a, b) -> float:
-    """Real trace inner product Re tr(a^H b).
-
-    This is the Euclidean inner product carried over by the real flattening,
-    so norms and angles computed here agree with ``matrix_to_real_vector``.
-    """
-    am = as_complex_matrix(a)
-    bm = as_complex_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError("shape mismatch: %s vs %s" % (am.shape, bm.shape))
-    return float(np.real(np.sum(am.conj() * bm)))
-
-
 def frobenius_norm(a) -> float:
     """Frobenius norm, equal to the 2-norm of the real flattening."""
     return float(np.linalg.norm(as_complex_matrix(a)))
@@ -67,14 +49,6 @@ def symbols_to_real_vector(symbols) -> np.ndarray:
     out[0::2] = z.real
     out[1::2] = z.imag
     return out
-
-
-def real_vector_to_symbols(v) -> np.ndarray:
-    """Inverse of symbols_to_real_vector."""
-    x = np.asarray(v, dtype=np.float64).reshape(-1)
-    if x.size % 2 != 0:
-        raise ValueError("real coordinate vector must have even length")
-    return x[0::2] + 1j * x[1::2]
 
 
 def is_unitary(u, tol: float = DEFAULT_TOL) -> bool:

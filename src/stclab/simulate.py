@@ -21,8 +21,9 @@ scheduled.  One channel draw per frame, held constant across the frame's
 blocks, independent across frames.
 
 Frames are drawn per stream and decoded in chunks of whole frames, up to
-CHUNK_SECTIONS sections and at least one frame: one transmit step, then ML
-or Viterbi detection over the whole chunk.  A chunk never holds more frames
+CHUNK_SECTIONS sections and at least one frame: one channel.transmit call
+over the chunk's codematrices, channels and pre-drawn noise, then ML or
+Viterbi detection over the whole chunk.  A chunk never holds more frames
 than frame errors are still allowed, so a point stops on the last frame of
 a chunk, at exactly the frame where a frame-by-frame run stops, and no
 frame past it is drawn.  Results therefore do not depend on the chunk size.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sample_channel, standard_normal
+from .channel import sample_channel, standard_normal, transmit
 from .constellation import chi_coordinates, matrix_stack
 from .detectors import (
     TrellisSpec,
@@ -68,7 +69,6 @@ class SimConfig:
     base_seed: int = 1
     max_frame_errors: int = 200
     sections_per_frame: int = 50
-    channel_redraw: str = "per_frame"
     trellis_path: str | None = None
 
     def __post_init__(self):
@@ -82,9 +82,6 @@ class SimConfig:
             raise ValueError("sections_per_frame must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-        if self.channel_redraw != "per_frame":
-            raise ValueError("only per_frame channel redraw is supported, got %r"
-                             % (self.channel_redraw,))
         snrs = tuple(float(s) for s in self.snr_list_db)
         if not snrs:
             raise ValueError("snr_list_db must hold at least one SNR")
@@ -136,7 +133,7 @@ def _uncoded_tables():
 
 
 def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
-                 bits_per_frame: int, sigma: float):
+                 bits_per_frame: int):
     """Payload bits (F, bits), channels (F, 2) and noise (F, 4 * sections).
 
     Frame first + f draws from its own stream in the frozen order: payload
@@ -149,16 +146,9 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
     for f in range(count):
         rng = _frame_rng(cfg.base_seed, point_index, first + f)
         tx_bits[f] = rng.random(bits_per_frame) < 0.5
-        h[f] = sample_channel(rng, 2, sigma=sigma).h
+        h[f] = sample_channel(rng, 2).h
         noise[f] = standard_normal(rng, 4 * sections)
     return tx_bits, h, noise
-
-
-def _transmit(mats, indices, h, noise, sigma):
-    """Received blocks (F, sections, 2): codematrices mats[indices] over the
-    frame's channel h plus noise, interleaved re/im per channel use."""
-    clean = (mats[indices] @ h[:, None, :, None])[..., 0]
-    return clean + sigma * (noise[:, 0::2] + 1j * noise[:, 1::2]).reshape(clean.shape)
 
 
 def run_point(cfg: SimConfig, point_index: int, spec: TrellisSpec | None = None,
@@ -181,13 +171,13 @@ def run_point(cfg: SimConfig, point_index: int, spec: TrellisSpec | None = None,
         count = min(max(1, CHUNK_SECTIONS // sections), cfg.frames_per_point - frames,
                     cfg.max_frame_errors - frame_errors)
         tx_bits, h, noise = _draw_frames(cfg, point_index, frames, count,
-                                         bits_per_frame, sigma)
+                                         bits_per_frame)
         if cfg.mode == "uncoded":
             patt = tx_bits.reshape(count, sections, 4) @ np.array([8, 4, 2, 1])
             indices = lookup[patt]
         else:
             indices = trellis_encode_frames(spec, tx_bits)
-        rec = _transmit(mats, indices, h, noise, sigma)
+        rec = transmit(mats[indices], h, noise, sigma)
         faded = (mats @ h[:, None, :, None])[..., 0]                # (F, M, 2)
         if cfg.mode == "uncoded":
             faded_t = np.ascontiguousarray(np.swapaxes(faded, 1, 2))
@@ -236,15 +226,34 @@ def format_csv(cfg: SimConfig, rows) -> str:
     buf.write("# noise variance per real dimension: sigma^2 = 1/(2*10^(snr_db/10))\n")
     buf.write(CSV_HEADER + "\n")
     for r in rows:
-        buf.write("%.6g,%d,%d,%d,%d,%.12e,%.12e,%.3f\n"
-                  % (r.snr_db, r.frames, r.bits, r.bit_errors, r.frame_errors,
+        snr = "%.6g" % r.snr_db
+        if float(snr) != r.snr_db:       # keep the row's SNR exact
+            snr = repr(r.snr_db)
+        buf.write("%s,%d,%d,%d,%d,%.12e,%.12e,%.3f\n"
+                  % (snr, r.frames, r.bits, r.bit_errors, r.frame_errors,
                      r.ber, r.fer, r.elapsed_seconds))
     return buf.getvalue()
 
 
+#: Config file key (a SimConfig field) -> converter of its value text.
+CONFIG_KEYS = {
+    "mode": str,
+    "snr_list_db": lambda val: tuple(float(x) for x in val.replace(",", " ").split()),
+    "frames_per_point": int,
+    "base_seed": int,
+    "max_frame_errors": int,
+    "sections_per_frame": int,
+    "trellis_path": str,
+}
+
+
 def parse_config_file(text: str) -> dict:
-    """key=value per line; '#' comments; keys match SimConfig fields."""
-    out = {}
+    """key=value per line; '#' comments; keys from CONFIG_KEYS, each once.
+
+    Malformed lines, unknown or repeated keys and unconvertible values raise
+    ValueError naming the line.
+    """
+    out, first_line = {}, {}
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -252,17 +261,14 @@ def parse_config_file(text: str) -> dict:
         if "=" not in line:
             raise ValueError("line %d: expected key=value, got %r" % (no, line))
         key, val = (s.strip() for s in line.split("=", 1))
-        if key == "mode":
-            out["mode"] = val
-        elif key == "snr_list_db":
-            out["snr_list_db"] = tuple(float(s) for s in val.replace(",", " ").split())
-        elif key in ("frames_per_point", "base_seed", "max_frame_errors",
-                     "sections_per_frame"):
-            out[key] = int(val)
-        elif key == "channel_redraw":
-            out["channel_redraw"] = val
-        elif key == "trellis_path":
-            out["trellis_path"] = val
-        else:
+        if key not in CONFIG_KEYS:
             raise ValueError("line %d: unknown key %r" % (no, key))
+        if key in first_line:
+            raise ValueError("line %d: key %r already set on line %d"
+                             % (no, key, first_line[key]))
+        try:
+            out[key] = CONFIG_KEYS[key](val)
+        except ValueError as exc:
+            raise ValueError("line %d: bad %s value: %s" % (no, key, exc)) from None
+        first_line[key] = no
     return out

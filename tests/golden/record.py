@@ -1,7 +1,9 @@
-"""Write the golden fixtures that pin simulate and viterbi_decode outputs.
+"""Write the golden fixtures that pin simulate, viterbi_decode and CLI outputs.
 
-The fixtures were recorded once, before the frame-batched engine replaced
-the per-frame, per-section code, and the tests compare later code against
+The simulate and Viterbi fixtures were recorded once, before the
+frame-batched engine replaced the per-frame, per-section code; the audit,
+spectrum and show-constellation outputs were added before the channel,
+constellation and CLI were trimmed.  The tests compare later code against
 them.  Never rerun this to make a failing golden test pass: a changed
 fixture is a changed result, and it must be explained, not re-recorded.
 
@@ -10,13 +12,16 @@ fixture is a changed result, and it must be explained, not re-recorded.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
 from stclab.channel import ChannelRealization, sample_channel, standard_normal
+from stclab.cli import main as cli_main
 from stclab.constellation import matrix_stack
 from stclab.detectors import default_trellis, load_trellis, trellis_encode, viterbi_decode
 from stclab.simulate import SimConfig, format_csv, run_simulation
@@ -34,6 +39,25 @@ SIMULATE_CONFIGS = {
         mode="trellis", snr_list_db=(3.0, 6.0, 9.0, 30.0), frames_per_point=160,
         base_seed=5, sections_per_frame=12, max_frame_errors=70),
 }
+
+# Stdout of one CLI call each, pinned byte for byte.
+CLI_FIXTURES = {
+    "audit_all.txt": ["audit", "--which", "ALL", "--trials", "50"],
+    "spectrum_base.csv": ["spectrum", "--which", "BASE"],
+    "spectrum_primed.csv": ["spectrum", "--which", "PRIMED"],
+    "spectrum_full.csv": ["spectrum", "--which", "FULL"],
+    "show_constellation.txt": ["show-constellation"],
+}
+
+
+def cli_stdout(argv) -> str:
+    """What ``stc-lab <argv>`` prints; a nonzero exit is an error."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli_main(argv)
+    if rc != 0:
+        raise RuntimeError("stc-lab %s exited %d" % (" ".join(argv), rc))
+    return buf.getvalue()
 
 
 def strip_elapsed(csv_text: str) -> str:
@@ -63,9 +87,9 @@ def _cases(spec, rng):
         idx = trellis_encode(spec, bits, initial_state=start)
         sigma = float(rng.choice([0.05, 0.3, 0.7, 1.2]))
         if k < 12:
-            chs = [sample_channel(rng, 2, sigma=sigma)] * n
+            chs = [sample_channel(rng, 2)] * n
         else:
-            chs = [sample_channel(rng, 2, sigma=sigma) for _ in range(n)]
+            chs = [sample_channel(rng, 2) for _ in range(n)]
         noise = standard_normal(rng, 4 * n)
         z = noise[0::2] + 1j * noise[1::2]
         rec = [mats[i] @ ch.h + sigma * z[2 * s:2 * s + 2]
@@ -82,7 +106,7 @@ def viterbi_fixture() -> dict:
     for name, spec in (("default", default_trellis()),
                        ("irregular", load_trellis(irregular_trellis_text()))):
         for rec, hs, start in _cases(spec, rng):
-            chs = [ChannelRealization(h=h, sigma=0.0) for h in hs]
+            chs = [ChannelRealization(h=h) for h in hs]
             res, bits = viterbi_decode(spec, rec, chs, initial_state=start)
             out["cases"].append({
                 "trellis": name, "initial_state": start,
@@ -116,6 +140,8 @@ def main() -> None:
     for fname, cfg in SIMULATE_CONFIGS.items():
         (HERE / fname).write_text(strip_elapsed(format_csv(cfg, run_simulation(cfg))))
     (HERE / "viterbi.json").write_text(dump(viterbi_fixture()))
+    for fname, argv in CLI_FIXTURES.items():
+        (HERE / fname).write_text(cli_stdout(argv))
 
 
 if __name__ == "__main__":

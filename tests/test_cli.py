@@ -84,6 +84,12 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     assert rc == 0
     data = [ln for ln in out.splitlines() if ln and not ln.startswith("#")][1]
     assert data.startswith("30,5,")
+    for bad, line in (("mode=uncoded\nmode=trellis\n", 2),
+                      ("frames_per_point=abc\n", 1),
+                      ("mode=uncoded\nspeed=11\n", 2)):
+        cfgf.write_text(bad)
+        assert main(["simulate", "--config", str(cfgf)]) == 2
+        assert "error: line %d:" % line in capsys.readouterr().err
 
 
 def test_simulate_bad_mode_is_exit_2(capsys):

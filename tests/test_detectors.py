@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from golden.record import irregular_trellis_text
 
-from stclab.channel import ChannelRealization, sample_channel, standard_normal, transmit
+from stclab.channel import ChannelRealization, sample_channel, standard_normal
 from stclab.constellation import build_constellation, matrix_stack, q8_cosets, q16_cosets
 from stclab.detectors import (
     base_subconstellation_entries,
@@ -114,8 +114,8 @@ def test_block_metrics_against_direct_formula():
     rng = np.random.default_rng(31)
     mats = matrix_stack()
     for _ in range(20):
-        ch = sample_channel(rng, 2, sigma=0.2)
-        r = transmit(mats[5], ch, rng)
+        ch = sample_channel(rng, 2)
+        r = _noisy(mats[5] @ ch.h, 0.2, rng)
         metrics = block_metrics(r, ch, mats)
         for i in (0, 5, 17, 31):
             want = float(np.sum(np.abs(r - mats[i] @ ch.h) ** 2))
@@ -136,10 +136,10 @@ def test_ml_block_decode_noiseless_exact():
 
 
 def test_ml_block_decode_tie_goes_to_lowest_index():
-    ch = ChannelRealization(h=np.zeros(2, complex) + np.array([1.0, 0.0]), sigma=0.0)
+    ch = ChannelRealization(h=np.zeros(2, complex) + np.array([1.0, 0.0]))
     entries = build_constellation()
     # zero received vector: every candidate at equal |Ch| distance ties
-    ch0 = ChannelRealization(h=np.array([0.0 + 0j, 0.0 + 0j]), sigma=0.0)
+    ch0 = ChannelRealization(h=np.array([0.0 + 0j, 0.0 + 0j]))
     res = ml_block_decode(np.zeros(2, complex), ch0, entries)
     assert res.decided_indices == (0,)
     assert res.ties_broken == 31
@@ -154,9 +154,9 @@ def test_ml_small_noise_error_rate_bounded():
     trials = 4000
     errors = 0
     for _ in range(trials):
-        ch = sample_channel(rng, 2, sigma=0.05)
+        ch = sample_channel(rng, 2)
         k = int(rng.integers(0, 32))
-        r = _noisy(entries[k].matrix @ ch.h, ch.sigma, rng)
+        r = _noisy(entries[k].matrix @ ch.h, 0.05, rng)
         res = ml_block_decode(r, ch, entries)
         errors += res.decided_indices[0] != k
     assert errors / trials < 0.01
@@ -232,9 +232,9 @@ def test_viterbi_single_section_matches_exhaustive_ml():
     cand = [entries[i] for i in reachable]
     rng = np.random.default_rng(35)
     for _ in range(300):
-        ch = sample_channel(rng, 2, sigma=0.5)
+        ch = sample_channel(rng, 2)
         k = reachable[int(rng.integers(0, len(reachable)))]
-        r = _noisy(entries[k].matrix @ ch.h, ch.sigma, rng)
+        r = _noisy(entries[k].matrix @ ch.h, 0.5, rng)
         ml = ml_block_decode(r, ch, cand)
         vit, _ = viterbi_decode(spec, [r], [ch])
         assert vit.decided_indices[0] == ml.decided_indices[0]
@@ -248,8 +248,8 @@ def test_viterbi_metric_equals_path_block_metrics():
     for _ in range(50):
         bits = rng.integers(0, 2, size=4 * 4)
         indices = trellis_encode(spec, bits)
-        ch = sample_channel(rng, 2, sigma=0.4)
-        blocks = [_noisy(entries[i].matrix @ ch.h, ch.sigma, rng) for i in indices]
+        ch = sample_channel(rng, 2)
+        blocks = [_noisy(entries[i].matrix @ ch.h, 0.4, rng) for i in indices]
         res, _ = viterbi_decode(spec, blocks, [ch] * len(blocks))
         total = sum(float(np.sum(np.abs(b - entries[i].matrix @ ch.h) ** 2))
                     for b, i in zip(blocks, res.decided_indices))
@@ -264,8 +264,8 @@ def test_viterbi_beats_or_matches_any_single_path():
     for _ in range(50):
         bits = rng.integers(0, 2, size=4 * 4)
         indices = trellis_encode(spec, bits)
-        ch = sample_channel(rng, 2, sigma=1.0)
-        blocks = [_noisy(entries[i].matrix @ ch.h, ch.sigma, rng) for i in indices]
+        ch = sample_channel(rng, 2)
+        blocks = [_noisy(entries[i].matrix @ ch.h, 1.0, rng) for i in indices]
         res, _ = viterbi_decode(spec, blocks, [ch] * len(blocks))
         other_bits = rng.integers(0, 2, size=4 * 4)
         other = trellis_encode(spec, other_bits)
@@ -297,7 +297,7 @@ def test_frame_batch_matches_single_frame_decodes(spec, per_section):
         spec, rec, faded if per_section else faded[:, 0], initial_state=start)
     assert ties[-1] > 0 and ties[-2] == ties[-1]
     for f in range(frames):
-        chs = [ChannelRealization(h=hh, sigma=0.0) for hh in h[f]]
+        chs = [ChannelRealization(h=hh) for hh in h[f]]
         if not per_section:
             chs = chs * sections
         res, one_bits = viterbi_decode(spec, list(rec[f]), chs, initial_state=start)
@@ -312,7 +312,7 @@ def test_all_tie_frame_prefers_smaller_state_and_label():
     # every candidate ties: the decoder takes coded 00, label position 0
     # from state 0 at every section, so it decides index 0 and all-zero bits
     spec = default_trellis()
-    ch0 = ChannelRealization(h=np.zeros(2, complex), sigma=0.0)
+    ch0 = ChannelRealization(h=np.zeros(2, complex))
     res, bits = viterbi_decode(spec, [np.zeros(2, complex)] * 3, [ch0] * 3)
     assert res.decided_indices == (0, 0, 0)
     assert not bits.any()

@@ -1,9 +1,11 @@
-"""Outputs pinned by fixtures recorded before the frame-batched engine.
+"""Outputs pinned by fixtures recorded before the code that makes them changed.
 
-tests/golden/record.py wrote the fixtures with the per-frame simulator and
-the per-section Viterbi decoder, including its irregular-trellis branch.
-Later code must reproduce them exactly; a fixture is never re-recorded to
-hide a changed result.
+tests/golden/record.py wrote the simulate and Viterbi fixtures with the
+per-frame simulator and the per-section Viterbi decoder, including its
+irregular-trellis branch, and the audit, spectrum and show-constellation
+fixtures before the channel, constellation and CLI were trimmed.  Later
+code must reproduce them exactly; a fixture is never re-recorded to hide a
+changed result.
 """
 
 import json
@@ -11,7 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from golden.record import SIMULATE_CONFIGS, strip_elapsed
+from golden.record import (
+    CLI_FIXTURES,
+    SIMULATE_CONFIGS,
+    cli_stdout,
+    strip_elapsed,
+)
 
 from stclab.channel import ChannelRealization
 from stclab.detectors import (
@@ -43,6 +50,11 @@ def test_simulate_csv_matches_golden(fname):
     assert got == (GOLDEN / fname).read_text()
 
 
+@pytest.mark.parametrize("fname", sorted(CLI_FIXTURES))
+def test_cli_output_matches_golden(fname):
+    assert cli_stdout(CLI_FIXTURES[fname]) == (GOLDEN / fname).read_text()
+
+
 def test_irregular_trellis_has_uneven_in_degree():
     spec = _spec("irregular")
     indeg = np.bincount([t.to_state for t in spec.transitions],
@@ -55,9 +67,9 @@ def test_viterbi_decode_matches_golden(k):
     case = FIXTURE["cases"][k]
     hs = _complex(case["channels"])
     if all(np.array_equal(h, hs[0]) for h in hs):
-        chs = [ChannelRealization(h=hs[0], sigma=0.0)] * len(hs)
+        chs = [ChannelRealization(h=hs[0])] * len(hs)
     else:
-        chs = [ChannelRealization(h=h, sigma=0.0) for h in hs]
+        chs = [ChannelRealization(h=h) for h in hs]
     res, bits = viterbi_decode(_spec(case["trellis"]), list(_complex(case["received"])),
                                chs, initial_state=case["initial_state"])
     assert list(res.decided_indices) == case["decided_indices"]

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from stclab import simulate
 from stclab.simulate import (
+    CONFIG_KEYS,
     CSV_HEADER,
     SimConfig,
     SimResultRow,
@@ -41,8 +44,6 @@ def test_config_validation():
         SimConfig(max_frame_errors=0)
     with pytest.raises(ValueError):
         SimConfig(sections_per_frame=0)
-    with pytest.raises(ValueError):
-        SimConfig(channel_redraw="per_section")
     for bad in ((float("nan"),), (0.0, float("inf")), (-float("inf"),), ()):
         with pytest.raises(ValueError, match="snr_list_db"):
             SimConfig(snr_list_db=bad)
@@ -167,6 +168,17 @@ def test_format_csv_layout():
     assert abs(row.ber - 0.015) < 1e-15 and abs(row.fer - 0.4) < 1e-15
 
 
+def test_format_csv_snr_reads_back_exactly():
+    cfg = SimConfig(snr_list_db=(12.3456789, 0.1, 30.0), frames_per_point=1)
+    rows = [SimResultRow(snr_db=s, frames=1, bits=200, bit_errors=0,
+                         frame_errors=0, elapsed_seconds=0.0)
+            for s in cfg.snr_list_db]
+    data = format_csv(cfg, rows).splitlines()[4:]
+    snrs = [ln.split(",")[0] for ln in data]
+    assert [float(s) for s in snrs] == [12.3456789, 0.1, 30.0]
+    assert snrs[1:] == ["0.1", "30"], "%.6g stays where it is exact"
+
+
 def test_parse_config_file():
     text = """
     # comment
@@ -183,5 +195,15 @@ def test_parse_config_file():
     assert cfg.frames_per_point == 100 and cfg.base_seed == 9
     with pytest.raises(ValueError, match="line 1"):
         parse_config_file("just words\n")
-    with pytest.raises(ValueError, match="unknown key"):
-        parse_config_file("speed=11\n")
+    with pytest.raises(ValueError, match="line 2: unknown key 'speed'"):
+        parse_config_file("mode=uncoded\nspeed=11\n")
+    with pytest.raises(ValueError, match="line 3: key 'mode' already set on line 1"):
+        parse_config_file("mode=uncoded\n# comment\nmode=trellis\n")
+    with pytest.raises(ValueError, match="line 2: bad frames_per_point value"):
+        parse_config_file("mode=uncoded\nframes_per_point=abc\n")
+    with pytest.raises(ValueError, match="line 1: bad snr_list_db value"):
+        parse_config_file("snr_list_db=0, four\n")
+
+
+def test_config_keys_are_the_simconfig_fields():
+    assert set(CONFIG_KEYS) == {f.name for f in fields(SimConfig)}
