@@ -59,7 +59,7 @@ def _write_out(text: str, out) -> int:
     return 0
 
 
-def _audit_rh(args) -> bool:
+def _audit_rh(args, _e) -> bool:
     if args.generators:
         with open(args.generators) as fh:
             g = read_generator_file(fh.read())
@@ -87,8 +87,8 @@ def _audit_rh(args) -> bool:
     return ok and mixed_ok
 
 
-def _audit_theorem1(_args) -> bool:
-    audit = theorem1_audit(table_expansion())
+def _audit_theorem1(_args, e) -> bool:
+    audit = theorem1_audit(e)
     for k, r in enumerate(audit.residuals):
         print("theorem1.residual[%d]=%.12g" % (k, r))
     print("theorem1.min_residual=%.12g threshold=1e-6" % audit.min_residual)
@@ -96,8 +96,8 @@ def _audit_theorem1(_args) -> bool:
     return audit.separated
 
 
-def _audit_corollary1(_args) -> bool:
-    audit = corollary1_audit(table_expansion())
+def _audit_corollary1(_args, e) -> bool:
+    audit = corollary1_audit(e)
     print("corollary1.min_residual=%.12g threshold=1e-6" % audit.min_residual)
     print("corollary1.max_residual=%.12g" % audit.max_residual)
     print("corollary1.points=%d" % audit.residuals.size)
@@ -105,28 +105,23 @@ def _audit_corollary1(_args) -> bool:
     return audit.separated
 
 
-def _audit_invariance(args) -> bool:
-    e = table_expansion()
+def _audit_invariance(args, e) -> bool:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    gram = dist = angle = cross = 0.0
-    for _ in range(args.trials):
-        ch = sample_channel(rng, 2)
-        rep = shape_invariance_audit(e, ch)
-        gram = max(gram, rep.max_gram_error)
-        dist = max(dist, rep.max_distance_error)
-        angle = max(angle, rep.max_angle_error)
-        cross = max(cross, rep.max_cross_distance_error)
+    # one draw per trial, in trial order; the audit batches them
+    rep = shape_invariance_audit(e, [sample_channel(rng, 2) for _ in range(args.trials)])
     print("invariance.trials=%d" % args.trials)
-    print("invariance.max_gram_error=%.6e tol=1e-12" % gram)
-    print("invariance.max_distance_error=%.6e tol=1e-11" % dist)
-    print("invariance.max_angle_error=%.6e tol=1e-11" % angle)
-    print("invariance.max_cross_distance_error=%.6e (reported, not asserted)" % cross)
-    ok = gram <= 1e-12 and dist <= 1e-11 and angle <= 1e-11
+    print("invariance.max_gram_error=%.6e tol=1e-12" % rep.max_gram_error)
+    print("invariance.max_distance_error=%.6e tol=1e-11" % rep.max_distance_error)
+    print("invariance.max_angle_error=%.6e tol=1e-11" % rep.max_angle_error)
+    print("invariance.max_cross_distance_error=%.6e (reported, not asserted)"
+          % rep.max_cross_distance_error)
+    ok = (rep.max_gram_error <= 1e-12 and rep.max_distance_error <= 1e-11
+          and rep.max_angle_error <= 1e-11)
     print("invariance.pass=%s" % ok)
     return ok
 
 
-def _audit_forms(_args) -> bool:
+def _audit_forms(_args, _e) -> bool:
     rep = verify_forms()
     print("forms.violations=%d" % len(rep.violations))
     for v in rep.violations:
@@ -148,9 +143,10 @@ def cmd_audit(args) -> int:
         "FORMS": _audit_forms,
     }
     names = list(runners) if which == "ALL" else [which]
+    e = table_expansion()       # one expansion for every audit of the call
     ok = True
     for name in names:
-        ok = runners[name](args) and ok
+        ok = runners[name](args, e) and ok
     print("audit.overall=%s" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

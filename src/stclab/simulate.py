@@ -59,6 +59,29 @@ CSV_HEADER = "snr_db,frames,bits,bit_errors,frame_errors,ber,fer,elapsed_seconds
 MODES = ("uncoded", "trellis")
 
 
+_POSITIVE = (lambda v: v >= 1, "must be positive")
+
+#: SimConfig field -> (rule its value meets, what the rule asks); SimConfig
+#: and parse_config_file both check values against it.
+FIELD_RULES = {
+    "mode": (lambda v: v in MODES, "must be one of %s" % (MODES,)),
+    "snr_list_db": (lambda v: len(v) > 0 and all(np.isfinite(v)),
+                    "must hold at least one SNR, all finite"),
+    "frames_per_point": _POSITIVE,
+    "base_seed": (lambda v: v >= 0, "must be nonnegative"),
+    "max_frame_errors": _POSITIVE,
+    "sections_per_frame": _POSITIVE,
+}
+
+
+def _field_error(name: str, value):
+    """Why value breaks the FIELD_RULES rule of field name, or None."""
+    rule = FIELD_RULES.get(name)
+    if rule is not None and not rule[0](value):
+        return "%s %s, got %r" % (name, rule[1], value)
+    return None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation settings; defaults give a small reproducible run."""
@@ -72,22 +95,15 @@ class SimConfig:
     trellis_path: str | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError("mode must be one of %s, got %r" % (MODES, self.mode))
-        if self.frames_per_point < 1:
-            raise ValueError("frames_per_point must be positive")
-        if self.max_frame_errors < 1:
-            raise ValueError("max_frame_errors must be positive")
-        if self.sections_per_frame < 1:
-            raise ValueError("sections_per_frame must be positive")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
-        snrs = tuple(float(s) for s in self.snr_list_db)
-        if not snrs:
-            raise ValueError("snr_list_db must hold at least one SNR")
-        if not all(np.isfinite(snrs)):
-            raise ValueError("snr_list_db values must be finite, got %s" % (snrs,))
-        object.__setattr__(self, "snr_list_db", snrs)
+        object.__setattr__(self, "snr_list_db",
+                           tuple(float(s) for s in self.snr_list_db))
+        for name in FIELD_RULES:
+            err = _field_error(name, getattr(self, name))
+            if err is not None:
+                raise ValueError(err)
+        if self.trellis_path and self.mode != "trellis":
+            raise ValueError("trellis_path is only read in trellis mode, got mode %r"
+                             % self.mode)
 
 
 @dataclass(frozen=True)
@@ -250,8 +266,8 @@ CONFIG_KEYS = {
 def parse_config_file(text: str) -> dict:
     """key=value per line; '#' comments; keys from CONFIG_KEYS, each once.
 
-    Malformed lines, unknown or repeated keys and unconvertible values raise
-    ValueError naming the line.
+    Malformed lines, unknown or repeated keys, unconvertible values and
+    values that break FIELD_RULES raise ValueError naming the line.
     """
     out, first_line = {}, {}
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -270,5 +286,8 @@ def parse_config_file(text: str) -> dict:
             out[key] = CONFIG_KEYS[key](val)
         except ValueError as exc:
             raise ValueError("line %d: bad %s value: %s" % (no, key, exc)) from None
+        err = _field_error(key, out[key])
+        if err is not None:
+            raise ValueError("line %d: %s" % (no, err))
         first_line[key] = no
     return out

@@ -3,11 +3,18 @@
 The simulate and Viterbi fixtures were recorded once, before the
 frame-batched engine replaced the per-frame, per-section code; the audit,
 spectrum and show-constellation outputs were added before the channel,
-constellation and CLI were trimmed.  The tests compare later code against
-them.  Never rerun this to make a failing golden test pass: a changed
-fixture is a changed result, and it must be explained, not re-recorded.
+constellation and CLI were trimmed, and the 300-draw INVARIANCE audit
+before the audit was batched over channel draws.  The tests compare later
+code against them.  Never rerun this to make a failing golden test pass: a
+changed fixture is a changed result, and it must be explained, not
+re-recorded.
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py            # write every fixture
+    PYTHONPATH=src python tests/golden/record.py --check    # compare, write nothing
+
+``--check`` regenerates every fixture in memory, writes nothing, and exits 1
+naming each fixture whose bytes differ from the file on disk (0 when all
+match).
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import contextlib
 import importlib.resources
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +51,9 @@ SIMULATE_CONFIGS = {
 # Stdout of one CLI call each, pinned byte for byte.
 CLI_FIXTURES = {
     "audit_all.txt": ["audit", "--which", "ALL", "--trials", "50"],
+    # 300 draws: many full chunks of the batched audit and one partial chunk
+    "audit_invariance.txt": ["audit", "--which", "INVARIANCE", "--trials", "300",
+                             "--seed", "3"],
     "spectrum_base.csv": ["spectrum", "--which", "BASE"],
     "spectrum_primed.csv": ["spectrum", "--which", "PRIMED"],
     "spectrum_full.csv": ["spectrum", "--which", "FULL"],
@@ -136,13 +147,31 @@ def dump(fixture: dict) -> str:
     return "{\n %s\n}\n" % ",\n ".join(fields)
 
 
-def main() -> None:
-    for fname, cfg in SIMULATE_CONFIGS.items():
-        (HERE / fname).write_text(strip_elapsed(format_csv(cfg, run_simulation(cfg))))
-    (HERE / "viterbi.json").write_text(dump(viterbi_fixture()))
-    for fname, argv in CLI_FIXTURES.items():
-        (HERE / fname).write_text(cli_stdout(argv))
+def fixtures() -> dict:
+    """File name -> the text the current code produces for it."""
+    out = {fname: strip_elapsed(format_csv(cfg, run_simulation(cfg)))
+           for fname, cfg in SIMULATE_CONFIGS.items()}
+    out["viterbi.json"] = dump(viterbi_fixture())
+    out.update((fname, cli_stdout(argv)) for fname, argv in CLI_FIXTURES.items())
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv not in ([], ["--check"]):
+        print("usage: record.py [--check]", file=sys.stderr)
+        return 2
+    texts = fixtures()
+    if not argv:
+        for fname, text in texts.items():
+            (HERE / fname).write_text(text)
+        return 0
+    differ = [fname for fname, text in texts.items()
+              if not (HERE / fname).exists() or (HERE / fname).read_text() != text]
+    for fname in differ:
+        print("differs: %s" % fname)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

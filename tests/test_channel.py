@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from stclab.channel import (
+    CHUNK_DRAWS,
     ChannelRealization,
+    ShapeInvarianceReport,
     build_equivalent_real_model,
     sample_channel,
     shape_invariance_audit,
@@ -138,3 +142,29 @@ def test_shape_invariance_audit_errors_near_machine_eps():
         worst_cross = max(worst_cross, rep.max_cross_distance_error)
     # cross-subconstellation distances genuinely move with the fade
     assert worst_cross > 0.1
+
+
+@pytest.mark.parametrize("trials", [1, CHUNK_DRAWS - 1, CHUNK_DRAWS + 1, 300])
+def test_batched_audit_is_the_worst_one_draw_audit(trials):
+    e = _expanded()
+    rng = np.random.default_rng(1000 + trials)
+    chs = [sample_channel(rng, 2) for _ in range(trials)]
+    got = shape_invariance_audit(e, chs)
+    singles = [shape_invariance_audit(e, ch) for ch in chs]
+    for f in fields(ShapeInvarianceReport):
+        assert getattr(got, f.name) == max(getattr(r, f.name) for r in singles), f.name
+    assert shape_invariance_audit(e, chs[:1]) == singles[0]
+
+
+def test_batched_audit_rejects_bad_draws_anywhere():
+    e = _expanded()
+    rng = np.random.default_rng(26)
+    chs = [sample_channel(rng, 2) for _ in range(2 * CHUNK_DRAWS + 3)]
+    zero = ChannelRealization(h=np.zeros(2, complex))
+    for pos in (0, CHUNK_DRAWS + 1, len(chs)):
+        with pytest.raises(ValueError, match="degenerate"):
+            shape_invariance_audit(e, chs[:pos] + [zero] + chs[pos:])
+    with pytest.raises(ValueError, match="coefficients"):
+        shape_invariance_audit(e, chs + [ChannelRealization(h=np.ones(3, complex))])
+    with pytest.raises(ValueError, match="no channel draws"):
+        shape_invariance_audit(e, [])

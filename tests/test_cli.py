@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stclab import cli
 from stclab.cli import main
 from stclab.constellation import distance_spectrum
 from stclab.designs import alamouti_generators, write_generator_file
@@ -16,6 +17,15 @@ def test_audit_all_passes(capsys):
                 "corollary1.pass=True", "invariance.pass=True",
                 "forms.pass=True"):
         assert key in out
+
+
+def test_audit_builds_the_expansion_once(monkeypatch, capsys):
+    built = []
+    real = cli.table_expansion
+    monkeypatch.setattr(cli, "table_expansion", lambda: built.append(1) or real())
+    assert main(["audit", "--which", "ALL", "--trials", "3"]) == 0
+    assert "audit.overall=PASS" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_audit_single_and_case_insensitive(capsys):
@@ -86,16 +96,23 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     assert data.startswith("30,5,")
     for bad, line in (("mode=uncoded\nmode=trellis\n", 2),
                       ("frames_per_point=abc\n", 1),
-                      ("mode=uncoded\nspeed=11\n", 2)):
+                      ("mode=uncoded\nspeed=11\n", 2),
+                      ("mode=uncoded\nframes_per_point=0\n", 2),
+                      ("mode=turbo\n", 1)):
         cfgf.write_text(bad)
         assert main(["simulate", "--config", str(cfgf)]) == 2
         assert "error: line %d:" % line in capsys.readouterr().err
+    # a trellis file in uncoded mode would be ignored: rejected instead
+    cfgf.write_text("mode=uncoded\nframes_per_point=1\ntrellis_path=/nonexistent\n")
+    assert main(["simulate", "--config", str(cfgf)]) == 2
+    assert "trellis_path is only read in trellis mode" in capsys.readouterr().err
 
 
 def test_simulate_bad_mode_is_exit_2(capsys):
     cfg_err = main(["simulate", "--snr", "oops"])
     assert cfg_err == 2
-    for bad in (["--snr", "nan"], ["--snr", "4,inf"], ["--seed", "-1"]):
+    for bad in (["--snr", "nan"], ["--snr", "4,inf"], ["--seed", "-1"],
+                ["--mode", "uncoded", "--trellis", "t8.txt"]):
         assert main(["simulate", "--frames", "1"] + bad) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -2,10 +2,11 @@
 
 tests/golden/record.py wrote the simulate and Viterbi fixtures with the
 per-frame simulator and the per-section Viterbi decoder, including its
-irregular-trellis branch, and the audit, spectrum and show-constellation
-fixtures before the channel, constellation and CLI were trimmed.  Later
-code must reproduce them exactly; a fixture is never re-recorded to hide a
-changed result.
+irregular-trellis branch, the audit, spectrum and show-constellation
+fixtures before the channel, constellation and CLI were trimmed, and the
+300-draw INVARIANCE audit before the audit was batched over channel draws.
+Later code must reproduce them exactly; a fixture is never re-recorded to
+hide a changed result.
 """
 
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from golden import record
 from golden.record import (
     CLI_FIXTURES,
     SIMULATE_CONFIGS,
@@ -53,6 +55,21 @@ def test_simulate_csv_matches_golden(fname):
 @pytest.mark.parametrize("fname", sorted(CLI_FIXTURES))
 def test_cli_output_matches_golden(fname):
     assert cli_stdout(CLI_FIXTURES[fname]) == (GOLDEN / fname).read_text()
+
+
+def test_record_check_names_each_differing_fixture(tmp_path, monkeypatch, capsys):
+    for path in GOLDEN.iterdir():
+        if path.is_file() and path.suffix in (".txt", ".csv", ".json"):
+            (tmp_path / path.name).write_text(path.read_text())
+    changed = tmp_path / "audit_invariance.txt"
+    changed.write_text(changed.read_text().replace("trials=300", "trials=301"))
+    (tmp_path / "spectrum_base.csv").unlink()
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(record, "HERE", tmp_path)
+    assert record.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: audit_invariance.txt", "differs: spectrum_base.csv"]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
 
 
 def test_irregular_trellis_has_uneven_in_degree():

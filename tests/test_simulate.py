@@ -49,6 +49,9 @@ def test_config_validation():
             SimConfig(snr_list_db=bad)
     with pytest.raises(ValueError, match="base_seed"):
         SimConfig(base_seed=-1)
+    with pytest.raises(ValueError, match="trellis_path is only read in trellis mode"):
+        SimConfig(mode="uncoded", trellis_path="/nonexistent")
+    assert SimConfig(mode="trellis", trellis_path="t.txt").trellis_path == "t.txt"
     assert SimConfig(base_seed=0).base_seed == 0
     cfg = SimConfig(snr_list_db=[0, 4])
     assert cfg.snr_list_db == (0.0, 4.0)
@@ -203,6 +206,15 @@ def test_parse_config_file():
         parse_config_file("mode=uncoded\nframes_per_point=abc\n")
     with pytest.raises(ValueError, match="line 1: bad snr_list_db value"):
         parse_config_file("snr_list_db=0, four\n")
+    # converted values that break SimConfig's rules name their line too
+    for text, msg in (("# c\nframes_per_point=0\n", "line 2: frames_per_point must be positive"),
+                      ("mode=turbo\n", "line 1: mode must be one of"),
+                      ("mode=trellis\nbase_seed=-1\n", "line 2: base_seed must be nonnegative"),
+                      ("snr_list_db=0 nan\n", "line 1: snr_list_db must hold"),
+                      ("\n\nmax_frame_errors=0\n", "line 3: max_frame_errors"),
+                      ("sections_per_frame=-2\n", "line 1: sections_per_frame")):
+        with pytest.raises(ValueError, match=msg):
+            parse_config_file(text)
 
 
 def test_config_keys_are_the_simconfig_fields():
