@@ -35,21 +35,36 @@ from .expansion import ExpandedConstellation, Subconstellation
 CHUNK_DRAWS = 16
 
 
+def normals_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms u in [0, 1) by the Box-Muller transform.
+
+    u has shape (..., 2m): along the last axis the first m uniforms are u1,
+    the last m are u2, and pair j gives r cos(a) at slot 2j and r sin(a) at
+    slot 2j + 1, with r = sqrt(-2 log(1 - u1_j)) and a = 2 pi u2_j.  Leading
+    axes are independent rows.  This is the package's one Gaussian recipe.
+    """
+    m = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))     # log1p avoids log(0)
+    ang = 2.0 * np.pi * u[..., m:]
+    out = np.empty(r.shape[:-1] + (2 * m,))
+    out[..., 0::2] = r * np.cos(ang)
+    out[..., 1::2] = r * np.sin(ang)
+    return out
+
+
 def standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     """n standard normal draws via the Box-Muller transform.
 
-    Fixed to Box-Muller over rng.random() so that seeded streams stay
-    reproducible across library versions; do not swap in rng.normal.
+    Reads 2 * ceil(n / 2) uniforms with one rng.random() call and returns
+    the first n values of normals_from_uniform.  On PCG64 one call of length
+    a + b returns the same doubles as a call of length a followed by one of
+    length b (each double consumes one 64-bit output), so a caller that
+    reads a whole stream with one call and transforms its slices, as the
+    simulator and the INVARIANCE audit do, gets these same numbers.  Fixed
+    to Box-Muller over rng.random() so that seeded streams stay reproducible
+    across library versions; do not swap in rng.normal.
     """
-    m = (n + 1) // 2
-    u1 = rng.random(m)
-    u2 = rng.random(m)
-    r = np.sqrt(-2.0 * np.log1p(-u1))     # log1p avoids log(0)
-    ang = 2.0 * np.pi * u2
-    out = np.empty(2 * m)
-    out[0::2] = r * np.cos(ang)
-    out[1::2] = r * np.sin(ang)
-    return out[:n]
+    return normals_from_uniform(rng.random(2 * ((n + 1) // 2)))[:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +77,7 @@ class ChannelRealization:
         v = np.asarray(self.h, dtype=np.complex128).reshape(-1)
         if v.size < 1:
             raise ValueError("channel vector must be nonempty")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.isfinite(v).all():             # both parts of every entry
             raise ValueError("channel coefficients must be finite")
         object.__setattr__(self, "h", v)
 
@@ -71,16 +86,26 @@ class ChannelRealization:
         return float(np.linalg.norm(self.h))
 
 
+def channels_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Rayleigh channel vectors (..., N) from uniforms u of shape (..., 2N).
+
+    h_n = (a + jb)/sqrt(2) with (a, b) the n-th Box-Muller pair of
+    normals_from_uniform(u); E||h||^2 = N.
+    """
+    g = normals_from_uniform(u)
+    return (g[..., 0::2] + 1j * g[..., 1::2]) / np.sqrt(2.0)
+
+
 def sample_channel(rng: np.random.Generator, num_antennas: int) -> ChannelRealization:
     """Rayleigh draw: h_n = (a + jb)/sqrt(2), a, b standard normal.
 
-    E||h||^2 = num_antennas.
+    Reads 2 * num_antennas uniforms with one rng.random() call, the same
+    numbers as standard_normal(rng, 2 * num_antennas).  E||h||^2 =
+    num_antennas.
     """
     if num_antennas < 1:
         raise ValueError("num_antennas must be positive")
-    g = standard_normal(rng, 2 * num_antennas)
-    h = (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
-    return ChannelRealization(h=h)
+    return ChannelRealization(h=channels_from_uniform(rng.random(2 * num_antennas)))
 
 
 def transmit(codematrices: np.ndarray, h: np.ndarray, noise: np.ndarray,
@@ -107,16 +132,32 @@ class EquivalentRealModel:
 
 
 def _channel_rows(e: ExpandedConstellation, channels) -> np.ndarray:
-    """(D, N) coefficients of one channel draw or a sequence of D draws."""
-    channels = (channels,) if isinstance(channels, ChannelRealization) else tuple(channels)
-    if not channels:
-        raise ValueError("no channel draws given")
+    """(D, N) coefficients of one channel draw or D draws.
+
+    channels is a ChannelRealization, a sequence of them, or a (D, N) array
+    of coefficients, which is checked as ChannelRealization checks one draw.
+    """
     n = e.base_generators.num_antennas
-    for ch in channels:
-        if ch.h.size != n:
-            raise ValueError("channel has %d coefficients, design expects %d"
-                             % (ch.h.size, n))
-    return np.stack([ch.h for ch in channels])
+    if isinstance(channels, ChannelRealization):
+        channels = (channels,)
+    if not isinstance(channels, np.ndarray):
+        rows = [ch.h for ch in channels]
+        for h in rows:
+            if h.size != n:
+                raise ValueError("channel has %d coefficients, design expects %d"
+                                 % (h.size, n))
+        channels = np.stack(rows) if rows else np.empty((0, n))
+    if channels.ndim != 2:
+        raise ValueError("channel array must be (draws, antennas), got shape %s"
+                         % (channels.shape,))
+    if channels.shape[0] == 0:
+        raise ValueError("no channel draws given")
+    if channels.shape[1] != n:
+        raise ValueError("channel has %d coefficients, design expects %d"
+                         % (channels.shape[1], n))
+    if not np.isfinite(channels).all():
+        raise ValueError("channel coefficients must be finite")
+    return channels.astype(np.complex128, copy=False)
 
 
 def _frame_bases(e: ExpandedConstellation) -> np.ndarray:
@@ -188,11 +229,12 @@ def _worst(values: np.ndarray) -> float:
 def shape_invariance_audit(e: ExpandedConstellation, channels) -> ShapeInvarianceReport:
     """Measure how well channel draws preserve the constellation shape.
 
-    channels is one ChannelRealization or a sequence of them; each field of
-    the report is its worst value over all draws.  Draws are evaluated
-    CHUNK_DRAWS at a time, and every number is computed exactly as for the
-    draw alone, so the report equals the field-wise maximum of one-draw
-    audits.  Any degenerate draw (||h|| = 0) raises ValueError.
+    channels is one ChannelRealization, a sequence of them, or a (D, N)
+    array of channel coefficients; each field of the report is its worst
+    value over all draws.  Draws are evaluated CHUNK_DRAWS at a time, and
+    every number is computed exactly as for the draw alone, so the report
+    equals the field-wise maximum of one-draw audits.  Any degenerate draw
+    (||h|| = 0) raises ValueError.
     """
     hs = _channel_rows(e, channels)
     bases, scale = _frame_bases(e), e.base_generators.scale

@@ -18,7 +18,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix, got ndim=%d" % a.ndim)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():                 # both parts of every entry
         raise ValueError("matrix entries must be finite")
     return a
 

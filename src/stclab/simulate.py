@@ -20,7 +20,16 @@ are therefore reproducible for a given config regardless of how frames are
 scheduled.  One channel draw per frame, held constant across the frame's
 blocks, independent across frames.
 
-Frames are drawn per stream and decoded in chunks of whole frames, up to
+Each frame's stream is read with one rng.random call that fills the frame's
+row of uniforms in that order: the payload bits (u < 0.5), then the 4
+uniforms of the channel, then the 4 * sections of the noise.  On PCG64 one
+call of length a + b returns the same doubles as a call of length a
+followed by one of length b, since each double consumes one 64-bit output,
+so this equals drawing the bits, the channel and the noise with separate
+calls.  Box-Muller (channel.normals_from_uniform) then runs once per chunk
+over the channel columns and once over the noise columns.
+
+Frames are decoded in chunks of whole frames, up to
 CHUNK_SECTIONS sections and at least one frame: one channel.transmit call
 over the chunk's codematrices, channels and pre-drawn noise, then ML or
 Viterbi detection over the whole chunk.  A chunk never holds more frames
@@ -37,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sample_channel, standard_normal, transmit
+from .channel import channels_from_uniform, normals_from_uniform, transmit
 from .constellation import chi_coordinates, matrix_stack
 from .detectors import (
     TrellisSpec,
@@ -152,19 +161,18 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
                  bits_per_frame: int):
     """Payload bits (F, bits), channels (F, 2) and noise (F, 4 * sections).
 
-    Frame first + f draws from its own stream in the frozen order: payload
-    bits, then channel, then noise.
+    Row f of one uniform array is filled by one random call on frame
+    first + f's stream and read in the frozen order: bits_per_frame uniforms
+    for the payload bits, 4 for the channel, 4 * sections for the noise.
+    Box-Muller then runs once over each part of the whole chunk.
     """
-    sections = cfg.sections_per_frame
-    tx_bits = np.empty((count, bits_per_frame), dtype=np.int64)
-    h = np.empty((count, 2), dtype=np.complex128)
-    noise = np.empty((count, 4 * sections))
+    ch_end = bits_per_frame + 4
+    u = np.empty((count, ch_end + 4 * cfg.sections_per_frame))
     for f in range(count):
-        rng = _frame_rng(cfg.base_seed, point_index, first + f)
-        tx_bits[f] = rng.random(bits_per_frame) < 0.5
-        h[f] = sample_channel(rng, 2).h
-        noise[f] = standard_normal(rng, 4 * sections)
-    return tx_bits, h, noise
+        _frame_rng(cfg.base_seed, point_index, first + f).random(out=u[f])
+    tx_bits = (u[:, :bits_per_frame] < 0.5).astype(np.int64)
+    return (tx_bits, channels_from_uniform(u[:, bits_per_frame:ch_end]),
+            normals_from_uniform(u[:, ch_end:]))
 
 
 def run_point(cfg: SimConfig, point_index: int, spec: TrellisSpec | None = None,

@@ -3,14 +3,18 @@
 The simulate and Viterbi fixtures were recorded once, before the
 frame-batched engine replaced the per-frame, per-section code; the audit,
 spectrum and show-constellation outputs were added before the channel,
-constellation and CLI were trimmed, and the 300-draw INVARIANCE audit
-before the audit was batched over channel draws.  The tests compare later
-code against them.  Never rerun this to make a failing golden test pass: a
-changed fixture is a changed result, and it must be explained, not
-re-recorded.
+constellation and CLI were trimmed, the 300-draw INVARIANCE audit before
+the audit was batched over channel draws, and the odd-length simulate
+configs before each frame's stream was read with one uniform fill.  The
+tests compare later code against them.  Never rerun this to make a failing
+golden test pass: a changed fixture is a changed result, and it must be
+explained, not re-recorded.
 
-    PYTHONPATH=src python tests/golden/record.py            # write every fixture
-    PYTHONPATH=src python tests/golden/record.py --check    # compare, write nothing
+    python tests/golden/record.py            # write every fixture
+    python tests/golden/record.py --check    # compare, write nothing
+
+The script puts the repository's ``src`` first on ``sys.path``, so it runs
+from any directory without ``PYTHONPATH``.
 
 ``--check`` regenerates every fixture in memory, writes nothing, and exits 1
 naming each fixture whose bytes differ from the file on disk (0 when all
@@ -28,17 +32,21 @@ from pathlib import Path
 
 import numpy as np
 
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1] / "src"))
+
 from stclab.channel import ChannelRealization, sample_channel, standard_normal
 from stclab.cli import main as cli_main
 from stclab.constellation import matrix_stack
 from stclab.detectors import default_trellis, load_trellis, trellis_encode, viterbi_decode
 from stclab.simulate import SimConfig, format_csv, run_simulation
 
-HERE = Path(__file__).resolve().parent
-
 # Both modes; every config has a point that stops on max_frame_errors
-# part-way through a 64-frame chunk and a frame budget that is not a
-# multiple of 64.
+# part-way through a chunk and a frame budget that is not a multiple of the
+# chunk's frames.  The odd-length configs (7 and 1 sections per frame) give
+# each Box-Muller slice of a frame's stream a length that is not a multiple
+# of the SIMD width, so their bytes pin the vectorised log1p, cos and sin
+# tails on unaligned slices.
 SIMULATE_CONFIGS = {
     "simulate_uncoded.csv": SimConfig(
         mode="uncoded", snr_list_db=(0.0, 6.0, 12.0, 30.0), frames_per_point=200,
@@ -46,6 +54,12 @@ SIMULATE_CONFIGS = {
     "simulate_trellis.csv": SimConfig(
         mode="trellis", snr_list_db=(3.0, 6.0, 9.0, 30.0), frames_per_point=160,
         base_seed=5, sections_per_frame=12, max_frame_errors=70),
+    "simulate_uncoded_odd.csv": SimConfig(
+        mode="uncoded", snr_list_db=(0.0, 10.0, 30.0), frames_per_point=150,
+        base_seed=11, sections_per_frame=7, max_frame_errors=25),
+    "simulate_trellis_odd.csv": SimConfig(
+        mode="trellis", snr_list_db=(2.0, 8.0, 30.0), frames_per_point=300,
+        base_seed=11, sections_per_frame=1, max_frame_errors=30),
 }
 
 # Stdout of one CLI call each, pinned byte for byte.

@@ -74,6 +74,10 @@ def test_channel_realization_validation():
         ChannelRealization(h=np.array([]))
     with pytest.raises(ValueError):
         ChannelRealization(h=np.array([np.nan + 0j]))
+    # a non-finite real part and a non-finite imaginary part each raise
+    for bad in (complex(np.inf, 0.0), complex(0.5, np.nan), complex(0.5, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelRealization(h=np.array([1.0 + 0j, bad]))
 
 
 def test_transmit_noiseless_and_noise_scaling():
@@ -154,6 +158,35 @@ def test_batched_audit_is_the_worst_one_draw_audit(trials):
     for f in fields(ShapeInvarianceReport):
         assert getattr(got, f.name) == max(getattr(r, f.name) for r in singles), f.name
     assert shape_invariance_audit(e, chs[:1]) == singles[0]
+
+
+@pytest.mark.parametrize("trials", [1, CHUNK_DRAWS + 1, 40])
+def test_audit_of_a_channel_array_equals_the_realizations(trials):
+    e = _expanded()
+    rng = np.random.default_rng(2000 + trials)
+    chs = [sample_channel(rng, 2) for _ in range(trials)]
+    assert shape_invariance_audit(e, np.stack([ch.h for ch in chs])) == \
+        shape_invariance_audit(e, chs)
+
+
+def test_audit_rejects_bad_channel_arrays():
+    e = _expanded()
+    hs = np.stack([sample_channel(np.random.default_rng(27), 2).h] * 3)
+    with pytest.raises(ValueError, match="no channel draws"):
+        shape_invariance_audit(e, hs[:0])
+    with pytest.raises(ValueError, match="3 coefficients"):
+        shape_invariance_audit(e, np.ones((2, 3), complex))
+    with pytest.raises(ValueError, match="channel array must be"):
+        shape_invariance_audit(e, hs[0])
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        worse = hs.copy()
+        worse[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            shape_invariance_audit(e, worse)
+    worse = hs.copy()
+    worse[1] = 0.0
+    with pytest.raises(ValueError, match="degenerate"):
+        shape_invariance_audit(e, worse)
 
 
 def test_batched_audit_rejects_bad_draws_anywhere():

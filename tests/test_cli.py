@@ -1,7 +1,14 @@
+import contextlib
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stclab import cli
+from stclab.channel import sample_channel
 from stclab.cli import main
 from stclab.constellation import distance_spectrum
 from stclab.designs import alamouti_generators, write_generator_file
@@ -26,6 +33,21 @@ def test_audit_builds_the_expansion_once(monkeypatch, capsys):
     assert main(["audit", "--which", "ALL", "--trials", "3"]) == 0
     assert "audit.overall=PASS" in capsys.readouterr().out
     assert len(built) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**63), trials=st.integers(1, 40))
+def test_invariance_audit_draws_equal_per_call_draws(seed, trials):
+    argv = ["audit", "--which", "INVARIANCE", "--trials", str(trials), "--seed", str(seed)]
+    with mock.patch.object(cli, "shape_invariance_audit",
+                           wraps=cli.shape_invariance_audit) as audit, \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    hs = audit.call_args.args[1]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    want = np.stack([sample_channel(rng, 2).h for _ in range(trials)])
+    assert hs.dtype == want.dtype and hs.shape == want.shape
+    assert hs.tobytes() == want.tobytes()
 
 
 def test_audit_single_and_case_insensitive(capsys):

@@ -97,5 +97,9 @@ def test_rejects_non_matrix_and_non_finite():
         as_complex_matrix(np.zeros(3))
     with pytest.raises(ValueError):
         as_complex_matrix(np.array([[np.nan, 0], [0, 0]]))
+    # one check covers both parts of a complex entry
+    for bad in (complex(np.inf, 0.0), complex(1.0, np.nan), complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            as_complex_matrix(np.array([[1.0, 0], [0, bad]]))
     with pytest.raises(ValueError):
         eigenvalues_2x2(np.eye(3))

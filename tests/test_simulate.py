@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stclab import simulate
 from stclab.simulate import (
@@ -9,6 +11,7 @@ from stclab.simulate import (
     CSV_HEADER,
     SimConfig,
     SimResultRow,
+    _draw_frames,
     _frame_rng,
     _uncoded_tables,
     format_csv,
@@ -65,6 +68,47 @@ def test_frame_rng_streams_are_decoupled():
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _two_call_normals(rng, n):
+    """Box-Muller with u1 and u2 read by separate rng.random calls."""
+    m = (n + 1) // 2
+    u1 = rng.random(m)
+    u2 = rng.random(m)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    ang = 2.0 * np.pi * u2
+    out = np.empty(2 * m)
+    out[0::2] = r * np.cos(ang)
+    out[1::2] = r * np.sin(ang)
+    return out[:n]
+
+
+def _per_call_frames(cfg, point_index, first, count, bits_per_frame):
+    """Frames drawn one call per item: the bits, the channel, the noise."""
+    sections = cfg.sections_per_frame
+    tx_bits = np.empty((count, bits_per_frame), dtype=np.int64)
+    h = np.empty((count, 2), dtype=np.complex128)
+    noise = np.empty((count, 4 * sections))
+    for f in range(count):
+        rng = _frame_rng(cfg.base_seed, point_index, first + f)
+        tx_bits[f] = rng.random(bits_per_frame) < 0.5
+        g = _two_call_normals(rng, 4)
+        h[f] = (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
+        noise[f] = _two_call_normals(rng, 4 * sections)
+    return tx_bits, h, noise
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63), point=st.integers(0, 40),
+       first=st.integers(0, 10**6), count=st.integers(1, 70),
+       sections=st.integers(1, 60))
+def test_batched_draws_equal_per_call_draws(seed, point, first, count, sections):
+    cfg = SimConfig(base_seed=seed, sections_per_frame=sections)
+    got = _draw_frames(cfg, point, first, count, 4 * sections)
+    want = _per_call_frames(cfg, point, first, count, 4 * sections)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def test_uncoded_tables_gray_structure():
