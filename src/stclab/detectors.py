@@ -6,7 +6,8 @@ the faded codematrix.  The trellis decoder runs add-compare-select over a
 section trellis whose branches carry parallel codematrix labels (one coset
 per branch); parallel transitions are resolved to the best label before the
 compare step.  All tie-breaks are deterministic: smaller predecessor state,
-then smaller label position.
+then smaller label position.  Uncoded BASE transmission is the one-state
+trellis (uncoded_trellis): per-block ML, exact ties by that same rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelRealization
-from .constellation import build_constellation, matrix_stack
+from .constellation import build_constellation, chi_coordinates, matrix_stack
 from .expansion import Subconstellation
 
 TRELLIS_FILE = "trellis8.txt"
@@ -140,6 +141,8 @@ def load_trellis(text: str) -> TrellisSpec:
         if "=" not in tok:
             raise ValueError("line %d: header token %r is not key=value" % (head_no, tok))
         k, v = tok.split("=", 1)
+        if k in fields or k not in ("states", "bits_per_section"):
+            raise ValueError("line %d: header key %r unknown or repeated" % (head_no, k))
         fields[k] = v
     try:
         num_states = int(fields["states"])
@@ -186,13 +189,22 @@ def default_trellis() -> TrellisSpec:
     return load_trellis(text)
 
 
+@lru_cache(maxsize=None)
+def uncoded_trellis() -> TrellisSpec:
+    """One state, one branch: label v is the BASE entry whose Gray bits spell v."""
+    label = {int(np.round((1 - chi_coordinates(e)[:4]) / 2) @ [8, 4, 2, 1]): e.index
+             for e in base_subconstellation_entries()}
+    return TrellisSpec(num_states=1, bits_per_section=4, transitions=(
+        Transition(0, 0, 0, tuple(label[v] for v in range(16))),))
+
+
 def squared_distances(received, faded_t) -> np.ndarray:
     """||r - C h||^2 of received blocks from faded candidates.
 
     received (..., T) against faded_t (..., T, M), the candidates C h laid
     out channel use first so that the inner loops run over the M
-    candidates, gives (..., M).  The one distance computation behind ML
-    detection and the Viterbi branch metrics.
+    candidates, gives (..., M).  The one distance computation behind
+    ml_block_decode and the Viterbi branch metrics of both simulate modes.
     """
     return np.sum(np.abs(received[..., :, None] - faded_t) ** 2, axis=-2)
 
@@ -295,6 +307,8 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
     frames, sections = b.shape[0], b.shape[1] // spec.bits_per_section
     weights = 1 << np.arange(spec.bits_per_section - 1, -1, -1)
     value = b.reshape(frames, sections, spec.bits_per_section) @ weights
+    if spec.num_states == 1:        # no state to track: the value picks the label
+        return tab.branch_labels[0].reshape(-1)[value]
     coded = value >> spec.uncoded_bits
     uncoded = value & (spec.labels_per_branch - 1)
     out = np.empty(value.shape, dtype=np.intp)
@@ -314,6 +328,20 @@ def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
     return trellis_encode_frames(spec, b, initial_state)[0].tolist()
 
 
+def _branches(tab: _AcsTables, received, cand_t):
+    """Per label row of cand_t (..., T, C*L): first best position, its metric, ties."""
+    dists = squared_distances(received, cand_t)
+    per_label = dists.reshape(dists.shape[:-1] + tab.cosets.shape)
+    best_pos = np.argmin(per_label, axis=-1)
+    flat = np.arange(0, dists.size, tab.cosets.shape[1]) + best_pos.ravel()
+    branch = dists.ravel()[flat].reshape(best_pos.shape)
+    other = (per_label == branch[..., None]).ravel()
+    other[flat] = False
+    if not other.any():     # exact ties are rare: count them only when present
+        return best_pos, branch, np.zeros(best_pos.shape[:-1], dtype=np.int64)
+    return best_pos, branch, other.reshape(per_label.shape).any(axis=-1) @ tab.coset_count
+
+
 def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int = 0):
     """ML sequence decisions for F frames at once.
 
@@ -328,15 +356,21 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
     a compare, the smaller state at the end.  A tie counts each branch whose
     best label is not unique, each extra equal candidate of a finite
     compare, and each extra equal final metric; +inf candidates never tie.
+    A one-state, one-transition trellis (uncoded_trellis) skips the ACS loop.
     """
     _check_initial_state(spec, initial_state)
     tab = _acs_tables(spec)
     received = np.asarray(received, dtype=np.complex128)
     frames, sections = received.shape[:2]
-    faded_t = np.ascontiguousarray(np.swapaxes(faded, -1, -2))
-    if faded_t.ndim == 3:
-        faded_t = faded_t[:, None]
-    faded_t = np.broadcast_to(faded_t, (frames, sections) + faded_t.shape[2:])
+    cand_t = np.ascontiguousarray(np.swapaxes(faded, -1, -2)[..., tab.cosets.ravel()])
+    cand_t = cand_t.reshape((frames, -1) + cand_t.shape[-2:])     # (F, 1|sections, ...)
+    shifts = np.arange(spec.bits_per_section - 1, -1, -1)
+    if spec.num_states == len(spec.transitions) == 1:
+        best_pos, branch, ties = _branches(tab, received, cand_t)
+        bits = ((best_pos >> shifts) & 1).reshape(frames, -1)
+        metric = np.cumsum(branch[..., 0], axis=1)[:, -1]      # in order, as ACS adds
+        return tab.labels[0, best_pos[..., 0]], bits, metric, np.sum(ties, axis=1)
+    cand_t = np.broadcast_to(cand_t, (frames, sections) + cand_t.shape[2:])
     states = np.arange(spec.num_states)
     n_trans = len(spec.transitions)
     cand = np.full((frames, n_trans + 1), np.inf)      # last column: padding
@@ -347,11 +381,8 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
     ties = np.zeros(frames, dtype=np.int64)
 
     for s in range(sections):
-        dists = squared_distances(received[:, s], faded_t[:, s])     # (F, 32)
-        per_label = dists[:, tab.cosets]                            # (F, C, L)
-        best_pos[s] = np.argmin(per_label, axis=2)
-        branch = np.min(per_label, axis=2)
-        ties += (np.sum(per_label == branch[..., None], axis=2) > 1) @ tab.coset_count
+        best_pos[s], branch, branch_ties = _branches(tab, received[:, s], cand_t[:, s])
+        ties += branch_ties
         cand[:, :n_trans] = pm[:, tab.from_state] + branch[:, tab.coset_of]
         vals = cand[:, tab.groups]                                  # (F, states, indeg)
         # first minimum: smaller from-state
@@ -373,7 +404,6 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
         decided[:, s] = tab.labels[k, pos]
         value[:, s] = (tab.coded[k] << spec.uncoded_bits) | pos
         state = tab.from_state[k]
-    shifts = np.arange(spec.bits_per_section - 1, -1, -1)
     bits = ((value[..., None] >> shifts) & 1).reshape(frames, -1)
     return decided, bits, metric, ties
 
@@ -404,6 +434,6 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
 
 
 def base_subconstellation_entries():
-    """The 16 BASE entries, index order; candidate set for uncoded ML."""
+    """The 16 BASE entries, index order; the labels of uncoded_trellis."""
     return [e for e in build_constellation()
             if e.subconstellation is Subconstellation.BASE]

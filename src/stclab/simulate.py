@@ -1,13 +1,12 @@
 """Monte Carlo link simulation over the quasi-static Rayleigh channel.
 
-Two modes at the same spectral efficiency of 2 bits per channel use:
+Two modes at 2 bits per channel use, both Viterbi-decoded from known start
+state 0 to a free end state:
 
-* ``uncoded``: independent ML block detection over the 16-point BASE
-  subconstellation, 4 bits per two-use block, Gray-mapped per real
-  coordinate (bit b -> chi = 1 - 2b).
-* ``trellis``: trellis-coded transmission over all 32 points, 4 bits per
-  section (2 coded + 2 uncoded), Viterbi decoding with known start state 0
-  and free end state.
+* ``uncoded``: the one-state trellis (detectors.uncoded_trellis), i.e. ML
+  block detection over the 16 BASE points, 4 Gray-mapped bits per two-use
+  block (bit b -> chi = 1 - 2b); an exact tie takes the lowest label position.
+* ``trellis``: a trellis over all 32 points, 2 coded + 2 uncoded bits per section.
 
 SNR is Es/N0 per receive antenna with the total transmit energy per channel
 use fixed to 1 (codematrix rows have unit energy), so the noise variance per
@@ -29,12 +28,11 @@ so this equals drawing the bits, the channel and the noise with separate
 calls.  Box-Muller (channel.normals_from_uniform) then runs once per chunk
 over the channel columns and once over the noise columns.
 
-Frames are decoded in chunks of whole frames, up to
-CHUNK_SECTIONS sections and at least one frame: one channel.transmit call
-over the chunk's codematrices, channels and pre-drawn noise, then ML or
-Viterbi detection over the whole chunk.  A chunk never holds more frames
-than frame errors are still allowed, so a point stops on the last frame of
-a chunk, at exactly the frame where a frame-by-frame run stops, and no
+Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS
+sections and at least one frame, with one channel.transmit call and one
+viterbi_decode_frames call per chunk.  A chunk never holds more frames
+than frame errors are still allowed, so a point stops on the last frame
+of a chunk, at exactly the frame where a frame-by-frame run stops, and no
 frame past it is drawn.  Results therefore do not depend on the chunk size.
 """
 
@@ -47,14 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import channels_from_uniform, normals_from_uniform, transmit
-from .constellation import chi_coordinates, matrix_stack
+from .constellation import matrix_stack
 from .detectors import (
     TrellisSpec,
-    base_subconstellation_entries,
     default_trellis,
     load_trellis,
-    squared_distances,
     trellis_encode_frames,
+    uncoded_trellis,
     viterbi_decode_frames,
 )
 
@@ -144,19 +141,6 @@ def _frame_rng(base_seed: int, point_index: int, frame_index: int) -> np.random.
     return np.random.default_rng(seq)
 
 
-def _uncoded_tables():
-    entries = base_subconstellation_entries()
-    mats = np.stack([e.matrix for e in entries])      # (16, 2, 2), index order
-    bits = np.zeros((16, 4), dtype=np.int64)
-    lookup = np.empty(16, dtype=np.int64)             # bit pattern -> position
-    for pos, e in enumerate(entries):
-        chi = chi_coordinates(e)[:4]
-        b = np.round((1.0 - chi) / 2.0).astype(np.int64)
-        bits[pos] = b
-        lookup[b[0] * 8 + b[1] * 4 + b[2] * 2 + b[3]] = pos
-    return mats, bits, lookup
-
-
 def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
                  bits_per_frame: int):
     """Payload bits (F, bits), channels (F, 2) and noise (F, 4 * sections).
@@ -175,19 +159,23 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
             normals_from_uniform(u[:, ch_end:]))
 
 
-def run_point(cfg: SimConfig, point_index: int, spec: TrellisSpec | None = None,
-              tables=None) -> SimResultRow:
-    """Simulate one SNR point, stopping early at max_frame_errors."""
+def _trellis_for(cfg: SimConfig) -> TrellisSpec:
+    """The trellis that a config's mode and trellis_path select."""
+    if not cfg.trellis_path:
+        return uncoded_trellis() if cfg.mode == "uncoded" else default_trellis()
+    with open(cfg.trellis_path) as fh:
+        return load_trellis(fh.read())
+
+
+def run_point(cfg: SimConfig, point_index: int,
+              spec: TrellisSpec | None = None) -> SimResultRow:
+    """One SNR point over spec (default: the config's), stopping at max_frame_errors."""
     snr_db = cfg.snr_list_db[point_index]
     sigma = sigma_for_snr_db(snr_db)
-    if cfg.mode == "trellis" and spec is None:
-        spec = default_trellis()
-    if cfg.mode == "uncoded":
-        mats, cand_bits, lookup = tables if tables is not None else _uncoded_tables()
-    else:
-        mats = matrix_stack()
+    spec = spec or _trellis_for(cfg)
+    mats = matrix_stack()
     sections = cfg.sections_per_frame
-    bits_per_frame = sections * (4 if cfg.mode == "uncoded" else spec.bits_per_section)
+    bits_per_frame = sections * spec.bits_per_section
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
     while frames < cfg.frames_per_point and frame_errors < cfg.max_frame_errors:
@@ -196,20 +184,10 @@ def run_point(cfg: SimConfig, point_index: int, spec: TrellisSpec | None = None,
                     cfg.max_frame_errors - frame_errors)
         tx_bits, h, noise = _draw_frames(cfg, point_index, frames, count,
                                          bits_per_frame)
-        if cfg.mode == "uncoded":
-            patt = tx_bits.reshape(count, sections, 4) @ np.array([8, 4, 2, 1])
-            indices = lookup[patt]
-        else:
-            indices = trellis_encode_frames(spec, tx_bits)
-        rec = transmit(mats[indices], h, noise, sigma)
-        faded = (mats @ h[:, None, :, None])[..., 0]                # (F, M, 2)
-        if cfg.mode == "uncoded":
-            faded_t = np.ascontiguousarray(np.swapaxes(faded, 1, 2))
-            # first minimum = lowest BASE position
-            decided = np.argmin(squared_distances(rec, faded_t[:, None]), axis=2)
-            rx_bits = cand_bits[decided].reshape(count, bits_per_frame)
-        else:
-            rx_bits = viterbi_decode_frames(spec, rec, faded)[1]
+        rec = transmit(mats[trellis_encode_frames(spec, tx_bits)], h, noise, sigma)
+        # C h for all 32 candidates (F, 32, 2), elementwise: cheaper than F * 32 matmuls
+        faded = mats[..., 0] * h[:, None, None, 0] + mats[..., 1] * h[:, None, None, 1]
+        rx_bits = viterbi_decode_frames(spec, rec, faded)[1]
         errs = np.count_nonzero(rx_bits != tx_bits, axis=1)
         frames += count
         bit_errors += int(np.sum(errs))
@@ -222,16 +200,8 @@ def run_point(cfg: SimConfig, point_index: int, spec: TrellisSpec | None = None,
 
 def run_simulation(cfg: SimConfig) -> list:
     """All SNR points of a config, in order."""
-    spec = None
-    if cfg.mode == "trellis":
-        if cfg.trellis_path:
-            with open(cfg.trellis_path) as fh:
-                spec = load_trellis(fh.read())
-        else:
-            spec = default_trellis()
-    tables = _uncoded_tables() if cfg.mode == "uncoded" else None
-    return [run_point(cfg, i, spec=spec, tables=tables)
-            for i in range(len(cfg.snr_list_db))]
+    spec = _trellis_for(cfg)
+    return [run_point(cfg, i, spec=spec) for i in range(len(cfg.snr_list_db))]
 
 
 def format_csv(cfg: SimConfig, rows) -> str:

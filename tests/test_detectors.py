@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 from golden.record import irregular_trellis_text
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stclab.channel import ChannelRealization, sample_channel, standard_normal
-from stclab.constellation import build_constellation, matrix_stack, q8_cosets, q16_cosets
+from stclab.constellation import (
+    build_constellation,
+    chi_coordinates,
+    matrix_stack,
+    q8_cosets,
+    q16_cosets,
+)
 from stclab.detectors import (
+    Transition,
+    TrellisSpec,
     base_subconstellation_entries,
     block_metrics,
     default_trellis,
@@ -12,6 +22,7 @@ from stclab.detectors import (
     ml_block_decode,
     trellis_encode,
     trellis_encode_frames,
+    uncoded_trellis,
     viterbi_decode,
     viterbi_decode_frames,
 )
@@ -57,6 +68,12 @@ def test_load_trellis_error_lines(tmp_path):
         load_trellis("# nothing here\n")
     with pytest.raises(ValueError, match="header"):
         load_trellis("states=8\n0 0 0 0 8 2 10\n")
+    # unknown and repeated header keys name the header line
+    for head in ("states=8 bits_per_section=4 labels=99",
+                 "states=16 states=8 bits_per_section=4",
+                 "states=8 bits_per_secton=4 bits_per_section=4"):
+        with pytest.raises(ValueError, match="line 2: header key"):
+            load_trellis("# header below\n%s\n0 0 0 0 8 2 10\n" % head)
     with pytest.raises(ValueError, match="line 2"):
         load_trellis("states=8 bits_per_section=4\n0 0 zero 0 8 2 10\n")
     with pytest.raises(ValueError, match="out of range"):
@@ -275,15 +292,16 @@ def test_viterbi_beats_or_matches_any_single_path():
 
 
 @pytest.mark.parametrize("spec", [default_trellis(),
-                                  load_trellis(irregular_trellis_text())],
-                         ids=["regular", "irregular"])
+                                  load_trellis(irregular_trellis_text()),
+                                  uncoded_trellis()],
+                         ids=["regular", "irregular", "one-state"])
 @pytest.mark.parametrize("per_section", [False, True])
 def test_frame_batch_matches_single_frame_decodes(spec, per_section):
     # noisy frames plus all-tie frames (zero channel, zero received) in one
     # batch: every frame's result equals its own F=1 viterbi_decode
     mats = matrix_stack()
     rng = np.random.default_rng(39)
-    frames, sections, start = 9, 7, 2
+    frames, sections, start = 9, 7, min(2, spec.num_states - 1)
     bits = rng.integers(0, 2, size=(frames, 4 * sections))
     idx = trellis_encode_frames(spec, bits, initial_state=start)
     shape = (frames, sections) if per_section else (frames, 1)
@@ -308,15 +326,19 @@ def test_frame_batch_matches_single_frame_decodes(spec, per_section):
         assert trellis_encode(spec, bits[f], initial_state=start) == idx[f].tolist()
 
 
-def test_all_tie_frame_prefers_smaller_state_and_label():
+@pytest.mark.parametrize("spec, index", [(default_trellis(), 0), (uncoded_trellis(), 4)],
+                         ids=["regular", "one-state"])
+def test_all_tie_frame_prefers_smaller_state_and_label(spec, index):
     # every candidate ties: the decoder takes coded 00, label position 0
-    # from state 0 at every section, so it decides index 0 and all-zero bits
-    spec = default_trellis()
+    # from state 0 at every section, so it decides label 0 of the first
+    # branch and all-zero bits (index 0 on the 8-state trellis, BASE 4 when
+    # uncoded, where exhaustive ML would take index 0)
     ch0 = ChannelRealization(h=np.zeros(2, complex))
     res, bits = viterbi_decode(spec, [np.zeros(2, complex)] * 3, [ch0] * 3)
-    assert res.decided_indices == (0, 0, 0)
+    assert res.decided_indices == (index,) * 3
     assert not bits.any()
     assert res.metric == 0.0
+    assert res.ties_broken > 0
 
 
 def test_viterbi_input_validation():
@@ -333,3 +355,63 @@ def test_viterbi_input_validation():
 def test_base_subconstellation_entries():
     ents = base_subconstellation_entries()
     assert [e.index for e in ents] == list(range(16))
+
+
+def test_uncoded_trellis_gray_structure():
+    spec = uncoded_trellis()
+    assert (spec.num_states, spec.bits_per_section, spec.coded_bits) == (1, 4, 0)
+    (t,) = spec.transitions
+    assert sorted(t.labels) == [e.index for e in base_subconstellation_entries()]
+    # label position v spells the Gray bits (chi = 1 - 2b) of its entry
+    entries = build_constellation()
+    chi = np.array([chi_coordinates(entries[i])[:4] for i in t.labels])
+    bits = np.round((1 - chi) / 2).astype(int)
+    assert np.allclose(chi, 1 - 2 * bits)
+    assert np.array_equal(bits @ [8, 4, 2, 1], np.arange(16))
+    assert trellis_encode(spec, bits.ravel()) == list(t.labels)
+    # one coordinate flip moves the matrix by the minimum distance
+    mats = matrix_stack()[list(t.labels)]
+    for i in range(16):
+        for j in range(16):
+            if bin(i ^ j).count("1") == 1:
+                d2 = float(np.sum(np.abs(mats[i] - mats[j]) ** 2))
+                assert abs(d2 - 4.0) < 1e-9, "adjacent bit patterns sit at d^2 = 4"
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 6),
+       sections=st.integers(1, 20), sigma=st.floats(0.05, 2.0),
+       per_section=st.booleans())
+def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_section):
+    # the batched one-state decoder decides every block as exhaustive ML over
+    # the 16 BASE entries does, and equals the full ACS recursion run on a
+    # two-state twin whose second state is never reached, metric bit for bit
+    spec = uncoded_trellis()
+    labels = spec.transitions[0].labels
+    twin = TrellisSpec(num_states=2, bits_per_section=4, transitions=(
+        Transition(0, 0, 0, labels), Transition(1, 1, 0, labels)))
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(frames, 4 * sections))
+    idx = trellis_encode_frames(spec, bits)
+    assert idx.tolist() == trellis_encode_frames(twin, bits).tolist()
+    shape = (frames, sections if per_section else 1, 2)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    faded = (matrix_stack() @ h[..., None, :, None])[..., 0]
+    rec = (matrix_stack()[idx] @ np.broadcast_to(h, (frames, sections, 2))[..., None])[..., 0]
+    rec = rec + sigma * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
+    faded = faded if per_section else faded[:, 0]
+    decided, got_bits, metric, ties = viterbi_decode_frames(spec, rec, faded)
+    for got, want in zip((decided, got_bits, metric, ties),
+                         viterbi_decode_frames(twin, rec, faded)):
+        assert got.tobytes() == want.tobytes()
+    base = base_subconstellation_entries()
+    for f in range(frames):
+        total = 0.0
+        for s in range(sections):
+            ch = ChannelRealization(h=h[f, s if per_section else 0])
+            ml = ml_block_decode(rec[f, s], ch, base)
+            assert decided[f, s] == ml.decided_indices[0]
+            total += ml.metric
+        assert abs(metric[f] - total) <= 1e-12 * max(1.0, total)
+        assert ties[f] == 0
+    assert trellis_encode_frames(spec, got_bits).tolist() == decided.tolist()

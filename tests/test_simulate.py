@@ -2,10 +2,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from golden.record import irregular_trellis_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stclab import simulate
+from stclab.detectors import default_trellis, load_trellis
 from stclab.simulate import (
     CONFIG_KEYS,
     CSV_HEADER,
@@ -13,7 +15,6 @@ from stclab.simulate import (
     SimResultRow,
     _draw_frames,
     _frame_rng,
-    _uncoded_tables,
     format_csv,
     parse_config_file,
     run_point,
@@ -111,22 +112,6 @@ def test_batched_draws_equal_per_call_draws(seed, point, first, count, sections)
         assert g.tobytes() == w.tobytes()
 
 
-def test_uncoded_tables_gray_structure():
-    mats, bits, lookup = _uncoded_tables()
-    assert mats.shape == (16, 2, 2)
-    # bit rows are distinct and invert back through the lookup
-    patt = bits[:, 0] * 8 + bits[:, 1] * 4 + bits[:, 2] * 2 + bits[:, 3]
-    assert sorted(patt.tolist()) == list(range(16))
-    assert np.all(lookup[patt] == np.arange(16))
-    # one coordinate flip moves the matrix by the minimum distance
-    for i in range(16):
-        for j in range(16):
-            flips = int(np.sum(bits[i] != bits[j]))
-            if flips == 1:
-                d2 = float(np.sum(np.abs(mats[i] - mats[j]) ** 2))
-                assert abs(d2 - 4.0) < 1e-9, "adjacent bit patterns sit at d^2 = 4"
-
-
 def test_uncoded_high_snr_is_error_free():
     cfg = SimConfig(mode="uncoded", snr_list_db=(30.0,), frames_per_point=20,
                     base_seed=3, sections_per_frame=50)
@@ -153,6 +138,18 @@ def test_trellis_mode_runs_and_beats_uncoded_at_matched_load():
     tr = run_point(SimConfig(mode="trellis", **common), 0)
     assert tr.bits == un.bits == 300 * 50 * 4
     assert tr.fer < un.fer, "coding gain must show at 12 dB"
+
+
+def test_run_point_defaults_to_the_config_trellis(tmp_path):
+    # without a spec, run_point transmits over the trellis file the config names
+    tf = tmp_path / "irregular.txt"
+    tf.write_text(irregular_trellis_text())
+    cfg = SimConfig(mode="trellis", snr_list_db=(4.0,), frames_per_point=30, base_seed=2,
+                    sections_per_frame=8, trellis_path=str(tf))
+    counts = [(r.bit_errors, r.frame_errors) for r in (
+        run_point(cfg, 0), run_point(cfg, 0, spec=load_trellis(irregular_trellis_text())),
+        run_simulation(cfg)[0], run_point(cfg, 0, spec=default_trellis()))]
+    assert counts[0] == counts[1] == counts[2] != counts[3]
 
 
 def test_run_simulation_is_reproducible():
