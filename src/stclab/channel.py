@@ -134,19 +134,13 @@ class EquivalentRealModel:
 def _channel_rows(e: ExpandedConstellation, channels) -> np.ndarray:
     """(D, N) coefficients of one channel draw or D draws.
 
-    channels is a ChannelRealization, a sequence of them, or a (D, N) array
-    of coefficients, which is checked as ChannelRealization checks one draw.
+    channels is a ChannelRealization or a (D, N) array of coefficients,
+    which is checked as ChannelRealization checks one draw.
     """
     n = e.base_generators.num_antennas
     if isinstance(channels, ChannelRealization):
-        channels = (channels,)
-    if not isinstance(channels, np.ndarray):
-        rows = [ch.h for ch in channels]
-        for h in rows:
-            if h.size != n:
-                raise ValueError("channel has %d coefficients, design expects %d"
-                                 % (h.size, n))
-        channels = np.stack(rows) if rows else np.empty((0, n))
+        channels = channels.h[None, :]
+    channels = np.asarray(channels)
     if channels.ndim != 2:
         raise ValueError("channel array must be (draws, antennas), got shape %s"
                          % (channels.shape,))
@@ -229,8 +223,8 @@ def _worst(values: np.ndarray) -> float:
 def shape_invariance_audit(e: ExpandedConstellation, channels) -> ShapeInvarianceReport:
     """Measure how well channel draws preserve the constellation shape.
 
-    channels is one ChannelRealization, a sequence of them, or a (D, N)
-    array of channel coefficients; each field of the report is its worst
+    channels is one ChannelRealization or a (D, N) array of channel
+    coefficients; each field of the report is its worst
     value over all draws.  Draws are evaluated CHUNK_DRAWS at a time, and
     every number is computed exactly as for the draw alone, so the report
     equals the field-wise maximum of one-draw audits.  Any degenerate draw

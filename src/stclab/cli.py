@@ -29,23 +29,13 @@ from .designs import (
 )
 from .expansion import corollary1_audit, theorem1_audit
 from .simulate import (
+    FIELDS,
+    MODES,
     SimConfig,
+    field_value,
     format_csv,
     parse_config_file,
     run_simulation,
-)
-
-AUDIT_NAMES = ("RH", "THEOREM1", "COROLLARY1", "INVARIANCE", "FORMS", "ALL")
-
-#: simulate flag dest -> the SimConfig field it overrides.
-SIMULATE_FLAGS = (
-    ("mode", "mode"),
-    ("snr", "snr_list_db"),
-    ("frames", "frames_per_point"),
-    ("seed", "base_seed"),
-    ("sections", "sections_per_frame"),
-    ("max_frame_errors", "max_frame_errors"),
-    ("trellis", "trellis_path"),
 )
 
 
@@ -131,23 +121,25 @@ def _audit_forms(_args, _e) -> bool:
     return rep.passed
 
 
+#: Audit name -> runner, in the order that ALL runs them.
+AUDITS = {
+    "RH": _audit_rh,
+    "THEOREM1": _audit_theorem1,
+    "COROLLARY1": _audit_corollary1,
+    "INVARIANCE": _audit_invariance,
+    "FORMS": _audit_forms,
+}
+
+
 def cmd_audit(args) -> int:
     if args.trials < 1:
         print("error: --trials must be positive", file=sys.stderr)
         return 2
-    which = args.which.upper()
-    runners = {
-        "RH": _audit_rh,
-        "THEOREM1": _audit_theorem1,
-        "COROLLARY1": _audit_corollary1,
-        "INVARIANCE": _audit_invariance,
-        "FORMS": _audit_forms,
-    }
-    names = list(runners) if which == "ALL" else [which]
+    names = list(AUDITS) if args.which == "ALL" else [args.which]
     e = table_expansion()       # one expansion for every audit of the call
     ok = True
     for name in names:
-        ok = runners[name](args, e) and ok
+        ok = AUDITS[name](args, e) and ok
     print("audit.overall=%s" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
@@ -157,16 +149,14 @@ def cmd_simulate(args) -> int:
     if args.config:
         with open(args.config) as fh:
             kwargs.update(parse_config_file(fh.read()))
-    flags = {field: getattr(args, dest) for dest, field in SIMULATE_FLAGS}
-    if args.snr is not None:
-        flags["snr_list_db"] = tuple(float(s) for s in args.snr.split(","))
-    kwargs.update((field, val) for field, val in flags.items() if val is not None)
+    kwargs.update((name, field_value(name, getattr(args, name))) for name in FIELDS
+                  if getattr(args, name) is not None)
     cfg = SimConfig(**kwargs)
     return _write_out(format_csv(cfg, run_simulation(cfg)), args.out)
 
 
 def cmd_spectrum(args) -> int:
-    spec = distance_spectrum(which=args.which.upper())
+    spec = distance_spectrum(which=args.which)
     lines = ["distance_sq,multiplicity"]
     lines += ["%.12g,%d" % (d2, mult) for d2, mult in spec.items()]
     return _write_out("\n".join(lines) + "\n", args.out)
@@ -193,9 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("audit", help="run numerical audits of the shipped design")
-    pa.add_argument("--which", default="ALL",
-                    choices=[n for n in AUDIT_NAMES] + [n.lower() for n in AUDIT_NAMES],
-                    help="which audit to run (default ALL)")
+    pa.add_argument("--which", default="ALL", type=str.upper, choices=[*AUDITS, "ALL"],
+                    help="which audit to run, any case (default ALL)")
     pa.add_argument("--trials", type=int, default=1000,
                     help="random channel draws for INVARIANCE (default 1000)")
     pa.add_argument("--seed", type=int, default=1, help="audit RNG seed")
@@ -205,20 +194,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="Monte Carlo link simulation")
     ps.add_argument("--config", metavar="FILE", help="key=value config file")
-    ps.add_argument("--mode", choices=("uncoded", "trellis"))
-    ps.add_argument("--snr", help="comma-separated Es/N0 list in dB")
-    ps.add_argument("--frames", type=int, help="frame budget per SNR point")
-    ps.add_argument("--seed", type=int, help="base seed")
-    ps.add_argument("--sections", type=int, help="blocks per frame")
-    ps.add_argument("--max-frame-errors", type=int,
+    # dest is the SimConfig field; cmd_simulate converts and checks the text
+    ps.add_argument("--mode", dest="mode", help="one of: %s" % ", ".join(MODES))
+    ps.add_argument("--snr", dest="snr_list_db",
+                    help="Es/N0 list in dB, separated by commas or spaces")
+    ps.add_argument("--frames", dest="frames_per_point", help="frame budget per SNR point")
+    ps.add_argument("--seed", dest="base_seed", help="base seed")
+    ps.add_argument("--sections", dest="sections_per_frame", help="blocks per frame")
+    ps.add_argument("--max-frame-errors", dest="max_frame_errors",
                     help="early-stop threshold per SNR point (default 200)")
-    ps.add_argument("--trellis", metavar="FILE", help="trellis file (trellis mode)")
+    ps.add_argument("--trellis", dest="trellis_path", metavar="FILE",
+                    help="trellis file (trellis mode)")
     ps.add_argument("--out", metavar="CSV", help="write results here instead of stdout")
     ps.set_defaults(func=cmd_simulate)
 
     pp = sub.add_parser("spectrum", help="pairwise squared-distance spectrum")
-    pp.add_argument("--which", default="FULL",
-                    choices=["BASE", "PRIMED", "FULL", "base", "primed", "full"])
+    pp.add_argument("--which", default="FULL", type=str.upper,
+                    choices=["BASE", "PRIMED", "FULL"], help="any case (default FULL)")
     pp.add_argument("--out", metavar="CSV")
     pp.set_defaults(func=cmd_spectrum)
 

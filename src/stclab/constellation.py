@@ -143,12 +143,13 @@ class FormReport:
         return not self.violations
 
 
-def verify_forms(entries=None, tol: float = 1e-12) -> FormReport:
+def verify_forms(entries=None) -> FormReport:
     """Check the algebraic form of every entry against its tag.
 
     BASE: [[A, conj(B)], [B, -conj(A)]]; PRIMED: [[A, -conj(B)], [B, conj(A)]];
-    in both cases A, B must be 4PSK points.
+    in both cases A, B must be 4PSK points, every match to within 1e-12.
     """
+    tol = 1e-12
     if entries is None:
         entries = build_constellation()
     bad = []
@@ -169,36 +170,31 @@ def verify_forms(entries=None, tol: float = 1e-12) -> FormReport:
     return FormReport(violations=tuple(bad))
 
 
-def q8_cosets(entries=None) -> dict:
+def q8_cosets() -> dict:
     """Map q8 coset id -> member indices in uncoded-bit order 00,01,10,11."""
-    if entries is None:
-        entries = build_constellation()
     out = {}
-    for e in entries:
+    for e in build_constellation():
         out.setdefault(e.q8_coset, {})[e.q8_bits] = e.index
     return {c: tuple(members[b] for b in ("00", "01", "10", "11"))
             for c, members in sorted(out.items())}
 
 
-def q16_cosets(entries=None) -> dict:
+def q16_cosets() -> dict:
     """Map q16 coset id -> member indices in uncoded-bit order 0,1."""
-    if entries is None:
-        entries = build_constellation()
     out = {}
-    for e in entries:
+    for e in build_constellation():
         out.setdefault(e.q16_coset, {})[e.q16_bit] = e.index
     return {c: tuple(members[b] for b in ("0", "1"))
             for c, members in sorted(out.items())}
 
 
-def distance_spectrum(entries=None, which: str = "FULL") -> dict:
+def distance_spectrum(which: str = "FULL") -> dict:
     """Squared pairwise Frobenius distance -> multiplicity.
 
     which selects BASE, PRIMED, or FULL (all 32 points).  Distances are
     grouped on a 1e-9 grid; for this constellation they are exact integers.
     """
-    if entries is None:
-        entries = build_constellation()
+    entries = build_constellation()
     if which == "BASE":
         pool = [e for e in entries if e.subconstellation is Subconstellation.BASE]
     elif which == "PRIMED":

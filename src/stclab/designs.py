@@ -73,16 +73,16 @@ class GeneratorSet:
                 raise ValueError("basis[%d] has shape %s, expected (%d, %d)"
                                  % (k, b.shape, self.block_len, self.num_antennas))
         object.__setattr__(self, "basis", shaped)
-        if not (self.scale > 0.0):
-            raise ValueError("scale must be positive, got %r" % (self.scale,))
+        if not (self.scale > 0.0 and np.isfinite(self.scale)):
+            raise ValueError("scale must be positive and finite, got %r" % (self.scale,))
 
     def stacked(self) -> np.ndarray:
         """Basis as a (2K, T, N) array."""
         return np.stack(self.basis)
 
 
-def make_generator_set(basis, scale: float | None = None) -> GeneratorSet:
-    """Build a GeneratorSet from matrices, estimating the scale if omitted.
+def make_generator_set(basis) -> GeneratorSet:
+    """Build a GeneratorSet from matrices, estimating the scale.
 
     The estimate reads c off the first diagonal Radon-Hurwitz identity,
     c = (1/2N) * trace(B_0^H B_0 + B_0^H B_0).
@@ -91,8 +91,7 @@ def make_generator_set(basis, scale: float | None = None) -> GeneratorSet:
     if not mats or len(mats) % 2 != 0:
         raise ValueError("a generator set needs a nonempty even number of matrices")
     rows, cols = mats[0].shape
-    if scale is None:
-        scale = float(np.real(np.trace(mats[0].conj().T @ mats[0]))) / cols
+    scale = float(np.real(np.trace(mats[0].conj().T @ mats[0]))) / cols
     return GeneratorSet(block_len=rows, num_antennas=cols,
                         num_symbols=len(mats) // 2, basis=tuple(mats),
                         scale=scale)
@@ -124,26 +123,25 @@ class RadonHurwitzReport:
     worst_pair: tuple
 
 
-def radon_hurwitz_check(g: GeneratorSet, tol: float = RH_TOL) -> RadonHurwitzReport:
+def radon_hurwitz_check(g: GeneratorSet) -> RadonHurwitzReport:
     """Check B_l^H B_p + B_p^H B_l = 2 c delta_lp I over all ordered pairs.
 
     The residual of a pair is the max-abs entry of the defect matrix; the
-    report carries the worst pair so failures can be named.
+    report carries the worst pair (the first, in row-major order) so
+    failures can be named.  A NaN or inf residual is the worst and fails.
     """
-    n = g.num_antennas
-    eye = np.eye(n)
-    worst = 0.0
-    worst_pair = (0, 0)
+    diag = np.diag_indices(g.num_antennas)
+    resid = np.empty((len(g.basis), len(g.basis)))
     for l, bl in enumerate(g.basis):
         for p, bp in enumerate(g.basis):
-            lhs = bl.conj().T @ bp + bp.conj().T @ bl
-            expect = 2.0 * g.scale * eye if l == p else np.zeros((n, n))
-            resid = float(np.max(np.abs(lhs - expect)))
-            if resid > worst:
-                worst = resid
-                worst_pair = (l, p)
-    return RadonHurwitzReport(passed=worst <= tol, scale=g.scale,
-                              max_residual=worst, worst_pair=worst_pair)
+            defect = bl.conj().T @ bp + bp.conj().T @ bl
+            if l == p:
+                defect[diag] -= 2.0 * g.scale
+            resid[l, p] = np.max(np.abs(defect))
+    l, p = np.unravel_index(np.argmax(resid), resid.shape)     # argmax finds NaN first
+    worst = float(resid[l, p])
+    return RadonHurwitzReport(passed=worst <= RH_TOL, scale=g.scale,
+                              max_residual=worst, worst_pair=(int(l), int(p)))
 
 
 def synthesize(g: GeneratorSet, chi) -> np.ndarray:
@@ -187,12 +185,11 @@ def conjugate_basis_pair(g: GeneratorSet, l: int) -> tuple[np.ndarray, np.ndarra
     return plus, minus
 
 
-def pairwise_difference_check(g: GeneratorSet, chi_a, chi_b,
-                              tol: float = RH_TOL) -> float:
+def pairwise_difference_check(g: GeneratorSet, chi_a, chi_b) -> float:
     """Max-abs defect of (S - S')^H (S - S') = c ||chi_a - chi_b||^2 I.
 
-    Returns the residual; values above tol mean the semiunitary difference
-    identity does not hold for this pair.
+    Returns the residual; values above RH_TOL mean the semiunitary
+    difference identity does not hold for this pair.
     """
     xa = np.asarray(chi_a, dtype=np.float64).reshape(-1)
     xb = np.asarray(chi_b, dtype=np.float64).reshape(-1)
@@ -277,6 +274,8 @@ def read_generator_file(text: str) -> GeneratorSet:
         c = float(parts[3])
     except ValueError as exc:
         raise ValueError("line %d: bad header field (%s)" % (head_no, exc)) from None
+    if min(t, n, k) < 1:
+        raise ValueError("line %d: T, N and K must be positive, got %r" % (head_no, head))
     need = 2 * k * t
     rows = body[1:]
     if len(rows) != need:
@@ -297,4 +296,7 @@ def read_generator_file(text: str) -> GeneratorSet:
                 except ValueError:
                     raise ValueError("line %d: bad entry %r, want 're,im'" % (no, cell)) from None
         mats.append(block)
-    return GeneratorSet(t, n, k, tuple(mats), c)
+    try:
+        return GeneratorSet(t, n, k, tuple(mats), c)
+    except ValueError as exc:    # only the header's scale is left to reject
+        raise ValueError("line %d: %s" % (head_no, exc)) from None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class TrellisSpec:
     bits_per_section splits into coded bits (selecting the transition, in
     listing order per from-state) and uncoded bits (selecting the parallel
     label within the branch).  labels_per_branch, uncoded_bits and
-    coded_bits are derived once, at construction.
+    coded_bits are derived once, at construction; the ACS and encoder
+    tables once, on first use, and they are freed with the spec.
     """
 
     num_states: int
@@ -58,6 +59,10 @@ class TrellisSpec:
 
     def outgoing(self, state: int) -> tuple:
         return self._outgoing[state]
+
+    @cached_property
+    def _tables(self) -> _AcsTables:
+        return _acs_tables(self)
 
     def __post_init__(self):
         out = [[] for _ in range(self.num_states)]
@@ -257,7 +262,6 @@ class _AcsTables:
     branch_labels: np.ndarray
 
 
-@lru_cache(maxsize=None)
 def _acs_tables(spec: TrellisSpec) -> _AcsTables:
     trans = spec.transitions
     pos_of = {id(t): k for k, t in enumerate(trans)}
@@ -303,7 +307,7 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
     _check_initial_state(spec, initial_state)
     if not np.all((b == 0) | (b == 1)):
         raise ValueError("bits must be 0 or 1")
-    tab = _acs_tables(spec)
+    tab = spec._tables
     frames, sections = b.shape[0], b.shape[1] // spec.bits_per_section
     weights = 1 << np.arange(spec.bits_per_section - 1, -1, -1)
     value = b.reshape(frames, sections, spec.bits_per_section) @ weights
@@ -359,7 +363,7 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
     A one-state, one-transition trellis (uncoded_trellis) skips the ACS loop.
     """
     _check_initial_state(spec, initial_state)
-    tab = _acs_tables(spec)
+    tab = spec._tables
     received = np.asarray(received, dtype=np.complex128)
     frames, sections = received.shape[:2]
     cand_t = np.ascontiguousarray(np.swapaxes(faded, -1, -2)[..., tab.cosets.ravel()])

@@ -279,8 +279,7 @@ def decompose_direct_sum(e: ExpandedConstellation, s) -> TaggedPoint:
     raise ValueError("matrix does not match any point of the expanded constellation")
 
 
-def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int,
-                               tol: float = 1e-12) -> float:
+def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int) -> float:
     """Pairwise semiunitary-difference defect for two like-tagged points.
 
     Mixed-tag pairs are rejected: the identity is a within-subconstellation

@@ -65,27 +65,46 @@ CSV_HEADER = "snr_db,frames,bits,bit_errors,frame_errors,ber,fer,elapsed_seconds
 MODES = ("uncoded", "trellis")
 
 
-_POSITIVE = (lambda v: v >= 1, "must be positive")
+def _snr_list(text: str) -> tuple:
+    """SNRs separated by commas or spaces; an empty item between commas is an error."""
+    items = [item.split() for item in text.split(",")]
+    if len(items) > 1 and not all(items):
+        raise ValueError("empty item in %r" % (text,))
+    return tuple(float(x) for item in items for x in item)
 
-#: SimConfig field -> (rule its value meets, what the rule asks); SimConfig
-#: and parse_config_file both check values against it.
-FIELD_RULES = {
-    "mode": (lambda v: v in MODES, "must be one of %s" % (MODES,)),
-    "snr_list_db": (lambda v: len(v) > 0 and all(np.isfinite(v)),
+
+_POSITIVE = (int, lambda v: v >= 1, "must be positive")
+
+#: SimConfig field -> (converter of its text, rule its value meets or None,
+#: what the rule asks).  SimConfig checks values against it, and config
+#: lines and simulate flags both read their text through field_value.
+FIELDS = {
+    "mode": (str, lambda v: v in MODES, "must be one of %s" % (MODES,)),
+    "snr_list_db": (_snr_list, lambda v: len(v) > 0 and all(np.isfinite(v)),
                     "must hold at least one SNR, all finite"),
     "frames_per_point": _POSITIVE,
-    "base_seed": (lambda v: v >= 0, "must be nonnegative"),
+    "base_seed": (int, lambda v: v >= 0, "must be nonnegative"),
     "max_frame_errors": _POSITIVE,
     "sections_per_frame": _POSITIVE,
+    "trellis_path": (str, None, None),
 }
 
 
-def _field_error(name: str, value):
-    """Why value breaks the FIELD_RULES rule of field name, or None."""
-    rule = FIELD_RULES.get(name)
-    if rule is not None and not rule[0](value):
-        return "%s %s, got %r" % (name, rule[1], value)
-    return None
+def _check_field(name: str, value) -> None:
+    """Raise ValueError when value breaks the FIELDS rule of field name."""
+    _, rule, asks = FIELDS[name]
+    if rule is not None and not rule(value):
+        raise ValueError("%s %s, got %r" % (name, asks, value))
+
+
+def field_value(name: str, text: str):
+    """The value of field name that text gives, converted and checked by FIELDS."""
+    try:
+        value = FIELDS[name][0](text)
+    except ValueError as exc:
+        raise ValueError("bad %s value: %s" % (name, exc)) from None
+    _check_field(name, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -103,10 +122,8 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "snr_list_db",
                            tuple(float(s) for s in self.snr_list_db))
-        for name in FIELD_RULES:
-            err = _field_error(name, getattr(self, name))
-            if err is not None:
-                raise ValueError(err)
+        for name in FIELDS:
+            _check_field(name, getattr(self, name))
         if self.trellis_path and self.mode != "trellis":
             raise ValueError("trellis_path is only read in trellis mode, got mode %r"
                              % self.mode)
@@ -229,23 +246,11 @@ def format_csv(cfg: SimConfig, rows) -> str:
     return buf.getvalue()
 
 
-#: Config file key (a SimConfig field) -> converter of its value text.
-CONFIG_KEYS = {
-    "mode": str,
-    "snr_list_db": lambda val: tuple(float(x) for x in val.replace(",", " ").split()),
-    "frames_per_point": int,
-    "base_seed": int,
-    "max_frame_errors": int,
-    "sections_per_frame": int,
-    "trellis_path": str,
-}
-
-
 def parse_config_file(text: str) -> dict:
-    """key=value per line; '#' comments; keys from CONFIG_KEYS, each once.
+    """key=value per line; '#' comments; keys from FIELDS, each once.
 
-    Malformed lines, unknown or repeated keys, unconvertible values and
-    values that break FIELD_RULES raise ValueError naming the line.
+    Malformed lines, unknown or repeated keys, and values that field_value
+    rejects raise ValueError naming the line.
     """
     out, first_line = {}, {}
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -255,17 +260,14 @@ def parse_config_file(text: str) -> dict:
         if "=" not in line:
             raise ValueError("line %d: expected key=value, got %r" % (no, line))
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in FIELDS:
             raise ValueError("line %d: unknown key %r" % (no, key))
         if key in first_line:
             raise ValueError("line %d: key %r already set on line %d"
                              % (no, key, first_line[key]))
         try:
-            out[key] = CONFIG_KEYS[key](val)
+            out[key] = field_value(key, val)
         except ValueError as exc:
-            raise ValueError("line %d: bad %s value: %s" % (no, key, exc)) from None
-        err = _field_error(key, out[key])
-        if err is not None:
-            raise ValueError("line %d: %s" % (no, err))
+            raise ValueError("line %d: %s" % (no, exc)) from None
         first_line[key] = no
     return out

@@ -56,6 +56,8 @@ def test_audit_single_and_case_insensitive(capsys):
     assert rc == 0
     assert "rh.mixed.worst_pair=0,1" in out
     assert "theorem1" not in out
+    assert main(["spectrum", "--which", "base"]) == 0
+    assert capsys.readouterr().out.startswith("distance_sq,multiplicity\n4,32\n")
 
 
 def test_audit_bad_trials_is_usage_error(capsys):
@@ -82,6 +84,19 @@ def test_audit_generator_file_pass_and_fail(tmp_path, capsys):
     assert "rh.file.pass=False" in out
     assert "rh.file.worst_pair=0,1" in out
     assert "audit.overall=FAIL" in out
+
+
+def test_audit_generator_file_with_huge_or_infinite_scale(tmp_path, capsys):
+    # 2c = inf must fail the check, not make NaN residuals that compare as passing
+    f = tmp_path / "g.txt"
+    text = write_generator_file(alamouti_generators())
+    f.write_text(text.replace(" 0.5\n", " 1e308\n", 1))
+    assert main(["audit", "--which", "RH", "--generators", str(f)]) == 1
+    out = capsys.readouterr().out
+    assert "rh.file.max_residual=inf" in out and "rh.file.pass=False" in out
+    f.write_text(text.replace(" 0.5\n", " inf\n", 1))
+    assert main(["audit", "--which", "RH", "--generators", str(f)]) == 2
+    assert "error: line 1: scale must be positive and finite" in capsys.readouterr().err
 
 
 def test_audit_missing_file_is_exit_2(capsys):
@@ -134,9 +149,26 @@ def test_simulate_bad_mode_is_exit_2(capsys):
     cfg_err = main(["simulate", "--snr", "oops"])
     assert cfg_err == 2
     for bad in (["--snr", "nan"], ["--snr", "4,inf"], ["--seed", "-1"],
-                ["--mode", "uncoded", "--trellis", "t8.txt"]):
+                ["--mode", "uncoded", "--trellis", "t8.txt"], ["--snr", "8,,10"],
+                ["--snr", "8,"]):
         assert main(["simulate", "--frames", "1"] + bad) == 2
         assert "error:" in capsys.readouterr().err
+    # a bad flag gets the message of its field, as a config line does
+    for bad, msg in ((["--frames", "abc"], "bad frames_per_point value"),
+                     (["--frames", "0"], "frames_per_point must be positive, got 0"),
+                     (["--mode", "turbo"], "mode must be one of"),
+                     (["--snr", "8,oops"], "bad snr_list_db value")):
+        assert main(["simulate"] + bad) == 2
+        assert "error: " + msg in capsys.readouterr().err
+
+
+def test_simulate_snr_takes_commas_or_spaces(capsys):
+    argv = ["simulate", "--frames", "3", "--sections", "4", "--snr"]
+    outs = []
+    for snr in ("8,10", "8 10", "8, 10"):
+        assert main(argv + [snr]) == 0
+        outs.append([ln.rsplit(",", 1)[0] for ln in capsys.readouterr().out.splitlines()])
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_simulate_trellis_file(tmp_path, capsys):

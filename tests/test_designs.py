@@ -52,6 +52,17 @@ def test_radon_hurwitz_pass_and_scale():
     assert rep.passed and rep.scale == 1.0
 
 
+def test_radon_hurwitz_nan_or_inf_residual_fails():
+    g = alamouti_generators()
+    rep = radon_hurwitz_check(GeneratorSet(2, 2, 2, g.basis, 1e308))
+    assert not rep.passed and rep.max_residual == np.inf and rep.worst_pair == (0, 0)
+    # inf - inf on the diagonal: a NaN residual is the worst of all
+    huge = GeneratorSet(2, 2, 2, tuple(1e200 * b for b in g.basis), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = radon_hurwitz_check(huge)
+    assert not rep.passed and np.isnan(rep.max_residual) and rep.worst_pair == (0, 0)
+
+
 def test_radon_hurwitz_mixed_set_fails_with_unit_residual():
     mixed = make_generator_set([alamouti_generators().basis[0],
                                 primed_alamouti_generators().basis[0]])
@@ -180,6 +191,13 @@ def test_generator_file_errors_carry_line_numbers():
         read_generator_file("\n".join(lines))
     with pytest.raises(ValueError):
         read_generator_file("")
+    # the header shapes the rows: bad counts or scale name the header line
+    for head in ("2 2 -1 0.5", "0 2 2 0.5", "2 0 2 0.5"):
+        with pytest.raises(ValueError, match="line 2: T, N and K must be positive"):
+            read_generator_file("# header on line 2\n" + good.replace("2 2 2 0.5", head, 1))
+    for scale in ("inf", "nan", "0"):
+        with pytest.raises(ValueError, match="line 2: scale must be positive and finite"):
+            read_generator_file("# header on line 2\n" + good.replace(" 0.5\n", " %s\n" % scale, 1))
 
 
 def test_generator_set_validation():
@@ -187,7 +205,8 @@ def test_generator_set_validation():
         GeneratorSet(2, 2, 2, (np.eye(2),) * 3, 0.5)   # wrong count
     with pytest.raises(ValueError):
         GeneratorSet(2, 2, 1, (np.eye(3), np.eye(3)), 0.5)  # wrong shape
-    with pytest.raises(ValueError):
-        GeneratorSet(2, 2, 1, (np.eye(2), np.eye(2)), -1.0)  # bad scale
+    for scale in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            GeneratorSet(2, 2, 1, (np.eye(2), np.eye(2)), scale)
     with pytest.raises(ValueError):
         synthesize(alamouti_generators(), [1.0, 2.0])   # short chi

@@ -1,3 +1,5 @@
+import importlib.resources
+
 import numpy as np
 import pytest
 from golden.record import irregular_trellis_text
@@ -339,6 +341,19 @@ def test_all_tie_frame_prefers_smaller_state_and_label(spec, index):
     assert not bits.any()
     assert res.metric == 0.0
     assert res.ties_broken > 0
+
+
+def test_trellis_tables_are_freed_with_the_spec():
+    import gc
+    import weakref
+    text = importlib.resources.files("stclab.data").joinpath("trellis8.txt").read_text()
+    spec = load_trellis(text)
+    want = trellis_encode(default_trellis(), [1, 0, 1, 1] * 3)
+    assert trellis_encode(spec, [1, 0, 1, 1] * 3) == want     # builds the tables
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
 
 
 def test_viterbi_input_validation():

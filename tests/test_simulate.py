@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from stclab import simulate
 from stclab.detectors import default_trellis, load_trellis
 from stclab.simulate import (
-    CONFIG_KEYS,
     CSV_HEADER,
+    FIELDS,
     SimConfig,
     SimResultRow,
     _draw_frames,
@@ -247,6 +247,8 @@ def test_parse_config_file():
         parse_config_file("mode=uncoded\nframes_per_point=abc\n")
     with pytest.raises(ValueError, match="line 1: bad snr_list_db value"):
         parse_config_file("snr_list_db=0, four\n")
+    with pytest.raises(ValueError, match="line 1: bad snr_list_db value: empty item"):
+        parse_config_file("snr_list_db=0,,4\n")
     # converted values that break SimConfig's rules name their line too
     for text, msg in (("# c\nframes_per_point=0\n", "line 2: frames_per_point must be positive"),
                       ("mode=turbo\n", "line 1: mode must be one of"),
@@ -258,5 +260,10 @@ def test_parse_config_file():
             parse_config_file(text)
 
 
-def test_config_keys_are_the_simconfig_fields():
-    assert set(CONFIG_KEYS) == {f.name for f in fields(SimConfig)}
+def test_each_simconfig_field_has_one_fields_entry_and_one_flag():
+    from stclab.cli import build_parser
+    names = [f.name for f in fields(SimConfig)]
+    assert sorted(FIELDS) == sorted(names)
+    sim = build_parser()._subparsers._group_actions[0].choices["simulate"]
+    dests = [a.dest for a in sim._actions]
+    assert all(dests.count(name) == 1 for name in names)
