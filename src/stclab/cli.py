@@ -175,6 +175,17 @@ def cmd_show_constellation(_args) -> int:
     return 0
 
 
+def _any_case(*choices) -> dict:
+    """add_argument keywords for a choice named in any case.  Unlike
+    type=str.upper with choices=, a bad value is reported as typed."""
+    def choice(text: str) -> str:
+        if text.upper() not in choices:
+            raise argparse.ArgumentTypeError("invalid choice: %r (choose from %s)"
+                                             % (text, ", ".join(map(repr, choices))))
+        return text.upper()
+    return {"type": choice, "metavar": "{%s}" % ",".join(choices)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="stc-lab",
@@ -183,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("audit", help="run numerical audits of the shipped design")
-    pa.add_argument("--which", default="ALL", type=str.upper, choices=[*AUDITS, "ALL"],
+    pa.add_argument("--which", default="ALL", **_any_case(*AUDITS, "ALL"),
                     help="which audit to run, any case (default ALL)")
     pa.add_argument("--trials", type=int, default=1000,
                     help="random channel draws for INVARIANCE (default 1000)")
@@ -209,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_simulate)
 
     pp = sub.add_parser("spectrum", help="pairwise squared-distance spectrum")
-    pp.add_argument("--which", default="FULL", type=str.upper,
-                    choices=["BASE", "PRIMED", "FULL"], help="any case (default FULL)")
+    pp.add_argument("--which", default="FULL", **_any_case("BASE", "PRIMED", "FULL"),
+                    help="any case (default FULL)")
     pp.add_argument("--out", metavar="CSV")
     pp.set_defaults(func=cmd_spectrum)
 

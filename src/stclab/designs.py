@@ -279,23 +279,20 @@ def read_generator_file(text: str) -> GeneratorSet:
     need = 2 * k * t
     rows = body[1:]
     if len(rows) != need:
-        raise ValueError("expected %d matrix rows for T=%d K=%d, found %d"
-                         % (need, t, k, len(rows)))
-    mats = []
-    for m in range(2 * k):
-        block = np.empty((t, n), dtype=np.complex128)
-        for r in range(t):
-            no, ln = rows[m * t + r]
-            cells = ln.split()
-            if len(cells) != n:
-                raise ValueError("line %d: expected %d entries, got %d" % (no, n, len(cells)))
-            for j, cell in enumerate(cells):
-                try:
-                    re_s, im_s = cell.split(",")
-                    block[r, j] = complex(float(re_s), float(im_s))
-                except ValueError:
-                    raise ValueError("line %d: bad entry %r, want 're,im'" % (no, cell)) from None
-        mats.append(block)
+        raise ValueError("line %d: T=%d K=%d needs %d matrix rows, found %d"
+                         % (head_no, t, k, need, len(rows)))
+    entries = []
+    for no, ln in rows:       # count a row's cells before storing any of them
+        cells = ln.split()
+        if len(cells) != n:
+            raise ValueError("line %d: expected %d entries, got %d" % (no, n, len(cells)))
+        for cell in cells:
+            try:
+                re_s, im_s = cell.split(",")
+                entries.append(complex(float(re_s), float(im_s)))
+            except ValueError:
+                raise ValueError("line %d: bad entry %r, want 're,im'" % (no, cell)) from None
+    mats = np.array(entries).reshape(2 * k, t, n)
     try:
         return GeneratorSet(t, n, k, tuple(mats), c)
     except ValueError as exc:    # only the header's scale is left to reject

@@ -155,6 +155,8 @@ def load_trellis(text: str) -> TrellisSpec:
     except (KeyError, ValueError):
         raise ValueError("line %d: header must carry states=<n> "
                          "bits_per_section=<k>" % head_no) from None
+    if num_states < 1:
+        raise ValueError("line %d: states must be at least 1, got %d" % (head_no, num_states))
     transitions = []
     n_labels = None
     for no, ln in body[1:]:
@@ -179,10 +181,14 @@ def load_trellis(text: str) -> TrellisSpec:
         transitions.append(Transition(frm, to, coset, labels))
     if not transitions:
         raise ValueError("trellis has no transitions")
+    coded = bits - (n_labels.bit_length() - 1)      # 2**coded transitions per state
+    if coded < 0:
+        raise ValueError("line %d: more parallel labels than bits_per_section allows" % head_no)
+    if num_states > len(transitions) or coded >= len(transitions).bit_length():
+        raise ValueError("line %d: states=%d bits_per_section=%d need more than the %d "
+                         "listed transitions" % (head_no, num_states, bits, len(transitions)))
     spec = TrellisSpec(num_states=num_states, bits_per_section=bits,
                        transitions=tuple(transitions))
-    if spec.coded_bits < 0:
-        raise ValueError("more parallel labels than bits_per_section allows")
     _validate_trellis(spec)
     return spec
 

@@ -6,11 +6,16 @@ PRIMED, and each tag keeps its own generator quadruple: the primed basis is
 the base one right-multiplied by U*zeta and satisfies the same Radon-Hurwitz
 condition at the same scale.
 
+Two matrices are the same point when they agree entrywise within
+SET_MATCH_TOL = 1e-10 (max-abs); expand, decompose_direct_sum and the
+classification all use that one rule.
+
 Discernibility is decided from the total multiplier V = U*zeta alone, which
 makes the classification invariant under the reparameterization
 (U, zeta) -> (U*conj(w), zeta*w):
 
-  * NOT_AN_EXPANSION  -- the image set coincides with G;
+  * NOT_AN_EXPANSION  -- the expansion adds no point: every image point is
+    already a point of G;
   * INDISCERNIBLE     -- V is a scalar w*I (pure symbol rotation);
   * DIRECT_DISCERNIBLE -- V already has an all-real eigenvalue spectrum;
   * INDIRECT_DISCERNIBLE -- some unimodular de-rotation w puts the spectrum
@@ -35,8 +40,15 @@ from enum import Enum
 
 import numpy as np
 
-from .designs import GeneratorSet, span_residuals, synthesize, analyze
-from .linalg import as_complex_matrix, eigenvalues_2x2, frobenius_norm, is_unitary
+from .designs import (
+    GeneratorSet,
+    analyze,
+    pairwise_difference_check,
+    rotate_generators,
+    span_residuals,
+    synthesize,
+)
+from .linalg import as_complex_matrix, eigenvalues_2x2, is_unitary, symbols_to_real_vector
 
 SET_MATCH_TOL = 1e-10
 DEROTATION_TOL = 1e-9
@@ -100,18 +112,20 @@ def _check_multiplier(unitary, zeta) -> tuple[np.ndarray, complex]:
     return u, z
 
 
-def _round_key(m: np.ndarray) -> bytes:
-    # identical after rounding to the 1e-12 grid <=> same key
-    return np.round(m.view(np.float64), 12).tobytes()
+def _matches(mats, candidates) -> np.ndarray:
+    """Table of agreement: row i, column j is True when mats[i] and
+    candidates[j] agree entrywise within SET_MATCH_TOL (max-abs)."""
+    gap = np.abs(np.asarray(mats)[:, None] - np.asarray(candidates)[None, :])
+    return np.max(gap, axis=(-2, -1)) <= SET_MATCH_TOL
 
 
 def expand(g: GeneratorSet, point_chis, unitary, zeta=1.0) -> ExpandedConstellation:
     """Expand the constellation {S(chi)} by its image under U*zeta.
 
     Primed points keep the chi of their pre-image: S(chi)*U*zeta is exactly
-    the primed-basis synthesis of the same coordinates.  If the image set
-    collides with the base set (after rounding to 1e-12) the duplicates are
-    collapsed and the expansion is marked degenerate.
+    the primed-basis synthesis of the same coordinates.  An image point that
+    matches a base point (max-abs within 1e-10) is dropped and the expansion
+    is marked degenerate; repeated base points are all kept.
     """
     u, z = _check_multiplier(unitary, zeta)
     if u.shape != (g.num_antennas, g.num_antennas):
@@ -122,82 +136,32 @@ def expand(g: GeneratorSet, point_chis, unitary, zeta=1.0) -> ExpandedConstellat
     primed_basis = tuple(b @ u * z for b in g.basis)
     gp = GeneratorSet(g.block_len, g.num_antennas, g.num_symbols,
                       primed_basis, g.scale)
-    two_k = 2 * g.num_symbols
-    points = []
-    seen = set()
-    for chi in chis:
-        s = synthesize(g, chi)
-        co = np.zeros(2 * two_k)
-        co[:two_k] = chi
-        points.append(TaggedPoint(s, Subconstellation.BASE, co))
-        seen.add(_round_key(s))
-    degenerate = False
-    for chi in chis:
-        s = synthesize(gp, chi)
-        if _round_key(s) in seen:
-            degenerate = True
-            continue
-        co = np.zeros(2 * two_k)
-        co[two_k:] = chi
-        points.append(TaggedPoint(s, Subconstellation.PRIMED, co))
+    base = [synthesize(g, chi) for chi in chis]
+    image = [synthesize(gp, chi) for chi in chis]
+    collides = _matches(image, base).any(axis=1)
+    zeros = np.zeros(2 * g.num_symbols)
+    points = [TaggedPoint(s, Subconstellation.BASE, np.concatenate([chi, zeros]))
+              for s, chi in zip(base, chis)]
+    points += [TaggedPoint(s, Subconstellation.PRIMED, np.concatenate([zeros, chi]))
+               for s, chi, hit in zip(image, chis, collides) if not hit]
     return ExpandedConstellation(base_generators=g, primed_generators=gp,
                                  unitary=u, zeta=z, points=tuple(points),
-                                 degenerate=degenerate)
-
-
-def _sets_equal(a, b, tol: float) -> bool:
-    """Greedy matching of two matrix lists under max-abs distance tol."""
-    if len(a) != len(b):
-        return False
-    unused = list(range(len(b)))
-    for m in a:
-        hit = None
-        for j in unused:
-            if np.max(np.abs(m - b[j])) <= tol:
-                hit = j
-                break
-        if hit is None:
-            return False
-        unused.remove(hit)
-    return True
-
-
-def _real_spectrum_derotations(eigs) -> list[complex]:
-    """Unimodular w candidates putting every eigenvalue phase on {0, pi}."""
-    out = []
-    for lam in eigs:
-        for shift in (0.0, np.pi):
-            w = cmath.exp(1j * (shift - cmath.phase(lam)))
-            ok = all(
-                min(abs(_wrap(cmath.phase(mu * w))), abs(_wrap(cmath.phase(mu * w) - np.pi))) <= DEROTATION_TOL
-                for mu in eigs)
-            if ok and not any(abs(w - seen) <= 1e-9 for seen in out):
-                out.append(w)
-    return out
-
-
-def _wrap(angle: float) -> float:
-    return (angle + np.pi) % (2.0 * np.pi) - np.pi
+                                 degenerate=bool(collides.any()))
 
 
 def classify_expansion(unitary, zeta, g: GeneratorSet, point_chis) -> ExpansionClass:
-    """Classify the expansion of {S(chi)} by U*zeta.
+    """Classify the expansion of {S(chi)} by V = U*zeta.
 
-    Only 2x2 multipliers are supported (closed-form spectrum); larger
-    dimensions would also need the more-than-two-distinct-eigenvalues clause.
+    NOT_AN_EXPANSION exactly when expand(g, point_chis, V) keeps no PRIMED
+    point.  Only 2x2 multipliers are supported (closed-form spectrum);
+    larger dimensions would also need the more-than-two-distinct-eigenvalues
+    clause.
     """
     u, z = _check_multiplier(unitary, zeta)
     if u.shape != (2, 2):
         raise ValueError("classification supports 2x2 multipliers only, got %s" % (u.shape,))
     v = u * z
-    base = [synthesize(g, np.asarray(c, dtype=np.float64)) for c in point_chis]
-    image = [s @ v for s in base]
-    eye = np.eye(2)
-    if (z == 1.0 and (np.max(np.abs(u - eye)) <= SET_MATCH_TOL
-                      or np.max(np.abs(u + eye)) <= SET_MATCH_TOL)):
-        return ExpansionClass(ExpansionKind.NOT_AN_EXPANSION,
-                              "multiplier is +/-I with zeta=1; image is the base set")
-    if _sets_equal(base, image, SET_MATCH_TOL):
+    if not expand(g, point_chis, v).primed_points():
         return ExpansionClass(ExpansionKind.NOT_AN_EXPANSION,
                               "image set coincides with the base set")
     off = max(abs(v[0, 1]), abs(v[1, 0]), abs(v[0, 0] - v[1, 1]))
@@ -213,12 +177,11 @@ def classify_expansion(unitary, zeta, g: GeneratorSet, point_chis) -> ExpansionC
         return ExpansionClass(
             ExpansionKind.DIRECT_DISCERNIBLE,
             "eigenvalues of U*zeta are real: %.12g, %.12g" % (eigs[0].real, eigs[1].real))
-    ws = _real_spectrum_derotations(eigs)
-    if ws:
-        # candidates come out in spectrum order; the first maps the leading
-        # eigenvalue to +1, which keeps the witness deterministic
-        w = ws[0]
-        rot = [lam * w for lam in eigs]
+    # if any unimodular w makes the spectrum real, so does the one taking the
+    # leading eigenvalue to +1 (any other is it times -1)
+    w = cmath.exp(-1j * cmath.phase(eigs[0]))
+    rot = [lam * w for lam in eigs]
+    if all(abs(lam.imag) <= DEROTATION_TOL for lam in rot):
         return ExpansionClass(
             ExpansionKind.INDIRECT_DISCERNIBLE,
             "de-rotation w=%.12g%+.12gj makes the spectrum real: %.12g, %.12g"
@@ -271,12 +234,13 @@ def corollary1_audit(e: ExpandedConstellation) -> SpanAudit:
 
 def decompose_direct_sum(e: ExpandedConstellation, s) -> TaggedPoint:
     """Locate a matrix in the expanded constellation and return its tagged
-    direct-sum coordinates.  Max-abs matching at 1e-10."""
+    direct-sum coordinates: the first point that matches it (max-abs
+    within 1e-10)."""
     m = as_complex_matrix(s)
-    for p in e.points:
-        if np.max(np.abs(m - p.matrix)) <= SET_MATCH_TOL:
-            return p
-    raise ValueError("matrix does not match any point of the expanded constellation")
+    hit = _matches([m], [p.matrix for p in e.points])[0]
+    if not hit.any():
+        raise ValueError("matrix does not match any point of the expanded constellation")
+    return e.points[int(np.argmax(hit))]
 
 
 def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int) -> float:
@@ -292,19 +256,12 @@ def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int) -> floa
     g = e.base_generators if a.tag is Subconstellation.BASE else e.primed_generators
     two_k = 2 * g.num_symbols
     sl = slice(0, two_k) if a.tag is Subconstellation.BASE else slice(two_k, 2 * two_k)
-    d = a.matrix - b.matrix
-    lhs = d.conj().T @ d
-    gap = a.chi_oplus[sl] - b.chi_oplus[sl]
-    expect = g.scale * float(np.sum(gap ** 2)) * np.eye(g.num_antennas)
-    return float(np.max(np.abs(lhs - expect)))
+    return pairwise_difference_check(g, a.chi_oplus[sl], b.chi_oplus[sl])
 
 
 def rotated_synthesis_residual(g: GeneratorSet, symbols, zeta) -> float:
     """Defect of the rotation identity: rotated-basis synthesis of z*zeta
     versus zeta * S(z).  Zero for every unimodular zeta."""
-    from .designs import rotate_generators
-    from .linalg import symbols_to_real_vector
-
     z = np.asarray(symbols, dtype=np.complex128).reshape(-1)
     rot = rotate_generators(g, zeta)
     lhs = synthesize(rot, symbols_to_real_vector(z * complex(zeta)))

@@ -60,6 +60,15 @@ def test_audit_single_and_case_insensitive(capsys):
     assert capsys.readouterr().out.startswith("distance_sq,multiplicity\n4,32\n")
 
 
+def test_which_error_echoes_the_text_as_typed(capsys):
+    for argv, typed in ((["spectrum", "--which", "x"], "'x'"),
+                        (["audit", "--which", "Bogus"], "'Bogus'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: %s (choose from " % typed in capsys.readouterr().err
+
+
 def test_audit_bad_trials_is_usage_error(capsys):
     rc = main(["audit", "--trials", "0"])
     assert rc == 2
@@ -97,6 +106,13 @@ def test_audit_generator_file_with_huge_or_infinite_scale(tmp_path, capsys):
     f.write_text(text.replace(" 0.5\n", " inf\n", 1))
     assert main(["audit", "--which", "RH", "--generators", str(f)]) == 2
     assert "error: line 1: scale must be positive and finite" in capsys.readouterr().err
+
+
+def test_audit_generator_file_with_huge_header_count(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("2 99999999999 2 0.5\n" + "1,0 0,0\n" * 8)
+    assert main(["audit", "--which", "RH", "--generators", str(f)]) == 2
+    assert "error: line 2: expected 99999999999 entries, got 2" in capsys.readouterr().err
 
 
 def test_audit_missing_file_is_exit_2(capsys):

@@ -198,6 +198,9 @@ def test_generator_file_errors_carry_line_numbers():
     for scale in ("inf", "nan", "0"):
         with pytest.raises(ValueError, match="line 2: scale must be positive and finite"):
             read_generator_file("# header on line 2\n" + good.replace(" 0.5\n", " %s\n" % scale, 1))
+    # a huge N is caught on the first row (line 3), before any matrix is allocated
+    with pytest.raises(ValueError, match="line 3: expected 99999999999 entries, got 2"):
+        read_generator_file(good.replace("2 2 2 0.5", "2 99999999999 2 0.5", 1))
 
 
 def test_generator_set_validation():

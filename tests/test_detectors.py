@@ -100,6 +100,22 @@ def test_load_trellis_error_lines(tmp_path):
         load_trellis("\n".join(kept))
 
 
+def test_load_trellis_rejects_header_counts_the_listing_cannot_serve():
+    text = importlib.resources.files("stclab.data").joinpath("trellis8.txt").read_text()
+    body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
+    assert body.startswith("states=8 bits_per_section=4\n")
+    for head, why in (("states=2000000 bits_per_section=4", "need more than the 32 listed"),
+                      ("states=8 bits_per_section=64", "need more than the 32 listed"),
+                      ("states=8 bits_per_section=1000000000", "need more than the 32 listed"),
+                      ("states=33 bits_per_section=4", "need more than the 32 listed"),
+                      ("states=0 bits_per_section=4", "states must be at least 1"),
+                      ("states=8 bits_per_section=1", "more parallel labels")):
+        with pytest.raises(ValueError, match="line 1: .*" + why):
+            load_trellis(body.replace("states=8 bits_per_section=4", head, 1))
+    with pytest.raises(ValueError, match="line 1: states=30000000"):
+        load_trellis("states=30000000 bits_per_section=4\n0 0 0 0 8 2 10\n")
+
+
 def test_load_trellis_checks_the_partition_of_its_state_count():
     import importlib.resources
     text = importlib.resources.files("stclab.data").joinpath("trellis8.txt").read_text()

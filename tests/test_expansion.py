@@ -1,5 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stclab.designs import alamouti_generators, radon_hurwitz_check
 from stclab.expansion import (
@@ -15,6 +19,8 @@ from stclab.expansion import (
 )
 
 U_DIRECT = np.diag([1.0, -1.0])
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+NEAR_IDENTITY = np.diag([1.0, np.exp(1j * 3e-11)])      # within 1e-10 of I
 
 
 def _grid():
@@ -41,9 +47,10 @@ def test_expand_structure_and_tags():
 
 
 def test_expand_identity_multiplier_is_degenerate():
-    e = expand(alamouti_generators(), _grid(), np.eye(2))
-    assert e.degenerate and len(e.points) == 16
-    assert len(e.primed_points()) == 0
+    for u in (np.eye(2), NEAR_IDENTITY):
+        e = expand(alamouti_generators(), _grid(), u)
+        assert e.degenerate and len(e.points) == 16
+        assert len(e.primed_points()) == 0
 
 
 def test_expand_rejects_bad_multipliers():
@@ -60,7 +67,7 @@ def test_expand_rejects_bad_multipliers():
 
 def test_classify_identity_multipliers():
     g = alamouti_generators()
-    for u in (np.eye(2), -np.eye(2)):
+    for u in (np.eye(2), -np.eye(2), NEAR_IDENTITY):
         r = classify_expansion(u, 1.0, g, _grid())
         assert r.kind is ExpansionKind.NOT_AN_EXPANSION
 
@@ -99,6 +106,12 @@ def test_classify_scalar_rotations_are_flagged():
     # a real scalar shrug: U=I zeta=-1 means V=-I, still the base set
     r = classify_expansion(np.eye(2), -1.0, g, _grid())
     assert r.kind is ExpansionKind.NOT_AN_EXPANSION
+    # V=-I entered either way adds points over a set not closed under
+    # negation, and is a real scalar
+    for u, zeta in ((-np.eye(2), 1.0), (np.eye(2), -1.0)):
+        r = classify_expansion(u, zeta, g, pts)
+        assert r.kind is ExpansionKind.INDISCERNIBLE
+        assert "borderline" not in r.witness
 
 
 def test_classify_borderline_non_scalar():
@@ -174,3 +187,49 @@ def test_rotated_synthesis_residual_vanishes():
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         zeta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         assert rotated_synthesis_residual(g, z, zeta) < 1e-13
+
+
+def test_classify_matches_repeated_points_as_expand_collapses_them():
+    # every image of [a, a, -a] under -I is a point of the set
+    g = alamouti_generators()
+    a = np.ones(4)
+    r = classify_expansion(np.eye(2), -1.0, g, [a, a, -a])
+    assert r.kind is ExpansionKind.NOT_AN_EXPANSION
+    with pytest.raises(ValueError, match="nonempty"):
+        classify_expansion(U_DIRECT, 1.0, g, [])
+
+
+def _random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q
+
+
+UNITARIES = st.one_of(
+    st.sampled_from([np.eye(2), -np.eye(2), U_DIRECT, np.diag([1j, -1j]), SWAP]),
+    st.integers(0, 2**32 - 1).map(_random_unitary))
+PHASES = st.one_of(st.sampled_from([1.0, -1.0, 1j, -1j]),
+                   st.floats(0.0, 2.0 * np.pi).map(lambda t: cmath.exp(1j * t)))
+SUBSETS = st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=UNITARIES, zeta=PHASES, w=PHASES, subset=SUBSETS)
+@example(u=-np.eye(2), zeta=1.0, w=1j, subset=list(range(9)))
+def test_classification_depends_on_u_times_zeta_only(u, zeta, w, subset):
+    g = alamouti_generators()
+    pts = [_grid()[i] for i in subset]
+    kind = classify_expansion(u, zeta, g, pts).kind
+    assert classify_expansion(u * np.conj(w), zeta * w, g, pts).kind is kind
+    assert classify_expansion(u * zeta, 1.0, g, pts).kind is kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=UNITARIES, zeta=PHASES, subset=SUBSETS)
+@example(u=NEAR_IDENTITY, zeta=1.0, subset=list(range(16)))
+def test_not_an_expansion_exactly_when_expand_adds_no_point(u, zeta, subset):
+    g = alamouti_generators()
+    pts = [_grid()[i] for i in subset]
+    kind = classify_expansion(u, zeta, g, pts).kind
+    adds_none = not expand(g, pts, u * zeta).primed_points()
+    assert (kind is ExpansionKind.NOT_AN_EXPANSION) == adds_none
