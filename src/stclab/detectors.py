@@ -8,13 +8,16 @@ per branch); parallel transitions are resolved to the best label before the
 compare step.  All tie-breaks are deterministic: smaller predecessor state,
 then smaller label position.  Uncoded BASE transmission is the one-state
 trellis (uncoded_trellis): per-block ML, exact ties by that same rule.
+A TrellisSpec is its transitions plus the arrays derived from them, which
+the encoder and decoder read; it rejects unequal out-degrees itself, and
+load_trellis names a line in every error of a listing that has a header.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,35 +47,57 @@ class Transition:
 
 @dataclass(frozen=True, eq=False)
 class TrellisSpec:
-    """Validated section trellis.
+    """Section trellis and the arrays that encode and decode it.
 
     bits_per_section splits into coded bits (selecting the transition, in
     listing order per from-state) and uncoded bits (selecting the parallel
-    label within the branch).  labels_per_branch, uncoded_bits and
-    coded_bits are derived once, at construction; the ACS and encoder
-    tables once, on first use, and they are freed with the spec.
+    label within the branch).  Construction raises ValueError when a
+    state's out-degree is not 2**coded_bits, so every state has the same
+    out-degree, and derives every table once:
+
+    * per transition k: from_state, to_state, coded (its coded value, the
+      rank of k among the transitions of its from-state) and labels;
+    * the distinct label rows are cosets: coset_of[k] is the row of
+      transition k and coset_count[c] the number of transitions on row c;
+    * groups[s] lists the transitions into state s by from-state, padded
+      with the index len(transitions), whose candidate metric is +inf;
+    * indexed (state, coded value): next_state, and branch_labels with the
+      label row on the last axis.
     """
 
     num_states: int
     bits_per_section: int
     transitions: tuple
 
-    def outgoing(self, state: int) -> tuple:
-        return self._outgoing[state]
-
-    @cached_property
-    def _tables(self) -> _AcsTables:
-        return _acs_tables(self)
-
     def __post_init__(self):
-        out = [[] for _ in range(self.num_states)]
-        for t in self.transitions:
-            out[t.from_state].append(t)
-        labels = len(self.transitions[0].labels)
-        object.__setattr__(self, "_outgoing", tuple(tuple(ts) for ts in out))
-        object.__setattr__(self, "labels_per_branch", labels)
-        object.__setattr__(self, "uncoded_bits", labels.bit_length() - 1)
-        object.__setattr__(self, "coded_bits", self.bits_per_section - self.uncoded_bits)
+        trans, states = self.transitions, self.num_states
+        labels = np.array([t.labels for t in trans], dtype=np.intp)
+        uncoded_bits = labels.shape[1].bit_length() - 1
+        coded_bits = self.bits_per_section - uncoded_bits
+        from_state = np.array([t.from_state for t in trans], dtype=np.intp)
+        to_state = np.array([t.to_state for t in trans], dtype=np.intp)
+        degree = np.bincount(from_state, minlength=states)
+        wrong = np.flatnonzero(degree != 2 ** coded_bits)
+        if wrong.size:
+            raise ValueError("state %d has %d outgoing transitions, expected %d"
+                             % (wrong[0], degree[wrong[0]], 2 ** coded_bits))
+        branch = np.argsort(from_state, kind="stable").reshape(states, -1)
+        coded = np.empty(len(trans), dtype=np.intp)
+        coded[branch] = np.arange(branch.shape[1])
+        distinct = {}
+        coset_of = np.array([distinct.setdefault(t.labels, len(distinct)) for t in trans],
+                            dtype=np.intp)
+        into = np.argsort(to_state * states + from_state, kind="stable")
+        enters = to_state[into]
+        groups = np.full((states, np.bincount(to_state).max()), len(trans), dtype=np.intp)
+        groups[enters, np.arange(len(trans)) - np.searchsorted(enters, enters)] = into
+        for name, value in dict(
+                labels_per_branch=labels.shape[1], uncoded_bits=uncoded_bits,
+                coded_bits=coded_bits, from_state=from_state, to_state=to_state,
+                coded=coded, labels=labels, cosets=np.array(list(distinct), dtype=np.intp),
+                coset_of=coset_of, coset_count=np.bincount(coset_of), groups=groups,
+                next_state=to_state[branch], branch_labels=labels[branch]).items():
+            object.__setattr__(self, name, value)
 
 
 #: State count -> (coset attribute, uncoded-bit attribute) of the partition
@@ -80,61 +105,19 @@ class TrellisSpec:
 _PARTITIONS = {8: ("q8_coset", "q8_bits"), 16: ("q16_coset", "q16_bit")}
 
 
-def _validate_trellis(spec: TrellisSpec) -> None:
-    entries = build_constellation()
-    by_index = {e.index: e for e in entries}
-    expect_out = 2 ** spec.coded_bits
-    seen_labels = []
-    for st in range(spec.num_states):
-        outs = spec.outgoing(st)
-        if len(outs) != expect_out:
-            raise ValueError("state %d has %d outgoing transitions, expected %d"
-                             % (st, len(outs), expect_out))
-        tags = set()
-        for t in outs:
-            tags.update(by_index[i].subconstellation for i in t.labels)
-        if len(tags) != 1:
-            raise ValueError("state %d departs on a mix of subconstellations" % st)
-    incoming_tags = {}
-    for t in spec.transitions:
-        if len(t.labels) != spec.labels_per_branch:
-            raise ValueError("transition %d->%d has %d labels, expected %d"
-                             % (t.from_state, t.to_state, len(t.labels),
-                                spec.labels_per_branch))
-        seen_labels.extend(t.labels)
-        tagset = {by_index[i].subconstellation for i in t.labels}
-        if len(tagset) != 1:
-            raise ValueError("transition %d->%d mixes subconstellations"
-                             % (t.from_state, t.to_state))
-        incoming_tags.setdefault(t.to_state, set()).update(tagset)
-        # coset id and label order cross-checked against the partition tables
-        if spec.num_states in _PARTITIONS:
-            coset_attr, bits_attr = _PARTITIONS[spec.num_states]
-            for pos, idx in enumerate(t.labels):
-                e = by_index[idx]
-                if getattr(e, coset_attr) != t.coset:
-                    raise ValueError("transition %d->%d declares coset %d but "
-                                     "label %d sits in %s %d"
-                                     % (t.from_state, t.to_state, t.coset, idx,
-                                        coset_attr.replace("_", " "),
-                                        getattr(e, coset_attr)))
-                if int(getattr(e, bits_attr), 2) != pos:
-                    raise ValueError("transition %d->%d label %d out of "
-                                     "uncoded-bit order" % (t.from_state, t.to_state, idx))
-    for st, tags in incoming_tags.items():
-        if len(tags) != 1:
-            raise ValueError("state %d is entered on a mix of subconstellations" % st)
-    if set(seen_labels) != set(range(32)):
-        raise ValueError("branch labels cover %d of 32 codematrix indices"
-                         % len(set(seen_labels)))
+def _entry_column(value) -> np.ndarray:
+    """value(entry) of the 32 codematrix entries, by index."""
+    return np.array([value(e) for e in build_constellation()])
 
 
 def load_trellis(text: str) -> TrellisSpec:
     """Parse and validate the trellis text format.
 
     Header ``states=<n> bits_per_section=<k>``, then one line per transition
-    ``from to coset idx...``.  Raises ValueError with a line number on
-    malformed input and rejects structurally inconsistent trellises.
+    ``from to coset idx...``.  Raises ValueError naming a line on malformed
+    input, and on a structurally inconsistent trellis: the first offending
+    transition's line, or the header's for an out-degree or label coverage
+    error.  Only a text with no header raises without one.
     """
     body = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())
             if ln.strip() and not ln.strip().startswith("#")]
@@ -157,7 +140,7 @@ def load_trellis(text: str) -> TrellisSpec:
                          "bits_per_section=<k>" % head_no) from None
     if num_states < 1:
         raise ValueError("line %d: states must be at least 1, got %d" % (head_no, num_states))
-    transitions = []
+    transitions, line_of = [], []
     n_labels = None
     for no, ln in body[1:]:
         parts = ln.split()
@@ -179,17 +162,55 @@ def load_trellis(text: str) -> TrellisSpec:
         elif len(labels) != n_labels:
             raise ValueError("line %d: expected %d labels" % (no, n_labels))
         transitions.append(Transition(frm, to, coset, labels))
+        line_of.append(no)
     if not transitions:
-        raise ValueError("trellis has no transitions")
+        raise ValueError("line %d: trellis has no transitions" % head_no)
     coded = bits - (n_labels.bit_length() - 1)      # 2**coded transitions per state
     if coded < 0:
         raise ValueError("line %d: more parallel labels than bits_per_section allows" % head_no)
     if num_states > len(transitions) or coded >= len(transitions).bit_length():
         raise ValueError("line %d: states=%d bits_per_section=%d need more than the %d "
                          "listed transitions" % (head_no, num_states, bits, len(transitions)))
-    spec = TrellisSpec(num_states=num_states, bits_per_section=bits,
-                       transitions=tuple(transitions))
-    _validate_trellis(spec)
+    try:
+        spec = TrellisSpec(num_states=num_states, bits_per_section=bits,
+                           transitions=tuple(transitions))
+    except ValueError as exc:    # only the out-degree is left to reject
+        raise ValueError("line %d: %s" % (head_no, exc)) from None
+
+    def first(bad, message):
+        """Raise message(k, ...) at the line of the first k where bad holds."""
+        hits = np.argwhere(bad)
+        if len(hits):
+            raise ValueError("line %d: %s" % (line_of[hits[0][0]], message(*hits[0])))
+
+    def edge(k):
+        return transitions[k].from_state, transitions[k].to_state
+
+    primed_of = _entry_column(lambda e: e.subconstellation is Subconstellation.PRIMED)
+    primed = primed_of[spec.labels]
+    first(primed != primed[:, :1],
+          lambda k, _: "transition %d->%d mixes subconstellations" % edge(k))
+    tag = primed[:, 0]      # against the first transition listed out of, then into, a state
+    first(tag != primed_of[spec.branch_labels[spec.from_state, 0, 0]],
+          lambda k: "state %d departs on a mix of subconstellations" % spec.from_state[k])
+    first(tag != tag[spec.groups.min(axis=1)[spec.to_state]],
+          lambda k: "state %d is entered on a mix of subconstellations" % spec.to_state[k])
+    if num_states in _PARTITIONS:
+        coset_attr, bits_attr = _PARTITIONS[num_states]
+        sits_in = _entry_column(lambda e: getattr(e, coset_attr))[spec.labels]
+        declared = np.array([t.coset for t in transitions], dtype=object)    # any int
+        first(sits_in != declared[:, None],
+              lambda k, pos: "transition %d->%d declares coset %d but label %d sits in %s %d"
+              % (edge(k) + (declared[k], spec.labels[k, pos], coset_attr.replace("_", " "),
+                            sits_in[k, pos])))
+        position = _entry_column(lambda e: int(getattr(e, bits_attr), 2))[spec.labels]
+        first(position != np.arange(spec.labels_per_branch),
+              lambda k, pos: "transition %d->%d label %d out of uncoded-bit order"
+              % (edge(k) + (spec.labels[k, pos],)))
+    covered = np.count_nonzero(np.bincount(spec.labels.ravel(), minlength=32))
+    if covered != 32:
+        raise ValueError("line %d: branch labels cover %d of 32 codematrix indices"
+                         % (head_no, covered))
     return spec
 
 
@@ -244,56 +265,6 @@ def ml_block_decode(received, ch: ChannelRealization, candidates) -> DecodeResul
                         ties_broken=ties)
 
 
-@dataclass(frozen=True, eq=False)
-class _AcsTables:
-    """Transition arrays for table-driven encoding and the batched ACS.
-
-    Transition k leaves from_state[k] on coded value coded[k] with label
-    row labels[k].  The distinct label rows are cosets: coset_of[k] is the
-    row of transition k and coset_count[c] the number of transitions on
-    row c.  groups[s] lists the transitions into state s by from-state,
-    padded with the index len(transitions), whose candidate metric is +inf.
-    The encoder tables are indexed (state, coded value): next_state, and
-    branch_labels with the label row on the last axis.
-    """
-
-    from_state: np.ndarray
-    coded: np.ndarray
-    labels: np.ndarray
-    cosets: np.ndarray
-    coset_of: np.ndarray
-    coset_count: np.ndarray
-    groups: np.ndarray
-    next_state: np.ndarray
-    branch_labels: np.ndarray
-
-
-def _acs_tables(spec: TrellisSpec) -> _AcsTables:
-    trans = spec.transitions
-    pos_of = {id(t): k for k, t in enumerate(trans)}
-    branch = np.array([[pos_of[id(t)] for t in spec.outgoing(st)]
-                       for st in range(spec.num_states)], dtype=np.intp)
-    coded = np.empty(len(trans), dtype=np.intp)
-    coded[branch] = np.arange(branch.shape[1])
-    distinct = {}
-    coset_of = np.array([distinct.setdefault(t.labels, len(distinct)) for t in trans],
-                        dtype=np.intp)
-    into = [sorted((k for k, t in enumerate(trans) if t.to_state == st),
-                   key=lambda k: trans[k].from_state)
-            for st in range(spec.num_states)]
-    width = max(len(rows) for rows in into)
-    groups = np.array([rows + [len(trans)] * (width - len(rows)) for rows in into],
-                      dtype=np.intp)
-    to_state = np.array([t.to_state for t in trans], dtype=np.intp)
-    labels = np.array([t.labels for t in trans], dtype=np.intp)
-    return _AcsTables(
-        from_state=np.array([t.from_state for t in trans], dtype=np.intp),
-        coded=coded, labels=labels,
-        cosets=np.array(list(distinct), dtype=np.intp), coset_of=coset_of,
-        coset_count=np.bincount(coset_of), groups=groups,
-        next_state=to_state[branch], branch_labels=labels[branch])
-
-
 def _check_initial_state(spec: TrellisSpec, initial_state: int) -> None:
     if not 0 <= initial_state < spec.num_states:
         raise ValueError("initial state out of range")
@@ -313,19 +284,18 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
     _check_initial_state(spec, initial_state)
     if not np.all((b == 0) | (b == 1)):
         raise ValueError("bits must be 0 or 1")
-    tab = spec._tables
     frames, sections = b.shape[0], b.shape[1] // spec.bits_per_section
     weights = 1 << np.arange(spec.bits_per_section - 1, -1, -1)
     value = b.reshape(frames, sections, spec.bits_per_section) @ weights
     if spec.num_states == 1:        # no state to track: the value picks the label
-        return tab.branch_labels[0].reshape(-1)[value]
+        return spec.branch_labels[0].reshape(-1)[value]
     coded = value >> spec.uncoded_bits
     uncoded = value & (spec.labels_per_branch - 1)
     out = np.empty(value.shape, dtype=np.intp)
     state = np.full(frames, initial_state, dtype=np.intp)
     for s in range(sections):
-        out[:, s] = tab.branch_labels[state, coded[:, s], uncoded[:, s]]
-        state = tab.next_state[state, coded[:, s]]
+        out[:, s] = spec.branch_labels[state, coded[:, s], uncoded[:, s]]
+        state = spec.next_state[state, coded[:, s]]
     return out
 
 
@@ -338,18 +308,18 @@ def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
     return trellis_encode_frames(spec, b, initial_state)[0].tolist()
 
 
-def _branches(tab: _AcsTables, received, cand_t):
+def _branches(spec: TrellisSpec, received, cand_t):
     """Per label row of cand_t (..., T, C*L): first best position, its metric, ties."""
     dists = squared_distances(received, cand_t)
-    per_label = dists.reshape(dists.shape[:-1] + tab.cosets.shape)
+    per_label = dists.reshape(dists.shape[:-1] + spec.cosets.shape)
     best_pos = np.argmin(per_label, axis=-1)
-    flat = np.arange(0, dists.size, tab.cosets.shape[1]) + best_pos.ravel()
+    flat = np.arange(0, dists.size, spec.cosets.shape[1]) + best_pos.ravel()
     branch = dists.ravel()[flat].reshape(best_pos.shape)
     other = (per_label == branch[..., None]).ravel()
     other[flat] = False
     if not other.any():     # exact ties are rare: count them only when present
         return best_pos, branch, np.zeros(best_pos.shape[:-1], dtype=np.int64)
-    return best_pos, branch, other.reshape(per_label.shape).any(axis=-1) @ tab.coset_count
+    return best_pos, branch, other.reshape(per_label.shape).any(axis=-1) @ spec.coset_count
 
 
 def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int = 0):
@@ -369,17 +339,16 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
     A one-state, one-transition trellis (uncoded_trellis) skips the ACS loop.
     """
     _check_initial_state(spec, initial_state)
-    tab = spec._tables
     received = np.asarray(received, dtype=np.complex128)
     frames, sections = received.shape[:2]
-    cand_t = np.ascontiguousarray(np.swapaxes(faded, -1, -2)[..., tab.cosets.ravel()])
+    cand_t = np.ascontiguousarray(np.swapaxes(faded, -1, -2)[..., spec.cosets.ravel()])
     cand_t = cand_t.reshape((frames, -1) + cand_t.shape[-2:])     # (F, 1|sections, ...)
     shifts = np.arange(spec.bits_per_section - 1, -1, -1)
     if spec.num_states == len(spec.transitions) == 1:
-        best_pos, branch, ties = _branches(tab, received, cand_t)
+        best_pos, branch, ties = _branches(spec, received, cand_t)
         bits = ((best_pos >> shifts) & 1).reshape(frames, -1)
         metric = np.cumsum(branch[..., 0], axis=1)[:, -1]      # in order, as ACS adds
-        return tab.labels[0, best_pos[..., 0]], bits, metric, np.sum(ties, axis=1)
+        return spec.labels[0, best_pos[..., 0]], bits, metric, np.sum(ties, axis=1)
     cand_t = np.broadcast_to(cand_t, (frames, sections) + cand_t.shape[2:])
     states = np.arange(spec.num_states)
     n_trans = len(spec.transitions)
@@ -387,16 +356,16 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
     pm = np.full((frames, spec.num_states), np.inf)
     pm[:, initial_state] = 0.0
     back = np.empty((sections, frames, spec.num_states), dtype=np.intp)
-    best_pos = np.empty((sections, frames, len(tab.cosets)), dtype=np.intp)
+    best_pos = np.empty((sections, frames, len(spec.cosets)), dtype=np.intp)
     ties = np.zeros(frames, dtype=np.int64)
 
     for s in range(sections):
-        best_pos[s], branch, branch_ties = _branches(tab, received[:, s], cand_t[:, s])
+        best_pos[s], branch, branch_ties = _branches(spec, received[:, s], cand_t[:, s])
         ties += branch_ties
-        cand[:, :n_trans] = pm[:, tab.from_state] + branch[:, tab.coset_of]
-        vals = cand[:, tab.groups]                                  # (F, states, indeg)
+        cand[:, :n_trans] = pm[:, spec.from_state] + branch[:, spec.coset_of]
+        vals = cand[:, spec.groups]                                  # (F, states, indeg)
         # first minimum: smaller from-state
-        back[s] = tab.groups[states, np.argmin(vals, axis=2)]
+        back[s] = spec.groups[states, np.argmin(vals, axis=2)]
         pm = np.min(vals, axis=2)
         finite = np.isfinite(pm)
         ties += np.sum((np.sum(vals == pm[..., None], axis=2) - 1) * finite, axis=1)
@@ -410,10 +379,10 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
     value = np.empty((frames, sections), dtype=np.intp)
     for s in range(sections - 1, -1, -1):
         k = back[s, index, state]
-        pos = best_pos[s, index, tab.coset_of[k]]
-        decided[:, s] = tab.labels[k, pos]
-        value[:, s] = (tab.coded[k] << spec.uncoded_bits) | pos
-        state = tab.from_state[k]
+        pos = best_pos[s, index, spec.coset_of[k]]
+        decided[:, s] = spec.labels[k, pos]
+        value[:, s] = (spec.coded[k] << spec.uncoded_bits) | pos
+        state = spec.from_state[k]
     bits = ((value[..., None] >> shifts) & 1).reshape(frames, -1)
     return decided, bits, metric, ties
 

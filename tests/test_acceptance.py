@@ -200,7 +200,7 @@ def test_a6_noiseless_detection_is_exact():
         vit_errors += int(not np.array_equal(got_bits, bits))
 
     # single-section agreement: trellis metric equals exhaustive ML metric
-    reachable = sorted({i for t in spec.outgoing(0) for i in t.labels})
+    reachable = sorted({i for t in spec.transitions if t.from_state == 0 for i in t.labels})
     cand = [entries[i] for i in reachable]
     metric_gap = 0.0
     sigma = 0.5

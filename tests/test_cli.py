@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,8 @@ from stclab import cli
 from stclab.channel import sample_channel
 from stclab.cli import main
 from stclab.constellation import distance_spectrum
-from stclab.designs import alamouti_generators, write_generator_file
+from stclab.designs import RH_TOL, alamouti_generators, write_generator_file
+from stclab.expansion import SPAN_SEPARATION_TOL
 
 
 def test_audit_all_passes(capsys):
@@ -73,6 +75,33 @@ def test_audit_bad_trials_is_usage_error(capsys):
     rc = main(["audit", "--trials", "0"])
     assert rc == 2
     assert "trials" in capsys.readouterr().err
+
+
+def test_audit_trials_beyond_memory_is_exit_2(capsys):
+    # 4e15 uniforms (32 PB) exceed any address space: the allocation is refused at once
+    assert main(["audit", "--which", "INVARIANCE", "--trials", "1000000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_printed_thresholds_are_the_ones_that_decide(monkeypatch, capsys):
+    assert main(["audit", "--which", "ALL", "--trials", "50"]) == 0
+    decides = {"rh": RH_TOL, "theorem1": SPAN_SEPARATION_TOL,
+               "corollary1": SPAN_SEPARATION_TOL}
+    decides.update(("invariance.%s" % f, tol) for f, tol in cli.INVARIANCE_TOLS.items())
+    printed = []
+    for line in capsys.readouterr().out.splitlines():
+        found = re.search(r" (?:tol|threshold)=(\S+)$", line)
+        if found:
+            key = line.split("=")[0]
+            assert float(found.group(1)) == decides.get(key, decides.get(key.split(".")[0])), line
+            printed.append(key)
+    assert len(printed) == 7
+    # the INVARIANCE verdict reads the constant it prints
+    monkeypatch.setitem(cli.INVARIANCE_TOLS, "max_gram_error", 0.0)
+    assert main(["audit", "--which", "INVARIANCE", "--trials", "50"]) == 1
+    out = capsys.readouterr().out
+    assert " tol=0\n" in out and "invariance.pass=False" in out
 
 
 def test_audit_generator_file_pass_and_fail(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stclab.designs import (
     GeneratorSet,
@@ -179,6 +182,25 @@ def test_generator_file_round_trip_exact():
     assert (g2.block_len, g2.num_antennas, g2.num_symbols, g2.scale) == (2, 2, 2, 0.5)
     for a, b in zip(g.basis, g2.basis):
         assert np.array_equal(a, b), "serialization must round-trip bit exactly"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)     # -0.0 and subnormals too
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), t=st.integers(1, 3), n=st.integers(1, 3), k=st.integers(1, 3),
+       scale=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(data=None, t=1, n=1, k=1, scale=5e-324)
+def test_any_generator_file_round_trips_bit_exactly(data, t, n, k, scale):
+    if data is None:        # the explicit example: -0.0 and the smallest subnormal
+        parts = np.array([-0.0, 5e-324, -5e-324, -0.0]).reshape(2, 1, 1, 2)
+    else:
+        parts = data.draw(hnp.arrays(np.float64, (2 * k, t, n, 2), elements=FINITE))
+    mats = np.ascontiguousarray(parts).view(np.complex128)[..., 0]      # (re, im) pairs
+    g = read_generator_file(write_generator_file(GeneratorSet(t, n, k, tuple(mats), scale)))
+    assert (g.block_len, g.num_antennas, g.num_symbols) == (t, n, k)
+    assert np.float64(g.scale).tobytes() == np.float64(scale).tobytes()
+    assert g.stacked().tobytes() == mats.tobytes()
 
 
 def test_generator_file_errors_carry_line_numbers():

@@ -42,7 +42,7 @@ def test_default_trellis_shape():
     assert spec.coded_bits == 2 and spec.uncoded_bits == 2
     assert len(spec.transitions) == 32
     for st in range(8):
-        outs = spec.outgoing(st)
+        outs = [t for t in spec.transitions if t.from_state == st]
         assert len(outs) == 4
         assert len({t.to_state for t in outs}) == 4
     # branch labels are exactly the q8 cosets in uncoded-bit order
@@ -53,7 +53,7 @@ def test_default_trellis_shape():
 
 def test_default_trellis_known_branches():
     spec = default_trellis()
-    outs = spec.outgoing(0)
+    outs = [t for t in spec.transitions if t.from_state == 0]
     assert [t.to_state for t in outs] == [0, 1, 2, 3]
     assert outs[0].labels == (0, 8, 2, 10)
     assert outs[1].labels == (4, 12, 6, 14)
@@ -61,7 +61,7 @@ def test_default_trellis_known_branches():
     # even states depart on BASE labels, odd on PRIMED
     for st in range(8):
         tags = {entries[i].subconstellation.value
-                for t in spec.outgoing(st) for i in t.labels}
+                for t in spec.transitions if t.from_state == st for i in t.labels}
         assert tags == ({"BASE"} if st % 2 == 0 else {"PRIMED"})
 
 
@@ -98,6 +98,8 @@ def test_load_trellis_error_lines(tmp_path):
     kept = [ln for ln in lines if not ln.strip().startswith("0 1 ")]
     with pytest.raises(ValueError, match="outgoing"):
         load_trellis("\n".join(kept))
+    with pytest.raises(ValueError, match="^line 7: trellis has no transitions"):
+        load_trellis("\n".join(lines[:7]))
 
 
 def test_load_trellis_rejects_header_counts_the_listing_cannot_serve():
@@ -143,6 +145,56 @@ def test_load_trellis_checks_the_partition_of_its_state_count():
     with pytest.raises(ValueError, match="sits in q16 coset %d" % c):
         load_trellis("\n".join(lines).replace(
             first, "0 0 %d %d %d" % ((halves[0][1],) + cosets[c])))
+
+
+SHIPPED = importlib.resources.files("stclab.data").joinpath("trellis8.txt").read_text()
+
+
+# the shipped listing has its header on line 7 and transition k on line 8 + k
+@pytest.mark.parametrize("old, new, error", [
+    ("0 1 3 4 12 6 14\n", "", "line 7: state 0 has 3 outgoing transitions, expected 4"),
+    ("0 0 0 0 8 2 10", "0 0 0 0 8 2 26", "line 8: transition 0->0 mixes subconstellations"),
+    ("0 2 2 5 13 7 15", "0 2 5 16 24 18 26", "line 10: state 0 departs on a mix"),
+    ("2 1 0 0 8 2 10", "2 4 0 0 8 2 10", "line 17: state 4 is entered on a mix"),
+    ("0 0 0 0 8 2 10", "0 0 5 0 8 2 10",
+     "line 8: transition 0->0 declares coset 5 but label 0 sits in q8 coset 0"),
+    ("0 0 0 0 8 2 10", "0 0 0 8 0 2 10", "line 8: transition 0->0 label 8 out of uncoded-bit"),
+    (" 3 4 12 6 14", " 0 0 8 2 10", "line 7: branch labels cover 28 of 32 codematrix"),
+], ids=["out-degree", "transition-mix", "departs-mix", "entered-mix", "coset", "order",
+        "coverage"])
+def test_structural_errors_name_the_offending_line(old, new, error):
+    assert SHIPPED.splitlines()[6:8] == ["states=8 bits_per_section=4", "0 0 0 0 8 2 10"]
+    assert old in SHIPPED
+    with pytest.raises(ValueError, match="^" + error):
+        load_trellis(SHIPPED.replace(old, new))
+
+
+def test_spec_rejects_unequal_out_degree():
+    labels = uncoded_trellis().transitions[0].labels
+    with pytest.raises(ValueError, match="^state 0 has 2 outgoing transitions, expected 1"):
+        TrellisSpec(num_states=2, bits_per_section=4, transitions=(
+            Transition(0, 0, 0, labels), Transition(0, 1, 0, labels),
+            Transition(1, 1, 0, labels)))
+
+
+#: Every array a TrellisSpec derives from its transitions.
+DERIVED = ("labels_per_branch", "uncoded_bits", "coded_bits", "from_state", "to_state",
+           "coded", "labels", "cosets", "coset_of", "coset_count", "groups", "next_state",
+           "branch_labels")
+
+
+@pytest.mark.parametrize("spec", [default_trellis(), load_trellis(irregular_trellis_text())],
+                         ids=["regular", "irregular"])
+def test_trellis_text_round_trips(spec):
+    lines = ["states=%d bits_per_section=%d" % (spec.num_states, spec.bits_per_section)]
+    lines += ["%d %d %d %s" % (t.from_state, t.to_state, t.coset, " ".join(map(str, t.labels)))
+              for t in spec.transitions]
+    again = load_trellis("\n".join(lines) + "\n")
+    assert again.transitions == spec.transitions
+    for name in DERIVED:
+        want, got = np.asarray(getattr(spec, name)), np.asarray(getattr(again, name))
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
 
 
 def test_block_metrics_against_direct_formula():
@@ -206,7 +258,8 @@ def test_trellis_encode_known_paths():
     assert trellis_encode(spec, [0, 0, 1, 1]) == [10]
     # two sections: 0100 moves to state 1, then 0000 departs its first coset
     out = trellis_encode(spec, [0, 1, 0, 0, 0, 0, 0, 0])
-    assert out[0] == 4 and out[1] == spec.outgoing(1)[0].labels[0]
+    first_from_1 = next(t for t in spec.transitions if t.from_state == 1)
+    assert out[0] == 4 and out[1] == first_from_1.labels[0]
     with pytest.raises(ValueError):
         trellis_encode(spec, [0, 1, 1])
     with pytest.raises(ValueError):
@@ -263,7 +316,7 @@ def test_viterbi_single_section_matches_exhaustive_ml():
     # over the start-state-0 reachable labels the two detectors agree exactly
     spec = default_trellis()
     entries = build_constellation()
-    reachable = sorted({i for t in spec.outgoing(0) for i in t.labels})
+    reachable = sorted({i for t in spec.transitions if t.from_state == 0 for i in t.labels})
     cand = [entries[i] for i in reachable]
     rng = np.random.default_rng(35)
     for _ in range(300):

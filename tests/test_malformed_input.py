@@ -5,7 +5,7 @@ import importlib.resources
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stclab.designs import alamouti_generators, read_generator_file, write_generator_file
@@ -76,6 +76,23 @@ def test_mutated_texts_raise_only_value_error(name, edits):
         parse(_mutate(text, edits))
     except ValueError:
         pass
+
+
+# the shipped listing: 6 comment lines, the header on line 7, transitions from line 8
+@settings(max_examples=300, deadline=None)
+@given(edits=EDITS)
+@example(edits=[("drop", 8, 0, "")])          # state 0 keeps 3 of its 4 transitions
+@example(edits=[("cut", 7, 0, "")])           # the header alone
+@example(edits=[("token", 6, 3, "5")])        # bits_per_section=5: 8 out per state
+def test_mutated_trellis_errors_name_a_line(edits):
+    text = _mutate(TRELLIS, edits)
+    try:
+        load_trellis(text)
+    except ValueError as exc:
+        if any(ln.strip() and not ln.strip().startswith("#") for ln in text.splitlines()):
+            assert re.match(r"line \d+: ", str(exc)), str(exc)
+        else:
+            assert str(exc) == "empty trellis file"
 
 
 #: Integer header field -> (valid text, its header, the header with that
