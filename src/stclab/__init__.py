@@ -36,10 +36,10 @@ from .constellation import (
     verify_forms,
 )
 from .channel import (
-    ChannelRealization,
     EquivalentRealModel,
     build_equivalent_real_model,
-    sample_channel,
+    channels_from_uniform,
+    normals_from_uniform,
     shape_invariance_audit,
     transmit,
 )
@@ -63,8 +63,8 @@ __all__ = [
     "decompose_direct_sum", "expand", "theorem1_audit",
     "CodematrixEntry", "QPSK", "build_constellation", "chi_coordinates",
     "distance_spectrum", "matrix_from_indices", "verify_forms",
-    "ChannelRealization", "EquivalentRealModel", "build_equivalent_real_model",
-    "sample_channel", "shape_invariance_audit", "transmit",
+    "EquivalentRealModel", "build_equivalent_real_model", "channels_from_uniform",
+    "normals_from_uniform", "shape_invariance_audit", "transmit",
     "DecodeResult", "TrellisSpec", "default_trellis", "load_trellis",
     "ml_block_decode", "trellis_encode", "viterbi_decode",
     "SimConfig", "SimResultRow", "run_simulation", "sigma_for_snr_db",

@@ -5,6 +5,9 @@ channel vector h (length N, constant over the frame), the received samples
 are r = C h + n with circularly symmetric Gaussian noise, variance sigma^2
 per real dimension.  transmit applies this to whole frames at once, with
 noise drawn beforehand (the simulator draws it from each frame's stream).
+A channel is a complex array, (N,) for one draw or (D, N) for D draws or
+one per section; channels_from_uniform draws it, and checked_array is the
+one check of every channel and received-block input.
 
 Flattening r to real coordinates turns each tagged design into a frame of
 orthonormal columns: g_k = flatten(B_k h) / (sqrt(c) ||h||).  Stacking the
@@ -41,7 +44,8 @@ def normals_from_uniform(u: np.ndarray) -> np.ndarray:
     u has shape (..., 2m): along the last axis the first m uniforms are u1,
     the last m are u2, and pair j gives r cos(a) at slot 2j and r sin(a) at
     slot 2j + 1, with r = sqrt(-2 log(1 - u1_j)) and a = 2 pi u2_j.  Leading
-    axes are independent rows.  This is the package's one Gaussian recipe.
+    axes are independent rows.  This is the package's one Gaussian recipe,
+    fixed so that seeded streams never drift: do not swap in rng.normal.
     """
     m = u.shape[-1] // 2
     r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))     # log1p avoids log(0)
@@ -50,40 +54,6 @@ def normals_from_uniform(u: np.ndarray) -> np.ndarray:
     out[..., 0::2] = r * np.cos(ang)
     out[..., 1::2] = r * np.sin(ang)
     return out
-
-
-def standard_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normal draws via the Box-Muller transform.
-
-    Reads 2 * ceil(n / 2) uniforms with one rng.random() call and returns
-    the first n values of normals_from_uniform.  On PCG64 one call of length
-    a + b returns the same doubles as a call of length a followed by one of
-    length b (each double consumes one 64-bit output), so a caller that
-    reads a whole stream with one call and transforms its slices, as the
-    simulator and the INVARIANCE audit do, gets these same numbers.  Fixed
-    to Box-Muller over rng.random() so that seeded streams stay reproducible
-    across library versions; do not swap in rng.normal.
-    """
-    return normals_from_uniform(rng.random(2 * ((n + 1) // 2)))[:n]
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One channel draw: the coefficient vector h."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.h, dtype=np.complex128).reshape(-1)
-        if v.size < 1:
-            raise ValueError("channel vector must be nonempty")
-        if not np.isfinite(v).all():             # both parts of every entry
-            raise ValueError("channel coefficients must be finite")
-        object.__setattr__(self, "h", v)
-
-    @property
-    def h_norm(self) -> float:
-        return float(np.linalg.norm(self.h))
 
 
 def channels_from_uniform(u: np.ndarray) -> np.ndarray:
@@ -96,16 +66,29 @@ def channels_from_uniform(u: np.ndarray) -> np.ndarray:
     return (g[..., 0::2] + 1j * g[..., 1::2]) / np.sqrt(2.0)
 
 
-def sample_channel(rng: np.random.Generator, num_antennas: int) -> ChannelRealization:
-    """Rayleigh draw: h_n = (a + jb)/sqrt(2), a, b standard normal.
+#: What checked_array checks -> the name of the entries of one row.
+_ENTRIES = {"channel": "coefficients", "received block": "samples"}
 
-    Reads 2 * num_antennas uniforms with one rng.random() call, the same
-    numbers as standard_normal(rng, 2 * num_antennas).  E||h||^2 =
-    num_antennas.
+
+def checked_array(values, what: str, width: int, ndims=(1,), rows: str = "draws"):
+    """values as a complex128 array, the one check of channels and received blocks.
+
+    what is "channel" or "received block".  Raises ValueError unless values
+    has a number of axes in ndims, at least one row of 2-D input, width
+    entries per row, and a finite real and imaginary part in every entry.
     """
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be positive")
-    return ChannelRealization(h=channels_from_uniform(rng.random(2 * num_antennas)))
+    a = np.asarray(values, dtype=np.complex128)
+    if a.ndim not in ndims:
+        raise ValueError("%s array must be %s, got shape %s"
+                         % (what, " or ".join("%d-D" % d for d in ndims), a.shape))
+    if a.ndim == 2 and not len(a):
+        raise ValueError("no %s %s given" % (what, rows))
+    if a.shape[-1] != width:
+        raise ValueError("%s has %d %s, expected %d"
+                         % (what, a.shape[-1], _ENTRIES[what], width))
+    if not np.isfinite(a).all():                 # both parts of every entry
+        raise ValueError("%s %s must be finite" % (what, _ENTRIES[what]))
+    return a
 
 
 def transmit(codematrices: np.ndarray, h: np.ndarray, noise: np.ndarray,
@@ -129,29 +112,6 @@ class EquivalentRealModel:
     stacked_frame: np.ndarray    # 4T x 4K, block diagonal
     h_norm: float
     gain: float                  # sqrt(scale) * ||h||
-
-
-def _channel_rows(e: ExpandedConstellation, channels) -> np.ndarray:
-    """(D, N) coefficients of one channel draw or D draws.
-
-    channels is a ChannelRealization or a (D, N) array of coefficients,
-    which is checked as ChannelRealization checks one draw.
-    """
-    n = e.base_generators.num_antennas
-    if isinstance(channels, ChannelRealization):
-        channels = channels.h[None, :]
-    channels = np.asarray(channels)
-    if channels.ndim != 2:
-        raise ValueError("channel array must be (draws, antennas), got shape %s"
-                         % (channels.shape,))
-    if channels.shape[0] == 0:
-        raise ValueError("no channel draws given")
-    if channels.shape[1] != n:
-        raise ValueError("channel has %d coefficients, design expects %d"
-                         % (channels.shape[1], n))
-    if not np.isfinite(channels).all():
-        raise ValueError("channel coefficients must be finite")
-    return channels.astype(np.complex128, copy=False)
 
 
 def _frame_bases(e: ExpandedConstellation) -> np.ndarray:
@@ -180,14 +140,14 @@ def _stacked_frames(bases: np.ndarray, scale: float, hs: np.ndarray):
     return stacked, h_norm, gain
 
 
-def build_equivalent_real_model(e: ExpandedConstellation,
-                                ch: ChannelRealization) -> EquivalentRealModel:
-    """Orthonormal base/primed/stacked frames for one channel draw.
+def build_equivalent_real_model(e: ExpandedConstellation, h) -> EquivalentRealModel:
+    """Orthonormal base/primed/stacked frames for one channel draw h (N,).
 
     Degenerate fades (||h|| = 0) are rejected; the frames are undefined there.
     """
+    h = checked_array(h, "channel", e.base_generators.num_antennas)
     stacked, h_norm, gain = _stacked_frames(_frame_bases(e), e.base_generators.scale,
-                                            _channel_rows(e, ch))
+                                            h[None])
     frame = stacked[0]
     two_t, two_k = frame.shape[0] // 2, frame.shape[1] // 2
     return EquivalentRealModel(base_frame=frame[:two_t, :two_k],
@@ -220,17 +180,16 @@ def _worst(values: np.ndarray) -> float:
     return float(np.max(values)) if values.size else 0.0
 
 
-def shape_invariance_audit(e: ExpandedConstellation, channels) -> ShapeInvarianceReport:
+def shape_invariance_audit(e: ExpandedConstellation, hs) -> ShapeInvarianceReport:
     """Measure how well channel draws preserve the constellation shape.
 
-    channels is one ChannelRealization or a (D, N) array of channel
-    coefficients; each field of the report is its worst
-    value over all draws.  Draws are evaluated CHUNK_DRAWS at a time, and
+    hs is a (D, N) array of D channel draws; each field of the report is
+    its worst value over all draws.  Draws are evaluated CHUNK_DRAWS at a time, and
     every number is computed exactly as for the draw alone, so the report
     equals the field-wise maximum of one-draw audits.  Any degenerate draw
     (||h|| = 0) raises ValueError.
     """
-    hs = _channel_rows(e, channels)
+    hs = checked_array(hs, "channel", e.base_generators.num_antennas, ndims=(2,))
     bases, scale = _frame_bases(e), e.base_generators.scale
     chis = np.column_stack([p.chi_oplus for p in e.points])          # 4K x P
     mats = np.stack([p.matrix for p in e.points])                    # P x T x N

@@ -103,7 +103,7 @@ INVARIANCE_TOLS = {"max_gram_error": 1e-12, "max_distance_error": 1e-11,
 
 def _audit_invariance(args, e) -> bool:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    # 4 uniforms per trial, in trial order: the draws of sample_channel(rng, 2)
+    # 4 uniforms per trial, in trial order: the doubles of one rng.random(4) per trial
     hs = channels_from_uniform(rng.random(4 * args.trials).reshape(args.trials, 4))
     rep = shape_invariance_audit(e, hs)
     print("invariance.trials=%d" % args.trials)

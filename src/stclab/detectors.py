@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelRealization
+from .channel import checked_array
 from .constellation import build_constellation, chi_coordinates, matrix_stack
 from .expansion import Subconstellation
 
@@ -241,23 +241,19 @@ def squared_distances(received, faded_t) -> np.ndarray:
     return np.sum(np.abs(received[..., :, None] - faded_t) ** 2, axis=-2)
 
 
-def block_metrics(received, ch: ChannelRealization,
-                  candidate_matrices: np.ndarray) -> np.ndarray:
-    """||r - C h||^2 for a stack of candidate codematrices."""
-    r = np.asarray(received, dtype=np.complex128).reshape(-1)
-    return squared_distances(r, (candidate_matrices @ ch.h).T)
+def ml_block_decode(received, h, candidates) -> DecodeResult:
+    """Exhaustive ML decision min ||r - C h||^2 over a candidate entry list.
 
-
-def ml_block_decode(received, ch: ChannelRealization, candidates) -> DecodeResult:
-    """Exhaustive ML decision over a candidate entry list.
-
-    Ties go to the lowest codematrix index and are counted.
+    received is one block (T,) and h one channel draw (N,), both checked by
+    checked_array.  Ties go to the lowest codematrix index and are counted.
     """
     cand = list(candidates)
     if not cand:
         raise ValueError("candidate list must be nonempty")
     mats = np.stack([e.matrix for e in cand])
-    metrics = block_metrics(received, ch, mats)
+    t, n = mats.shape[1:]
+    metrics = squared_distances(checked_array(received, "received block", t),
+                                (mats @ checked_array(h, "channel", n)).T)
     best = float(np.min(metrics))
     hits = [cand[i].index for i in np.flatnonzero(metrics <= best)]
     ties = len(hits) - 1
@@ -391,20 +387,21 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
                    initial_state: int = 0):
     """ML sequence decision over the trellis; returns (DecodeResult, bits).
 
-    received_blocks and channels are per-section sequences.  The start state
-    is known to the decoder; the end state is free (best final metric).
-    The returned metric equals the summed block metrics of the decided path.
-    One frame of viterbi_decode_frames.
+    received_blocks is (sections, T), one block per section; channels is
+    one draw (N,) for the frame or one per section (sections, N).  Both are
+    checked by checked_array.  The start state is known to the decoder; the
+    end state is free (best final metric).  The returned metric equals the
+    summed block metrics of the decided path.  One frame of
+    viterbi_decode_frames.
     """
-    blocks = list(received_blocks)
-    chs = list(channels)
-    if len(blocks) != len(chs):
-        raise ValueError("got %d received blocks but %d channel realizations"
-                         % (len(blocks), len(chs)))
-    if not blocks:
-        raise ValueError("at least one section is required")
-    rec = np.array([np.asarray(b, dtype=np.complex128).reshape(-1) for b in blocks])
-    faded = np.stack([matrix_stack() @ ch.h for ch in chs])       # (sections, 32, T)
+    mats = matrix_stack()
+    rec = checked_array(received_blocks, "received block", mats.shape[1], ndims=(2,),
+                        rows="sections")
+    hs = checked_array(channels, "channel", mats.shape[2], ndims=(1, 2), rows="sections")
+    if hs.ndim == 2 and len(hs) != len(rec):
+        raise ValueError("got %d received blocks but %d channels" % (len(rec), len(hs)))
+    hs = np.broadcast_to(hs, (len(rec), hs.shape[-1]))
+    faded = np.stack([mats @ h for h in hs])                       # (sections, 32, T)
     decided, bits, metric, ties = viterbi_decode_frames(spec, rec[None], faded[None],
                                                         initial_state)
     result = DecodeResult(decided_indices=tuple(decided[0].tolist()),

@@ -35,7 +35,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
-from stclab.channel import ChannelRealization, sample_channel, standard_normal
+from stclab.channel import channels_from_uniform, normals_from_uniform
 from stclab.cli import main as cli_main
 from stclab.constellation import matrix_stack
 from stclab.detectors import default_trellis, load_trellis, trellis_encode, viterbi_decode
@@ -112,14 +112,14 @@ def _cases(spec, rng):
         idx = trellis_encode(spec, bits, initial_state=start)
         sigma = float(rng.choice([0.05, 0.3, 0.7, 1.2]))
         if k < 12:
-            chs = [sample_channel(rng, 2)] * n
+            hs = [channels_from_uniform(rng.random(4))] * n
         else:
-            chs = [sample_channel(rng, 2) for _ in range(n)]
-        noise = standard_normal(rng, 4 * n)
+            hs = [channels_from_uniform(rng.random(4)) for _ in range(n)]
+        noise = normals_from_uniform(rng.random(4 * n))
         z = noise[0::2] + 1j * noise[1::2]
-        rec = [mats[i] @ ch.h + sigma * z[2 * s:2 * s + 2]
-               for s, (i, ch) in enumerate(zip(idx, chs))]
-        cases.append((rec, [c.h for c in chs], start))
+        rec = [mats[i] @ h + sigma * z[2 * s:2 * s + 2]
+               for s, (i, h) in enumerate(zip(idx, hs))]
+        cases.append((rec, hs, start))
     for start, n in ((0, 5), (3, 2)):
         cases.append(([np.zeros(2, complex)] * n, [np.zeros(2, complex)] * n, start))
     return cases
@@ -131,8 +131,7 @@ def viterbi_fixture() -> dict:
     for name, spec in (("default", default_trellis()),
                        ("irregular", load_trellis(irregular_trellis_text()))):
         for rec, hs, start in _cases(spec, rng):
-            chs = [ChannelRealization(h=h) for h in hs]
-            res, bits = viterbi_decode(spec, rec, chs, initial_state=start)
+            res, bits = viterbi_decode(spec, rec, np.array(hs), initial_state=start)
             out["cases"].append({
                 "trellis": name, "initial_state": start,
                 "received": [[[z.real, z.imag] for z in r] for r in rec],

@@ -15,7 +15,7 @@ import numpy as np
 
 from conftest import record_verdict
 
-from stclab.channel import sample_channel, shape_invariance_audit
+from stclab.channel import channels_from_uniform, shape_invariance_audit
 from stclab.cli import main
 from stclab.constellation import (
     QPSK,
@@ -139,8 +139,7 @@ def test_a4_shape_invariance_under_fading():
     gram = dist = angle = 0.0
     trials = 1000
     for _ in range(trials):
-        ch = sample_channel(rng, 2)
-        rep = shape_invariance_audit(e, ch)
+        rep = shape_invariance_audit(e, channels_from_uniform(rng.random((1, 4))))
         gram = max(gram, rep.max_gram_error)
         dist = max(dist, rep.max_distance_error)
         angle = max(angle, rep.max_angle_error)
@@ -181,7 +180,7 @@ def test_a6_noiseless_detection_is_exact():
     frames = 10_000
 
     # block ML, fully vectorized: argmin over 32 faded candidates per frame
-    hs = np.stack([sample_channel(rng, 2).h for _ in range(frames)])
+    hs = np.stack([channels_from_uniform(rng.random(4)) for _ in range(frames)])
     tx = rng.integers(0, 32, size=frames)
     faded = np.einsum("mij,fj->fmi", mats, hs)         # (frames, 32, 2)
     rec = faded[np.arange(frames), tx]
@@ -194,9 +193,9 @@ def test_a6_noiseless_detection_is_exact():
     for _ in range(frames):
         bits = rng.integers(0, 2, size=16)
         idx = trellis_encode(spec, bits)
-        ch = sample_channel(rng, 2)
-        blocks = [entries[i].matrix @ ch.h for i in idx]
-        res, got_bits = viterbi_decode(spec, blocks, [ch] * 4)
+        h = channels_from_uniform(rng.random(4))
+        blocks = [entries[i].matrix @ h for i in idx]
+        res, got_bits = viterbi_decode(spec, blocks, h)
         vit_errors += int(not np.array_equal(got_bits, bits))
 
     # single-section agreement: trellis metric equals exhaustive ML metric
@@ -205,12 +204,12 @@ def test_a6_noiseless_detection_is_exact():
     metric_gap = 0.0
     sigma = 0.5
     for _ in range(200):
-        ch = sample_channel(rng, 2)
+        h = channels_from_uniform(rng.random(4))
         k = reachable[int(rng.integers(0, len(reachable)))]
         noise = rng.standard_normal(4)
-        r = entries[k].matrix @ ch.h + sigma * (noise[0::2] + 1j * noise[1::2])
-        ml = ml_block_decode(r, ch, cand)
-        vit, _ = viterbi_decode(spec, [r], [ch])
+        r = entries[k].matrix @ h + sigma * (noise[0::2] + 1j * noise[1::2])
+        ml = ml_block_decode(r, h, cand)
+        vit, _ = viterbi_decode(spec, [r], h)
         metric_gap = max(metric_gap, abs(vit.metric - ml.metric))
 
     elapsed = time.perf_counter() - t0

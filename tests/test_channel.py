@@ -5,12 +5,11 @@ import pytest
 
 from stclab.channel import (
     CHUNK_DRAWS,
-    ChannelRealization,
     ShapeInvarianceReport,
     build_equivalent_real_model,
-    sample_channel,
+    channels_from_uniform,
+    normals_from_uniform,
     shape_invariance_audit,
-    standard_normal,
     transmit,
 )
 from stclab.constellation import build_constellation, chi_coordinates, matrix_stack
@@ -41,43 +40,30 @@ def _expanded():
     return expand(alamouti_generators(), _grid(), np.diag([1.0, -1.0]))
 
 
+def _channel(rng):
+    """One Rayleigh draw h (2,) from four uniforms of rng."""
+    return channels_from_uniform(rng.random(4))
+
+
 def test_standard_normal_stream_is_frozen():
-    got = standard_normal(np.random.default_rng(42), 4)
+    got = normals_from_uniform(np.random.default_rng(42).random(4))
     assert np.array_equal(got, NORMALS_SEED42), "generator recipe must not drift"
-    # odd length truncates the last half of a Box-Muller pair
-    got3 = standard_normal(np.random.default_rng(42), 3)
-    assert np.array_equal(got3, NORMALS_SEED42[:3])
 
 
 def test_standard_normal_moments():
-    x = standard_normal(np.random.default_rng(7), 200_000)
+    x = normals_from_uniform(np.random.default_rng(7).random(200_000))
     assert abs(float(x.mean())) < 0.01
     assert abs(float(x.var()) - 1.0) < 0.02
     assert np.all(np.isfinite(x))
 
 
-def test_sample_channel_frozen_and_normalized():
-    ch = sample_channel(np.random.default_rng(42), 2)
-    assert np.array_equal(ch.h, H_SEED42)
-    rng = np.random.default_rng(8)
-    acc = 0.0
+def test_channels_from_uniform_frozen_and_normalized():
+    assert np.array_equal(_channel(np.random.default_rng(42)), H_SEED42)
     trials = 20_000
-    for _ in range(trials):
-        acc += sample_channel(rng, 2).h_norm ** 2
-    assert abs(acc / trials - 2.0) < 0.05, "E||h||^2 = num_antennas"
-    with pytest.raises(ValueError):
-        sample_channel(rng, 0)
-
-
-def test_channel_realization_validation():
-    with pytest.raises(ValueError):
-        ChannelRealization(h=np.array([]))
-    with pytest.raises(ValueError):
-        ChannelRealization(h=np.array([np.nan + 0j]))
-    # a non-finite real part and a non-finite imaginary part each raise
-    for bad in (complex(np.inf, 0.0), complex(0.5, np.nan), complex(0.5, -np.inf)):
-        with pytest.raises(ValueError, match="finite"):
-            ChannelRealization(h=np.array([1.0 + 0j, bad]))
+    hs = channels_from_uniform(np.random.default_rng(8).random((trials, 4)))
+    assert hs.shape == (trials, 2)
+    power = np.sum(np.abs(hs) ** 2) / trials
+    assert abs(power - 2.0) < 0.05, "E||h||^2 = num_antennas"
 
 
 def test_transmit_noiseless_and_noise_scaling():
@@ -85,8 +71,8 @@ def test_transmit_noiseless_and_noise_scaling():
     rng = np.random.default_rng(9)
     frames, blocks = 500, 20
     idx = rng.integers(0, 32, size=(frames, blocks))
-    h = np.stack([sample_channel(rng, 2).h for _ in range(frames)])
-    noise = standard_normal(rng, frames * 4 * blocks).reshape(frames, 4 * blocks)
+    h = np.stack([_channel(rng) for _ in range(frames)])
+    noise = normals_from_uniform(rng.random(frames * 4 * blocks)).reshape(frames, 4 * blocks)
     clean = transmit(mats[idx], h, noise, 0.0)
     assert clean.shape == (frames, blocks, 2)
     for f in (0, 7, frames - 1):
@@ -104,16 +90,16 @@ def test_equivalent_real_model_orthonormal_frames():
     e = _expanded()
     rng = np.random.default_rng(23)
     for _ in range(50):
-        ch = sample_channel(rng, 2)
-        model = build_equivalent_real_model(e, ch)
+        h = _channel(rng)
+        model = build_equivalent_real_model(e, h)
         assert model.base_frame.shape == (4, 4)
         assert model.stacked_frame.shape == (8, 8)
         for f in (model.base_frame, model.primed_frame, model.stacked_frame):
             gram = f.T @ f
             assert np.max(np.abs(gram - np.eye(f.shape[1]))) < 1e-12
-        assert abs(model.gain - np.sqrt(0.5) * ch.h_norm) < 1e-15
+        assert abs(model.gain - np.sqrt(0.5) * np.linalg.norm(h)) < 1e-15
     with pytest.raises(ValueError, match="degenerate"):
-        build_equivalent_real_model(e, ChannelRealization(h=np.zeros(2, complex)))
+        build_equivalent_real_model(e, np.zeros(2, complex))
 
 
 def test_received_vector_equals_gain_frame_chi():
@@ -121,14 +107,14 @@ def test_received_vector_equals_gain_frame_chi():
     entries = build_constellation()
     rng = np.random.default_rng(24)
     for _ in range(20):
-        ch = sample_channel(rng, 2)
-        model = build_equivalent_real_model(e, ch)
+        h = _channel(rng)
+        model = build_equivalent_real_model(e, h)
         for entry in entries:
             co = chi_coordinates(entry)
             # flattened received block in the half of its tag, zeros elsewhere
             y = np.zeros(8)
             half = 0 if entry.subconstellation is Subconstellation.BASE else 4
-            y[half:half + 4] = matrix_to_real_vector((entry.matrix @ ch.h).reshape(-1, 1))
+            y[half:half + 4] = matrix_to_real_vector((entry.matrix @ h).reshape(-1, 1))
             want = model.gain * (model.stacked_frame @ co)
             assert np.max(np.abs(y - want)) < 1e-12
 
@@ -138,8 +124,7 @@ def test_shape_invariance_audit_errors_near_machine_eps():
     rng = np.random.default_rng(25)
     worst_cross = 0.0
     for _ in range(100):
-        ch = sample_channel(rng, 2)
-        rep = shape_invariance_audit(e, ch)
+        rep = shape_invariance_audit(e, _channel(rng)[None])
         assert rep.max_gram_error < 1e-12
         assert rep.max_distance_error < 1e-11
         assert rep.max_angle_error < 1e-11
@@ -152,10 +137,9 @@ def test_shape_invariance_audit_errors_near_machine_eps():
 def test_batched_audit_is_the_worst_one_draw_audit(trials):
     e = _expanded()
     rng = np.random.default_rng(1000 + trials)
-    chs = [sample_channel(rng, 2) for _ in range(trials)]
-    hs = np.stack([ch.h for ch in chs])
+    hs = np.stack([_channel(rng) for _ in range(trials)])
     got = shape_invariance_audit(e, hs)
-    singles = [shape_invariance_audit(e, ch) for ch in chs]
+    singles = [shape_invariance_audit(e, h[None]) for h in hs]
     for f in fields(ShapeInvarianceReport):
         assert getattr(got, f.name) == max(getattr(r, f.name) for r in singles), f.name
     assert shape_invariance_audit(e, hs[:1]) == singles[0]
@@ -163,17 +147,20 @@ def test_batched_audit_is_the_worst_one_draw_audit(trials):
 
 @pytest.mark.parametrize("trials", [1, CHUNK_DRAWS + 1, 40])
 def test_audit_of_a_channel_array_equals_the_realizations(trials):
+    # one uniform fill for all draws gives the per-draw realizations' audits
     e = _expanded()
+    hs = channels_from_uniform(np.random.default_rng(2000 + trials).random(4 * trials)
+                               .reshape(trials, 4))
     rng = np.random.default_rng(2000 + trials)
-    chs = [sample_channel(rng, 2) for _ in range(trials)]
-    hs = np.stack([ch.h for ch in chs])
+    realizations = [_channel(rng) for _ in range(trials)]
     for k in (0, trials // 2, trials - 1):
-        assert shape_invariance_audit(e, hs[k:k + 1]) == shape_invariance_audit(e, chs[k])
+        assert (shape_invariance_audit(e, hs[k:k + 1])
+                == shape_invariance_audit(e, realizations[k][None]))
 
 
 def test_audit_rejects_bad_channel_arrays():
     e = _expanded()
-    hs = np.stack([sample_channel(np.random.default_rng(27), 2).h] * 3)
+    hs = np.stack([_channel(np.random.default_rng(27))] * 3)
     with pytest.raises(ValueError, match="no channel draws"):
         shape_invariance_audit(e, hs[:0])
     with pytest.raises(ValueError, match="3 coefficients"):
@@ -194,11 +181,11 @@ def test_audit_rejects_bad_channel_arrays():
 def test_batched_audit_rejects_bad_draws_anywhere():
     e = _expanded()
     rng = np.random.default_rng(26)
-    hs = np.stack([sample_channel(rng, 2).h for _ in range(2 * CHUNK_DRAWS + 3)])
+    hs = np.stack([_channel(rng) for _ in range(2 * CHUNK_DRAWS + 3)])
     for pos in (0, CHUNK_DRAWS + 1, len(hs)):
         with pytest.raises(ValueError, match="degenerate"):
             shape_invariance_audit(e, np.insert(hs, pos, 0.0, axis=0))
     with pytest.raises(ValueError, match="coefficients"):
-        shape_invariance_audit(e, ChannelRealization(h=np.ones(3, complex)))
+        shape_invariance_audit(e, np.ones((1, 3), complex))
     with pytest.raises(ValueError, match="no channel draws"):
         shape_invariance_audit(e, np.empty((0, 2), complex))

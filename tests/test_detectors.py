@@ -6,7 +6,7 @@ from golden.record import irregular_trellis_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stclab.channel import ChannelRealization, sample_channel, standard_normal
+from stclab.channel import channels_from_uniform, normals_from_uniform
 from stclab.constellation import (
     build_constellation,
     chi_coordinates,
@@ -18,7 +18,6 @@ from stclab.detectors import (
     Transition,
     TrellisSpec,
     base_subconstellation_entries,
-    block_metrics,
     default_trellis,
     load_trellis,
     ml_block_decode,
@@ -31,8 +30,13 @@ from stclab.detectors import (
 
 
 def _noisy(clean, sigma, rng):
-    g = standard_normal(rng, 2 * clean.size)
+    g = normals_from_uniform(rng.random(2 * clean.size))
     return clean + sigma * (g[0::2] + 1j * g[1::2])
+
+
+def _channel(rng):
+    """One Rayleigh draw h (2,) from four uniforms of rng."""
+    return channels_from_uniform(rng.random(4))
 
 
 def test_default_trellis_shape():
@@ -198,40 +202,38 @@ def test_trellis_text_round_trips(spec):
 
 
 def test_block_metrics_against_direct_formula():
+    # ml_block_decode over one candidate returns that candidate's metric
     rng = np.random.default_rng(31)
-    mats = matrix_stack()
+    entries = build_constellation()
     for _ in range(20):
-        ch = sample_channel(rng, 2)
-        r = _noisy(mats[5] @ ch.h, 0.2, rng)
-        metrics = block_metrics(r, ch, mats)
+        h = _channel(rng)
+        r = _noisy(entries[5].matrix @ h, 0.2, rng)
         for i in (0, 5, 17, 31):
-            want = float(np.sum(np.abs(r - mats[i] @ ch.h) ** 2))
-            assert abs(metrics[i] - want) < 1e-12
+            want = float(np.sum(np.abs(r - entries[i].matrix @ h) ** 2))
+            assert abs(ml_block_decode(r, h, [entries[i]]).metric - want) < 1e-12
 
 
 def test_ml_block_decode_noiseless_exact():
     rng = np.random.default_rng(32)
     entries = build_constellation()
     for _ in range(200):
-        ch = sample_channel(rng, 2)
+        h = _channel(rng)
         k = int(rng.integers(0, 32))
-        r = entries[k].matrix @ ch.h
-        res = ml_block_decode(r, ch, entries)
+        r = entries[k].matrix @ h
+        res = ml_block_decode(r, h, entries)
         assert res.decided_indices == (k,)
         assert res.metric < 1e-20
         assert res.ties_broken == 0
 
 
 def test_ml_block_decode_tie_goes_to_lowest_index():
-    ch = ChannelRealization(h=np.zeros(2, complex) + np.array([1.0, 0.0]))
     entries = build_constellation()
-    # zero received vector: every candidate at equal |Ch| distance ties
-    ch0 = ChannelRealization(h=np.array([0.0 + 0j, 0.0 + 0j]))
-    res = ml_block_decode(np.zeros(2, complex), ch0, entries)
+    # zero received vector over a zero channel: every candidate ties
+    res = ml_block_decode(np.zeros(2, complex), np.zeros(2, complex), entries)
     assert res.decided_indices == (0,)
     assert res.ties_broken == 31
     with pytest.raises(ValueError):
-        ml_block_decode(np.zeros(2, complex), ch, [])
+        ml_block_decode(np.zeros(2, complex), np.array([1.0, 0.0]), [])
 
 
 def test_ml_small_noise_error_rate_bounded():
@@ -241,10 +243,10 @@ def test_ml_small_noise_error_rate_bounded():
     trials = 4000
     errors = 0
     for _ in range(trials):
-        ch = sample_channel(rng, 2)
+        h = _channel(rng)
         k = int(rng.integers(0, 32))
-        r = _noisy(entries[k].matrix @ ch.h, 0.05, rng)
-        res = ml_block_decode(r, ch, entries)
+        r = _noisy(entries[k].matrix @ h, 0.05, rng)
+        res = ml_block_decode(r, h, entries)
         errors += res.decided_indices[0] != k
     assert errors / trials < 0.01
 
@@ -275,9 +277,9 @@ def test_viterbi_noiseless_recovers_paths_and_bits():
     for _ in range(100):
         bits = rng.integers(0, 2, size=4 * 6)
         indices = trellis_encode(spec, bits)
-        ch = sample_channel(rng, 2)
-        blocks = [entries[i].matrix @ ch.h for i in indices]
-        res, got_bits = viterbi_decode(spec, blocks, [ch] * len(blocks))
+        h = _channel(rng)
+        blocks = [entries[i].matrix @ h for i in indices]
+        res, got_bits = viterbi_decode(spec, blocks, h)
         assert list(res.decided_indices) == indices
         assert np.array_equal(got_bits, bits)
         assert res.metric < 1e-18
@@ -291,9 +293,9 @@ def test_viterbi_round_trip_from_every_initial_state():
         for _ in range(10):
             bits = rng.integers(0, 2, size=4 * 5)
             indices = trellis_encode(spec, bits, initial_state=start)
-            ch = sample_channel(rng, 2)
-            blocks = [entries[i].matrix @ ch.h for i in indices]
-            res, got_bits = viterbi_decode(spec, blocks, [ch] * len(blocks),
+            h = _channel(rng)
+            blocks = [entries[i].matrix @ h for i in indices]
+            res, got_bits = viterbi_decode(spec, blocks, h,
                                            initial_state=start)
             assert list(res.decided_indices) == indices
             assert np.array_equal(got_bits, bits)
@@ -305,9 +307,9 @@ def test_viterbi_per_section_channels():
     rng = np.random.default_rng(34)
     bits = rng.integers(0, 2, size=4 * 5)
     indices = trellis_encode(spec, bits)
-    chs = [sample_channel(rng, 2) for _ in indices]
-    blocks = [entries[i].matrix @ ch.h for i, ch in zip(indices, chs)]
-    res, got_bits = viterbi_decode(spec, blocks, chs)
+    hs = np.stack([_channel(rng) for _ in indices])
+    blocks = [entries[i].matrix @ h for i, h in zip(indices, hs)]
+    res, got_bits = viterbi_decode(spec, blocks, hs)
     assert list(res.decided_indices) == indices
     assert np.array_equal(got_bits, bits)
 
@@ -320,11 +322,11 @@ def test_viterbi_single_section_matches_exhaustive_ml():
     cand = [entries[i] for i in reachable]
     rng = np.random.default_rng(35)
     for _ in range(300):
-        ch = sample_channel(rng, 2)
+        h = _channel(rng)
         k = reachable[int(rng.integers(0, len(reachable)))]
-        r = _noisy(entries[k].matrix @ ch.h, 0.5, rng)
-        ml = ml_block_decode(r, ch, cand)
-        vit, _ = viterbi_decode(spec, [r], [ch])
+        r = _noisy(entries[k].matrix @ h, 0.5, rng)
+        ml = ml_block_decode(r, h, cand)
+        vit, _ = viterbi_decode(spec, [r], h)
         assert vit.decided_indices[0] == ml.decided_indices[0]
         assert abs(vit.metric - ml.metric) < 1e-12
 
@@ -336,10 +338,10 @@ def test_viterbi_metric_equals_path_block_metrics():
     for _ in range(50):
         bits = rng.integers(0, 2, size=4 * 4)
         indices = trellis_encode(spec, bits)
-        ch = sample_channel(rng, 2)
-        blocks = [_noisy(entries[i].matrix @ ch.h, 0.4, rng) for i in indices]
-        res, _ = viterbi_decode(spec, blocks, [ch] * len(blocks))
-        total = sum(float(np.sum(np.abs(b - entries[i].matrix @ ch.h) ** 2))
+        h = _channel(rng)
+        blocks = [_noisy(entries[i].matrix @ h, 0.4, rng) for i in indices]
+        res, _ = viterbi_decode(spec, blocks, h)
+        total = sum(float(np.sum(np.abs(b - entries[i].matrix @ h) ** 2))
                     for b, i in zip(blocks, res.decided_indices))
         assert abs(res.metric - total) < 1e-9
 
@@ -352,12 +354,12 @@ def test_viterbi_beats_or_matches_any_single_path():
     for _ in range(50):
         bits = rng.integers(0, 2, size=4 * 4)
         indices = trellis_encode(spec, bits)
-        ch = sample_channel(rng, 2)
-        blocks = [_noisy(entries[i].matrix @ ch.h, 1.0, rng) for i in indices]
-        res, _ = viterbi_decode(spec, blocks, [ch] * len(blocks))
+        h = _channel(rng)
+        blocks = [_noisy(entries[i].matrix @ h, 1.0, rng) for i in indices]
+        res, _ = viterbi_decode(spec, blocks, h)
         other_bits = rng.integers(0, 2, size=4 * 4)
         other = trellis_encode(spec, other_bits)
-        other_metric = sum(float(np.sum(np.abs(b - entries[i].matrix @ ch.h) ** 2))
+        other_metric = sum(float(np.sum(np.abs(b - entries[i].matrix @ h) ** 2))
                            for b, i in zip(blocks, other))
         assert res.metric <= other_metric + 1e-12
 
@@ -386,10 +388,8 @@ def test_frame_batch_matches_single_frame_decodes(spec, per_section):
         spec, rec, faded if per_section else faded[:, 0], initial_state=start)
     assert ties[-1] > 0 and ties[-2] == ties[-1]
     for f in range(frames):
-        chs = [ChannelRealization(h=hh) for hh in h[f]]
-        if not per_section:
-            chs = chs * sections
-        res, one_bits = viterbi_decode(spec, list(rec[f]), chs, initial_state=start)
+        hs = h[f] if per_section else h[f, 0]
+        res, one_bits = viterbi_decode(spec, rec[f], hs, initial_state=start)
         assert list(res.decided_indices) == decided[f].tolist()
         assert one_bits.tolist() == got_bits[f].tolist()
         assert res.metric == metric[f]
@@ -404,8 +404,7 @@ def test_all_tie_frame_prefers_smaller_state_and_label(spec, index):
     # from state 0 at every section, so it decides label 0 of the first
     # branch and all-zero bits (index 0 on the 8-state trellis, BASE 4 when
     # uncoded, where exhaustive ML would take index 0)
-    ch0 = ChannelRealization(h=np.zeros(2, complex))
-    res, bits = viterbi_decode(spec, [np.zeros(2, complex)] * 3, [ch0] * 3)
+    res, bits = viterbi_decode(spec, np.zeros((3, 2), complex), np.zeros(2, complex))
     assert res.decided_indices == (index,) * 3
     assert not bits.any()
     assert res.metric == 0.0
@@ -427,13 +426,13 @@ def test_trellis_tables_are_freed_with_the_spec():
 
 def test_viterbi_input_validation():
     spec = default_trellis()
-    ch = sample_channel(np.random.default_rng(0), 2)
+    h = _channel(np.random.default_rng(0))
     with pytest.raises(ValueError):
         viterbi_decode(spec, [], [])
     with pytest.raises(ValueError):
-        viterbi_decode(spec, [np.zeros(2, complex)], [ch, ch])
+        viterbi_decode(spec, [np.zeros(2, complex)], [h, h])
     with pytest.raises(ValueError):
-        viterbi_decode(spec, [np.zeros(2, complex)], [ch], initial_state=-1)
+        viterbi_decode(spec, [np.zeros(2, complex)], h, initial_state=-1)
 
 
 def test_base_subconstellation_entries():
@@ -492,8 +491,7 @@ def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_s
     for f in range(frames):
         total = 0.0
         for s in range(sections):
-            ch = ChannelRealization(h=h[f, s if per_section else 0])
-            ml = ml_block_decode(rec[f, s], ch, base)
+            ml = ml_block_decode(rec[f, s], h[f, s if per_section else 0], base)
             assert decided[f, s] == ml.decided_indices[0]
             total += ml.metric
         assert abs(metric[f] - total) <= 1e-12 * max(1.0, total)

@@ -22,7 +22,6 @@ from golden.record import (
     strip_elapsed,
 )
 
-from stclab.channel import ChannelRealization
 from stclab.detectors import (
     default_trellis,
     load_trellis,
@@ -84,11 +83,9 @@ def test_viterbi_decode_matches_golden(k):
     case = FIXTURE["cases"][k]
     hs = _complex(case["channels"])
     if all(np.array_equal(h, hs[0]) for h in hs):
-        chs = [ChannelRealization(h=hs[0])] * len(hs)
-    else:
-        chs = [ChannelRealization(h=h) for h in hs]
-    res, bits = viterbi_decode(_spec(case["trellis"]), list(_complex(case["received"])),
-                               chs, initial_state=case["initial_state"])
+        hs = hs[0]          # one channel for the frame
+    res, bits = viterbi_decode(_spec(case["trellis"]), _complex(case["received"]),
+                               hs, initial_state=case["initial_state"])
     assert list(res.decided_indices) == case["decided_indices"]
     assert bits.tolist() == case["bits"]
     assert res.metric == case["metric"]

@@ -1,15 +1,29 @@
-"""Malformed config, trellis and generator texts end in ValueError, never
-in another exception (or in an allocation sized by a header field)."""
+"""Malformed config, trellis and generator texts, channels and received
+blocks end in ValueError, never in another exception (or in an allocation
+sized by a header field)."""
 
 import importlib.resources
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stclab.channel import (
+    build_equivalent_real_model,
+    channels_from_uniform,
+    shape_invariance_audit,
+)
+from stclab.constellation import table_expansion
 from stclab.designs import alamouti_generators, read_generator_file, write_generator_file
-from stclab.detectors import load_trellis
+from stclab.detectors import (
+    base_subconstellation_entries,
+    default_trellis,
+    load_trellis,
+    ml_block_decode,
+    viterbi_decode,
+)
 from stclab.simulate import SimConfig, parse_config_file
 
 CONFIG = """# a valid trellis run
@@ -114,3 +128,97 @@ def test_large_header_counts_raise_value_error(big, field):
     text, head, template, parse = HEADER_FIELDS[field]
     with pytest.raises(ValueError, match="line"):
         parse(text.replace(head, template % big, 1))
+
+
+EXPANDED = table_expansion()
+
+
+def _decode(inputs):
+    return viterbi_decode(default_trellis(), inputs["received"], inputs["channel"])
+
+
+#: Entry point -> (call on its inputs, the shape of each well-formed input):
+#: T = 2 samples per received block, N = 2 antennas, 3 sections or draws.
+ENTRY_POINTS = {
+    "ml_block_decode": (
+        lambda a: ml_block_decode(a["received"], a["channel"], base_subconstellation_entries()),
+        {"received": (2,), "channel": (2,)}),
+    "viterbi_decode": (_decode, {"received": (3, 2), "channel": (2,)}),
+    "viterbi_decode per section": (_decode, {"received": (3, 2), "channel": (3, 2)}),
+    "build_equivalent_real_model": (
+        lambda a: build_equivalent_real_model(EXPANDED, a["channel"]), {"channel": (2,)}),
+    "shape_invariance_audit": (
+        lambda a: shape_invariance_audit(EXPANDED, a["channel"]), {"channel": (3, 2)}),
+}
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+MALFORMATIONS = st.one_of(
+    st.tuples(st.just("axis"), st.sampled_from(["add", "drop"])),
+    st.tuples(st.just("no rows"), st.none()),
+    st.tuples(st.just("width"), st.sampled_from([1, 3])),       # antennas or samples
+    st.tuples(st.just("non-finite"), st.tuples(st.integers(0, 5), NON_FINITE, st.booleans())))
+
+
+def _inputs(entry, seed, level):
+    """Well-formed inputs: every channel row is the one draw of seed, every
+    received sample is level."""
+    h = channels_from_uniform(np.random.default_rng(seed).random(4))
+    shapes = ENTRY_POINTS[entry][1]
+    return {name: (np.array(np.broadcast_to(h, shape)) if name == "channel"
+                   else np.full(shape, complex(level)))
+            for name, shape in shapes.items()}
+
+
+def _malform(x, kind, arg):
+    if kind == "axis":         # (w,) -> (1, w) or (); (rows, w) -> (1, rows, w) or (rows * w,)
+        return x[None] if arg == "add" else x.reshape(-1) if x.ndim == 2 else x[0]
+    if kind == "no rows":
+        return x[:0]
+    if kind == "width":
+        return np.concatenate([x, x], axis=-1)[..., :arg]
+    pos, bad, imaginary = arg
+    x = x.copy()
+    flat = x.reshape(-1)
+    z = flat[pos % flat.size]
+    flat[pos % flat.size] = complex(z.real, bad) if imaginary else complex(bad, z.imag)
+    return x
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_well_formed_arrays_pass(entry):
+    ENTRY_POINTS[entry][0](_inputs(entry, 0, 0.3))
+
+
+# the first four @examples decoded without an error before the inputs were
+# checked; the last four are the checks of the one-draw channel class it replaced
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(sorted(ENTRY_POINTS)),
+       target=st.sampled_from(["received", "channel"]), how=MALFORMATIONS,
+       seed=st.integers(0, 2**32 - 1), level=st.floats(-2.0, 2.0))
+# a 1-sample block broadcast against T = 2: index 11, metric 1.79
+@example(entry="ml_block_decode", target="received", how=("width", 1), seed=0, level=0.3)
+# three 1-sample blocks over one channel per section: a decoded path
+@example(entry="viterbi_decode per section", target="received", how=("width", 1), seed=0,
+         level=0.3)
+# a NaN block: decisions (0, 0, 0) with metric nan
+@example(entry="viterbi_decode", target="received", how=("non-finite", (0, np.nan, False)),
+         seed=0, level=0.3)
+# an inf block: metric inf with 15 ties
+@example(entry="ml_block_decode", target="received", how=("non-finite", (0, np.inf, False)),
+         seed=0, level=0.3)
+# one channel draw: empty, and an inf real or a NaN or -inf imaginary part
+@example(entry="build_equivalent_real_model", target="channel", how=("no rows", None),
+         seed=0, level=0.0)
+@example(entry="build_equivalent_real_model", target="channel",
+         how=("non-finite", (1, np.inf, False)), seed=0, level=0.0)
+@example(entry="build_equivalent_real_model", target="channel",
+         how=("non-finite", (1, np.nan, True)), seed=0, level=0.0)
+@example(entry="build_equivalent_real_model", target="channel",
+         how=("non-finite", (1, -np.inf, True)), seed=0, level=0.0)
+def test_malformed_arrays_raise_only_value_error(entry, target, how, seed, level):
+    call, shapes = ENTRY_POINTS[entry]
+    inputs = _inputs(entry, seed, level)
+    name = target if target in shapes else "channel"
+    inputs[name] = _malform(inputs[name], *how)
+    with pytest.raises(ValueError):
+        call(inputs)
