@@ -1,16 +1,23 @@
 """Maximum-likelihood block detection and trellis (Viterbi) decoding.
 
-Both detectors assume receiver-side channel knowledge and score candidates
-by the squared Euclidean distance ||r - C h||^2 of the received block from
-the faded codematrix.  The trellis decoder runs add-compare-select over a
-section trellis whose branches carry parallel codematrix labels (one coset
-per branch); parallel transitions are resolved to the best label before the
-compare step.  All tie-breaks are deterministic: smaller predecessor state,
-then smaller label position.  Uncoded BASE transmission is the one-state
-trellis (uncoded_trellis): per-block ML, exact ties by that same rule.
-A TrellisSpec is its transitions plus the arrays derived from them, which
-the encoder and decoder read; it rejects unequal out-degrees itself, and
-load_trellis names a line in every error of a listing that has a header.
+Both detectors assume receiver-side channel knowledge.  ml_block_decode
+scores candidates by the squared Euclidean distance ||r - C h||^2 of the
+received block from the faded codematrix.  The trellis decoder scores them
+by the correlation -Re<r, C h> instead: every codematrix C has
+C^H C = c ||chi||^2 I with the same ||chi||^2, so all 32 faded candidates
+C h have one energy and both scores rank them alike, up to rounding-level
+near-ties.  It scores every section of a chunk of frames first, then runs
+add-compare-select over a section trellis whose branches carry parallel
+codematrix labels (one coset per branch); parallel transitions are resolved
+to the best label before the compare step.  After the traceback it re-sums
+the exact ||r - C h||^2 of the decided candidates, so the metric it returns
+is the path's squared distance.  All tie-breaks are deterministic: smaller
+predecessor state, then smaller label position.  Ties are counted only on
+request (viterbi_decode always asks).  Uncoded BASE transmission is the
+one-state trellis (uncoded_trellis): per-block ML, exact ties by that same
+rule.  A TrellisSpec is its transitions plus the arrays derived from them,
+which the encoder and decoder read; it rejects unequal out-degrees itself,
+and load_trellis names a line in every error of a listing that has a header.
 """
 
 from __future__ import annotations
@@ -236,7 +243,7 @@ def squared_distances(received, faded_t) -> np.ndarray:
     received (..., T) against faded_t (..., T, M), the candidates C h laid
     out channel use first so that the inner loops run over the M
     candidates, gives (..., M).  The one distance computation behind
-    ml_block_decode and the Viterbi branch metrics of both simulate modes.
+    ml_block_decode and the metric that the Viterbi decoder returns.
     """
     return np.sum(np.abs(received[..., :, None] - faded_t) ** 2, axis=-2)
 
@@ -304,82 +311,164 @@ def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
     return trellis_encode_frames(spec, b, initial_state)[0].tolist()
 
 
-def _branches(spec: TrellisSpec, received, cand_t):
-    """Per label row of cand_t (..., T, C*L): first best position, its metric, ties."""
-    dists = squared_distances(received, cand_t)
-    per_label = dists.reshape(dists.shape[:-1] + spec.cosets.shape)
-    best_pos = np.argmin(per_label, axis=-1)
-    flat = np.arange(0, dists.size, spec.cosets.shape[1]) + best_pos.ravel()
-    branch = dists.ravel()[flat].reshape(best_pos.shape)
-    other = (per_label == branch[..., None]).ravel()
-    other[flat] = False
-    if not other.any():     # exact ties are rare: count them only when present
-        return best_pos, branch, np.zeros(best_pos.shape[:-1], dtype=np.int64)
-    return best_pos, branch, other.reshape(per_label.shape).any(axis=-1) @ spec.coset_count
+#: Candidate scores that _branches holds at once, 128 KiB of floats, unless
+#: one frame alone has more.
+_BRANCH_SCORES = 16384
 
 
-def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int = 0):
+def _first_min(vals, best, out) -> None:
+    """Write to out the index of the first of vals[0], vals[1], ... equal to best.
+
+    best is their elementwise minimum and out an unsigned integer array.  A
+    chain of compares: argmin over an axis this short costs several times more.
+    """
+    above = vals[0] > best
+    out[...] = above
+    for v in vals[1:-1]:
+        above &= v > best
+        out += above.view(np.uint8)
+
+
+def _branches(spec: TrellisSpec, received, faded, count_ties: bool):
+    """Best label position and score of every label row in every section.
+
+    received (F, S, T) is scored against faded, the candidates C h of
+    matrix_stack(): (F, 32, T) for one channel per frame or (F, S, 32, T)
+    for one per section.  The score of C h is -Re<r, C h>: a real matmul of
+    the re/im-interleaved candidates and blocks, over blocks of frames of
+    up to _BRANCH_SCORES scores.  Every codematrix has C^H C = c ||chi||^2 I
+    with the same ||chi||^2, so the 32 candidates C h share the energy
+    c ||chi||^2 ||h||^2, and ||r - C h||^2 = ||r||^2 + ||C h||^2 - 2 Re<r, C h>
+    ranks them as the score does, up to rounding-level near-ties.
+    load_trellis accepts no label outside these 32, so this holds on every
+    trellis it returns.
+
+    Returns best_pos (F, C, S), the first best position in each label row,
+    in the smallest dtype that holds one; branch (S, C + 1, F), the best
+    score of each label row and a +inf last row that the ACS reads for
+    padding; and ties (F,), when count_ties, each transition whose label
+    row has more than one best label, else zeros.
+    """
+    frames, sections = received.shape[:2]
+    rows, labels = spec.cosets.shape
+    r = received.view(np.float64)                                    # (F, S, 2T)
+    c = faded[..., spec.cosets.T.ravel(), :].view(np.float64)        # label-major
+    np.negative(c, out=c)
+    best_pos = np.empty((frames, rows, sections), dtype=np.min_scalar_type(labels - 1))
+    branch = np.empty((sections, rows + 1, frames))
+    branch[:, rows] = np.inf
+    ties = np.zeros(frames, dtype=np.int64)
+    step = max(1, _BRANCH_SCORES // (sections * rows * labels))
+    for f in range(0, frames, step):
+        blk = slice(f, f + step)
+        if faded.ndim == 3:
+            score = c[blk] @ np.swapaxes(r[blk], 1, 2)
+        else:
+            score = np.moveaxis((c[blk] @ r[blk, ..., None])[..., 0], 1, 2)
+        score = score.reshape(-1, labels, rows, sections)              # (frames, L, C, S)
+        best = np.minimum.reduce(score, axis=1)
+        branch[:, :rows, blk] = best.T
+        _first_min(np.moveaxis(score, 1, 0), best, best_pos[blk])
+        if count_ties:
+            multi = np.count_nonzero(score == best[:, None], axis=1) > 1
+            ties[blk] = np.sum(spec.coset_count @ multi, axis=1)
+        del score          # one block of scores alive at a time
+    return best_pos, branch, ties
+
+
+def _acs(spec: TrellisSpec, branch, initial_state: int, count_ties: bool):
+    """Add-compare-select over the sections of branch (S, C + 1, F).
+
+    Each section adds to the metric of every from-state in spec.groups the
+    score of its transition's label row (+inf for padding) and keeps the
+    first minimum per state: the smaller from-state.  Returns back
+    (S, states, F), the survivor's position in spec.groups in the smallest
+    dtype that holds one; the final path metrics (states, F); and ties (F,),
+    when count_ties, each extra equal candidate of a finite compare and
+    each extra equal final metric, else zeros.
+    """
+    sections, _, frames = branch.shape
+    from_g = np.append(spec.from_state, 0)[spec.groups.T]             # (indeg, states)
+    coset_g = np.append(spec.coset_of, len(spec.cosets))[spec.groups.T]
+    pm = np.full((spec.num_states, frames), np.inf)
+    pm[initial_state] = 0.0
+    back = np.empty((sections,) + pm.shape, dtype=np.min_scalar_type(len(from_g) - 1))
+    ties = np.zeros(frames, dtype=np.int64)
+    for s in range(sections):
+        vals = pm[from_g] + branch[s][coset_g]                        # (indeg, states, F)
+        pm = np.minimum.reduce(vals)
+        _first_min(vals, pm, back[s])
+        if count_ties:
+            ties += np.sum((np.sum(vals == pm, axis=0) - 1) * np.isfinite(pm), axis=0)
+    if count_ties:
+        final = np.min(pm, axis=0)
+        ties += (np.sum(pm == final, axis=0) - 1) * np.isfinite(final)
+    return back, pm, ties
+
+
+def _traceback(spec: TrellisSpec, back, state) -> np.ndarray:
+    """Transitions (F, S) of the survivors that end in state (F,)."""
+    sections, _, frames = back.shape
+    path = np.empty((frames, sections), dtype=np.intp)
+    index = np.arange(frames)
+    for s in range(sections - 1, -1, -1):
+        path[:, s] = spec.groups[state, back[s, state, index]]
+        state = spec.from_state[path[:, s]]
+    return path
+
+
+def _decisions(spec: TrellisSpec, path, best_pos, received, faded):
+    """Decided indices (F, S), bits and metric (F,) along the transitions path.
+
+    metric re-sums the exact ||r - C h||^2 of the decided candidates in
+    section order, 0.0 + b0 + b1 + ..., as an ACS over exact distances adds
+    them, so it does not depend on the score that made the decisions.
+    """
+    frames, sections = path.shape
+    f = np.arange(frames)[:, None]
+    pos = best_pos[f, spec.coset_of[path], np.arange(sections)].astype(np.intp)
+    decided = spec.labels[path, pos]
+    value = (spec.coded[path] << spec.uncoded_bits) | pos
+    bits = value[..., None] >> np.arange(spec.bits_per_section - 1, -1, -1)
+    bits &= 1
+    chosen = faded[f, decided] if faded.ndim == 3 else faded[f, np.arange(sections), decided]
+    dist = squared_distances(received, chosen[..., None])[..., 0]
+    return decided, bits.reshape(frames, -1), np.cumsum(dist, axis=1)[:, -1]
+
+
+def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int = 0,
+                          count_ties: bool = False):
     """ML sequence decisions for F frames at once.
 
     received is (F, sections, T); faded holds the faded candidates
     matrix_stack() @ h, (F, 32, T) for one channel per frame or
     (F, sections, 32, T) for one per section.  Every frame starts in the
     known initial_state and ends in a free state (best final metric).
+    Three stages run in turn: _branches scores every section by correlation,
+    _acs keeps the survivors, and _traceback with _decisions reads the path.
 
     Returns (decided (F, sections), bits (F, sections * bits_per_section),
-    metric (F,), ties_broken (F,)).  Ties go to the first minimum: the
-    smaller label position within a branch, the smaller from-state within
-    a compare, the smaller state at the end.  A tie counts each branch whose
-    best label is not unique, each extra equal candidate of a finite
-    compare, and each extra equal final metric; +inf candidates never tie.
-    A one-state, one-transition trellis (uncoded_trellis) skips the ACS loop.
+    metric (F,), ties_broken (F,)).  metric is the exact sum of the decided
+    path's squared distances.  Ties go to the first minimum: the smaller
+    label position within a branch, the smaller from-state within a
+    compare, the smaller state at the end.  With count_ties a tie counts
+    each branch whose best label is not unique, each extra equal candidate
+    of a finite compare, and each extra equal final metric; +inf candidates
+    never tie.  Without it ties_broken is all zero.  A one-state,
+    one-transition trellis (uncoded_trellis) skips the ACS loop.
     """
     _check_initial_state(spec, initial_state)
-    received = np.asarray(received, dtype=np.complex128)
-    frames, sections = received.shape[:2]
-    cand_t = np.ascontiguousarray(np.swapaxes(faded, -1, -2)[..., spec.cosets.ravel()])
-    cand_t = cand_t.reshape((frames, -1) + cand_t.shape[-2:])     # (F, 1|sections, ...)
-    shifts = np.arange(spec.bits_per_section - 1, -1, -1)
+    received = np.ascontiguousarray(received, dtype=np.complex128)
+    faded = np.asarray(faded, dtype=np.complex128)
+    best_pos, branch, ties = _branches(spec, received, faded, count_ties)
     if spec.num_states == len(spec.transitions) == 1:
-        best_pos, branch, ties = _branches(spec, received, cand_t)
-        bits = ((best_pos >> shifts) & 1).reshape(frames, -1)
-        metric = np.cumsum(branch[..., 0], axis=1)[:, -1]      # in order, as ACS adds
-        return spec.labels[0, best_pos[..., 0]], bits, metric, np.sum(ties, axis=1)
-    cand_t = np.broadcast_to(cand_t, (frames, sections) + cand_t.shape[2:])
-    states = np.arange(spec.num_states)
-    n_trans = len(spec.transitions)
-    cand = np.full((frames, n_trans + 1), np.inf)      # last column: padding
-    pm = np.full((frames, spec.num_states), np.inf)
-    pm[:, initial_state] = 0.0
-    back = np.empty((sections, frames, spec.num_states), dtype=np.intp)
-    best_pos = np.empty((sections, frames, len(spec.cosets)), dtype=np.intp)
-    ties = np.zeros(frames, dtype=np.int64)
-
-    for s in range(sections):
-        best_pos[s], branch, branch_ties = _branches(spec, received[:, s], cand_t[:, s])
-        ties += branch_ties
-        cand[:, :n_trans] = pm[:, spec.from_state] + branch[:, spec.coset_of]
-        vals = cand[:, spec.groups]                                  # (F, states, indeg)
-        # first minimum: smaller from-state
-        back[s] = spec.groups[states, np.argmin(vals, axis=2)]
-        pm = np.min(vals, axis=2)
-        finite = np.isfinite(pm)
-        ties += np.sum((np.sum(vals == pm[..., None], axis=2) - 1) * finite, axis=1)
-
-    state = np.argmin(pm, axis=1)
-    metric = np.min(pm, axis=1)
-    ties += (np.sum(pm == metric[:, None], axis=1) - 1) * np.isfinite(metric)
-
-    index = np.arange(frames)
-    decided = np.empty((frames, sections), dtype=np.intp)
-    value = np.empty((frames, sections), dtype=np.intp)
-    for s in range(sections - 1, -1, -1):
-        k = back[s, index, state]
-        pos = best_pos[s, index, spec.coset_of[k]]
-        decided[:, s] = spec.labels[k, pos]
-        value[:, s] = (spec.coded[k] << spec.uncoded_bits) | pos
-        state = spec.from_state[k]
-    bits = ((value[..., None] >> shifts) & 1).reshape(frames, -1)
+        path = np.zeros(received.shape[:2], dtype=np.intp)
+    else:
+        back, pm, acs_ties = _acs(spec, branch, initial_state, count_ties)
+        del branch         # its floats are not needed past the ACS
+        path = _traceback(spec, back, np.argmin(pm, axis=0))
+        ties += acs_ties
+    decided, bits, metric = _decisions(spec, path, best_pos, received, faded)
     return decided, bits, metric, ties
 
 
@@ -400,10 +489,10 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
     hs = checked_array(channels, "channel", mats.shape[2], ndims=(1, 2), rows="sections")
     if hs.ndim == 2 and len(hs) != len(rec):
         raise ValueError("got %d received blocks but %d channels" % (len(rec), len(hs)))
-    hs = np.broadcast_to(hs, (len(rec), hs.shape[-1]))
-    faded = np.stack([mats @ h for h in hs])                       # (sections, 32, T)
+    # one channel: one product for the frame; else one per section
+    faded = mats @ hs if hs.ndim == 1 else np.stack([mats @ h for h in hs])
     decided, bits, metric, ties = viterbi_decode_frames(spec, rec[None], faded[None],
-                                                        initial_state)
+                                                        initial_state, count_ties=True)
     result = DecodeResult(decided_indices=tuple(decided[0].tolist()),
                           metric=float(metric[0]), ties_broken=int(ties[0]))
     return result, bits[0].astype(np.int64)

@@ -186,7 +186,11 @@ def _trellis_for(cfg: SimConfig) -> TrellisSpec:
 
 def run_point(cfg: SimConfig, point_index: int,
               spec: TrellisSpec | None = None) -> SimResultRow:
-    """One SNR point over spec (default: the config's), stopping at max_frame_errors."""
+    """One SNR point over spec (default: the config's), stopping at max_frame_errors.
+
+    Each chunk is decoded without counting ties, since the row does not
+    report them.
+    """
     snr_db = cfg.snr_list_db[point_index]
     sigma = sigma_for_snr_db(snr_db)
     spec = spec or _trellis_for(cfg)

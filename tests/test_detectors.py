@@ -21,6 +21,7 @@ from stclab.detectors import (
     default_trellis,
     load_trellis,
     ml_block_decode,
+    squared_distances,
     trellis_encode,
     trellis_encode_frames,
     uncoded_trellis,
@@ -385,7 +386,8 @@ def test_frame_batch_matches_single_frame_decodes(spec, per_section):
     rec = rec + 0.6 * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
     rec[-2:] = 0.0
     decided, got_bits, metric, ties = viterbi_decode_frames(
-        spec, rec, faded if per_section else faded[:, 0], initial_state=start)
+        spec, rec, faded if per_section else faded[:, 0], initial_state=start,
+        count_ties=True)
     assert ties[-1] > 0 and ties[-2] == ties[-1]
     for f in range(frames):
         hs = h[f] if per_section else h[f, 0]
@@ -395,6 +397,135 @@ def test_frame_batch_matches_single_frame_decodes(spec, per_section):
         assert res.metric == metric[f]
         assert res.ties_broken == ties[f]
         assert trellis_encode(spec, bits[f], initial_state=start) == idx[f].tolist()
+
+
+def _exact_distance_decode(spec, received, faded, initial_state):
+    """Reference kernel: add-compare-select on the exact ||r - C h||^2 of each section.
+
+    The per-section loop that viterbi_decode_frames ran before it scored by
+    correlation, with its tie-break and tie-count rules.  The one-state
+    trellis runs through it too: its one-candidate compares never tie.
+    """
+    frames, sections = received.shape[:2]
+    per_frame = faded[:, None] if faded.ndim == 3 else faded
+    cand_t = np.swapaxes(np.broadcast_to(per_frame, (frames, sections) + faded.shape[-2:]),
+                         -1, -2)[..., spec.cosets.ravel()]
+    states = np.arange(spec.num_states)
+    n_trans = len(spec.transitions)
+    cand = np.full((frames, n_trans + 1), np.inf)      # last column: padding
+    pm = np.full((frames, spec.num_states), np.inf)
+    pm[:, initial_state] = 0.0
+    back = np.empty((sections, frames, spec.num_states), dtype=np.intp)
+    best_pos = np.empty((sections, frames, len(spec.cosets)), dtype=np.intp)
+    ties = np.zeros(frames, dtype=np.int64)
+    for s in range(sections):
+        dists = squared_distances(received[:, s], cand_t[:, s])
+        dists = dists.reshape((frames,) + spec.cosets.shape)
+        best_pos[s] = np.argmin(dists, axis=-1)
+        branch = np.min(dists, axis=-1)
+        ties += (np.sum(dists == branch[..., None], axis=-1) > 1) @ spec.coset_count
+        cand[:, :n_trans] = pm[:, spec.from_state] + branch[:, spec.coset_of]
+        vals = cand[:, spec.groups]
+        back[s] = spec.groups[states, np.argmin(vals, axis=2)]
+        pm = np.min(vals, axis=2)
+        ties += np.sum((np.sum(vals == pm[..., None], axis=2) - 1) * np.isfinite(pm), axis=1)
+    state = np.argmin(pm, axis=1)
+    metric = np.min(pm, axis=1)
+    ties += (np.sum(pm == metric[:, None], axis=1) - 1) * np.isfinite(metric)
+    index = np.arange(frames)
+    decided = np.empty((frames, sections), dtype=np.intp)
+    value = np.empty((frames, sections), dtype=np.intp)
+    for s in range(sections - 1, -1, -1):
+        k = back[s, index, state]
+        pos = best_pos[s, index, spec.coset_of[k]]
+        decided[:, s] = spec.labels[k, pos]
+        value[:, s] = (spec.coded[k] << spec.uncoded_bits) | pos
+        state = spec.from_state[k]
+    shifts = np.arange(spec.bits_per_section - 1, -1, -1)
+    bits = ((value[..., None] >> shifts) & 1).reshape(frames, -1)
+    return decided, bits, metric, ties
+
+
+def _random_trellis(rng) -> TrellisSpec:
+    """Up to 6 states and 4 transitions per state over a few shared label rows."""
+    states, coded = int(rng.integers(1, 7)), int(rng.integers(0, 3))
+    width = int(rng.integers(0 if coded else 1, 3))      # at least one bit per section
+    rows = [tuple(int(i) for i in rng.permutation(32)[:2 ** width])
+            for _ in range(int(rng.integers(1, 5)))]
+    return TrellisSpec(num_states=states, bits_per_section=coded + width, transitions=tuple(
+        Transition(frm, int(rng.integers(0, states)), 0, rows[int(rng.integers(0, len(rows)))])
+        for frm in range(states) for _ in range(2 ** coded)))
+
+
+def _noisy_batch(spec, rng, frames, sections, start, sigma, per_section, all_tie):
+    """Received blocks and faded candidates of encoded random frames.
+
+    The last all_tie frames have a zero channel and zero received blocks.
+    """
+    mats = matrix_stack()
+    bits = rng.integers(0, 2, size=(frames, spec.bits_per_section * sections))
+    idx = trellis_encode_frames(spec, bits, initial_state=start)
+    shape = (frames, sections if per_section else 1, 2)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h[frames - all_tie:] = 0.0
+    faded = (mats @ h[..., None, :, None])[..., 0]
+    rec = (mats[idx] @ np.broadcast_to(h, (frames, sections, 2))[..., None])[..., 0]
+    rec = rec + sigma * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
+    rec[frames - all_tie:] = 0.0
+    return rec, (faded if per_section else faded[:, 0])
+
+
+NAMED_TRELLISES = {"regular": default_trellis(), "irregular": load_trellis(irregular_trellis_text()),
+                   "one-state": uncoded_trellis()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       trellis=st.sampled_from(sorted(NAMED_TRELLISES) + ["random"]),
+       frames=st.integers(1, 8), sections=st.integers(1, 12), sigma=st.floats(0.01, 3.0),
+       per_section=st.booleans(), all_tie=st.integers(0, 2))
+def test_correlation_kernel_equals_exact_distance_reference(seed, trellis, frames, sections,
+                                                            sigma, per_section, all_tie):
+    # decisions by -Re<r, C h> and the re-summed exact metric are the bytes
+    # that the ACS over exact distances gives, tie counts included; noisy
+    # blocks only, since the two can part on a sum that is a tie in exact
+    # arithmetic but not in rounding (noiseless repeated blocks)
+    rng = np.random.default_rng(seed)
+    spec = _random_trellis(rng) if trellis == "random" else NAMED_TRELLISES[trellis]
+    start = int(rng.integers(0, spec.num_states))
+    rec, faded = _noisy_batch(spec, rng, frames, sections, start, sigma, per_section,
+                              min(all_tie, frames))
+    got = viterbi_decode_frames(spec, rec, faded, initial_state=start, count_ties=True)
+    want = _exact_distance_decode(spec, rec, faded, start)
+    for name, g, w in zip(("decided", "bits", "metric", "ties"), got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("trellis", sorted(NAMED_TRELLISES))
+@pytest.mark.parametrize("per_section", [False, True])
+def test_count_ties_false_changes_nothing_else(trellis, per_section):
+    spec = NAMED_TRELLISES[trellis]
+    rec, faded = _noisy_batch(spec, np.random.default_rng(41), 9, 7, 0, 0.6, per_section, 2)
+    counted = viterbi_decode_frames(spec, rec, faded, count_ties=True)
+    uncounted = viterbi_decode_frames(spec, rec, faded)
+    for c, u in zip(counted[:3], uncounted[:3]):
+        assert c.dtype == u.dtype and c.tobytes() == u.tobytes()
+    assert counted[3][-1] > 0
+    assert uncounted[3].dtype == np.int64 and uncounted[3].shape == (9,)
+    assert not uncounted[3].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+def test_faded_candidates_share_one_energy(seed, scale):
+    # the precondition of the correlation score: ||C h||^2 is one value for
+    # all 32 codematrices, the only labels load_trellis accepts
+    rng = np.random.default_rng(seed)
+    h = scale * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    energy = np.sum(np.abs(matrix_stack() @ h) ** 2, axis=-1)
+    assert energy.shape == (32,)
+    assert np.max(energy) - np.min(energy) <= 1e-14 * np.max(energy)
 
 
 @pytest.mark.parametrize("spec, index", [(default_trellis(), 0), (uncoded_trellis(), 4)],
