@@ -147,6 +147,9 @@ def load_trellis(text: str) -> TrellisSpec:
                          "bits_per_section=<k>" % head_no) from None
     if num_states < 1:
         raise ValueError("line %d: states must be at least 1, got %d" % (head_no, num_states))
+    if bits < 1:
+        raise ValueError("line %d: bits_per_section must be at least 1, got %d"
+                         % (head_no, bits))
     transitions, line_of = [], []
     n_labels = None
     for no, ln in body[1:]:

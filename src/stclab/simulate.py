@@ -12,12 +12,19 @@ SNR is Es/N0 per receive antenna with the total transmit energy per channel
 use fixed to 1 (codematrix rows have unit energy), so the noise variance per
 real dimension is sigma^2 = 1 / (2 * 10^(snr_db/10)).
 
-Determinism: every frame draws from its own generator seeded by
-SeedSequence(base_seed, spawn_key=(point_index, frame_index)), with the
-frozen in-frame draw order (payload bits, then channel, then noise).  Runs
-are therefore reproducible for a given config regardless of how frames are
-scheduled.  One channel draw per frame, held constant across the frame's
-blocks, independent across frames.
+Determinism: every frame draws from the stream of
+default_rng(SeedSequence(base_seed, spawn_key=(point_index, frame_index))),
+with the frozen in-frame draw order (payload bits, then channel, then
+noise).  Runs are therefore reproducible for a given config regardless of
+how frames are scheduled.  One channel draw per frame, held constant across
+the frame's blocks, independent across frames.
+
+The stream is realised without building those objects per frame:
+_seed_words re-implements the SeedSequence hash over a chunk's frames, and
+one reused PCG64 is loaded with each frame's seeded state.  Both
+algorithms are frozen by numpy's stream-compatibility policy, and the tests
+compare the hash and the draws with numpy's own objects, so the draws are
+bit-identical and the contract carries no version.
 
 Each frame's stream is read with one rng.random call that fills the frame's
 row of uniforms in that order: the payload bits (u < 0.5), then the 4
@@ -38,6 +45,7 @@ frame past it is drawn.  Results therefore do not depend on the chunk size.
 
 from __future__ import annotations
 
+import functools
 import io
 import time
 from dataclasses import dataclass
@@ -152,10 +160,109 @@ def sigma_for_snr_db(snr_db: float) -> float:
     return float(np.sqrt(1.0 / (2.0 * 10.0 ** (snr_db / 10.0))))
 
 
-def _frame_rng(base_seed: int, point_index: int, frame_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=base_seed,
-                                 spawn_key=(point_index, frame_index))
-    return np.random.default_rng(seq)
+# numpy's SeedSequence hash (O'Neill's seed_seq mix over a pool of 4 uint32
+# words) and PCG64's seeding, as numpy documents and freezes them (NEP 19).
+# The seed and point words, shared by a chunk's frames, are mixed once on
+# Python ints; the frame words then as uint32 array operations.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words32(n: int) -> list:
+    """n as little-endian 32-bit words, at least one (SeedSequence's coercion)."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(start: int, mult: int, n: int) -> list:
+    """start, start * mult, ... mod 2^32: the n + 1 constants of n hash steps."""
+    out = [start]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hash(value, xor, mult):
+    """One hash step mod 2^32, on Python ints or uint32 arrays alike."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """Mix hashed word y into pool word x, mod 2^32."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+# generate_state's 8 uint32 output words (4 uint64) hash pool word i % 4 in turn
+_OUT = _hash_constants(_INIT_B, _MULT_B, 8)
+_OUT_XOR = np.array(_OUT[:8], dtype=np.uint32)[:, None]
+_OUT_MULT = np.array(_OUT[1:], dtype=np.uint32)[:, None]
+
+
+def _point_pool(base_seed: int, point_index: int) -> tuple:
+    """The hash pool after the seed and point words, and the next hash constant.
+
+    The run entropy is zero-padded to the pool size, as SeedSequence does
+    when a spawn key is given; words past the pool are mixed into every
+    pool word in turn.
+    """
+    entropy = _words32(base_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy)) + _words32(point_index)
+    # 4 + 12 hash steps fill and cross-mix the pool, then 4 per later word:
+    # 4 per entropy word, which has at least 4 words
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
+    steps = zip(consts, consts[1:])
+
+    def hashmix(value):
+        return _hash(value, *next(steps))
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    return tuple(pool), consts[-1]
+
+
+def _seed_words(base_seed: int, point_index: int, first: int, count: int) -> np.ndarray:
+    """SeedSequence(base_seed, spawn_key=(point_index, f)).generate_state(4, np.uint64)
+    for frames f = first, ..., first + count - 1 (below 2^64), as rows (count, 4).
+
+    A frame index of 2^32 or more is two words; the second is mixed in only
+    for those frames.
+    """
+    pool, xor = _point_pool(base_seed, point_index)
+    c = np.array(_hash_constants(xor, _MULT_A, 8), dtype=np.uint32)[:, None]
+    frames = np.arange(first, first + count, dtype=np.uint64)
+    high = (frames >> 32).astype(np.uint32)
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None],
+                _hash(frames.astype(np.uint32), c[:4], c[1:5]))
+    if high.any():
+        pool = np.where(high != 0, _mix(pool, _hash(high, c[4:8], c[5:9])), pool)
+    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_XOR, _OUT_MULT).astype(np.uint64)
+    return (out[0::2] | out[1::2] << 32).T
+
+
+@functools.cache
+def _generator() -> np.random.Generator:
+    """The one PCG64 generator that _draw_frames reseeds before every frame.
+
+    Built on first use, which keeps numpy.random out of the import.  No
+    call sees another's state; calls from concurrent threads would race.
+    """
+    return np.random.Generator(np.random.PCG64(0))
 
 
 def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
@@ -169,8 +276,18 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
     """
     ch_end = bits_per_frame + 4
     u = np.empty((count, ch_end + 4 * cfg.sections_per_frame))
-    for f in range(count):
-        _frame_rng(cfg.base_seed, point_index, first + f).random(out=u[f])
+    gen = _generator()
+    bit_generator = gen.bit_generator
+    words = _seed_words(cfg.base_seed, point_index, first, count).tolist()
+    for f, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(words):
+        # PCG64's seeding: inc = 2 * seq + 1, then two steps from state 0
+        # with the seed added in between
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        gen.random(out=u[f])
     tx_bits = (u[:, :bits_per_frame] < 0.5).astype(np.int64)
     return (tx_bits, channels_from_uniform(u[:, bits_per_frame:ch_end]),
             normals_from_uniform(u[:, ch_end:]))
@@ -213,6 +330,8 @@ def run_point(cfg: SimConfig, point_index: int,
         frames += count
         bit_errors += int(np.sum(errs))
         frame_errors += int(np.count_nonzero(errs))
+        # free this chunk's arrays before the next chunk is drawn
+        del tx_bits, h, noise, rec, faded, rx_bits, errs
     elapsed = time.perf_counter() - t0
     return SimResultRow(snr_db=snr_db, frames=frames, bits=frames * bits_per_frame,
                         bit_errors=bit_errors, frame_errors=frame_errors,

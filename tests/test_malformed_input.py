@@ -15,6 +15,7 @@ from stclab.channel import (
     channels_from_uniform,
     shape_invariance_audit,
 )
+from stclab.cli import main
 from stclab.constellation import table_expansion
 from stclab.designs import alamouti_generators, read_generator_file, write_generator_file
 from stclab.detectors import (
@@ -107,6 +108,20 @@ def test_mutated_trellis_errors_name_a_line(edits):
             assert re.match(r"line \d+: ", str(exc)), str(exc)
         else:
             assert str(exc) == "empty trellis file"
+
+
+def test_zero_bits_per_section_exits_2_at_the_header(tmp_path, capsys):
+    # one self-loop per state, labelled by the state: 2**0 transitions out of each
+    text = "states=32 bits_per_section=0\n" + "".join(
+        "%d %d 0 %d\n" % (s, s, s) for s in range(32))
+    with pytest.raises(ValueError, match="^line 1: bits_per_section must be at least 1"):
+        load_trellis(text)
+    path = tmp_path / "zero.txt"
+    path.write_text(text)
+    assert main(["simulate", "--mode", "trellis", "--trellis", str(path),
+                 "--frames", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: line 1: ") and "Traceback" not in out.err + out.out
 
 
 #: Integer header field -> (valid text, its header, the header with that

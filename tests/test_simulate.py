@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from golden.record import irregular_trellis_text
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stclab import simulate
@@ -14,7 +14,7 @@ from stclab.simulate import (
     SimConfig,
     SimResultRow,
     _draw_frames,
-    _frame_rng,
+    _seed_words,
     format_csv,
     parse_config_file,
     run_point,
@@ -62,13 +62,34 @@ def test_config_validation():
 
 
 def test_frame_rng_streams_are_decoupled():
-    a = _frame_rng(1, 0, 0).random(4)
-    b = _frame_rng(1, 0, 1).random(4)
-    c = _frame_rng(1, 1, 0).random(4)
-    a2 = _frame_rng(1, 0, 0).random(4)
+    cfg = SimConfig(base_seed=1, sections_per_frame=1)
+    a, b = _draw_frames(cfg, 0, 0, 2, 4)[2]
+    c = _draw_frames(cfg, 1, 0, 1, 4)[2][0]
+    a2 = _draw_frames(cfg, 0, 0, 1, 4)[2][0]
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _reference_rng(base_seed, point_index, frame_index):
+    """numpy's own generator for a frame's stream: the spec of _draw_frames."""
+    return np.random.default_rng(np.random.SeedSequence(
+        base_seed, spawn_key=(point_index, frame_index)))
+
+
+#: 0, one 32-bit word, and two or more words
+WORD_COUNTS = (st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.one_of(*WORD_COUNTS, st.integers(2**128, 2**256)),
+       point=st.one_of(*WORD_COUNTS[:2], st.integers(2**32, 2**96)),
+       frame=st.one_of(*WORD_COUNTS))
+@example(seed=2**128, point=2**32, frame=2**32)
+def test_seed_words_equal_seed_sequence_state(seed, point, frame):
+    want = np.random.SeedSequence(seed, spawn_key=(point, frame)).generate_state(4, np.uint64)
+    got = _seed_words(seed, point, frame, 1)[0]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _two_call_normals(rng, n):
@@ -91,7 +112,7 @@ def _per_call_frames(cfg, point_index, first, count, bits_per_frame):
     h = np.empty((count, 2), dtype=np.complex128)
     noise = np.empty((count, 4 * sections))
     for f in range(count):
-        rng = _frame_rng(cfg.base_seed, point_index, first + f)
+        rng = _reference_rng(cfg.base_seed, point_index, first + f)
         tx_bits[f] = rng.random(bits_per_frame) < 0.5
         g = _two_call_normals(rng, 4)
         h[f] = (g[0::2] + 1j * g[1::2]) / np.sqrt(2.0)
@@ -100,9 +121,12 @@ def _per_call_frames(cfg, point_index, first, count, bits_per_frame):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**63), point=st.integers(0, 40),
-       first=st.integers(0, 10**6), count=st.integers(1, 70),
+@given(seed=st.one_of(st.integers(0, 2**63), st.integers(2**128, 2**160)),
+       point=st.integers(0, 40),
+       first=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 70, 2**32 + 10**6)),
+       count=st.integers(1, 70),
        sections=st.integers(1, 60))
+@example(seed=7, point=3, first=2**32 - 3, count=6, sections=2)   # crosses frame 2^32
 def test_batched_draws_equal_per_call_draws(seed, point, first, count, sections):
     cfg = SimConfig(base_seed=seed, sections_per_frame=sections)
     got = _draw_frames(cfg, point, first, count, 4 * sections)
@@ -110,6 +134,21 @@ def test_batched_draws_equal_per_call_draws(seed, point, first, count, sections)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+def test_run_point_builds_no_per_frame_generator(monkeypatch):
+    cfg = SimConfig(snr_list_db=(6.0,), frames_per_point=70, base_seed=5,
+                    sections_per_frame=50)
+    want = run_point(cfg, 0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_point built a generator object")
+
+    for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
+        monkeypatch.setattr(simulate.np.random, name, forbidden)
+    got = run_point(cfg, 0)
+    assert (got.frames, got.bit_errors, got.frame_errors) == (
+        want.frames, want.bit_errors, want.frame_errors)
 
 
 def test_uncoded_high_snr_is_error_free():
