@@ -3,8 +3,8 @@
 One receive antenna.  Over a block of T channel uses with codematrix C and
 channel vector h (length N, constant over the frame), the received samples
 are r = C h + n with circularly symmetric Gaussian noise, variance sigma^2
-per real dimension.  transmit applies this to whole frames at once, with
-noise drawn beforehand (the simulator draws it from each frame's stream).
+per real dimension.  transmit gathers whole frames of C h from the faded
+candidates that the decoder scores and adds noise drawn beforehand.
 A channel is a complex array, (N,) for one draw or (D, N) for D draws or
 one per section; channels_from_uniform draws it, and checked_array is the
 one check of every channel and received-block input.
@@ -91,15 +91,16 @@ def checked_array(values, what: str, width: int, ndims=(1,), rows: str = "draws"
     return a
 
 
-def transmit(codematrices: np.ndarray, h: np.ndarray, noise: np.ndarray,
+def transmit(faded: np.ndarray, indices: np.ndarray, noise: np.ndarray,
              sigma: float) -> np.ndarray:
     """Received blocks r = C h + n of F frames, shape (F, blocks, T).
 
-    codematrices (F, blocks, T, N) go over the frame's channel h[f] (h is
-    (F, N)); noise (F, 2 * blocks * T) holds standard normal draws,
-    interleaved re/im per channel use, scaled by sigma per real dimension.
+    Block b of frame f sends faded[f, indices[f, b]]: faded (F, 32, T) holds
+    each frame's faded candidates C h, the table the decoder scores.  noise
+    (F, 2 * blocks * T) holds standard normal draws, interleaved re/im per
+    channel use, scaled by sigma per real dimension.
     """
-    clean = (codematrices @ h[:, None, :, None])[..., 0]
+    clean = faded[np.arange(len(faded))[:, None], indices]
     return clean + sigma * (noise[:, 0::2] + 1j * noise[:, 1::2]).reshape(clean.shape)
 
 

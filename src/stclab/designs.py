@@ -292,6 +292,8 @@ def read_generator_file(text: str) -> GeneratorSet:
                 entries.append(complex(float(re_s), float(im_s)))
             except ValueError:
                 raise ValueError("line %d: bad entry %r, want 're,im'" % (no, cell)) from None
+        if not np.isfinite(entries[-n:]).all():      # both parts of every entry
+            raise ValueError("line %d: matrix entries must be finite" % no)
     mats = np.array(entries).reshape(2 * k, t, n)
     try:
         return GeneratorSet(t, n, k, tuple(mats), c)

@@ -9,9 +9,9 @@ C h have one energy and both scores rank them alike, up to rounding-level
 near-ties.  It scores every section of a chunk of frames first, then runs
 add-compare-select over a section trellis whose branches carry parallel
 codematrix labels (one coset per branch); parallel transitions are resolved
-to the best label before the compare step.  After the traceback it re-sums
-the exact ||r - C h||^2 of the decided candidates, so the metric it returns
-is the path's squared distance.  All tie-breaks are deterministic: smaller
+to the best label before the compare step.  viterbi_decode re-sums the
+exact ||r - C h||^2 of the decided candidates, so the metric it returns is
+the path's squared distance.  All tie-breaks are deterministic: smaller
 predecessor state, then smaller label position.  Ties are counted only on
 request (viterbi_decode always asks).  Uncoded BASE transmission is the
 one-state trellis (uncoded_trellis): per-block ML, exact ties by that same
@@ -283,13 +283,14 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
     coded bits pick the outgoing transition in listing order, the uncoded
     bits pick the parallel label.  Every frame starts in initial_state.
     """
-    b = np.asarray(bits, dtype=np.int64)
-    if b.shape[1] % spec.bits_per_section != 0:
-        raise ValueError("bit count %d is not a multiple of %d"
-                         % (b.shape[1], spec.bits_per_section))
+    b = np.asarray(bits)
+    if b.ndim != 2 or b.shape[1] % spec.bits_per_section:
+        raise ValueError("bits must be rows of a multiple of %d, got shape %s"
+                         % (spec.bits_per_section, b.shape))
     _check_initial_state(spec, initial_state)
-    if not np.all((b == 0) | (b == 1)):
+    if not np.all((b == 0) | (b == 1)):         # before the values are read as integers
         raise ValueError("bits must be 0 or 1")
+    b = b.astype(np.int64, copy=False)
     frames, sections = b.shape[0], b.shape[1] // spec.bits_per_section
     weights = 1 << np.arange(spec.bits_per_section - 1, -1, -1)
     value = b.reshape(frames, sections, spec.bits_per_section) @ weights
@@ -308,10 +309,9 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
 def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
     """Map a bit sequence to codematrix indices along the trellis.
 
-    One frame of trellis_encode_frames, returned as a list.
+    One frame of trellis_encode_frames, returned as a list: bits is 1-D.
     """
-    b = np.asarray(bits, dtype=np.int64).reshape(1, -1)
-    return trellis_encode_frames(spec, b, initial_state)[0].tolist()
+    return trellis_encode_frames(spec, [bits], initial_state)[0].tolist()
 
 
 #: Candidate scores that _branches holds at once, 128 KiB of floats, unless
@@ -420,23 +420,15 @@ def _traceback(spec: TrellisSpec, back, state) -> np.ndarray:
     return path
 
 
-def _decisions(spec: TrellisSpec, path, best_pos, received, faded):
-    """Decided indices (F, S), bits and metric (F,) along the transitions path.
-
-    metric re-sums the exact ||r - C h||^2 of the decided candidates in
-    section order, 0.0 + b0 + b1 + ..., as an ACS over exact distances adds
-    them, so it does not depend on the score that made the decisions.
-    """
+def _decisions(spec: TrellisSpec, path, best_pos):
+    """Decided indices (F, S) and bits (F, S * bits_per_section) along path."""
     frames, sections = path.shape
-    f = np.arange(frames)[:, None]
-    pos = best_pos[f, spec.coset_of[path], np.arange(sections)].astype(np.intp)
-    decided = spec.labels[path, pos]
+    pos = best_pos[np.arange(frames)[:, None], spec.coset_of[path],
+                   np.arange(sections)].astype(np.intp)
     value = (spec.coded[path] << spec.uncoded_bits) | pos
     bits = value[..., None] >> np.arange(spec.bits_per_section - 1, -1, -1)
     bits &= 1
-    chosen = faded[f, decided] if faded.ndim == 3 else faded[f, np.arange(sections), decided]
-    dist = squared_distances(received, chosen[..., None])[..., 0]
-    return decided, bits.reshape(frames, -1), np.cumsum(dist, axis=1)[:, -1]
+    return spec.labels[path, pos], bits.reshape(frames, -1)
 
 
 def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int = 0,
@@ -451,13 +443,12 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
     _acs keeps the survivors, and _traceback with _decisions reads the path.
 
     Returns (decided (F, sections), bits (F, sections * bits_per_section),
-    metric (F,), ties_broken (F,)).  metric is the exact sum of the decided
-    path's squared distances.  Ties go to the first minimum: the smaller
-    label position within a branch, the smaller from-state within a
-    compare, the smaller state at the end.  With count_ties a tie counts
-    each branch whose best label is not unique, each extra equal candidate
-    of a finite compare, and each extra equal final metric; +inf candidates
-    never tie.  Without it ties_broken is all zero.  A one-state,
+    ties_broken (F,)); viterbi_decode adds the decided path's exact metric.
+    Ties go to the first minimum: the smaller label position within a
+    branch, the smaller from-state within a compare, the smaller state at
+    the end.  With count_ties a tie counts each branch whose best label is
+    not unique, each extra equal candidate of a finite compare, and each
+    extra equal final metric; +inf candidates never tie.  Without it ties_broken is all zero.  A one-state,
     one-transition trellis (uncoded_trellis) skips the ACS loop.
     """
     _check_initial_state(spec, initial_state)
@@ -471,8 +462,7 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
         del branch         # its floats are not needed past the ACS
         path = _traceback(spec, back, np.argmin(pm, axis=0))
         ties += acs_ties
-    decided, bits, metric = _decisions(spec, path, best_pos, received, faded)
-    return decided, bits, metric, ties
+    return _decisions(spec, path, best_pos) + (ties,)
 
 
 def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
@@ -482,9 +472,10 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
     received_blocks is (sections, T), one block per section; channels is
     one draw (N,) for the frame or one per section (sections, N).  Both are
     checked by checked_array.  The start state is known to the decoder; the
-    end state is free (best final metric).  The returned metric equals the
-    summed block metrics of the decided path.  One frame of
-    viterbi_decode_frames.
+    end state is free (best final metric).  One frame of
+    viterbi_decode_frames, whose decisions fix the returned metric: the
+    exact ||r - C h||^2 of the decided blocks, summed in section order
+    (0.0 + b0 + b1 + ...) as an ACS over exact distances adds them.
     """
     mats = matrix_stack()
     rec = checked_array(received_blocks, "received block", mats.shape[1], ndims=(2,),
@@ -492,13 +483,15 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
     hs = checked_array(channels, "channel", mats.shape[2], ndims=(1, 2), rows="sections")
     if hs.ndim == 2 and len(hs) != len(rec):
         raise ValueError("got %d received blocks but %d channels" % (len(rec), len(hs)))
-    # one channel: one product for the frame; else one per section
-    faded = mats @ hs if hs.ndim == 1 else np.stack([mats @ h for h in hs])
-    decided, bits, metric, ties = viterbi_decode_frames(spec, rec[None], faded[None],
-                                                        initial_state, count_ties=True)
-    result = DecodeResult(decided_indices=tuple(decided[0].tolist()),
-                          metric=float(metric[0]), ties_broken=int(ties[0]))
-    return result, bits[0].astype(np.int64)
+    faded = (mats @ hs[..., None, :, None])[..., 0]        # (32, T) or (sections, 32, T)
+    (decided,), (bits,), (ties,) = viterbi_decode_frames(spec, rec[None], faded[None],
+                                                         initial_state, count_ties=True)
+    section = np.arange(len(rec))
+    chosen = np.broadcast_to(faded, section.shape + faded.shape[-2:])[section, decided]
+    metric = np.cumsum(squared_distances(rec, chosen[..., None])[..., 0])[-1]
+    result = DecodeResult(decided_indices=tuple(decided.tolist()), metric=float(metric),
+                          ties_broken=int(ties))
+    return result, bits.astype(np.int64)
 
 
 def base_subconstellation_entries():

@@ -36,11 +36,13 @@ calls.  Box-Muller (channel.normals_from_uniform) then runs once per chunk
 over the channel columns and once over the noise columns.
 
 Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS
-sections and at least one frame, with one channel.transmit call and one
-viterbi_decode_frames call per chunk.  A chunk never holds more frames
-than frame errors are still allowed, so a point stops on the last frame
-of a chunk, at exactly the frame where a frame-by-frame run stops, and no
-frame past it is drawn.  Results therefore do not depend on the chunk size.
+sections and at least one frame.  A chunk's faded candidates C h are formed
+once: channel.transmit gathers the sent blocks from them and one
+viterbi_decode_frames call decides against them.  A chunk never holds
+more frames than frame errors are still allowed, so a point stops on the
+last frame of a chunk, at exactly the frame where a frame-by-frame run
+stops, and no frame past it is drawn.  Results therefore do not depend on
+the chunk size.
 """
 
 from __future__ import annotations
@@ -322,9 +324,9 @@ def run_point(cfg: SimConfig, point_index: int,
                     cfg.max_frame_errors - frame_errors)
         tx_bits, h, noise = _draw_frames(cfg, point_index, frames, count,
                                          bits_per_frame)
-        rec = transmit(mats[trellis_encode_frames(spec, tx_bits)], h, noise, sigma)
         # C h for all 32 candidates (F, 32, 2), elementwise: cheaper than F * 32 matmuls
         faded = mats[..., 0] * h[:, None, None, 0] + mats[..., 1] * h[:, None, None, 1]
+        rec = transmit(faded, trellis_encode_frames(spec, tx_bits), noise, sigma)
         rx_bits = viterbi_decode_frames(spec, rec, faded)[1]
         errs = np.count_nonzero(rx_bits != tx_bits, axis=1)
         frames += count

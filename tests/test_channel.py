@@ -73,14 +73,18 @@ def test_transmit_noiseless_and_noise_scaling():
     idx = rng.integers(0, 32, size=(frames, blocks))
     h = np.stack([_channel(rng) for _ in range(frames)])
     noise = normals_from_uniform(rng.random(frames * 4 * blocks)).reshape(frames, 4 * blocks)
-    clean = transmit(mats[idx], h, noise, 0.0)
+    # the faded candidates as the simulator forms them, one table per frame
+    faded = mats[..., 0] * h[:, None, None, 0] + mats[..., 1] * h[:, None, None, 1]
+    clean = transmit(faded, idx, noise, 0.0)
     assert clean.shape == (frames, blocks, 2)
     for f in (0, 7, frames - 1):
         for b in (0, blocks - 1):
-            assert np.array_equal(clean[f, b], mats[idx[f, b]] @ h[f])
+            assert np.array_equal(clean[f, b], faded[f, idx[f, b]])
+    # the gather is the product C h of every sent codematrix, byte for byte
+    assert clean.tobytes() == (mats[idx] @ h[:, None, :, None])[..., 0].tobytes()
     # with noise: residual variance matches 2*sigma^2 per complex sample
     sigma = 0.3
-    r = transmit(mats[idx], h, noise, sigma)
+    r = transmit(faded, idx, noise, sigma)
     assert r.shape == (frames, blocks, 2)
     per_complex = float(np.mean(np.abs(r - clean) ** 2))
     assert abs(per_complex - 2 * sigma ** 2) < 0.005

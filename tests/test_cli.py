@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -21,6 +24,29 @@ def test_every_exported_name_resolves():
     # a name left in __all__ after its object is gone breaks `from stclab import *`
     assert [name for name in stclab.__all__ if not hasattr(stclab, name)] == []
     assert len(set(stclab.__all__)) == len(stclab.__all__)
+
+
+#: The set-up steps the benchmark times, in a fresh interpreter.
+SETUP_STEPS = """
+import sys
+import stclab.cli
+from stclab.constellation import build_constellation, matrix_stack
+from stclab.detectors import default_trellis
+default_trellis()
+build_constellation()
+matrix_stack()
+print(" ".join(sorted(m for m in ("numpy.random", "numpy.ma") if m in sys.modules)))
+"""
+
+
+def test_setup_imports_neither_numpy_random_nor_numpy_ma():
+    # each is tens of milliseconds of set-up: numpy.ma comes with np.unique,
+    # numpy.random with a generator built at import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stclab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", SETUP_STEPS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 def test_audit_all_passes(capsys):

@@ -271,6 +271,29 @@ def test_trellis_encode_known_paths():
         trellis_encode(spec, [0, 0, 0, 0], initial_state=8)
 
 
+@pytest.mark.parametrize("bits", [[0.5, 0.9, 1.7, 0], ["1", "0", "1", "1"]],
+                         ids=["fractions", "strings"])
+def test_bits_are_checked_before_the_integer_cast(bits):
+    # an int64 cast would read them as 0010 and 1011, and encode [2] and [15]
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        trellis_encode(default_trellis(), bits)
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        trellis_encode_frames(default_trellis(), [bits])
+
+
+def test_encoders_take_bits_of_their_own_shape():
+    spec = default_trellis()
+    # a reshape would read [[1, 0], [1, 1]] as the frame 1011 and encode [15]
+    with pytest.raises(ValueError, match="rows of a multiple of 4"):
+        trellis_encode(spec, [[1, 0], [1, 1]])
+    with pytest.raises(ValueError, match="rows of a multiple of 4"):
+        trellis_encode_frames(spec, [1, 0, 1, 1])
+    bits = np.random.default_rng(5).integers(0, 2, size=(3, 4 * 6))
+    want = trellis_encode_frames(spec, bits).tolist()
+    for same in (bits.astype(float), bits.astype(bool), bits.astype(np.uint8)):
+        assert trellis_encode_frames(spec, same).tolist() == want
+
+
 def test_viterbi_noiseless_recovers_paths_and_bits():
     spec = default_trellis()
     entries = build_constellation()
@@ -385,7 +408,7 @@ def test_frame_batch_matches_single_frame_decodes(spec, per_section):
     rec = (mats[idx] @ h[..., None])[..., 0]
     rec = rec + 0.6 * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
     rec[-2:] = 0.0
-    decided, got_bits, metric, ties = viterbi_decode_frames(
+    decided, got_bits, ties = viterbi_decode_frames(
         spec, rec, faded if per_section else faded[:, 0], initial_state=start,
         count_ties=True)
     assert ties[-1] > 0 and ties[-2] == ties[-1]
@@ -394,7 +417,6 @@ def test_frame_batch_matches_single_frame_decodes(spec, per_section):
         res, one_bits = viterbi_decode(spec, rec[f], hs, initial_state=start)
         assert list(res.decided_indices) == decided[f].tolist()
         assert one_bits.tolist() == got_bits[f].tolist()
-        assert res.metric == metric[f]
         assert res.ties_broken == ties[f]
         assert trellis_encode(spec, bits[f], initial_state=start) == idx[f].tolist()
 
@@ -458,9 +480,10 @@ def _random_trellis(rng) -> TrellisSpec:
 
 
 def _noisy_batch(spec, rng, frames, sections, start, sigma, per_section, all_tie):
-    """Received blocks and faded candidates of encoded random frames.
+    """Received blocks, faded candidates and channels of encoded random frames.
 
-    The last all_tie frames have a zero channel and zero received blocks.
+    The channels are (F, sections, N) or (F, N).  The last all_tie frames
+    have a zero channel and zero received blocks.
     """
     mats = matrix_stack()
     bits = rng.integers(0, 2, size=(frames, spec.bits_per_section * sections))
@@ -472,7 +495,9 @@ def _noisy_batch(spec, rng, frames, sections, start, sigma, per_section, all_tie
     rec = (mats[idx] @ np.broadcast_to(h, (frames, sections, 2))[..., None])[..., 0]
     rec = rec + sigma * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
     rec[frames - all_tie:] = 0.0
-    return rec, (faded if per_section else faded[:, 0])
+    if per_section:
+        return rec, faded, h
+    return rec, faded[:, 0], h[:, 0]
 
 
 NAMED_TRELLISES = {"regular": default_trellis(), "irregular": load_trellis(irregular_trellis_text()),
@@ -486,34 +511,38 @@ NAMED_TRELLISES = {"regular": default_trellis(), "irregular": load_trellis(irreg
        per_section=st.booleans(), all_tie=st.integers(0, 2))
 def test_correlation_kernel_equals_exact_distance_reference(seed, trellis, frames, sections,
                                                             sigma, per_section, all_tie):
-    # decisions by -Re<r, C h> and the re-summed exact metric are the bytes
-    # that the ACS over exact distances gives, tie counts included; noisy
-    # blocks only, since the two can part on a sum that is a tie in exact
-    # arithmetic but not in rounding (noiseless repeated blocks)
+    # decisions by -Re<r, C h>, and the exact metric that viterbi_decode
+    # re-sums along them, are the bytes that the ACS over exact distances
+    # gives, tie counts included; noisy blocks only, since the two can part
+    # on a sum that is a tie in exact arithmetic but not in rounding
+    # (noiseless repeated blocks)
     rng = np.random.default_rng(seed)
     spec = _random_trellis(rng) if trellis == "random" else NAMED_TRELLISES[trellis]
     start = int(rng.integers(0, spec.num_states))
-    rec, faded = _noisy_batch(spec, rng, frames, sections, start, sigma, per_section,
-                              min(all_tie, frames))
+    rec, faded, h = _noisy_batch(spec, rng, frames, sections, start, sigma, per_section,
+                                 min(all_tie, frames))
     got = viterbi_decode_frames(spec, rec, faded, initial_state=start, count_ties=True)
-    want = _exact_distance_decode(spec, rec, faded, start)
-    for name, g, w in zip(("decided", "bits", "metric", "ties"), got, want):
+    decided, bits, metric, ties = _exact_distance_decode(spec, rec, faded, start)
+    for name, g, w in zip(("decided", "bits", "ties"), got, (decided, bits, ties)):
         assert g.dtype == w.dtype and g.shape == w.shape, name
         assert g.tobytes() == w.tobytes(), name
+    for f in range(frames):
+        res, _ = viterbi_decode(spec, rec[f], h[f], initial_state=start)
+        assert np.float64(res.metric).tobytes() == metric[f].tobytes()
 
 
 @pytest.mark.parametrize("trellis", sorted(NAMED_TRELLISES))
 @pytest.mark.parametrize("per_section", [False, True])
 def test_count_ties_false_changes_nothing_else(trellis, per_section):
     spec = NAMED_TRELLISES[trellis]
-    rec, faded = _noisy_batch(spec, np.random.default_rng(41), 9, 7, 0, 0.6, per_section, 2)
+    rec, faded, _ = _noisy_batch(spec, np.random.default_rng(41), 9, 7, 0, 0.6, per_section, 2)
     counted = viterbi_decode_frames(spec, rec, faded, count_ties=True)
     uncounted = viterbi_decode_frames(spec, rec, faded)
-    for c, u in zip(counted[:3], uncounted[:3]):
+    for c, u in zip(counted[:2], uncounted[:2]):
         assert c.dtype == u.dtype and c.tobytes() == u.tobytes()
-    assert counted[3][-1] > 0
-    assert uncounted[3].dtype == np.int64 and uncounted[3].shape == (9,)
-    assert not uncounted[3].any()
+    assert counted[2][-1] > 0
+    assert uncounted[2].dtype == np.int64 and uncounted[2].shape == (9,)
+    assert not uncounted[2].any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -614,17 +643,19 @@ def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_s
     rec = (matrix_stack()[idx] @ np.broadcast_to(h, (frames, sections, 2))[..., None])[..., 0]
     rec = rec + sigma * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
     faded = faded if per_section else faded[:, 0]
-    decided, got_bits, metric, ties = viterbi_decode_frames(spec, rec, faded)
-    for got, want in zip((decided, got_bits, metric, ties),
-                         viterbi_decode_frames(twin, rec, faded)):
+    decided, got_bits, ties = viterbi_decode_frames(spec, rec, faded)
+    for got, want in zip((decided, got_bits, ties), viterbi_decode_frames(twin, rec, faded)):
         assert got.tobytes() == want.tobytes()
     base = base_subconstellation_entries()
     for f in range(frames):
+        hs = h[f] if per_section else h[f, 0]
+        metric = viterbi_decode(spec, rec[f], hs)[0].metric
+        assert metric == viterbi_decode(twin, rec[f], hs)[0].metric
         total = 0.0
         for s in range(sections):
             ml = ml_block_decode(rec[f, s], h[f, s if per_section else 0], base)
             assert decided[f, s] == ml.decided_indices[0]
             total += ml.metric
-        assert abs(metric[f] - total) <= 1e-12 * max(1.0, total)
+        assert abs(metric - total) <= 1e-12 * max(1.0, total)
         assert ties[f] == 0
     assert trellis_encode_frames(spec, got_bits).tolist() == decided.tolist()

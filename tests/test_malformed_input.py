@@ -124,6 +124,19 @@ def test_zero_bits_per_section_exits_2_at_the_header(tmp_path, capsys):
     assert out.err.startswith("error: line 1: ") and "Traceback" not in out.err + out.out
 
 
+@pytest.mark.parametrize("cell", ["nan,0.0", "inf,1e400", "0.0,1e400", "0.0,-inf"])
+def test_non_finite_generator_entry_names_its_line(cell):
+    # the header is line 1 and the first matrix row line 3; put the entry on
+    # the second row of the second matrix, line 7
+    lines = GENERATORS.splitlines()
+    assert lines[0] == "2 2 2 0.5" and lines[2] and not lines[4]
+    cells = lines[6].split()
+    cells[1] = cell
+    lines[6] = " ".join(cells)
+    with pytest.raises(ValueError, match="^line 7: matrix entries must be finite$"):
+        read_generator_file("\n".join(lines))
+
+
 #: Integer header field -> (valid text, its header, the header with that
 #: field as %d, parser)
 HEADER_FIELDS = {
