@@ -1,9 +1,9 @@
 """Generator sets for generalized complex orthogonal space-time designs.
 
 A design over T channel uses, N transmit antennas and K complex symbols is
-described by an ordered basis of 2K complex T x N matrices.  Writing the
-symbol vector in real coordinates chi (length 2K, interleaved re/im), a
-codematrix is the real linear combination
+an ordered basis of 2K complex T x N matrices, so a GeneratorSet reads T, N
+and K off its basis.  Writing the symbol vector in real coordinates chi
+(length 2K, interleaved re/im), a codematrix is the real linear combination
 
     S(chi) = sum_l chi_l B_l.
 
@@ -40,41 +40,40 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 class GeneratorSet:
     """Ordered Radon-Hurwitz basis of a generalized orthogonal design.
 
+    Construction raises ValueError unless the basis is 2K >= 2 matrices of
+    one shape, none of them empty, and the scale is positive and finite.
+
     Attributes
     ----------
-    block_len : int
-        Channel uses per codematrix (rows of each basis matrix).
-    num_antennas : int
-        Transmit antennas (columns of each basis matrix).
-    num_symbols : int
-        Complex symbols per codematrix; the basis has 2 * num_symbols members.
     basis : tuple of ndarray
         The 2K matrices, order significant: members 2k, 2k+1 carry the real
         and imaginary coordinate of symbol k.
     scale : float
         The Radon-Hurwitz scale c.
+    block_len, num_antennas, num_symbols : int
+        Derived from the basis: T channel uses and N antennas (the shape of
+        each matrix) and K complex symbols per codematrix (half the basis).
     """
 
-    block_len: int
-    num_antennas: int
-    num_symbols: int
     basis: tuple
     scale: float
 
     def __post_init__(self):
-        if self.block_len < 1 or self.num_antennas < 1 or self.num_symbols < 1:
-            raise ValueError("block_len, num_antennas, num_symbols must be positive")
-        if len(self.basis) != 2 * self.num_symbols:
-            raise ValueError("basis must hold exactly 2K matrices, got %d for K=%d"
-                             % (len(self.basis), self.num_symbols))
         shaped = tuple(as_complex_matrix(b) for b in self.basis)
+        if not shaped or len(shaped) % 2:
+            raise ValueError("basis must hold 2K >= 2 matrices, got %d" % len(shaped))
+        shape = shaped[0].shape
+        if 0 in shape:
+            raise ValueError("basis matrices have a zero dimension: %s" % (shape,))
         for k, b in enumerate(shaped):
-            if b.shape != (self.block_len, self.num_antennas):
-                raise ValueError("basis[%d] has shape %s, expected (%d, %d)"
-                                 % (k, b.shape, self.block_len, self.num_antennas))
-        object.__setattr__(self, "basis", shaped)
+            if b.shape != shape:
+                raise ValueError("basis[%d] has shape %s, expected %s"
+                                 % (k, b.shape, shape))
         if not (self.scale > 0.0 and np.isfinite(self.scale)):
             raise ValueError("scale must be positive and finite, got %r" % (self.scale,))
+        for name, value in dict(basis=shaped, block_len=shape[0], num_antennas=shape[1],
+                                num_symbols=len(shaped) // 2).items():
+            object.__setattr__(self, name, value)
 
     def stacked(self) -> np.ndarray:
         """Basis as a (2K, T, N) array."""
@@ -85,16 +84,14 @@ def make_generator_set(basis) -> GeneratorSet:
     """Build a GeneratorSet from matrices, estimating the scale.
 
     The estimate reads c off the first diagonal Radon-Hurwitz identity,
-    c = (1/2N) * trace(B_0^H B_0 + B_0^H B_0).
+    c = (1/2N) * trace(B_0^H B_0 + B_0^H B_0).  A missing or empty B_0
+    raises ValueError; GeneratorSet checks the rest.
     """
-    mats = [as_complex_matrix(b) for b in basis]
-    if not mats or len(mats) % 2 != 0:
-        raise ValueError("a generator set needs a nonempty even number of matrices")
-    rows, cols = mats[0].shape
-    scale = float(np.real(np.trace(mats[0].conj().T @ mats[0]))) / cols
-    return GeneratorSet(block_len=rows, num_antennas=cols,
-                        num_symbols=len(mats) // 2, basis=tuple(mats),
-                        scale=scale)
+    mats = tuple(as_complex_matrix(b) for b in basis)
+    if not mats or not mats[0].size:
+        raise ValueError("a generator set needs a nonempty first matrix")
+    scale = float(np.real(np.trace(mats[0].conj().T @ mats[0]))) / mats[0].shape[1]
+    return GeneratorSet(mats, scale)
 
 
 def alamouti_generators() -> GeneratorSet:
@@ -103,14 +100,14 @@ def alamouti_generators() -> GeneratorSet:
     b1 = _INV_SQRT2 * np.array([[1j, 0], [0, 1j]], dtype=np.complex128)
     b2 = _INV_SQRT2 * np.array([[0, 1], [1, 0]], dtype=np.complex128)
     b3 = _INV_SQRT2 * np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    return GeneratorSet(2, 2, 2, (b0, b1, b2, b3), 0.5)
+    return GeneratorSet((b0, b1, b2, b3), 0.5)
 
 
 def primed_alamouti_generators() -> GeneratorSet:
     """The companion quadruple, the base one right-multiplied by diag(1, -1)."""
     u = np.diag([1.0, -1.0]).astype(np.complex128)
     base = alamouti_generators()
-    return GeneratorSet(2, 2, 2, tuple(b @ u for b in base.basis), 0.5)
+    return GeneratorSet(tuple(b @ u for b in base.basis), 0.5)
 
 
 @dataclass(frozen=True)
@@ -220,8 +217,7 @@ def rotate_generators(g: GeneratorSet, zeta: complex) -> GeneratorSet:
         bo = g.basis[2 * l + 1]
         out.append(z * (c * be - s * bo))
         out.append(z * (c * bo + s * be))
-    return GeneratorSet(g.block_len, g.num_antennas, g.num_symbols,
-                        tuple(out), g.scale)
+    return GeneratorSet(tuple(out), g.scale)
 
 
 def span_residuals(g: GeneratorSet, matrices) -> np.ndarray:
@@ -294,8 +290,7 @@ def read_generator_file(text: str) -> GeneratorSet:
                 raise ValueError("line %d: bad entry %r, want 're,im'" % (no, cell)) from None
         if not np.isfinite(entries[-n:]).all():      # both parts of every entry
             raise ValueError("line %d: matrix entries must be finite" % no)
-    mats = np.array(entries).reshape(2 * k, t, n)
     try:
-        return GeneratorSet(t, n, k, tuple(mats), c)
+        return GeneratorSet(np.array(entries).reshape(2 * k, t, n), c)
     except ValueError as exc:    # only the header's scale is left to reject
         raise ValueError("line %d: %s" % (head_no, exc)) from None

@@ -133,9 +133,7 @@ def expand(g: GeneratorSet, point_chis, unitary, zeta=1.0) -> ExpandedConstellat
     chis = [np.asarray(c, dtype=np.float64).reshape(-1) for c in point_chis]
     if not chis:
         raise ValueError("point_chis must be nonempty")
-    primed_basis = tuple(b @ u * z for b in g.basis)
-    gp = GeneratorSet(g.block_len, g.num_antennas, g.num_symbols,
-                      primed_basis, g.scale)
+    gp = GeneratorSet(tuple(b @ u * z for b in g.basis), g.scale)
     base = [synthesize(g, chi) for chi in chis]
     image = [synthesize(gp, chi) for chi in chis]
     collides = _matches(image, base).any(axis=1)
@@ -195,12 +193,19 @@ def classify_expansion(unitary, zeta, g: GeneratorSet, point_chis) -> ExpansionC
 
 @dataclass(frozen=True)
 class SpanAudit:
-    """Residual report for a span-separation audit."""
+    """Residuals of a span-separation audit and what they give: min_residual
+    and max_residual (inf and 0.0 when there are none), and separated, true
+    when there is a residual and every one exceeds SPAN_SEPARATION_TOL."""
 
     residuals: np.ndarray
-    min_residual: float
-    max_residual: float
-    separated: bool
+
+    def __post_init__(self):
+        res = self.residuals
+        lo = float(np.min(res, initial=np.inf))
+        derived = dict(min_residual=lo, max_residual=float(np.max(res, initial=0.0)),
+                       separated=res.size > 0 and lo > SPAN_SEPARATION_TOL)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def theorem1_audit(e: ExpandedConstellation) -> SpanAudit:
@@ -209,10 +214,7 @@ def theorem1_audit(e: ExpandedConstellation) -> SpanAudit:
     For a discernible expansion every residual must be bounded away from
     zero; separated reports min residual > 1e-6.
     """
-    res = span_residuals(e.base_generators, e.primed_generators.basis)
-    return SpanAudit(residuals=res, min_residual=float(res.min()),
-                     max_residual=float(res.max()),
-                     separated=bool(res.min() > SPAN_SEPARATION_TOL))
+    return SpanAudit(span_residuals(e.base_generators, e.primed_generators.basis))
 
 
 def corollary1_audit(e: ExpandedConstellation) -> SpanAudit:
@@ -221,15 +223,8 @@ def corollary1_audit(e: ExpandedConstellation) -> SpanAudit:
     separated reports that every added point misses the design span by more
     than 1e-6, i.e. (G_e minus G) intersects the design only at 0.
     """
-    res = []
-    for p in e.primed_points():
-        _, resid = analyze(e.base_generators, p.matrix)
-        res.append(resid)
-    arr = np.array(res) if res else np.zeros(0)
-    mn = float(arr.min()) if arr.size else float("inf")
-    mx = float(arr.max()) if arr.size else 0.0
-    return SpanAudit(residuals=arr, min_residual=mn, max_residual=mx,
-                     separated=bool(arr.size and mn > SPAN_SEPARATION_TOL))
+    return SpanAudit(np.array([analyze(e.base_generators, p.matrix)[1]
+                               for p in e.primed_points()]))
 
 
 def decompose_direct_sum(e: ExpandedConstellation, s) -> TaggedPoint:

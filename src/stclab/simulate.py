@@ -85,25 +85,25 @@ def _snr_list(text: str) -> tuple:
 
 _POSITIVE = (int, lambda v: v >= 1, "must be positive")
 
-#: SimConfig field -> (converter of its text, rule its value meets or None,
-#: what the rule asks).  SimConfig checks values against it, and config
-#: lines and simulate flags both read their text through field_value.
+#: SimConfig field -> (converter of its text, rule its value meets, what the
+#: rule asks).  SimConfig checks values against it, and config lines and
+#: simulate flags both read their text through field_value.
 FIELDS = {
     "mode": (str, lambda v: v in MODES, "must be one of %s" % (MODES,)),
-    "snr_list_db": (_snr_list, lambda v: len(v) > 0 and all(np.isfinite(v)),
-                    "must hold at least one SNR, all finite"),
+    "snr_list_db": (_snr_list, lambda v: len(v) > 0 and all(map(_finite_sigma, v)),
+                    "must hold at least one SNR, each with a finite noise sigma"),
     "frames_per_point": _POSITIVE,
     "base_seed": (int, lambda v: v >= 0, "must be nonnegative"),
     "max_frame_errors": _POSITIVE,
     "sections_per_frame": _POSITIVE,
-    "trellis_path": (str, None, None),
+    "trellis_path": (str, lambda v: v != "", "must name a file"),
 }
 
 
 def _check_field(name: str, value) -> None:
     """Raise ValueError when value breaks the FIELDS rule of field name."""
     _, rule, asks = FIELDS[name]
-    if rule is not None and not rule(value):
+    if not rule(value):
         raise ValueError("%s %s, got %r" % (name, asks, value))
 
 
@@ -134,7 +134,7 @@ class SimConfig:
                            tuple(float(s) for s in self.snr_list_db))
         for name in FIELDS:
             _check_field(name, getattr(self, name))
-        if self.trellis_path and self.mode != "trellis":
+        if self.trellis_path is not None and self.mode != "trellis":
             raise ValueError("trellis_path is only read in trellis mode, got mode %r"
                              % self.mode)
 
@@ -160,6 +160,14 @@ class SimResultRow:
 def sigma_for_snr_db(snr_db: float) -> float:
     """Noise sigma per real dimension at Es = 1 per channel use."""
     return float(np.sqrt(1.0 / (2.0 * 10.0 ** (snr_db / 10.0))))
+
+
+def _finite_sigma(snr_db: float) -> bool:
+    """Whether snr_db is finite and sigma_for_snr_db makes it a finite float."""
+    try:
+        return bool(np.isfinite(snr_db) and np.isfinite(sigma_for_snr_db(snr_db)))
+    except (OverflowError, ZeroDivisionError):   # 10 ** (snr_db / 10) overflows or is 0
+        return False
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq mix over a pool of 4 uint32
@@ -297,7 +305,7 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
 
 def _trellis_for(cfg: SimConfig) -> TrellisSpec:
     """The trellis that a config's mode and trellis_path select."""
-    if not cfg.trellis_path:
+    if cfg.trellis_path is None:
         return uncoded_trellis() if cfg.mode == "uncoded" else default_trellis()
     with open(cfg.trellis_path) as fh:
         return load_trellis(fh.read())

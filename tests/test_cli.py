@@ -213,7 +213,10 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
                       ("frames_per_point=abc\n", 1),
                       ("mode=uncoded\nspeed=11\n", 2),
                       ("mode=uncoded\nframes_per_point=0\n", 2),
-                      ("mode=turbo\n", 1)):
+                      ("mode=turbo\n", 1),
+                      ("mode=uncoded\n\nsnr_list_db = 8, -3100\n", 3),
+                      ("mode=trellis\ntrellis_path =\n", 2),
+                      ("mode=uncoded\ntrellis_path =\n", 2)):
         cfgf.write_text(bad)
         assert main(["simulate", "--config", str(cfgf)]) == 2
         assert "error: line %d:" % line in capsys.readouterr().err
@@ -235,7 +238,14 @@ def test_simulate_bad_mode_is_exit_2(capsys):
     for bad, msg in ((["--frames", "abc"], "bad frames_per_point value"),
                      (["--frames", "0"], "frames_per_point must be positive, got 0"),
                      (["--mode", "turbo"], "mode must be one of"),
-                     (["--snr", "8,oops"], "bad snr_list_db value")):
+                     (["--snr", "8,oops"], "bad snr_list_db value"),
+                     # no finite noise sigma: an overflow, sigma = inf or 1 / 0
+                     (["--snr", "3100"], "snr_list_db must hold"),
+                     (["--snr=-3100"], "snr_list_db must hold"),
+                     (["--snr=-3300"], "snr_list_db must hold"),
+                     # an empty path would silently run the shipped trellis
+                     (["--trellis="], "trellis_path must name a file, got ''"),
+                     (["--mode", "trellis", "--trellis="], "trellis_path must name")):
         assert main(["simulate"] + bad) == 2
         assert "error: " + msg in capsys.readouterr().err
 

@@ -57,10 +57,10 @@ def test_radon_hurwitz_pass_and_scale():
 
 def test_radon_hurwitz_nan_or_inf_residual_fails():
     g = alamouti_generators()
-    rep = radon_hurwitz_check(GeneratorSet(2, 2, 2, g.basis, 1e308))
+    rep = radon_hurwitz_check(GeneratorSet(g.basis, 1e308))
     assert not rep.passed and rep.max_residual == np.inf and rep.worst_pair == (0, 0)
     # inf - inf on the diagonal: a NaN residual is the worst of all
-    huge = GeneratorSet(2, 2, 2, tuple(1e200 * b for b in g.basis), 1e308)
+    huge = GeneratorSet(tuple(1e200 * b for b in g.basis), 1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         rep = radon_hurwitz_check(huge)
     assert not rep.passed and np.isnan(rep.max_residual) and rep.worst_pair == (0, 0)
@@ -197,7 +197,7 @@ def test_any_generator_file_round_trips_bit_exactly(data, t, n, k, scale):
     else:
         parts = data.draw(hnp.arrays(np.float64, (2 * k, t, n, 2), elements=FINITE))
     mats = np.ascontiguousarray(parts).view(np.complex128)[..., 0]      # (re, im) pairs
-    g = read_generator_file(write_generator_file(GeneratorSet(t, n, k, tuple(mats), scale)))
+    g = read_generator_file(write_generator_file(GeneratorSet(tuple(mats), scale)))
     assert (g.block_len, g.num_antennas, g.num_symbols) == (t, n, k)
     assert np.float64(g.scale).tobytes() == np.float64(scale).tobytes()
     assert g.stacked().tobytes() == mats.tobytes()
@@ -226,12 +226,24 @@ def test_generator_file_errors_carry_line_numbers():
 
 
 def test_generator_set_validation():
-    with pytest.raises(ValueError):
-        GeneratorSet(2, 2, 2, (np.eye(2),) * 3, 0.5)   # wrong count
-    with pytest.raises(ValueError):
-        GeneratorSet(2, 2, 1, (np.eye(3), np.eye(3)), 0.5)  # wrong shape
+    for basis, msg in (((), "2K >= 2 matrices, got 0"),
+                       ((np.eye(2),) * 3, "2K >= 2 matrices, got 3"),
+                       ((np.zeros((0, 2)),) * 2, r"zero dimension: \(0, 2\)"),
+                       ((np.eye(2), np.eye(3)), r"basis\[1\] has shape \(3, 3\), "
+                                                r"expected \(2, 2\)")):
+        with pytest.raises(ValueError, match=msg):
+            GeneratorSet(basis, 0.5)
     for scale in (-1.0, 0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="scale must be positive and finite"):
-            GeneratorSet(2, 2, 1, (np.eye(2), np.eye(2)), scale)
+            GeneratorSet((np.eye(2), np.eye(2)), scale)
+    # the sizes are read off the basis
+    g = GeneratorSet((np.ones((3, 2)),) * 4, 1.0)
+    assert (g.block_len, g.num_antennas, g.num_symbols) == (3, 2, 2)
+    # make_generator_set estimates the scale and leaves the rest to GeneratorSet
+    for basis in ([], [np.zeros((2, 0))] * 2):
+        with pytest.raises(ValueError):
+            make_generator_set(basis)
+    with pytest.raises(ValueError, match="got 3"):
+        make_generator_set([np.eye(2)] * 3)
     with pytest.raises(ValueError):
         synthesize(alamouti_generators(), [1.0, 2.0])   # short chi

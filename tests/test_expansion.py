@@ -51,6 +51,11 @@ def test_expand_identity_multiplier_is_degenerate():
         e = expand(alamouti_generators(), _grid(), u)
         assert e.degenerate and len(e.points) == 16
         assert len(e.primed_points()) == 0
+        # no added point: no residuals, and nothing is separated
+        audit = corollary1_audit(e)
+        assert audit.residuals.size == 0 and not audit.separated
+        assert audit.min_residual == np.inf and audit.max_residual == 0.0
+        assert not theorem1_audit(e).separated
 
 
 def test_expand_rejects_bad_multipliers():

@@ -48,14 +48,20 @@ def test_config_validation():
         SimConfig(max_frame_errors=0)
     with pytest.raises(ValueError):
         SimConfig(sections_per_frame=0)
-    for bad in ((float("nan"),), (0.0, float("inf")), (-float("inf"),), ()):
+    # 10 ** (snr / 10) overflows past about +3082.5 dB and sigma below -3085.5
+    # dB; below about -3240 dB, 10 ** (snr / 10) is 0
+    for bad in ((float("nan"),), (0.0, float("inf")), (-float("inf"),), (),
+                (3100.0,), (8.0, -3100.0), (-3300.0,), (1e308,), (-1e308,)):
         with pytest.raises(ValueError, match="snr_list_db"):
             SimConfig(snr_list_db=bad)
+    assert SimConfig(snr_list_db=(-3085.5, 3082.5)).snr_list_db == (-3085.5, 3082.5)
     with pytest.raises(ValueError, match="base_seed"):
         SimConfig(base_seed=-1)
     with pytest.raises(ValueError, match="trellis_path is only read in trellis mode"):
         SimConfig(mode="uncoded", trellis_path="/nonexistent")
     assert SimConfig(mode="trellis", trellis_path="t.txt").trellis_path == "t.txt"
+    with pytest.raises(ValueError, match="trellis_path must name a file, got ''"):
+        SimConfig(mode="trellis", trellis_path="")
     assert SimConfig(base_seed=0).base_seed == 0
     cfg = SimConfig(snr_list_db=[0, 4])
     assert cfg.snr_list_db == (0.0, 4.0)
@@ -293,6 +299,9 @@ def test_parse_config_file():
                       ("mode=turbo\n", "line 1: mode must be one of"),
                       ("mode=trellis\nbase_seed=-1\n", "line 2: base_seed must be nonnegative"),
                       ("snr_list_db=0 nan\n", "line 1: snr_list_db must hold"),
+                      ("mode=uncoded\n\nsnr_list_db = 8, 3100\n",
+                       "line 3: snr_list_db must hold"),
+                      ("mode=trellis\ntrellis_path =\n", "line 2: trellis_path must name"),
                       ("\n\nmax_frame_errors=0\n", "line 3: max_frame_errors"),
                       ("sections_per_frame=-2\n", "line 1: sections_per_frame")):
         with pytest.raises(ValueError, match=msg):
