@@ -51,8 +51,9 @@ def normals_from_uniform(u: np.ndarray) -> np.ndarray:
     r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))     # log1p avoids log(0)
     ang = 2.0 * np.pi * u[..., m:]
     out = np.empty(r.shape[:-1] + (2 * m,))
-    out[..., 0::2] = r * np.cos(ang)
-    out[..., 1::2] = r * np.sin(ang)
+    trig = np.cos(ang)
+    np.multiply(r, trig, out=out[..., 0::2])
+    np.multiply(r, np.sin(ang, out=trig), out=out[..., 1::2])
     return out
 
 
@@ -98,10 +99,13 @@ def transmit(faded: np.ndarray, indices: np.ndarray, noise: np.ndarray,
     Block b of frame f sends faded[f, indices[f, b]]: faded (F, 32, T) holds
     each frame's faded candidates C h, the table the decoder scores.  noise
     (F, 2 * blocks * T) holds standard normal draws, interleaved re/im per
-    channel use, scaled by sigma per real dimension.
+    channel use, scaled by sigma per real dimension.  Neither input is
+    written to; the noise is added into the gathered blocks in place.
     """
-    clean = faded[np.arange(len(faded))[:, None], indices]
-    return clean + sigma * (noise[:, 0::2] + 1j * noise[:, 1::2]).reshape(clean.shape)
+    rec = faded[np.arange(len(faded))[:, None], indices]
+    rec += sigma * np.ascontiguousarray(noise, dtype=np.float64).view(
+        np.complex128).reshape(rec.shape)
+    return rec
 
 
 @dataclass(frozen=True, eq=False)

@@ -271,6 +271,11 @@ def ml_block_decode(received, h, candidates) -> DecodeResult:
                         ties_broken=ties)
 
 
+def _value_dtype(spec: TrellisSpec) -> np.dtype:
+    """The smallest dtype that holds a section's bits as one unsigned value."""
+    return np.min_scalar_type((1 << spec.bits_per_section) - 1)
+
+
 def _check_initial_state(spec: TrellisSpec, initial_state: int) -> None:
     if not 0 <= initial_state < spec.num_states:
         raise ValueError("initial state out of range")
@@ -290,20 +295,24 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
     _check_initial_state(spec, initial_state)
     if not np.all((b == 0) | (b == 1)):         # before the values are read as integers
         raise ValueError("bits must be 0 or 1")
-    b = b.astype(np.int64, copy=False)
+    dtype = _value_dtype(spec)
+    b = b.astype(dtype, copy=False)
     frames, sections = b.shape[0], b.shape[1] // spec.bits_per_section
-    weights = 1 << np.arange(spec.bits_per_section - 1, -1, -1)
+    weights = (1 << np.arange(spec.bits_per_section - 1, -1, -1)).astype(dtype)
     value = b.reshape(frames, sections, spec.bits_per_section) @ weights
+    # the label and the next state of a section, flat over the key
+    # state * 2^bits_per_section + value; the state is carried premultiplied
+    n_values = 1 << spec.bits_per_section
+    labels = spec.branch_labels.reshape(-1)
     if spec.num_states == 1:        # no state to track: the value picks the label
-        return spec.branch_labels[0].reshape(-1)[value]
-    coded = value >> spec.uncoded_bits
-    uncoded = value & (spec.labels_per_branch - 1)
-    out = np.empty(value.shape, dtype=np.intp)
-    state = np.full(frames, initial_state, dtype=np.intp)
-    for s in range(sections):
-        out[:, s] = spec.branch_labels[state, coded[:, s], uncoded[:, s]]
-        state = spec.next_state[state, coded[:, s]]
-    return out
+        return labels[value]
+    to = (np.repeat(spec.next_state, spec.labels_per_branch, axis=1) * n_values).ravel()
+    key = np.empty((sections, frames), dtype=np.intp)
+    state = np.full(frames, initial_state * n_values, dtype=np.intp)
+    for s, v in enumerate(value.T):
+        np.add(state, v, out=key[s])
+        state = to[key[s]]
+    return labels[key.T]
 
 
 def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
@@ -347,30 +356,31 @@ def _branches(spec: TrellisSpec, received, faded, count_ties: bool):
     trellis it returns.
 
     Returns best_pos (F, C, S), the first best position in each label row,
-    in the smallest dtype that holds one; branch (S, C + 1, F), the best
-    score of each label row and a +inf last row that the ACS reads for
-    padding; and ties (F,), when count_ties, each transition whose label
-    row has more than one best label, else zeros.
+    in the smallest dtype that holds one; branch (S, C, F), the best score
+    of each label row; and ties (F,), when count_ties, each transition whose
+    label row has more than one best label, else zeros.  The negated,
+    label-major candidates are built per block of frames, so that no copy
+    of the whole table is held.
     """
     frames, sections = received.shape[:2]
     rows, labels = spec.cosets.shape
     r = received.view(np.float64)                                    # (F, S, 2T)
-    c = faded[..., spec.cosets.T.ravel(), :].view(np.float64)        # label-major
-    np.negative(c, out=c)
+    order = spec.cosets.T.ravel()                                    # label-major
     best_pos = np.empty((frames, rows, sections), dtype=np.min_scalar_type(labels - 1))
-    branch = np.empty((sections, rows + 1, frames))
-    branch[:, rows] = np.inf
+    branch = np.empty((sections, rows, frames))
     ties = np.zeros(frames, dtype=np.int64)
     step = max(1, _BRANCH_SCORES // (sections * rows * labels))
     for f in range(0, frames, step):
         blk = slice(f, f + step)
+        c = faded[blk][..., order, :]
+        c = np.negative(c, out=c).view(np.float64)
         if faded.ndim == 3:
-            score = c[blk] @ np.swapaxes(r[blk], 1, 2)
+            score = c @ np.swapaxes(r[blk], 1, 2)
         else:
-            score = np.moveaxis((c[blk] @ r[blk, ..., None])[..., 0], 1, 2)
+            score = np.moveaxis((c @ r[blk, ..., None])[..., 0], 1, 2)
         score = score.reshape(-1, labels, rows, sections)              # (frames, L, C, S)
         best = np.minimum.reduce(score, axis=1)
-        branch[:, :rows, blk] = best.T
+        branch[:, :, blk] = best.T
         _first_min(np.moveaxis(score, 1, 0), best, best_pos[blk])
         if count_ties:
             multi = np.count_nonzero(score == best[:, None], axis=1) > 1
@@ -380,26 +390,29 @@ def _branches(spec: TrellisSpec, received, faded, count_ties: bool):
 
 
 def _acs(spec: TrellisSpec, branch, initial_state: int, count_ties: bool):
-    """Add-compare-select over the sections of branch (S, C + 1, F).
+    """Add-compare-select over the sections of branch (S, C, F).
 
     Each section adds to the metric of every from-state in spec.groups the
-    score of its transition's label row (+inf for padding) and keeps the
-    first minimum per state: the smaller from-state.  Returns back
-    (S, states, F), the survivor's position in spec.groups in the smallest
-    dtype that holds one; the final path metrics (states, F); and ties (F,),
-    when count_ties, each extra equal candidate of a finite compare and
-    each extra equal final metric, else zeros.
+    score of its transition's label row and keeps the first minimum per
+    state: the smaller from-state.  Padding reads a last, +inf path metric.
+    Returns back (S, states, F), the survivor's position in spec.groups in
+    the smallest dtype that holds one; the final path metrics (states, F);
+    and ties (F,), when count_ties, each extra equal candidate of a finite
+    compare and each extra equal final metric, else zeros.
     """
     sections, _, frames = branch.shape
-    from_g = np.append(spec.from_state, 0)[spec.groups.T]             # (indeg, states)
-    coset_g = np.append(spec.coset_of, len(spec.cosets))[spec.groups.T]
-    pm = np.full((spec.num_states, frames), np.inf)
+    states = spec.num_states
+    from_g = np.append(spec.from_state, states)[spec.groups.T]        # (indeg, states)
+    coset_g = np.append(spec.coset_of, 0)[spec.groups.T]
+    metrics = np.full((states + 1, frames), np.inf)
+    pm = metrics[:states]
     pm[initial_state] = 0.0
     back = np.empty((sections,) + pm.shape, dtype=np.min_scalar_type(len(from_g) - 1))
     ties = np.zeros(frames, dtype=np.int64)
     for s in range(sections):
-        vals = pm[from_g] + branch[s][coset_g]                        # (indeg, states, F)
-        pm = np.minimum.reduce(vals)
+        vals = metrics[from_g]                                        # (indeg, states, F)
+        vals += branch[s, coset_g]
+        np.minimum.reduce(vals, out=pm)
         _first_min(vals, pm, back[s])
         if count_ties:
             ties += np.sum((np.sum(vals == pm, axis=0) - 1) * np.isfinite(pm), axis=0)
@@ -421,14 +434,15 @@ def _traceback(spec: TrellisSpec, back, state) -> np.ndarray:
 
 
 def _decisions(spec: TrellisSpec, path, best_pos):
-    """Decided indices (F, S) and bits (F, S * bits_per_section) along path."""
+    """Decided indices (F, S) and bits (F, S * bits_per_section), uint8, along path."""
     frames, sections = path.shape
-    pos = best_pos[np.arange(frames)[:, None], spec.coset_of[path],
-                   np.arange(sections)].astype(np.intp)
-    value = (spec.coded[path] << spec.uncoded_bits) | pos
-    bits = value[..., None] >> np.arange(spec.bits_per_section - 1, -1, -1)
+    pos = best_pos[np.arange(frames)[:, None], spec.coset_of[path], np.arange(sections)]
+    dtype = _value_dtype(spec)
+    value = (spec.coded << spec.uncoded_bits).astype(dtype)[path]
+    value |= pos
+    bits = value[..., None] >> np.arange(spec.bits_per_section - 1, -1, -1, dtype=dtype)
     bits &= 1
-    return spec.labels[path, pos], bits.reshape(frames, -1)
+    return spec.labels[path, pos], bits.astype(np.uint8, copy=False).reshape(frames, -1)
 
 
 def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int = 0,
@@ -442,14 +456,15 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
     Three stages run in turn: _branches scores every section by correlation,
     _acs keeps the survivors, and _traceback with _decisions reads the path.
 
-    Returns (decided (F, sections), bits (F, sections * bits_per_section),
-    ties_broken (F,)); viterbi_decode adds the decided path's exact metric.
-    Ties go to the first minimum: the smaller label position within a
-    branch, the smaller from-state within a compare, the smaller state at
-    the end.  With count_ties a tie counts each branch whose best label is
-    not unique, each extra equal candidate of a finite compare, and each
-    extra equal final metric; +inf candidates never tie.  Without it ties_broken is all zero.  A one-state,
-    one-transition trellis (uncoded_trellis) skips the ACS loop.
+    Returns (decided (F, sections), bits (F, sections * bits_per_section)
+    as uint8, ties_broken (F,)); viterbi_decode adds the decided path's
+    exact metric.  Ties go to the first minimum: the smaller label position
+    within a branch, the smaller from-state within a compare, the smaller
+    state at the end.  With count_ties a tie counts each branch whose best
+    label is not unique, each extra equal candidate of a finite compare,
+    and each extra equal final metric; +inf candidates never tie.  Without
+    it ties_broken is all zero.  A one-state, one-transition trellis
+    (uncoded_trellis) skips the ACS loop.
     """
     _check_initial_state(spec, initial_state)
     received = np.ascontiguousarray(received, dtype=np.complex128)

@@ -32,8 +32,9 @@ uniforms of the channel, then the 4 * sections of the noise.  On PCG64 one
 call of length a + b returns the same doubles as a call of length a
 followed by one of length b, since each double consumes one 64-bit output,
 so this equals drawing the bits, the channel and the noise with separate
-calls.  Box-Muller (channel.normals_from_uniform) then runs once per chunk
-over the channel columns and once over the noise columns.
+calls.  The rows of a quarter of a chunk's frames share one buffer;
+Box-Muller (channel.normals_from_uniform) runs once per quarter over its
+channel columns and once over its noise columns.
 
 Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS
 sections and at least one frame.  A chunk's faded candidates C h are formed
@@ -42,7 +43,11 @@ viterbi_decode_frames call decides against them.  A chunk never holds
 more frames than frame errors are still allowed, so a point stops on the
 last frame of a chunk, at exactly the frame where a frame-by-frame run
 stops, and no frame past it is drawn.  Results therefore do not depend on
-the chunk size.
+the chunk size.  Its memory does: for 128 frames of 50 sections the
+tracemalloc peak is about 0.8 MiB uncoded and 1.0 MiB in trellis mode,
+where the decoder's branch scores (400 KiB) and the received blocks
+(200 KiB) are alive together; tests/test_simulate.py holds both to a
+ceiling.
 """
 
 from __future__ import annotations
@@ -65,10 +70,11 @@ from .detectors import (
     viterbi_decode_frames,
 )
 
-#: Sections drawn and decoded together by run_point, in whole frames (64
-#: frames of 50 sections); bounds the chunk's memory for any frame length.
-#: Results do not depend on it.
-CHUNK_SECTIONS = 3200
+#: Sections drawn and decoded together by run_point, in whole frames (128
+#: frames of 50 sections): enough frames that the decoder's per-section
+#: loops cost little per frame, and a bound on the chunk's memory for any
+#: frame length.  Results do not depend on it.
+CHUNK_SECTIONS = 6400
 
 CSV_HEADER = "snr_db,frames,bits,bit_errors,frame_errors,ber,fer,elapsed_seconds"
 
@@ -277,30 +283,39 @@ def _generator() -> np.random.Generator:
 
 def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
                  bits_per_frame: int):
-    """Payload bits (F, bits), channels (F, 2) and noise (F, 4 * sections).
+    """Payload bits (F, bits) as uint8, channels (F, 2) and noise (F, 4 * sections).
 
-    Row f of one uniform array is filled by one random call on frame
+    Row f of a uniform buffer is filled by one random call on frame
     first + f's stream and read in the frozen order: bits_per_frame uniforms
     for the payload bits, 4 for the channel, 4 * sections for the noise.
-    Box-Muller then runs once over each part of the whole chunk.
+    The buffer holds a quarter of the frames (rounded up) and is refilled
+    for each quarter in turn; Box-Muller runs once over each part of a
+    quarter, and the results land in arrays sized for all count frames.
     """
     ch_end = bits_per_frame + 4
-    u = np.empty((count, ch_end + 4 * cfg.sections_per_frame))
+    u = np.empty((-(-count // 4), ch_end + 4 * cfg.sections_per_frame))
+    tx_bits = np.empty((count, bits_per_frame), dtype=np.uint8)
+    h = np.empty((count, 2), dtype=np.complex128)
+    noise = np.empty((count, 4 * cfg.sections_per_frame))
     gen = _generator()
     bit_generator = gen.bit_generator
     words = _seed_words(cfg.base_seed, point_index, first, count).tolist()
-    for f, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(words):
-        # PCG64's seeding: inc = 2 * seq + 1, then two steps from state 0
-        # with the seed added in between
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        gen.random(out=u[f])
-    tx_bits = (u[:, :bits_per_frame] < 0.5).astype(np.int64)
-    return (tx_bits, channels_from_uniform(u[:, bits_per_frame:ch_end]),
-            normals_from_uniform(u[:, ch_end:]))
+    for lo in range(0, count, len(u)):
+        part = u[:count - lo]
+        for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(part, words[lo:lo + len(u)]):
+            # PCG64's seeding: inc = 2 * seq + 1, then two steps from state 0
+            # with the seed added in between
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            gen.random(out=row)
+        rows = slice(lo, lo + len(part))
+        tx_bits[rows] = part[:, :bits_per_frame] < 0.5
+        h[rows] = channels_from_uniform(part[:, bits_per_frame:ch_end])
+        noise[rows] = normals_from_uniform(part[:, ch_end:])
+    return tx_bits, h, noise
 
 
 def _trellis_for(cfg: SimConfig) -> TrellisSpec:
@@ -335,13 +350,14 @@ def run_point(cfg: SimConfig, point_index: int,
         # C h for all 32 candidates (F, 32, 2), elementwise: cheaper than F * 32 matmuls
         faded = mats[..., 0] * h[:, None, None, 0] + mats[..., 1] * h[:, None, None, 1]
         rec = transmit(faded, trellis_encode_frames(spec, tx_bits), noise, sigma)
+        del h, noise
         rx_bits = viterbi_decode_frames(spec, rec, faded)[1]
         errs = np.count_nonzero(rx_bits != tx_bits, axis=1)
         frames += count
         bit_errors += int(np.sum(errs))
         frame_errors += int(np.count_nonzero(errs))
         # free this chunk's arrays before the next chunk is drawn
-        del tx_bits, h, noise, rec, faded, rx_bits, errs
+        del tx_bits, rec, faded, rx_bits, errs
     elapsed = time.perf_counter() - t0
     return SimResultRow(snr_db=snr_db, frames=frames, bits=frames * bits_per_frame,
                         bit_errors=bit_errors, frame_errors=frame_errors,

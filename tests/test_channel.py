@@ -90,6 +90,43 @@ def test_transmit_noiseless_and_noise_scaling():
     assert abs(per_complex - 2 * sigma ** 2) < 0.005
 
 
+def _two_temporary_normals(u):
+    """Box-Muller as normals_from_uniform first wrote it: a cos and a sin temporary."""
+    m = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :m]))
+    ang = 2.0 * np.pi * u[..., m:]
+    out = np.empty(r.shape[:-1] + (2 * m,))
+    out[..., 0::2] = r * np.cos(ang)
+    out[..., 1::2] = r * np.sin(ang)
+    return out
+
+
+@pytest.mark.parametrize("shape, cols", [((8,), slice(None)), ((3, 402), slice(None)),
+                                         ((2, 5, 6), slice(None)), ((7, 404), slice(204, None))])
+def test_normals_from_uniform_equal_the_two_temporary_formula(shape, cols):
+    # the last case reads the noise columns of uniform rows, as the simulator does
+    u = np.random.default_rng(13).random(shape)[..., cols]
+    got, want = normals_from_uniform(u), _two_temporary_normals(u)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3, 1e3])
+def test_transmit_equals_gather_plus_scaled_noise_and_keeps_its_inputs(sigma):
+    rng = np.random.default_rng(17)
+    frames, blocks = 37, 11
+    faded = rng.standard_normal((frames, 32, 2)) + 1j * rng.standard_normal((frames, 32, 2))
+    idx = rng.integers(0, 32, size=(frames, blocks))
+    noise = rng.standard_normal((frames, 4 * blocks))
+    faded_bytes, noise_bytes = faded.tobytes(), noise.tobytes()
+    got = transmit(faded, idx, noise, sigma)
+    assert faded.tobytes() == faded_bytes and noise.tobytes() == noise_bytes
+    want = faded[np.arange(frames)[:, None], idx] + sigma * (
+        noise[:, 0::2] + 1j * noise[:, 1::2]).reshape(frames, blocks, 2)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_equivalent_real_model_orthonormal_frames():
     e = _expanded()
     rng = np.random.default_rng(23)

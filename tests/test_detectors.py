@@ -464,7 +464,7 @@ def _exact_distance_decode(spec, received, faded, initial_state):
         value[:, s] = (spec.coded[k] << spec.uncoded_bits) | pos
         state = spec.from_state[k]
     shifts = np.arange(spec.bits_per_section - 1, -1, -1)
-    bits = ((value[..., None] >> shifts) & 1).reshape(frames, -1)
+    bits = ((value[..., None] >> shifts) & 1).astype(np.uint8).reshape(frames, -1)
     return decided, bits, metric, ties
 
 

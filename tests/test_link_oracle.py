@@ -41,6 +41,22 @@ The bits of a frame share one h, so bit errors cluster by frame: the
 standard error of the BER comes from the spread of per-frame error counts,
 not from a binomial over bits (which would be several times too narrow).
 Frames are independent, so the FER's is binomial over frames.
+
+Trellis lower bound.  The 4 parallel labels of every branch of the shipped
+8-state trellis form a square: given h, each label's faded candidate C h
+lies at squared distance 4 g from two of the others, along orthogonal
+directions in the real model, and 8 g from the third.  So a section's sent
+label loses to one of its parallel labels with probability
+1 - (1 - Q(2 sqrt(g) / (2 sigma)))^2 = 1 - (1 - Q(sqrt(2 snr g)))^2, the
+sections of a frame independently given h.  Any such loss makes the frame
+an error, since swapping the label makes a path with a smaller metric than
+the sent one, so
+
+    FER >= 1 - int_0^inf (1 - Q(sqrt(2 snr g)))^{2 S} g e^{-g} dg.
+
+The bound leaves out every error event between different paths, so it can
+only catch a link that errs too rarely, such as one with too small a noise
+sigma; an upper bound is still missing.
 """
 
 import math
@@ -48,12 +64,17 @@ import math
 import numpy as np
 
 from stclab import simulate
+from stclab.constellation import matrix_stack
+from stclab.detectors import default_trellis
 from stclab.simulate import SimConfig, run_point
 
 # fixed before the first run: three SNRs, one seed, |z| <= 4 for both rates
 CFG = SimConfig(mode="uncoded", snr_list_db=(4.0, 10.0, 16.0), frames_per_point=20_000,
                 base_seed=2027, sections_per_frame=20, max_frame_errors=20_000)
 Z_BOUND = 4.0
+# fixed before the first run, like CFG: the trellis lower bound's points, frames and seed
+TRELLIS_CFG = SimConfig(mode="trellis", snr_list_db=(6.0, 8.0, 10.0), frames_per_point=10_000,
+                        base_seed=2027, sections_per_frame=20, max_frame_errors=10_000)
 ROOTS = np.linspace(0.0, math.sqrt(40.0), 100_001)     # t = sqrt(g); g e^{-g} < 1e-15 beyond
 
 
@@ -125,3 +146,37 @@ def test_uncoded_link_matches_the_analytic_oracle(monkeypatch):
         report.append("%g dB: BER %.4e vs %.4e (z=%.2f), FER %.4f vs %.4f (z=%.2f)"
                       % (snr_db, row.ber, ber, z_ber, row.fer, fer, z_fer))
     assert worst <= Z_BOUND, "\n".join(report)
+
+
+def parallel_error_fer_bound(snr: float, sections: int) -> float:
+    """1 - E_g[(1 - Q(sqrt(2 snr g)))^(2 S)], with Q(sqrt(2 snr g)) at g = t^2."""
+    q = np.array([0.5 * math.erfc(math.sqrt(snr) * t) for t in ROOTS])
+    return _average_over_g(-np.expm1(2 * sections * np.log1p(-q)))
+
+
+def test_parallel_labels_are_squares_under_every_fade():
+    # the premise of the bound, on every label of every branch row
+    mats, rng = matrix_stack(), np.random.default_rng(2027)
+    for _ in range(20):
+        h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        g = float(np.vdot(h, h).real)
+        for row in default_trellis().cosets:
+            faded = mats[row] @ h
+            for sent in faded:
+                d = np.sum(np.abs(faded - sent) ** 2, axis=1) / g
+                assert np.allclose(np.sort(d), [0.0, 4.0, 4.0, 8.0], rtol=0, atol=1e-12)
+                a, b = faded[np.abs(d - 4.0) < 1e-9] - sent
+                assert abs(np.vdot(a, b).real) <= 1e-12 * g
+
+
+def test_trellis_fer_is_above_the_parallel_error_bound():
+    report, worst = [], math.inf
+    for point, snr_db in enumerate(TRELLIS_CFG.snr_list_db):
+        row = run_point(TRELLIS_CFG, point)
+        assert row.frames == TRELLIS_CFG.frames_per_point
+        bound = parallel_error_fer_bound(_snr(snr_db), TRELLIS_CFG.sections_per_frame)
+        z = (row.fer - bound) / math.sqrt(bound * (1 - bound) / row.frames)
+        worst = min(worst, z)
+        report.append("%g dB: FER %.4f, lower bound %.4f, ratio %.2f (z=%.2f)"
+                      % (snr_db, row.fer, bound, row.fer / bound, z))
+    assert worst >= -Z_BOUND, "\n".join(report)
