@@ -6,8 +6,8 @@ are r = C h + n with circularly symmetric Gaussian noise, variance sigma^2
 per real dimension.  transmit gathers whole frames of C h from the faded
 candidates that the decoder scores and adds noise drawn beforehand.
 A channel is a complex array, (N,) for one draw or (D, N) for D draws or
-one per section; channels_from_uniform draws it, and checked_array is the
-one check of every channel and received-block input.
+one per section; channels_from_uniform draws it, and designs.checked_array
+checks every channel and received-block input.
 
 Flattening r to real coordinates turns each tagged design into a frame of
 orthonormal columns: g_k = flatten(B_k h) / (sqrt(c) ||h||).  Stacking the
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .designs import checked_array
 from .expansion import ExpandedConstellation, Subconstellation
 
 #: Channel draws shape_invariance_audit evaluates together.  On 1000-draw
@@ -65,31 +66,6 @@ def channels_from_uniform(u: np.ndarray) -> np.ndarray:
     """
     g = normals_from_uniform(u)
     return (g[..., 0::2] + 1j * g[..., 1::2]) / np.sqrt(2.0)
-
-
-#: What checked_array checks -> the name of the entries of one row.
-_ENTRIES = {"channel": "coefficients", "received block": "samples"}
-
-
-def checked_array(values, what: str, width: int, ndims=(1,), rows: str = "draws"):
-    """values as a complex128 array, the one check of channels and received blocks.
-
-    what is "channel" or "received block".  Raises ValueError unless values
-    has a number of axes in ndims, at least one row of 2-D input, width
-    entries per row, and a finite real and imaginary part in every entry.
-    """
-    a = np.asarray(values, dtype=np.complex128)
-    if a.ndim not in ndims:
-        raise ValueError("%s array must be %s, got shape %s"
-                         % (what, " or ".join("%d-D" % d for d in ndims), a.shape))
-    if a.ndim == 2 and not len(a):
-        raise ValueError("no %s %s given" % (what, rows))
-    if a.shape[-1] != width:
-        raise ValueError("%s has %d %s, expected %d"
-                         % (what, a.shape[-1], _ENTRIES[what], width))
-    if not np.isfinite(a).all():                 # both parts of every entry
-        raise ValueError("%s %s must be finite" % (what, _ENTRIES[what]))
-    return a
 
 
 def transmit(faded: np.ndarray, indices: np.ndarray, noise: np.ndarray,

@@ -25,15 +25,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    as_complex_matrix,
-    frobenius_norm,
-    matrix_to_real_vector,
-)
-
 RH_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+#: What checked_array checks -> the name of the entries of one row.
+_ENTRIES = {"matrix": "entries", "channel": "coefficients", "received block": "samples"}
+
+
+def checked_array(values, what: str, width, ndims=(1,), rows: str = "draws"):
+    """values as a complex128 array, the one check of complex array input.
+
+    what is "matrix", "channel" or "received block".  Raises ValueError
+    unless values has a number of axes in ndims, a finite real and imaginary
+    part in every entry and, when width is not None, at least one row of 2-D
+    input and width entries per row.  Matrices of any shape pass width=None
+    and leave their shape to the caller.
+    """
+    a = np.asarray(values, dtype=np.complex128)
+    if a.ndim not in ndims:
+        raise ValueError("%s array must be %s, got shape %s"
+                         % (what, " or ".join("%d-D" % d for d in ndims), a.shape))
+    if width is not None:
+        if a.ndim == 2 and not len(a):
+            raise ValueError("no %s %s given" % (what, rows))
+        if a.shape[-1] != width:
+            raise ValueError("%s has %d %s, expected %d"
+                             % (what, a.shape[-1], _ENTRIES[what], width))
+    if not np.isfinite(a).all():                 # both parts of every entry
+        raise ValueError("%s %s must be finite" % (what, _ENTRIES[what]))
+    return a
+
+
+def checked_unimodular(zeta) -> complex:
+    """zeta as a complex number; ValueError unless |zeta| = 1 within 1e-12."""
+    z = complex(zeta)
+    if not abs(abs(z) - 1.0) <= 1e-12:          # a NaN modulus fails too
+        raise ValueError("zeta must be unimodular, got |zeta|=%r" % abs(z))
+    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +88,7 @@ class GeneratorSet:
     scale: float
 
     def __post_init__(self):
-        shaped = tuple(as_complex_matrix(b) for b in self.basis)
+        shaped = tuple(checked_array(b, "matrix", None, ndims=(2,)) for b in self.basis)
         if not shaped or len(shaped) % 2:
             raise ValueError("basis must hold 2K >= 2 matrices, got %d" % len(shaped))
         shape = shaped[0].shape
@@ -87,7 +116,7 @@ def make_generator_set(basis) -> GeneratorSet:
     c = (1/2N) * trace(B_0^H B_0 + B_0^H B_0).  A missing or empty B_0
     raises ValueError; GeneratorSet checks the rest.
     """
-    mats = tuple(as_complex_matrix(b) for b in basis)
+    mats = tuple(checked_array(b, "matrix", None, ndims=(2,)) for b in basis)
     if not mats or not mats[0].size:
         raise ValueError("a generator set needs a nonempty first matrix")
     scale = float(np.real(np.trace(mats[0].conj().T @ mats[0]))) / mats[0].shape[1]
@@ -149,6 +178,16 @@ def synthesize(g: GeneratorSet, chi) -> np.ndarray:
     return np.tensordot(x, g.stacked(), axes=1)
 
 
+def design_matrix(g: GeneratorSet, s) -> np.ndarray:
+    """s as a complex matrix checked by checked_array; ValueError naming its
+    shape unless that is the design's (T, N)."""
+    m = checked_array(s, "matrix", None, ndims=(2,))
+    if m.shape != (g.block_len, g.num_antennas):
+        raise ValueError("matrix shape %s does not match the design (%d, %d)"
+                         % (m.shape, g.block_len, g.num_antennas))
+    return m
+
+
 def analyze(g: GeneratorSet, s) -> tuple[np.ndarray, float]:
     """Recover real coordinates of a matrix and the off-design residual.
 
@@ -156,14 +195,10 @@ def analyze(g: GeneratorSet, s) -> tuple[np.ndarray, float]:
     chi_l = Re tr(B_l^H S) / (c N); the returned residual is the Frobenius
     norm of S - S(chi), zero exactly when S lies in the design.
     """
-    sm = as_complex_matrix(s)
-    if sm.shape != (g.block_len, g.num_antennas):
-        raise ValueError("matrix shape %s does not match the design (%d, %d)"
-                         % (sm.shape, g.block_len, g.num_antennas))
+    sm = design_matrix(g, s)
     denom = g.scale * g.num_antennas
     chi = np.array([float(np.real(np.sum(b.conj() * sm))) / denom for b in g.basis])
-    resid = frobenius_norm(sm - synthesize(g, chi))
-    return chi, resid
+    return chi, float(np.linalg.norm(sm - synthesize(g, chi)))
 
 
 def conjugate_basis_pair(g: GeneratorSet, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,9 +242,7 @@ def rotate_generators(g: GeneratorSet, zeta: complex) -> GeneratorSet:
     satisfies the same Radon-Hurwitz condition at the same scale, and
     synthesizing with the coordinates of z*zeta reproduces zeta * S(z).
     """
-    z = complex(zeta)
-    if abs(abs(z) - 1.0) > 1e-12:
-        raise ValueError("rotation must be unimodular, got |zeta|=%r" % abs(z))
+    z = checked_unimodular(zeta)
     c, s = z.real, z.imag
     out = []
     for l in range(g.num_symbols):
@@ -225,11 +258,15 @@ def span_residuals(g: GeneratorSet, matrices) -> np.ndarray:
 
     The projection is a real least-squares fit in flattened coordinates, so
     it stays meaningful even for bases that narrowly miss orthogonality.
+    Each matrix must have the design's shape (T, N).
     """
-    a = np.column_stack([matrix_to_real_vector(b) for b in g.basis])
+    # the real flattening: column-major, entry k giving (re, im) at positions
+    # (2k, 2k + 1); it preserves norms and carries Re tr(A^H B) to the dot product
+    flat = [np.ascontiguousarray(m.T).view(np.float64).ravel()
+            for m in (*g.basis, *(design_matrix(g, m) for m in matrices))]
+    a = np.column_stack(flat[:len(g.basis)])
     out = []
-    for m in matrices:
-        v = matrix_to_real_vector(as_complex_matrix(m))
+    for v in flat[len(g.basis):]:
         coef, *_ = np.linalg.lstsq(a, v, rcond=None)
         out.append(float(np.linalg.norm(v - a @ coef)))
     return np.array(out)

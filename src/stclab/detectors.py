@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import checked_array
 from .constellation import build_constellation, chi_coordinates, matrix_stack
+from .designs import checked_array
 from .expansion import Subconstellation
 
 TRELLIS_FILE = "trellis8.txt"

@@ -43,12 +43,14 @@ import numpy as np
 from .designs import (
     GeneratorSet,
     analyze,
+    checked_array,
+    checked_unimodular,
+    design_matrix,
     pairwise_difference_check,
     rotate_generators,
     span_residuals,
     synthesize,
 )
-from .linalg import as_complex_matrix, eigenvalues_2x2, is_unitary, symbols_to_real_vector
 
 SET_MATCH_TOL = 1e-10
 DEROTATION_TOL = 1e-9
@@ -103,13 +105,13 @@ class ExpandedConstellation:
 
 
 def _check_multiplier(unitary, zeta) -> tuple[np.ndarray, complex]:
-    u = as_complex_matrix(unitary)
-    if not is_unitary(u, tol=1e-10):
+    u = checked_array(unitary, "matrix", None, ndims=(2,))
+    if u.shape[0] != u.shape[1]:
+        raise ValueError("unitarity is defined for square matrices, got %s"
+                         % (u.shape,))
+    if not np.max(np.abs(u.conj().T @ u - np.eye(len(u))), initial=0.0) <= 1e-10:
         raise ValueError("expansion matrix must be unitary within 1e-10")
-    z = complex(zeta)
-    if abs(abs(z) - 1.0) > 1e-12:
-        raise ValueError("zeta must be unimodular, got |zeta|=%r" % abs(z))
-    return u, z
+    return u, checked_unimodular(zeta)
 
 
 def _matches(mats, candidates) -> np.ndarray:
@@ -170,7 +172,13 @@ def classify_expansion(unitary, zeta, g: GeneratorSet, point_chis) -> ExpansionC
             note += ("; borderline: w is complex, so the rotated set can leave "
                      "the design span unless the span is rotation closed")
         return ExpansionClass(ExpansionKind.INDISCERNIBLE, note)
-    eigs = eigenvalues_2x2(v)
+    # the closed-form quadratic, in descending order of (real, imaginary) part
+    tr = complex(v[0, 0] + v[1, 1])
+    det = complex(v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0])
+    disc = complex(np.sqrt(complex(tr * tr - 4.0 * det)))
+    lo, hi = sorted(((tr + disc) / 2.0, (tr - disc) / 2.0),
+                    key=lambda z: (z.real, z.imag))
+    eigs = (hi, lo)
     if all(abs(lam.imag) <= DEROTATION_TOL for lam in eigs):
         return ExpansionClass(
             ExpansionKind.DIRECT_DISCERNIBLE,
@@ -230,8 +238,8 @@ def corollary1_audit(e: ExpandedConstellation) -> SpanAudit:
 def decompose_direct_sum(e: ExpandedConstellation, s) -> TaggedPoint:
     """Locate a matrix in the expanded constellation and return its tagged
     direct-sum coordinates: the first point that matches it (max-abs
-    within 1e-10)."""
-    m = as_complex_matrix(s)
+    within 1e-10).  The matrix must have the design's shape (T, N)."""
+    m = design_matrix(e.base_generators, s)
     hit = _matches([m], [p.matrix for p in e.points])[0]
     if not hit.any():
         raise ValueError("matrix does not match any point of the expanded constellation")
@@ -257,8 +265,8 @@ def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int) -> floa
 def rotated_synthesis_residual(g: GeneratorSet, symbols, zeta) -> float:
     """Defect of the rotation identity: rotated-basis synthesis of z*zeta
     versus zeta * S(z).  Zero for every unimodular zeta."""
-    z = np.asarray(symbols, dtype=np.complex128).reshape(-1)
+    z = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1)
     rot = rotate_generators(g, zeta)
-    lhs = synthesize(rot, symbols_to_real_vector(z * complex(zeta)))
-    rhs = complex(zeta) * synthesize(g, symbols_to_real_vector(z))
+    lhs = synthesize(rot, (z * complex(zeta)).view(np.float64))
+    rhs = complex(zeta) * synthesize(g, z.view(np.float64))
     return float(np.max(np.abs(lhs - rhs)))

@@ -15,7 +15,6 @@ from stclab.channel import (
 from stclab.constellation import build_constellation, chi_coordinates, matrix_stack
 from stclab.designs import alamouti_generators
 from stclab.expansion import Subconstellation, expand
-from stclab.linalg import matrix_to_real_vector
 
 # frozen draw: Box-Muller over default_rng(42).random()
 NORMALS_SEED42 = np.array([
@@ -29,6 +28,20 @@ H_SEED42 = np.array([
     0.7689907766354644 - 0.9464031956049372j,
     -0.24681987019630247 - 0.7189559539182895j,
 ])
+
+
+def _re_im(m):
+    """Reference real flattening of a matrix: column-major, entry by entry,
+    the real part then the imaginary part."""
+    return np.array([part for col in np.asarray(m).T for z in col
+                     for part in (z.real, z.imag)])
+
+
+def test_reference_flattening_is_column_major_re_im():
+    assert np.array_equal(_re_im(np.array([[1 + 1j], [0 + 0j]])), [1.0, 1.0, 0.0, 0.0])
+    # columns first: (0,0), (1,0), (0,1), (1,1)
+    assert np.array_equal(_re_im(np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])),
+                          [1, 2, 5, 6, 3, 4, 7, 8])
 
 
 def _grid():
@@ -155,7 +168,7 @@ def test_received_vector_equals_gain_frame_chi():
             # flattened received block in the half of its tag, zeros elsewhere
             y = np.zeros(8)
             half = 0 if entry.subconstellation is Subconstellation.BASE else 4
-            y[half:half + 4] = matrix_to_real_vector((entry.matrix @ h).reshape(-1, 1))
+            y[half:half + 4] = _re_im((entry.matrix @ h).reshape(-1, 1))
             want = model.gain * (model.stacked_frame @ co)
             assert np.max(np.abs(y - want)) < 1e-12
 

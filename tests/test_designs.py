@@ -8,6 +8,7 @@ from stclab.designs import (
     GeneratorSet,
     alamouti_generators,
     analyze,
+    checked_array,
     conjugate_basis_pair,
     make_generator_set,
     pairwise_difference_check,
@@ -173,6 +174,64 @@ def test_span_residuals_basis_members_and_outsider():
     assert np.max(inside) < 1e-12
     outside = span_residuals(g, primed_alamouti_generators().basis)
     assert np.min(np.abs(outside - 1.0)) < 1e-10
+
+
+def _rand_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_residuals_are_frobenius_norms_of_the_off_span_part():
+    rng = np.random.default_rng(3)
+    g = alamouti_generators()
+    for _ in range(300):
+        m = _rand_complex(rng, (2, 2))
+        chi, resid = analyze(g, m)
+        # independent norm oracle: entrywise squared magnitudes, split by
+        # Pythagoras into the in-span part c N ||chi||^2 and the residual
+        norm2 = sum(abs(complex(z)) ** 2 for z in m.reshape(-1))
+        assert abs(g.scale * 2 * float(chi @ chi) + resid ** 2 - norm2) < 1e-11
+        assert abs(span_residuals(g, [m])[0] - resid) < 1e-12
+        # the residual ignores an in-span summand and scales with the matrix
+        s, x = rng.standard_normal(), _rand_chi(rng)
+        moved = span_residuals(g, [m + synthesize(g, x), s * m])
+        assert abs(moved[0] - resid) < 1e-12 and abs(moved[1] - abs(s) * resid) < 1e-12
+
+
+def test_span_residuals_carry_the_trace_inner_product():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        a, b, c = (_rand_complex(rng, (3, 3)) for _ in range(3))
+        # oracle from Re tr(x^H y) alone: c minus its projection on span_R(a, b)
+        gram = np.array([[np.real(np.vdot(x, y)) for y in (a, b)] for x in (a, b)])
+        v = np.array([np.real(np.vdot(x, c)) for x in (a, b)])
+        want = np.sqrt(np.real(np.vdot(c, c)) - v @ np.linalg.solve(gram, v))
+        got = span_residuals(GeneratorSet((a, b), 1.0), [c])[0]
+        assert abs(got - want) < 1e-9
+
+
+def test_checked_array_rejects_non_matrix_and_non_finite():
+    for values in (np.zeros(3), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match="^matrix array must be 2-D, got shape"):
+            checked_array(values, "matrix", None, ndims=(2,))
+    # one check covers both parts of a complex entry
+    for bad in (np.nan, complex(np.inf, 0.0), complex(1.0, np.nan),
+                complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            checked_array(np.array([[1.0, 0], [0, bad]]), "matrix", None, ndims=(2,))
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            analyze(alamouti_generators(), np.array([[1.0, 0], [0, bad]]))
+    # a matrix of any shape passes, empty ones included; its caller judges it
+    for shape in ((2, 3), (0, 2), (2, 0)):
+        assert checked_array(np.ones(shape), "matrix", None, ndims=(2,)).shape == shape
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2, 1), (1, 2), (0, 2)])
+def test_span_residuals_and_analyze_reject_shapes_off_the_design(shape):
+    g = alamouti_generators()
+    msg = r"^matrix shape \(%d, %d\) does not match the design \(2, 2\)$" % shape
+    for call in (lambda m: span_residuals(g, [np.eye(2), m]), lambda m: analyze(g, m)):
+        with pytest.raises(ValueError, match=msg):
+            call(np.ones(shape))
 
 
 def test_generator_file_round_trip_exact():

@@ -1,3 +1,4 @@
+import ast
 import cmath
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stclab.designs import alamouti_generators, radon_hurwitz_check
+from stclab.designs import (
+    alamouti_generators,
+    conjugate_basis_pair,
+    radon_hurwitz_check,
+    rotate_generators,
+    synthesize,
+)
 from stclab.expansion import (
     ExpansionKind,
     Subconstellation,
@@ -70,6 +77,44 @@ def test_expand_rejects_bad_multipliers():
         expand(g, _grid(), np.eye(3))                 # wrong size
 
 
+def test_expand_unitarity_rule():
+    g = alamouti_generators()
+    th = 0.3
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    for u in (np.eye(2), np.diag([1j, -1j]), rot):
+        assert len(expand(g, _grid(), u).points) >= 16
+    with pytest.raises(ValueError,
+                       match="^expansion matrix must be unitary within 1e-10$"):
+        expand(g, _grid(), 1.0001 * np.eye(2))
+    with pytest.raises(ValueError, match=r"^unitarity is defined for square matrices, "
+                                         r"got \(2, 3\)$"):
+        expand(g, _grid(), np.ones((2, 3)))
+    # I_3 and the empty matrix are unitary, so they fail only on the design's size
+    for u in (np.eye(3), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="^expansion matrix must be 2 x 2$"):
+            expand(g, _grid(), u)
+
+
+def test_expand_accepts_products_of_unitaries():
+    g = alamouti_generators()
+    for seed in range(100):
+        q1, q2 = _random_unitary(2 * seed), _random_unitary(2 * seed + 1)
+        assert np.array_equal(expand(g, _grid()[:1], q1 @ q2).unitary, q1 @ q2)
+
+
+@pytest.mark.parametrize("zeta", [np.nan, complex(1.0, np.nan), np.inf])
+def test_non_finite_zeta_is_not_unimodular(zeta):
+    g = alamouti_generators()
+    calls = (lambda: rotate_generators(g, zeta),
+             lambda: expand(g, _grid(), U_DIRECT, zeta),
+             lambda: classify_expansion(U_DIRECT, zeta, g, _grid()),
+             lambda: rotated_synthesis_residual(g, [1.0, 1j], zeta))
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=r"^zeta must be unimodular, got \|zeta\|="):
+            call()
+
+
 def test_classify_identity_multipliers():
     g = alamouti_generators()
     for u in (np.eye(2), -np.eye(2), NEAR_IDENTITY):
@@ -127,6 +172,34 @@ def test_classify_borderline_non_scalar():
     assert "borderline" in r.witness
 
 
+def _witness_eigenvalues(witness):
+    """The eigenvalue pair a borderline witness prints with %r."""
+    return ast.literal_eval(witness[witness.index("("):witness.index(" admit")])
+
+
+def test_classify_eigenvalues_against_trace_det_and_order():
+    g = alamouti_generators()
+    # diag(1, -1): real spectrum, larger first
+    r = classify_expansion(U_DIRECT, 1.0, g, _grid())
+    assert r.witness == "eigenvalues of U*zeta are real: 1, -1"
+    # a quarter turn: eigenvalues i and -i, de-rotated from the leading i
+    r = classify_expansion(np.array([[0, -1], [1, 0]]), 1.0, g, _grid()[:5])
+    assert r.kind is ExpansionKind.INDIRECT_DISCERNIBLE
+    assert r.witness.startswith("de-rotation w=")
+    assert r.witness.endswith("-1j makes the spectrum real: 1, -1")
+    for seed in range(300):
+        q = _random_unitary(seed)
+        r = classify_expansion(q, 1.0, g, _grid()[:5])
+        assert r.kind is ExpansionKind.INDISCERNIBLE and "np." not in r.witness
+        e1, e2 = _witness_eigenvalues(r.witness)
+        assert type(e1) is complex and type(e2) is complex
+        assert abs((e1 + e2) - np.trace(q)) < 1e-9
+        assert abs((e1 * e2) - np.linalg.det(q)) < 1e-9
+        assert (e1.real, e1.imag) >= (e2.real, e2.imag)
+    with pytest.raises(ValueError, match="2x2 multipliers only"):
+        classify_expansion(np.eye(3), 1.0, g, _grid())
+
+
 def test_classify_invariant_under_reparameterization():
     rng = np.random.default_rng(21)
     g = alamouti_generators()
@@ -172,6 +245,14 @@ def test_decompose_direct_sum_round_trip():
         decompose_direct_sum(e, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (0, 2), (2, 1), (1, 2)])
+def test_decompose_direct_sum_rejects_shapes_off_the_design(shape):
+    # (2, 1) and (1, 2) would broadcast against the 2 x 2 points
+    msg = r"^matrix shape \(%d, %d\) does not match the design \(2, 2\)$" % shape
+    with pytest.raises(ValueError, match=msg):
+        decompose_direct_sum(_expanded(), np.ones(shape))
+
+
 def test_tagged_difference_identity_and_mixed_rejection():
     e = _expanded()
     base_idx = [i for i, p in enumerate(e.points) if p.tag is Subconstellation.BASE]
@@ -183,6 +264,22 @@ def test_tagged_difference_identity_and_mixed_rejection():
                     assert tagged_difference_residual(e, a, b) < 1e-12
     with pytest.raises(ValueError, match="same subconstellation"):
         tagged_difference_residual(e, base_idx[0], primed_idx[0])
+
+
+def test_symbol_coordinates_interleave_re_im():
+    rng = np.random.default_rng(5)
+    g = alamouti_generators()
+    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    chi = [z[0].real, z[0].imag, z[1].real, z[1].imag]
+    pairs = [conjugate_basis_pair(g, l) for l in (1, 2)]
+    want = sum(zl * minus + np.conj(zl) * plus for zl, (plus, minus) in zip(z, pairs))
+    assert np.max(np.abs(synthesize(g, chi) - want)) < 1e-15
+    # a strided symbol array gives the residual of its contiguous copy
+    spaced = np.zeros(4, complex)
+    spaced[::2] = z
+    zeta = np.exp(0.4j)
+    assert (rotated_synthesis_residual(g, spaced[::2], zeta)
+            == rotated_synthesis_residual(g, z, zeta))
 
 
 def test_rotated_synthesis_residual_vanishes():

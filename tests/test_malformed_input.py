@@ -1,6 +1,6 @@
-"""Malformed config, trellis and generator texts, channels and received
-blocks end in ValueError, never in another exception (or in an allocation
-sized by a header field)."""
+"""Malformed config, trellis and generator texts, matrices, channels and
+received blocks end in ValueError, never in another exception (or in an
+allocation sized by a header field)."""
 
 import importlib.resources
 import re
@@ -17,7 +17,14 @@ from stclab.channel import (
 )
 from stclab.cli import main
 from stclab.constellation import table_expansion
-from stclab.designs import alamouti_generators, read_generator_file, write_generator_file
+from stclab.designs import (
+    alamouti_generators,
+    analyze,
+    make_generator_set,
+    read_generator_file,
+    span_residuals,
+    write_generator_file,
+)
 from stclab.detectors import (
     base_subconstellation_entries,
     default_trellis,
@@ -25,6 +32,7 @@ from stclab.detectors import (
     ml_block_decode,
     viterbi_decode,
 )
+from stclab.expansion import decompose_direct_sum, expand
 from stclab.simulate import SimConfig, parse_config_file
 
 CONFIG = """# a valid trellis run
@@ -159,6 +167,7 @@ def test_large_header_counts_raise_value_error(big, field):
 
 
 EXPANDED = table_expansion()
+DESIGN = EXPANDED.base_generators
 
 
 def _decode(inputs):
@@ -166,8 +175,19 @@ def _decode(inputs):
 
 
 #: Entry point -> (call on its inputs, the shape of each well-formed input):
-#: T = 2 samples per received block, N = 2 antennas, 3 sections or draws.
+#: T = 2 samples per received block, N = 2 antennas, 3 sections or draws,
+#: and a T x N matrix.
 ENTRY_POINTS = {
+    "analyze": (lambda a: analyze(DESIGN, a["matrix"]), {"matrix": (2, 2)}),
+    "span_residuals": (
+        lambda a: span_residuals(DESIGN, [a["matrix"]]), {"matrix": (2, 2)}),
+    "decompose_direct_sum": (
+        lambda a: decompose_direct_sum(EXPANDED, a["matrix"]), {"matrix": (2, 2)}),
+    "expand": (
+        lambda a: expand(DESIGN, [np.ones(4)], a["unitary"]), {"unitary": (2, 2)}),
+    "make_generator_set": (
+        lambda a: make_generator_set(DESIGN.basis[:3] + (a["matrix"],)),
+        {"matrix": (2, 2)}),
     "ml_block_decode": (
         lambda a: ml_block_decode(a["received"], a["channel"], base_subconstellation_entries()),
         {"received": (2,), "channel": (2,)}),
@@ -189,12 +209,16 @@ MALFORMATIONS = st.one_of(
 
 def _inputs(entry, seed, level):
     """Well-formed inputs: every channel row is the one draw of seed, every
-    received sample is level."""
+    received sample is level, the matrix is point seed (mod 32) of the
+    expanded constellation and the unitary is that point over sqrt(2) (every
+    point S has S^H S = 2I)."""
     h = channels_from_uniform(np.random.default_rng(seed).random(4))
-    shapes = ENTRY_POINTS[entry][1]
-    return {name: (np.array(np.broadcast_to(h, shape)) if name == "channel"
-                   else np.full(shape, complex(level)))
-            for name, shape in shapes.items()}
+    point = EXPANDED.points[seed % len(EXPANDED.points)].matrix
+    made = {"channel": lambda shape: np.array(np.broadcast_to(h, shape)),
+            "received": lambda shape: np.full(shape, complex(level)),
+            "matrix": lambda shape: point.copy(),
+            "unitary": lambda shape: point / np.sqrt(2.0)}
+    return {name: made[name](shape) for name, shape in ENTRY_POINTS[entry][1].items()}
 
 
 def _malform(x, kind, arg):
@@ -218,10 +242,12 @@ def test_well_formed_arrays_pass(entry):
 
 
 # the first four @examples decoded without an error before the inputs were
-# checked; the last four are the checks of the one-draw channel class it replaced
+# checked; the next four are the checks of the one-draw channel class it
+# replaced; the last three gave a LinAlgError, a broadcast error or "no
+# match" before matrices were held to the design's shape
 @settings(max_examples=300, deadline=None)
 @given(entry=st.sampled_from(sorted(ENTRY_POINTS)),
-       target=st.sampled_from(["received", "channel"]), how=MALFORMATIONS,
+       target=st.sampled_from(["received", "channel", "matrix"]), how=MALFORMATIONS,
        seed=st.integers(0, 2**32 - 1), level=st.floats(-2.0, 2.0))
 # a 1-sample block broadcast against T = 2: index 11, metric 1.79
 @example(entry="ml_block_decode", target="received", how=("width", 1), seed=0, level=0.3)
@@ -243,10 +269,16 @@ def test_well_formed_arrays_pass(entry):
          how=("non-finite", (1, np.nan, True)), seed=0, level=0.0)
 @example(entry="build_equivalent_real_model", target="channel",
          how=("non-finite", (1, -np.inf, True)), seed=0, level=0.0)
+@example(entry="span_residuals", target="matrix", how=("width", 3), seed=0, level=0.0)
+@example(entry="decompose_direct_sum", target="matrix", how=("width", 1), seed=0,
+         level=0.0)
+@example(entry="decompose_direct_sum", target="matrix", how=("no rows", None), seed=0,
+         level=0.0)
 def test_malformed_arrays_raise_only_value_error(entry, target, how, seed, level):
     call, shapes = ENTRY_POINTS[entry]
     inputs = _inputs(entry, seed, level)
-    name = target if target in shapes else "channel"
+    name = target if target in shapes else min(shapes)      # the first input by name
     inputs[name] = _malform(inputs[name], *how)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         call(inputs)
+    assert caught.type is ValueError          # not a subclass such as LinAlgError
