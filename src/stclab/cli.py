@@ -102,7 +102,7 @@ INVARIANCE_TOLS = {"max_gram_error": 1e-12, "max_distance_error": 1e-11,
 
 
 def _audit_invariance(args, e) -> bool:
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    rng = np.random.default_rng(args.seed)
     # 4 uniforms per trial, in trial order: the doubles of one rng.random(4) per trial
     hs = channels_from_uniform(rng.random(4 * args.trials).reshape(args.trials, 4))
     rep = shape_invariance_audit(e, hs)

@@ -57,6 +57,22 @@ def checked_array(values, what: str, width, ndims=(1,), rows: str = "draws"):
     return a
 
 
+def checked_coordinates(values, what: str, dtype=np.float64) -> np.ndarray:
+    """values as a flat contiguous dtype array, the one check of coordinate input.
+
+    Raises ValueError on a non-finite entry and, in real coordinates (dtype
+    float64), on a complex entry, whose imaginary part a cast would drop.
+    Callers check the length.
+    """
+    a = np.asarray(values)
+    if dtype == np.float64 and np.iscomplexobj(a):
+        raise ValueError("%s must be real coordinates, got complex entries" % what)
+    x = np.ascontiguousarray(a, dtype=dtype).reshape(-1)
+    if not np.isfinite(x).all():
+        raise ValueError("%s entries must be finite" % what)
+    return x
+
+
 def checked_unimodular(zeta) -> complex:
     """zeta as a complex number; ValueError unless |zeta| = 1 within 1e-12."""
     z = complex(zeta)
@@ -172,7 +188,7 @@ def radon_hurwitz_check(g: GeneratorSet) -> RadonHurwitzReport:
 
 def synthesize(g: GeneratorSet, chi) -> np.ndarray:
     """Codematrix S(chi) = sum_l chi_l B_l for real coordinates chi."""
-    x = np.asarray(chi, dtype=np.float64).reshape(-1)
+    x = checked_coordinates(chi, "chi")
     if x.size != 2 * g.num_symbols:
         raise ValueError("chi must have length %d, got %d" % (2 * g.num_symbols, x.size))
     return np.tensordot(x, g.stacked(), axes=1)
@@ -223,8 +239,7 @@ def pairwise_difference_check(g: GeneratorSet, chi_a, chi_b) -> float:
     Returns the residual; values above RH_TOL mean the semiunitary
     difference identity does not hold for this pair.
     """
-    xa = np.asarray(chi_a, dtype=np.float64).reshape(-1)
-    xb = np.asarray(chi_b, dtype=np.float64).reshape(-1)
+    xa, xb = checked_coordinates(chi_a, "chi_a"), checked_coordinates(chi_b, "chi_b")
     if xa.size != xb.size or xa.size != 2 * g.num_symbols:
         raise ValueError("coordinate vectors must both have length %d" % (2 * g.num_symbols,))
     d = synthesize(g, xa) - synthesize(g, xb)

@@ -44,6 +44,7 @@ from .designs import (
     GeneratorSet,
     analyze,
     checked_array,
+    checked_coordinates,
     checked_unimodular,
     design_matrix,
     pairwise_difference_check,
@@ -132,7 +133,7 @@ def expand(g: GeneratorSet, point_chis, unitary, zeta=1.0) -> ExpandedConstellat
     u, z = _check_multiplier(unitary, zeta)
     if u.shape != (g.num_antennas, g.num_antennas):
         raise ValueError("expansion matrix must be %d x %d" % (g.num_antennas, g.num_antennas))
-    chis = [np.asarray(c, dtype=np.float64).reshape(-1) for c in point_chis]
+    chis = [checked_coordinates(c, "point_chis") for c in point_chis]
     if not chis:
         raise ValueError("point_chis must be nonempty")
     gp = GeneratorSet(tuple(b @ u * z for b in g.basis), g.scale)
@@ -265,7 +266,7 @@ def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int) -> floa
 def rotated_synthesis_residual(g: GeneratorSet, symbols, zeta) -> float:
     """Defect of the rotation identity: rotated-basis synthesis of z*zeta
     versus zeta * S(z).  Zero for every unimodular zeta."""
-    z = np.ascontiguousarray(symbols, dtype=np.complex128).reshape(-1)
+    z = checked_coordinates(symbols, "symbols", np.complex128)
     rot = rotate_generators(g, zeta)
     lhs = synthesize(rot, (z * complex(zeta)).view(np.float64))
     rhs = complex(zeta) * synthesize(g, z.view(np.float64))

@@ -19,12 +19,13 @@ noise).  Runs are therefore reproducible for a given config regardless of
 how frames are scheduled.  One channel draw per frame, held constant across
 the frame's blocks, independent across frames.
 
-The stream is realised without building those objects per frame:
-_seed_words re-implements the SeedSequence hash over a chunk's frames, and
-one reused PCG64 is loaded with each frame's seeded state.  Both
-algorithms are frozen by numpy's stream-compatibility policy, and the tests
-compare the hash and the draws with numpy's own objects, so the draws are
-bit-identical and the contract carries no version.
+The stream is realised without building those objects per frame: numpy
+hashes the seed and point once per chunk, _seed_words continues the hash
+over the chunk's frame words, and one reused PCG64 is loaded with each
+frame's seeded state.  Both algorithms are frozen by numpy's
+stream-compatibility policy, and the tests compare the hash and the draws
+with numpy's own objects, so the draws are bit-identical and the contract
+carries no version.
 
 Each frame's stream is read with one rng.random call that fills the frame's
 row of uniforms in that order: the payload bits (u < 0.5), then the 4
@@ -54,6 +55,8 @@ from __future__ import annotations
 
 import functools
 import io
+import numbers
+import operator
 import time
 from dataclasses import dataclass
 
@@ -89,26 +92,48 @@ def _snr_list(text: str) -> tuple:
     return tuple(float(x) for item in items for x in item)
 
 
-_POSITIVE = (int, lambda v: v >= 1, "must be positive")
+def _string(value) -> str:
+    """value if it is a str; TypeError otherwise."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
 
-#: SimConfig field -> (converter of its text, rule its value meets, what the
-#: rule asks).  SimConfig checks values against it, and config lines and
-#: simulate flags both read their text through field_value.
+
+def _reals(values) -> tuple:
+    """values as a tuple of floats; TypeError for text or a non-real entry."""
+    if isinstance(values, (str, bytes)):
+        raise TypeError(values)
+    values = tuple(values)
+    if not all(isinstance(v, numbers.Real) for v in values):
+        raise TypeError(values)
+    return tuple(map(float, values))
+
+
+_INTEGER = (operator.index, "an integer")
+_STRING = (_string, "a string")
+_POSITIVE = (int, _INTEGER, lambda v: v >= 1, "must be positive")
+
+#: SimConfig field -> (converter of its text, (converter of its Python
+#: value, the type that takes), rule the value meets, what the rule asks).
+#: A value converter raises TypeError on any other type.  SimConfig converts
+#: and checks values by it, and config lines and simulate flags both read
+#: their text through field_value.
 FIELDS = {
-    "mode": (str, lambda v: v in MODES, "must be one of %s" % (MODES,)),
-    "snr_list_db": (_snr_list, lambda v: len(v) > 0 and all(map(_finite_sigma, v)),
+    "mode": (str, _STRING, lambda v: v in MODES, "must be one of %s" % (MODES,)),
+    "snr_list_db": (_snr_list, (_reals, "a sequence of real numbers"),
+                    lambda v: len(v) > 0 and all(map(_finite_sigma, v)),
                     "must hold at least one SNR, each with a finite noise sigma"),
     "frames_per_point": _POSITIVE,
-    "base_seed": (int, lambda v: v >= 0, "must be nonnegative"),
+    "base_seed": (int, _INTEGER, lambda v: v >= 0, "must be nonnegative"),
     "max_frame_errors": _POSITIVE,
     "sections_per_frame": _POSITIVE,
-    "trellis_path": (str, lambda v: v != "", "must name a file"),
+    "trellis_path": (str, _STRING, lambda v: v != "", "must name a file"),
 }
 
 
 def _check_field(name: str, value) -> None:
     """Raise ValueError when value breaks the FIELDS rule of field name."""
-    _, rule, asks = FIELDS[name]
+    _, _, rule, asks = FIELDS[name]
     if not rule(value):
         raise ValueError("%s %s, got %r" % (name, asks, value))
 
@@ -136,10 +161,16 @@ class SimConfig:
     trellis_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_list_db",
-                           tuple(float(s) for s in self.snr_list_db))
-        for name in FIELDS:
-            _check_field(name, getattr(self, name))
+        for name, (_, (convert, kind), _, _) in FIELDS.items():
+            value = getattr(self, name)
+            if value is None and name == "trellis_path":
+                continue
+            try:
+                value = convert(value)
+            except TypeError:
+                raise ValueError("%s must be %s, got %r" % (name, kind, value)) from None
+            object.__setattr__(self, name, value)
+            _check_field(name, value)
         if self.trellis_path is not None and self.mode != "trellis":
             raise ValueError("trellis_path is only read in trellis mode, got mode %r"
                              % self.mode)
@@ -178,24 +209,14 @@ def _finite_sigma(snr_db: float) -> bool:
 
 # numpy's SeedSequence hash (O'Neill's seed_seq mix over a pool of 4 uint32
 # words) and PCG64's seeding, as numpy documents and freezes them (NEP 19).
-# The seed and point words, shared by a chunk's frames, are mixed once on
-# Python ints; the frame words then as uint32 array operations.
+# _seed_words continues numpy's hash of the seed and point words over the
+# frame words, as uint32 array operations.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words32(n: int) -> list:
-    """n as little-endian 32-bit words, at least one (SeedSequence's coercion)."""
-    words = [n & _MASK32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
 
 
 def _hash_constants(start: int, mult: int, n: int) -> list:
@@ -207,14 +228,14 @@ def _hash_constants(start: int, mult: int, n: int) -> list:
 
 
 def _hash(value, xor, mult):
-    """One hash step mod 2^32, on Python ints or uint32 arrays alike."""
-    value = (value ^ xor) * mult & _MASK32
+    """One hash step on uint32 arrays (mod 2^32)."""
+    value = (value ^ xor) * mult
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """Mix hashed word y into pool word x, mod 2^32."""
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    """Mix hashed word y into pool word x, on uint32 arrays (mod 2^32)."""
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
     return value ^ value >> 16
 
 
@@ -224,47 +245,25 @@ _OUT_XOR = np.array(_OUT[:8], dtype=np.uint32)[:, None]
 _OUT_MULT = np.array(_OUT[1:], dtype=np.uint32)[:, None]
 
 
-def _point_pool(base_seed: int, point_index: int) -> tuple:
-    """The hash pool after the seed and point words, and the next hash constant.
-
-    The run entropy is zero-padded to the pool size, as SeedSequence does
-    when a spawn key is given; words past the pool are mixed into every
-    pool word in turn.
-    """
-    entropy = _words32(base_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy)) + _words32(point_index)
-    # 4 + 12 hash steps fill and cross-mix the pool, then 4 per later word:
-    # 4 per entropy word, which has at least 4 words
-    consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
-    steps = zip(consts, consts[1:])
-
-    def hashmix(value):
-        return _hash(value, *next(steps))
-
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    return tuple(pool), consts[-1]
-
-
 def _seed_words(base_seed: int, point_index: int, first: int, count: int) -> np.ndarray:
     """SeedSequence(base_seed, spawn_key=(point_index, f)).generate_state(4, np.uint64)
     for frames f = first, ..., first + count - 1 (below 2^64), as rows (count, 4).
 
-    A frame index of 2^32 or more is two words; the second is mixed in only
-    for those frames.
+    The frame words continue the hash from the pool of
+    SeedSequence(base_seed, spawn_key=(point_index,)), which took 4 steps per
+    32-bit word (at least one per integer, the seed's padded to the pool
+    size).  A frame index of 2^32 or more is two words; the second is mixed
+    in only for those frames.
     """
-    pool, xor = _point_pool(base_seed, point_index)
-    c = np.array(_hash_constants(xor, _MULT_A, 8), dtype=np.uint32)[:, None]
+    seq = np.random.SeedSequence(base_seed, spawn_key=(point_index,))
+    seed_words, point_words = (max(1, -(-n.bit_length() // 32))
+                               for n in (base_seed, point_index))
+    steps = 4 * (max(seq.pool_size, seed_words) + point_words)
+    c = np.array(_hash_constants(_INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32,
+                                 _MULT_A, 8), dtype=np.uint32)[:, None]
     frames = np.arange(first, first + count, dtype=np.uint64)
     high = (frames >> 32).astype(np.uint32)
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None],
-                _hash(frames.astype(np.uint32), c[:4], c[1:5]))
+    pool = _mix(seq.pool[:, None], _hash(frames.astype(np.uint32), c[:4], c[1:5]))
     if high.any():
         pool = np.where(high != 0, _mix(pool, _hash(high, c[4:8], c[5:9])), pool)
     out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_XOR, _OUT_MULT).astype(np.uint64)

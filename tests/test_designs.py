@@ -9,6 +9,7 @@ from stclab.designs import (
     alamouti_generators,
     analyze,
     checked_array,
+    checked_coordinates,
     conjugate_basis_pair,
     make_generator_set,
     pairwise_difference_check,
@@ -223,6 +224,37 @@ def test_checked_array_rejects_non_matrix_and_non_finite():
     # a matrix of any shape passes, empty ones included; its caller judges it
     for shape in ((2, 3), (0, 2), (2, 0)):
         assert checked_array(np.ones(shape), "matrix", None, ndims=(2,)).shape == shape
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_real_coordinates_must_be_finite(bad):
+    # each of these returned NaN, or an all-NaN codematrix, before the check
+    g = alamouti_generators()
+    chi = [0.0, bad, 0.0, 0.0]
+    with pytest.raises(ValueError, match="^chi entries must be finite$"):
+        synthesize(g, chi)
+    with pytest.raises(ValueError, match="^chi_a entries must be finite$"):
+        pairwise_difference_check(g, chi, np.zeros(4))
+    with pytest.raises(ValueError, match="^chi_b entries must be finite$"):
+        pairwise_difference_check(g, np.zeros(4), chi)
+
+
+def test_real_coordinates_must_not_be_complex():
+    # a cast to float64 dropped the imaginary part with only a ComplexWarning
+    g = alamouti_generators()
+    for chi in (np.array([1 + 1j, 0, 0, 0]), [1.0, 0.0, 0j, 0.0]):
+        with pytest.raises(ValueError, match="^chi must be real coordinates, got complex"):
+            synthesize(g, chi)
+        with pytest.raises(ValueError, match="^chi_b must be real coordinates"):
+            pairwise_difference_check(g, np.zeros(4), chi)
+    # lengths keep their messages; entries are flattened as before
+    with pytest.raises(ValueError, match="^chi must have length 4, got 3$"):
+        synthesize(g, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^coordinate vectors must both have length 4$"):
+        pairwise_difference_check(g, np.zeros(4), np.zeros(5))
+    assert np.array_equal(synthesize(g, [[1, 0], [0, 1]]), synthesize(g, [1.0, 0, 0, 1.0]))
+    z = checked_coordinates(np.arange(8, dtype=complex)[::2], "symbols", np.complex128)
+    assert z.flags.c_contiguous and z.tolist() == [0, 2, 4, 6]
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2, 1), (1, 2), (0, 2)])

@@ -6,6 +6,7 @@ from golden.record import irregular_trellis_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stclab import detectors
 from stclab.channel import channels_from_uniform, normals_from_uniform
 from stclab.constellation import (
     build_constellation,
@@ -543,6 +544,26 @@ def test_count_ties_false_changes_nothing_else(trellis, per_section):
     assert counted[2][-1] > 0
     assert uncounted[2].dtype == np.int64 and uncounted[2].shape == (9,)
     assert not uncounted[2].any()
+
+
+@pytest.mark.parametrize("trellis", sorted(NAMED_TRELLISES))
+@pytest.mark.parametrize("per_section", [False, True])
+def test_decisions_do_not_depend_on_the_branch_block(monkeypatch, trellis, per_section):
+    # _branches scores blocks of frames of up to _BRANCH_SCORES scores: one
+    # frame per block, the default's few frames (its last block short) and
+    # all 45 frames in one block must give the same bytes
+    spec = NAMED_TRELLISES[trellis]
+    rec, faded, _ = _noisy_batch(spec, np.random.default_rng(43), 45, 50, 0, 0.6,
+                                 per_section, 2)
+    runs = []
+    for scores in (1, detectors._BRANCH_SCORES, 10**9):
+        monkeypatch.setattr(detectors, "_BRANCH_SCORES", scores)
+        runs.append(viterbi_decode_frames(spec, rec, faded, count_ties=True))
+    for got in runs[1:]:
+        for name, g, w in zip(("decided", "bits", "ties"), got, runs[0]):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+    assert runs[0][2][-1] > 0          # the all-tie frames count their ties
 
 
 @settings(max_examples=100, deadline=None)

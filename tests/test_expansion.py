@@ -102,6 +102,21 @@ def test_expand_accepts_products_of_unitaries():
         assert np.array_equal(expand(g, _grid()[:1], q1 @ q2).unitary, q1 @ q2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coordinates_and_symbols_must_be_finite(bad):
+    # expand made NaN points after a RuntimeWarning, and the residual was NaN
+    g = alamouti_generators()
+    with pytest.raises(ValueError, match="^point_chis entries must be finite$"):
+        expand(g, _grid()[:3] + [np.array([bad, 1.0, 1.0, 1.0])], U_DIRECT)
+    with pytest.raises(ValueError, match="^point_chis entries must be finite$"):
+        classify_expansion(U_DIRECT, 1.0, g, [np.array([1.0, bad, 1.0, 1.0])])
+    for symbols in ([bad, 1.0], [1.0, complex(1.0, bad)]):
+        with pytest.raises(ValueError, match="^symbols entries must be finite$"):
+            rotated_synthesis_residual(g, symbols, 1j)
+    with pytest.raises(ValueError, match="^point_chis must be real coordinates"):
+        expand(g, [np.array([1j, 1.0, 1.0, 1.0])], U_DIRECT)
+
+
 @pytest.mark.parametrize("zeta", [np.nan, complex(1.0, np.nan), np.inf])
 def test_non_finite_zeta_is_not_unimodular(zeta):
     g = alamouti_generators()

@@ -1,13 +1,13 @@
-"""Malformed config, trellis and generator texts, matrices, channels and
-received blocks end in ValueError, never in another exception (or in an
-allocation sized by a header field)."""
+"""Malformed config, trellis and generator texts, matrices, channels,
+received blocks and coordinates end in ValueError, never in another
+exception (or in an allocation sized by a header field)."""
 
 import importlib.resources
 import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stclab.channel import (
@@ -21,8 +21,10 @@ from stclab.designs import (
     alamouti_generators,
     analyze,
     make_generator_set,
+    pairwise_difference_check,
     read_generator_file,
     span_residuals,
+    synthesize,
     write_generator_file,
 )
 from stclab.detectors import (
@@ -32,7 +34,7 @@ from stclab.detectors import (
     ml_block_decode,
     viterbi_decode,
 )
-from stclab.expansion import decompose_direct_sum, expand
+from stclab.expansion import decompose_direct_sum, expand, rotated_synthesis_residual
 from stclab.simulate import SimConfig, parse_config_file
 
 CONFIG = """# a valid trellis run
@@ -176,8 +178,15 @@ def _decode(inputs):
 
 #: Entry point -> (call on its inputs, the shape of each well-formed input):
 #: T = 2 samples per received block, N = 2 antennas, 3 sections or draws,
-#: and a T x N matrix.
+#: a T x N matrix, 2K = 4 real coordinates and K = 2 symbols.
 ENTRY_POINTS = {
+    "synthesize": (lambda a: synthesize(DESIGN, a["chi"]), {"chi": (4,)}),
+    "pairwise_difference_check": (
+        lambda a: pairwise_difference_check(DESIGN, np.ones(4), a["chi"]), {"chi": (4,)}),
+    "expand point_chis": (
+        lambda a: expand(DESIGN, [np.ones(4), a["chi"]], np.eye(2)), {"chi": (4,)}),
+    "rotated_synthesis_residual": (
+        lambda a: rotated_synthesis_residual(DESIGN, a["symbols"], 1j), {"symbols": (2,)}),
     "analyze": (lambda a: analyze(DESIGN, a["matrix"]), {"matrix": (2, 2)}),
     "span_residuals": (
         lambda a: span_residuals(DESIGN, [a["matrix"]]), {"matrix": (2, 2)}),
@@ -210,14 +219,18 @@ MALFORMATIONS = st.one_of(
 def _inputs(entry, seed, level):
     """Well-formed inputs: every channel row is the one draw of seed, every
     received sample is level, the matrix is point seed (mod 32) of the
-    expanded constellation and the unitary is that point over sqrt(2) (every
-    point S has S^H S = 2I)."""
+    expanded constellation, the unitary is that point over sqrt(2) (every
+    point S has S^H S = 2I), the coordinates are the point's own and the
+    symbols are the draw."""
     h = channels_from_uniform(np.random.default_rng(seed).random(4))
-    point = EXPANDED.points[seed % len(EXPANDED.points)].matrix
+    chosen = EXPANDED.points[seed % len(EXPANDED.points)]
+    point = chosen.matrix
     made = {"channel": lambda shape: np.array(np.broadcast_to(h, shape)),
             "received": lambda shape: np.full(shape, complex(level)),
             "matrix": lambda shape: point.copy(),
-            "unitary": lambda shape: point / np.sqrt(2.0)}
+            "unitary": lambda shape: point / np.sqrt(2.0),
+            "chi": lambda shape: chosen.chi_oplus[:4] + chosen.chi_oplus[4:],
+            "symbols": lambda shape: h.copy()}
     return {name: made[name](shape) for name, shape in ENTRY_POINTS[entry][1].items()}
 
 
@@ -229,10 +242,10 @@ def _malform(x, kind, arg):
     if kind == "width":
         return np.concatenate([x, x], axis=-1)[..., :arg]
     pos, bad, imaginary = arg
-    x = x.copy()
-    flat = x.reshape(-1)
-    z = flat[pos % flat.size]
-    flat[pos % flat.size] = complex(z.real, bad) if imaginary else complex(bad, z.imag)
+    # a C-ordered copy, so that reshape gives a view; real input turns complex
+    x = x.astype(np.complex128 if imaginary else x.dtype, order="C")
+    part = x.reshape(-1).imag if imaginary else x.reshape(-1).real
+    part[pos % part.size] = bad
     return x
 
 
@@ -243,8 +256,9 @@ def test_well_formed_arrays_pass(entry):
 
 # the first four @examples decoded without an error before the inputs were
 # checked; the next four are the checks of the one-draw channel class it
-# replaced; the last three gave a LinAlgError, a broadcast error or "no
-# match" before matrices were held to the design's shape
+# replaced; the next three gave a LinAlgError, a broadcast error or "no
+# match" before matrices were held to the design's shape; the last three
+# returned NaN, or dropped an imaginary part, before coordinates were checked
 @settings(max_examples=300, deadline=None)
 @given(entry=st.sampled_from(sorted(ENTRY_POINTS)),
        target=st.sampled_from(["received", "channel", "matrix"]), how=MALFORMATIONS,
@@ -274,10 +288,18 @@ def test_well_formed_arrays_pass(entry):
          level=0.0)
 @example(entry="decompose_direct_sum", target="matrix", how=("no rows", None), seed=0,
          level=0.0)
+@example(entry="synthesize", target="matrix", how=("non-finite", (0, np.nan, False)),
+         seed=0, level=0.0)
+@example(entry="rotated_synthesis_residual", target="matrix",
+         how=("non-finite", (1, np.inf, False)), seed=0, level=0.0)
+@example(entry="pairwise_difference_check", target="matrix",
+         how=("non-finite", (2, 1.0, True)), seed=0, level=0.0)
 def test_malformed_arrays_raise_only_value_error(entry, target, how, seed, level):
     call, shapes = ENTRY_POINTS[entry]
     inputs = _inputs(entry, seed, level)
     name = target if target in shapes else min(shapes)      # the first input by name
+    # coordinates and symbols are flattened, so an added unit axis is well formed
+    assume(not (name in ("chi", "symbols") and how == ("axis", "add")))
     inputs[name] = _malform(inputs[name], *how)
     with pytest.raises(ValueError) as caught:
         call(inputs)

@@ -68,6 +68,36 @@ def test_config_validation():
     assert cfg.snr_list_db == (0.0, 4.0)
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("snr_list_db", "12", "a sequence of real numbers"),      # ran SNRs 1 and 2
+    ("snr_list_db", b"12", "a sequence of real numbers"),
+    ("snr_list_db", [4.0, "8"], "a sequence of real numbers"),
+    ("snr_list_db", [1j], "a sequence of real numbers"),
+    ("snr_list_db", 8.0, "a sequence of real numbers"),
+    ("frames_per_point", 2.5, "an integer"),                   # failed later in run_point
+    ("base_seed", 1.5, "an integer"),
+    ("max_frame_errors", "3", "an integer"),
+    ("sections_per_frame", None, "an integer"),
+    ("mode", 3, "a string"),
+    ("trellis_path", 3, "a string"),                           # opened file descriptor 3
+])
+def test_config_rejects_values_of_the_wrong_type(field, value, kind):
+    kwargs = {field: value, "mode": "trellis"} if field == "trellis_path" else {field: value}
+    with pytest.raises(ValueError, match=r"^%s must be %s, got " % (field, kind)):
+        SimConfig(**kwargs)
+
+
+def test_config_takes_numpy_numbers_as_python_ones():
+    cfg = SimConfig(snr_list_db=np.array([4, 8.5]), frames_per_point=np.int32(3),
+                    base_seed=np.uint64(2**63), max_frame_errors=np.int64(2),
+                    sections_per_frame=np.uint8(5))
+    assert cfg == SimConfig(snr_list_db=(4.0, 8.5), frames_per_point=3, base_seed=2**63,
+                            max_frame_errors=2, sections_per_frame=5)
+    for name in ("frames_per_point", "base_seed", "max_frame_errors", "sections_per_frame"):
+        assert type(getattr(cfg, name)) is int
+    assert all(type(s) is float for s in cfg.snr_list_db)
+
+
 def test_frame_rng_streams_are_decoupled():
     cfg = SimConfig(base_seed=1, sections_per_frame=1)
     a, b = _draw_frames(cfg, 0, 0, 2, 4)[2]
@@ -144,18 +174,32 @@ def test_batched_draws_equal_per_call_draws(seed, point, first, count, sections)
 
 
 def test_run_point_builds_no_per_frame_generator(monkeypatch):
+    # numpy hashes the seed and point once per chunk; no frame gets a
+    # SeedSequence or a generator of its own
     cfg = SimConfig(snr_list_db=(6.0,), frames_per_point=70, base_seed=5,
                     sections_per_frame=50)
     want = run_point(cfg, 0)
+    seed_sequence = np.random.SeedSequence
+    spawn_keys = []
+
+    def point_sequence(*args, spawn_key=(), **kwargs):
+        spawn_keys.append(spawn_key)
+        return seed_sequence(*args, spawn_key=spawn_key, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("run_point built a generator object")
 
-    for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
+    monkeypatch.setattr(simulate.np.random, "SeedSequence", point_sequence)
+    for name in ("default_rng", "PCG64", "Generator"):
         monkeypatch.setattr(simulate.np.random, name, forbidden)
-    got = run_point(cfg, 0)
-    assert (got.frames, got.bit_errors, got.frame_errors) == (
-        want.frames, want.bit_errors, want.frame_errors)
+    # the default chunk holds all 70 frames; chunks of 500 sections hold 10
+    for chunk_sections, chunks in ((simulate.CHUNK_SECTIONS, 1), (500, 7)):
+        monkeypatch.setattr(simulate, "CHUNK_SECTIONS", chunk_sections)
+        spawn_keys.clear()
+        got = run_point(cfg, 0)
+        assert spawn_keys == [(0,)] * chunks
+        assert (got.frames, got.bit_errors, got.frame_errors) == (
+            want.frames, want.bit_errors, want.frame_errors)
 
 
 def test_uncoded_high_snr_is_error_free():
