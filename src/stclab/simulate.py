@@ -40,15 +40,17 @@ channel columns and once over its noise columns.
 Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS
 sections and at least one frame.  A chunk's faded candidates C h are formed
 once: channel.transmit gathers the sent blocks from them and one
-viterbi_decode_frames call decides against them.  A chunk never holds
-more frames than frame errors are still allowed, so a point stops on the
-last frame of a chunk, at exactly the frame where a frame-by-frame run
-stops, and no frame past it is drawn.  Results therefore do not depend on
-the chunk size.  Its memory does: for 128 frames of 50 sections the
-tracemalloc peak is about 0.8 MiB uncoded and 1.0 MiB in trellis mode,
-where the decoder's branch scores (400 KiB) and the received blocks
-(200 KiB) are alive together; tests/test_simulate.py holds both to a
-ceiling.
+viterbi_decode_frames call decides against them.  Chunks keep their size
+to the end of a point: the chunk in which the frame errors reach
+max_frame_errors is decoded whole and cut after that frame, the frame where
+a frame-by-frame run stops.  Results therefore do not depend on the chunk
+size; the frames past the stop (at most one chunk less one frame per
+point) are drawn and decoded but not counted, and elapsed_seconds includes
+that work.  A chunk's memory does depend on its size: for 128 frames of 50
+sections the tracemalloc peak is about 0.8 MiB uncoded and 1.0 MiB in
+trellis mode, where the decoder's branch scores (400 KiB) and the received
+blocks (200 KiB) are alive together; tests/test_simulate.py holds both to
+a ceiling.
 """
 
 from __future__ import annotations
@@ -76,7 +78,9 @@ from .detectors import (
 #: Sections drawn and decoded together by run_point, in whole frames (128
 #: frames of 50 sections): enough frames that the decoder's per-section
 #: loops cost little per frame, and a bound on the chunk's memory for any
-#: frame length.  Results do not depend on it.
+#: frame length.  Every chunk of a point has this size but the last of
+#: frames_per_point, including the one an early stop cuts.  Results do not
+#: depend on it.
 CHUNK_SECTIONS = 6400
 
 CSV_HEADER = "snr_db,frames,bits,bit_errors,frame_errors,ber,fer,elapsed_seconds"
@@ -99,6 +103,15 @@ def _string(value) -> str:
     return value
 
 
+def _real(value) -> float:
+    """float(value), or an infinity of its sign when it is past the float range
+    (an int or Fraction), as float("1e400") is."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
 def _reals(values) -> tuple:
     """values as a tuple of floats; TypeError for text or a non-real entry."""
     if isinstance(values, (str, bytes)):
@@ -106,7 +119,7 @@ def _reals(values) -> tuple:
     values = tuple(values)
     if not all(isinstance(v, numbers.Real) for v in values):
         raise TypeError(values)
-    return tuple(map(float, values))
+    return tuple(map(_real, values))
 
 
 _INTEGER = (operator.index, "an integer")
@@ -329,8 +342,12 @@ def run_point(cfg: SimConfig, point_index: int,
               spec: TrellisSpec | None = None) -> SimResultRow:
     """One SNR point over spec (default: the config's), stopping at max_frame_errors.
 
-    Each chunk is decoded without counting ties, since the row does not
-    report them.
+    Chunks are sized by CHUNK_SECTIONS and the frames left only.  The chunk
+    that reaches max_frame_errors is decoded whole and counted up to the
+    frame that reaches it, so the counts equal a frame-by-frame run's.  The
+    frames decoded past that one, at most one chunk less one frame, are not
+    counted but are timed in elapsed_seconds.  Each chunk is decoded without
+    counting ties, since the row does not report them.
     """
     snr_db = cfg.snr_list_db[point_index]
     sigma = sigma_for_snr_db(snr_db)
@@ -341,9 +358,7 @@ def run_point(cfg: SimConfig, point_index: int,
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
     while frames < cfg.frames_per_point and frame_errors < cfg.max_frame_errors:
-        # no chunk outruns the error budget: a stop lands on its last frame
-        count = min(max(1, CHUNK_SECTIONS // sections), cfg.frames_per_point - frames,
-                    cfg.max_frame_errors - frame_errors)
+        count = min(max(1, CHUNK_SECTIONS // sections), cfg.frames_per_point - frames)
         tx_bits, h, noise = _draw_frames(cfg, point_index, frames, count,
                                          bits_per_frame)
         # C h for all 32 candidates (F, 32, 2), elementwise: cheaper than F * 32 matmuls
@@ -352,7 +367,11 @@ def run_point(cfg: SimConfig, point_index: int,
         del h, noise
         rx_bits = viterbi_decode_frames(spec, rec, faded)[1]
         errs = np.count_nonzero(rx_bits != tx_bits, axis=1)
-        frames += count
+        # keep the frames up to the one that spends the error budget, where a
+        # frame-by-frame run stops (all of them if none does)
+        stop = np.cumsum(errs != 0).searchsorted(cfg.max_frame_errors - frame_errors)
+        errs = errs[:stop + 1]
+        frames += len(errs)
         bit_errors += int(np.sum(errs))
         frame_errors += int(np.count_nonzero(errs))
         # free this chunk's arrays before the next chunk is drawn

@@ -1,5 +1,6 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,12 +69,19 @@ def test_config_validation():
     assert cfg.snr_list_db == (0.0, 4.0)
 
 
+#: what snr_list_db's rule asks: an SNR past the float range is an infinity
+_SNR_RULE = FIELDS["snr_list_db"][3]
+
+
 @pytest.mark.parametrize("field, value, kind", [
     ("snr_list_db", "12", "a sequence of real numbers"),      # ran SNRs 1 and 2
     ("snr_list_db", b"12", "a sequence of real numbers"),
     ("snr_list_db", [4.0, "8"], "a sequence of real numbers"),
     ("snr_list_db", [1j], "a sequence of real numbers"),
     ("snr_list_db", 8.0, "a sequence of real numbers"),
+    ("snr_list_db", (10**400,), _SNR_RULE),                   # raised OverflowError
+    ("snr_list_db", (-10**400,), _SNR_RULE),
+    ("snr_list_db", (Fraction(10**400),), _SNR_RULE),
     ("frames_per_point", 2.5, "an integer"),                   # failed later in run_point
     ("base_seed", 1.5, "an integer"),
     ("max_frame_errors", "3", "an integer"),
@@ -83,7 +91,8 @@ def test_config_validation():
 ])
 def test_config_rejects_values_of_the_wrong_type(field, value, kind):
     kwargs = {field: value, "mode": "trellis"} if field == "trellis_path" else {field: value}
-    with pytest.raises(ValueError, match=r"^%s must be %s, got " % (field, kind)):
+    says = kind if kind == _SNR_RULE else "must be " + kind
+    with pytest.raises(ValueError, match=r"^%s %s, got " % (field, says)):
         SimConfig(**kwargs)
 
 
@@ -173,23 +182,35 @@ def test_batched_draws_equal_per_call_draws(seed, point, first, count, sections)
         assert g.tobytes() == w.tobytes()
 
 
-def test_run_point_builds_no_per_frame_generator(monkeypatch):
+@pytest.fixture
+def spawn_keys(monkeypatch):
+    """The spawn key of each SeedSequence that simulate builds, in order.
+
+    No point of these tests has 1000 frames, and every chunk holds one, so
+    a run_point that never stops fails here rather than hanging.
+    """
+    seed_sequence = np.random.SeedSequence
+    keys = []
+
+    def point_sequence(*args, spawn_key=(), **kwargs):
+        keys.append(spawn_key)
+        assert len(keys) <= 1000, "run_point does not stop"
+        return seed_sequence(*args, spawn_key=spawn_key, **kwargs)
+
+    monkeypatch.setattr(simulate.np.random, "SeedSequence", point_sequence)
+    return keys
+
+
+def test_run_point_builds_no_per_frame_generator(monkeypatch, spawn_keys):
     # numpy hashes the seed and point once per chunk; no frame gets a
     # SeedSequence or a generator of its own
     cfg = SimConfig(snr_list_db=(6.0,), frames_per_point=70, base_seed=5,
                     sections_per_frame=50)
     want = run_point(cfg, 0)
-    seed_sequence = np.random.SeedSequence
-    spawn_keys = []
-
-    def point_sequence(*args, spawn_key=(), **kwargs):
-        spawn_keys.append(spawn_key)
-        return seed_sequence(*args, spawn_key=spawn_key, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("run_point built a generator object")
 
-    monkeypatch.setattr(simulate.np.random, "SeedSequence", point_sequence)
     for name in ("default_rng", "PCG64", "Generator"):
         monkeypatch.setattr(simulate.np.random, name, forbidden)
     # the default chunk holds all 70 frames; chunks of 500 sections hold 10
@@ -258,18 +279,45 @@ def test_run_simulation_is_reproducible():
 
 
 @pytest.mark.parametrize("mode", ["uncoded", "trellis"])
-def test_counts_do_not_depend_on_chunk_size(mode, monkeypatch):
-    # a chunk of one frame is the frame-by-frame run; 0 dB stops early
+def test_counts_do_not_depend_on_chunk_size(mode, monkeypatch, spawn_keys):
+    # a chunk of one frame is the frame-by-frame run; 0 dB spends the error
+    # budget on frame `stop` (counted from 1), 10 dB runs all its frames
     cfg = SimConfig(mode=mode, snr_list_db=(0.0, 10.0), frames_per_point=45,
                     base_seed=9, max_frame_errors=20, sections_per_frame=6)
-    want = [(r.frames, r.bits, r.bit_errors, r.frame_errors)
-            for r in run_simulation(cfg)]
-    assert want[0][0] < 45 and want[0][3] == 20
-    for chunk in (1, 7, 45):
+
+    def counts(cfg, chunk):
         monkeypatch.setattr(simulate, "CHUNK_SECTIONS", chunk * cfg.sections_per_frame)
-        got = [(r.frames, r.bits, r.bit_errors, r.frame_errors)
-               for r in run_simulation(cfg)]
-        assert got == want, chunk
+        spawn_keys.clear()
+        return [(r.frames, r.bits, r.bit_errors, r.frame_errors)
+                for r in run_simulation(cfg)]
+
+    want = counts(cfg, 1)
+    stop = want[0][0]
+    assert 3 <= stop < 45 and want[0][3] == 20 and want[1][0] == 45
+    # frame `stop` is the first of a chunk, the last of one, and inside one
+    for chunk in (stop - 1, stop, stop + 1, 7, 45):
+        assert counts(cfg, chunk) == want, chunk
+    # frame `stop` is the last of frames_per_point
+    last = replace(cfg, frames_per_point=stop)
+    want = counts(last, 1)
+    assert want[0] == (stop, stop * 24, want[0][2], 20)
+    for chunk in (stop - 1, stop, 7, 45):
+        assert counts(last, chunk) == want, chunk
+
+
+def test_an_early_stop_cuts_a_whole_chunk(monkeypatch, spawn_keys):
+    # a point that stops at frame `stop` draws ceil(stop / chunk) chunks: its
+    # chunks keep their size and the last is cut at the stop, rather than
+    # shrinking to the frame errors still allowed
+    cfg = SimConfig(snr_list_db=(0.0,), frames_per_point=500, base_seed=3,
+                    max_frame_errors=10, sections_per_frame=10)
+    stop = run_point(cfg, 0).frames
+    for chunk in (1, 3, 4, stop - 1, stop):
+        monkeypatch.setattr(simulate, "CHUNK_SECTIONS", chunk * cfg.sections_per_frame)
+        spawn_keys.clear()
+        row = run_point(cfg, 0)
+        assert (row.frames, row.frame_errors) == (stop, 10)
+        assert spawn_keys == [(0,)] * -(-stop // chunk), chunk
 
 
 #: tracemalloc peak in KiB of run_point over one full chunk of 50-section
