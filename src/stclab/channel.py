@@ -105,10 +105,15 @@ def _stacked_frames(bases: np.ndarray, scale: float, hs: np.ndarray):
 
     Column k of each half is flatten(B_k h) / gain over that half's bases;
     the base and primed halves sit block-diagonally.  Degenerate fades
-    (||h|| = 0) are rejected; the frames are undefined there.
+    (||h|| = 0) are rejected, as are draws whose ||h||^2 overflows; the
+    frames are undefined there.
     """
-    h_norm = np.sqrt(np.vecdot(hs.real, hs.real) + np.vecdot(hs.imag, hs.imag))
-    if not np.all(h_norm > 0.0):
+    try:
+        with np.errstate(over="raise"):
+            h_norm = np.sqrt(np.vecdot(hs.real, hs.real) + np.vecdot(hs.imag, hs.imag))
+    except FloatingPointError:
+        raise ValueError("channel draw too large: ||h||^2 overflows") from None
+    if not (h_norm > 0.0).all():
         raise ValueError("degenerate fade: ||h|| = 0 leaves no signal space")
     gain = np.sqrt(scale) * h_norm
     v = (bases @ hs[:, None, None, :, None])[..., 0]                 # (D, 2, 2K, T)
@@ -124,7 +129,8 @@ def _stacked_frames(bases: np.ndarray, scale: float, hs: np.ndarray):
 def build_equivalent_real_model(e: ExpandedConstellation, h) -> EquivalentRealModel:
     """Orthonormal base/primed/stacked frames for one channel draw h (N,).
 
-    Degenerate fades (||h|| = 0) are rejected; the frames are undefined there.
+    Degenerate fades (||h|| = 0) and draws whose ||h||^2 overflows are
+    rejected; the frames are undefined there.
     """
     h = checked_array(h, "channel", e.base_generators.num_antennas)
     stacked, h_norm, gain = _stacked_frames(_frame_bases(e), e.base_generators.scale,
@@ -168,7 +174,7 @@ def shape_invariance_audit(e: ExpandedConstellation, hs) -> ShapeInvarianceRepor
     its worst value over all draws.  Draws are evaluated CHUNK_DRAWS at a time, and
     every number is computed exactly as for the draw alone, so the report
     equals the field-wise maximum of one-draw audits.  Any degenerate draw
-    (||h|| = 0) raises ValueError.
+    (||h|| = 0) or draw whose ||h||^2 overflows raises ValueError.
     """
     hs = checked_array(hs, "channel", e.base_generators.num_antennas, ndims=(2,))
     bases, scale = _frame_bases(e), e.base_generators.scale

@@ -139,6 +139,9 @@ def cmd_audit(args) -> int:
     if args.trials < 1:
         print("error: --trials must be positive", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return 2
     names = list(AUDITS) if args.which == "ALL" else [args.which]
     e = table_expansion()       # one expansion for every audit of the call
     ok = True

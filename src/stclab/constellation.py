@@ -85,13 +85,15 @@ def _parse_table(text: str):
 
 @lru_cache(maxsize=None)
 def build_constellation() -> tuple:
-    """Load the shipped table and materialize all 32 entries."""
+    """Load the shipped table and materialize all 32 entries, with read-only matrices."""
     text = importlib.resources.files("stclab.data").joinpath(DATA_FILE).read_text()
     entries = []
     for idx, im, q8c, q8b, q16c, q16b in _parse_table(text):
         tag = Subconstellation.BASE if idx < 16 else Subconstellation.PRIMED
+        matrix = matrix_from_indices(im)
+        matrix.flags.writeable = False      # shared by every caller
         entries.append(CodematrixEntry(
-            index=idx, index_matrix=im, matrix=matrix_from_indices(im),
+            index=idx, index_matrix=im, matrix=matrix,
             subconstellation=tag, q8_coset=q8c, q8_bits=q8b,
             q16_coset=q16c, q16_bit=q16b))
     return tuple(entries)
@@ -99,8 +101,10 @@ def build_constellation() -> tuple:
 
 @lru_cache(maxsize=None)
 def matrix_stack() -> np.ndarray:
-    """All 32 codematrices as a (32, 2, 2) array, index order."""
-    return np.stack([e.matrix for e in build_constellation()])
+    """All 32 codematrices as a read-only (32, 2, 2) array, index order."""
+    mats = np.stack([e.matrix for e in build_constellation()])
+    mats.flags.writeable = False
+    return mats
 
 
 def chi_coordinates(entry: CodematrixEntry) -> np.ndarray:

@@ -70,6 +70,8 @@ class TrellisSpec:
       with the index len(transitions), whose candidate metric is +inf;
     * indexed (state, coded value): next_state, and branch_labels with the
       label row on the last axis.
+
+    The derived arrays are read-only, since cached specs are shared.
     """
 
     num_states: int
@@ -104,6 +106,8 @@ class TrellisSpec:
                 coded=coded, labels=labels, cosets=np.array(list(distinct), dtype=np.intp),
                 coset_of=coset_of, coset_count=np.bincount(coset_of), groups=groups,
                 next_state=to_state[branch], branch_labels=labels[branch]).items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
 

@@ -20,12 +20,14 @@ how frames are scheduled.  One channel draw per frame, held constant across
 the frame's blocks, independent across frames.
 
 The stream is realised without building those objects per frame: numpy
-hashes the seed and point once per chunk, _seed_words continues the hash
-over the chunk's frame words, and one reused PCG64 is loaded with each
-frame's seeded state.  Both algorithms are frozen by numpy's
-stream-compatibility policy, and the tests compare the hash and the draws
-with numpy's own objects, so the draws are bit-identical and the contract
-carries no version.
+hashes the seed and point once per chunk, and _frame_states, the one
+re-implementation of numpy's seeding, continues the hash over the chunk's
+frame words and turns each result into PCG64's state.  Each chunk's draw
+call builds its own PCG64 and loads it with those states in turn, so no
+generator outlives a call and the simulator may be called from several
+threads.  Both algorithms are frozen by numpy's stream-compatibility
+policy, and the tests compare the states and the draws with numpy's own
+objects, so the draws are bit-identical and the contract carries no version.
 
 Each frame's stream is read with one rng.random call that fills the frame's
 row of uniforms in that order: the payload bits (u < 0.5), then the 4
@@ -55,7 +57,6 @@ a ceiling.
 
 from __future__ import annotations
 
-import functools
 import io
 import numbers
 import operator
@@ -222,8 +223,8 @@ def _finite_sigma(snr_db: float) -> bool:
 
 # numpy's SeedSequence hash (O'Neill's seed_seq mix over a pool of 4 uint32
 # words) and PCG64's seeding, as numpy documents and freezes them (NEP 19).
-# _seed_words continues numpy's hash of the seed and point words over the
-# frame words, as uint32 array operations.
+# _frame_states continues numpy's hash of the seed and point words over the
+# frame words, as uint32 array operations, and seeds PCG64 from the result.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -232,12 +233,13 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hash_constants(start: int, mult: int, n: int) -> list:
-    """start, start * mult, ... mod 2^32: the n + 1 constants of n hash steps."""
+def _hash_constants(start: int, mult: int, n: int) -> np.ndarray:
+    """start, start * mult, ... mod 2^32: the n + 1 constants of n hash steps,
+    as a uint32 column (n + 1, 1)."""
     out = [start]
     for _ in range(n):
         out.append(out[-1] * mult & _MASK32)
-    return out
+    return np.array(out, dtype=np.uint32)[:, None]
 
 
 def _hash(value, xor, mult):
@@ -252,45 +254,38 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-# generate_state's 8 uint32 output words (4 uint64) hash pool word i % 4 in turn
-_OUT = _hash_constants(_INIT_B, _MULT_B, 8)
-_OUT_XOR = np.array(_OUT[:8], dtype=np.uint32)[:, None]
-_OUT_MULT = np.array(_OUT[1:], dtype=np.uint32)[:, None]
-
-
-def _seed_words(base_seed: int, point_index: int, first: int, count: int) -> np.ndarray:
-    """SeedSequence(base_seed, spawn_key=(point_index, f)).generate_state(4, np.uint64)
-    for frames f = first, ..., first + count - 1 (below 2^64), as rows (count, 4).
+def _frame_states(base_seed: int, point_index: int, first: int, count: int) -> list:
+    """PCG64(SeedSequence(base_seed, spawn_key=(point_index, f))).state for
+    frames f = first, ..., first + count - 1 (below 2^64), in order.
 
     The frame words continue the hash from the pool of
     SeedSequence(base_seed, spawn_key=(point_index,)), which took 4 steps per
     32-bit word (at least one per integer, the seed's padded to the pool
     size).  A frame index of 2^32 or more is two words; the second is mixed
-    in only for those frames.
+    in only for those frames.  generate_state's 8 output words hash pool
+    word i % 4 in turn and pair up into the 4 uint64 words (seed, sequence)
+    of PCG64's seeding: inc = 2 * sequence + 1, then two steps from state 0
+    with the seed added in between.
     """
     seq = np.random.SeedSequence(base_seed, spawn_key=(point_index,))
     seed_words, point_words = (max(1, -(-n.bit_length() // 32))
                                for n in (base_seed, point_index))
     steps = 4 * (max(seq.pool_size, seed_words) + point_words)
-    c = np.array(_hash_constants(_INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32,
-                                 _MULT_A, 8), dtype=np.uint32)[:, None]
+    c = _hash_constants(_INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32, _MULT_A, 8)
     frames = np.arange(first, first + count, dtype=np.uint64)
     high = (frames >> 32).astype(np.uint32)
     pool = _mix(seq.pool[:, None], _hash(frames.astype(np.uint32), c[:4], c[1:5]))
     if high.any():
         pool = np.where(high != 0, _mix(pool, _hash(high, c[4:8], c[5:9])), pool)
-    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT_XOR, _OUT_MULT).astype(np.uint64)
-    return (out[0::2] | out[1::2] << 32).T
-
-
-@functools.cache
-def _generator() -> np.random.Generator:
-    """The one PCG64 generator that _draw_frames reseeds before every frame.
-
-    Built on first use, which keeps numpy.random out of the import.  No
-    call sees another's state; calls from concurrent threads would race.
-    """
-    return np.random.Generator(np.random.PCG64(0))
+    o = _hash_constants(_INIT_B, _MULT_B, 8)
+    out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], o[:8], o[1:]).astype(np.uint64)
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in (out[0::2] | out[1::2] << 32).T.tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
@@ -300,6 +295,8 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
     Row f of a uniform buffer is filled by one random call on frame
     first + f's stream and read in the frozen order: bits_per_frame uniforms
     for the payload bits, 4 for the channel, 4 * sections for the noise.
+    The call builds one PCG64 generator of its own and loads it with each
+    frame's state from _frame_states, so concurrent calls share no state.
     The buffer holds a quarter of the frames (rounded up) and is refilled
     for each quarter in turn; Box-Muller runs once over each part of a
     quarter, and the results land in arrays sized for all count frames.
@@ -309,19 +306,13 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
     tx_bits = np.empty((count, bits_per_frame), dtype=np.uint8)
     h = np.empty((count, 2), dtype=np.complex128)
     noise = np.empty((count, 4 * cfg.sections_per_frame))
-    gen = _generator()
+    gen = np.random.Generator(np.random.PCG64(0))
     bit_generator = gen.bit_generator
-    words = _seed_words(cfg.base_seed, point_index, first, count).tolist()
+    states = _frame_states(cfg.base_seed, point_index, first, count)
     for lo in range(0, count, len(u)):
         part = u[:count - lo]
-        for row, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(part, words[lo:lo + len(u)]):
-            # PCG64's seeding: inc = 2 * seq + 1, then two steps from state 0
-            # with the seed added in between
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-            bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
+        for row, state in zip(part, states[lo:lo + len(u)]):
+            bit_generator.state = state
             gen.random(out=row)
         rows = slice(lo, lo + len(part))
         tx_bits[rows] = part[:, :bits_per_frame] < 0.5

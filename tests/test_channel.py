@@ -232,6 +232,20 @@ def test_audit_rejects_bad_channel_arrays():
         shape_invariance_audit(e, worse)
 
 
+def test_audit_rejects_a_draw_whose_norm_overflows():
+    # ||h||^2 overflows to inf: the relative distance errors would be NaN,
+    # which max() drops, so the audit would pass on garbage.  The rejection
+    # comes before any overflow warning, which the test run makes an error.
+    e = _expanded()
+    huge = np.full((1, 2), 1e200)
+    normal = _channel(np.random.default_rng(28))[None]
+    for hs in (huge, np.concatenate([normal, huge]), np.concatenate([huge, normal])):
+        with pytest.raises(ValueError, match="too large"):
+            shape_invariance_audit(e, hs)
+    with pytest.raises(ValueError, match="too large"):
+        build_equivalent_real_model(e, huge[0])
+
+
 def test_batched_audit_rejects_bad_draws_anywhere():
     e = _expanded()
     rng = np.random.default_rng(26)

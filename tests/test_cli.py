@@ -105,9 +105,11 @@ def test_which_error_echoes_the_text_as_typed(capsys):
 
 
 def test_audit_bad_trials_is_usage_error(capsys):
-    rc = main(["audit", "--trials", "0"])
-    assert rc == 2
-    assert "trials" in capsys.readouterr().err
+    for flags, says in ((["--trials", "0"], "--trials must be positive"),
+                        (["--which", "INVARIANCE", "--seed", "-5"],
+                         "--seed must be nonnegative")):
+        assert main(["audit"] + flags) == 2
+        assert capsys.readouterr().err == "error: %s\n" % says
 
 
 def test_audit_trials_beyond_memory_is_exit_2(capsys):

@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -9,14 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stclab import simulate
-from stclab.detectors import default_trellis, load_trellis
+from stclab.constellation import build_constellation, matrix_stack
+from stclab.detectors import default_trellis, load_trellis, uncoded_trellis
 from stclab.simulate import (
     CSV_HEADER,
     FIELDS,
     SimConfig,
     SimResultRow,
     _draw_frames,
-    _seed_words,
+    _frame_states,
     format_csv,
     parse_config_file,
     run_point,
@@ -132,10 +136,9 @@ WORD_COUNTS = (st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 -
        point=st.one_of(*WORD_COUNTS[:2], st.integers(2**32, 2**96)),
        frame=st.one_of(*WORD_COUNTS))
 @example(seed=2**128, point=2**32, frame=2**32)
-def test_seed_words_equal_seed_sequence_state(seed, point, frame):
-    want = np.random.SeedSequence(seed, spawn_key=(point, frame)).generate_state(4, np.uint64)
-    got = _seed_words(seed, point, frame, 1)[0]
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def test_frame_states_equal_pcg64_state(seed, point, frame):
+    want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(point, frame))).state
+    assert _frame_states(seed, point, frame, 1) == [want]
 
 
 def _two_call_normals(rng, n):
@@ -202,25 +205,74 @@ def spawn_keys(monkeypatch):
 
 
 def test_run_point_builds_no_per_frame_generator(monkeypatch, spawn_keys):
-    # numpy hashes the seed and point once per chunk; no frame gets a
-    # SeedSequence or a generator of its own
+    # numpy hashes the seed and point once per chunk, and each chunk's draw
+    # call builds one PCG64 of its own; no frame gets a SeedSequence or a
+    # generator of its own
     cfg = SimConfig(snr_list_db=(6.0,), frames_per_point=70, base_seed=5,
                     sections_per_frame=50)
     want = run_point(cfg, 0)
+    pcg64, built = np.random.PCG64, []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return pcg64(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("run_point built a generator object")
+        raise AssertionError("run_point built a default_rng")
 
-    for name in ("default_rng", "PCG64", "Generator"):
-        monkeypatch.setattr(simulate.np.random, name, forbidden)
+    monkeypatch.setattr(simulate.np.random, "PCG64", counted)
+    monkeypatch.setattr(simulate.np.random, "default_rng", forbidden)
     # the default chunk holds all 70 frames; chunks of 500 sections hold 10
     for chunk_sections, chunks in ((simulate.CHUNK_SECTIONS, 1), (500, 7)):
         monkeypatch.setattr(simulate, "CHUNK_SECTIONS", chunk_sections)
         spawn_keys.clear()
+        built.clear()
         got = run_point(cfg, 0)
         assert spawn_keys == [(0,)] * chunks
+        assert len(built) == chunks
         assert (got.frames, got.bit_errors, got.frame_errors) == (
             want.frames, want.bit_errors, want.frame_errors)
+
+
+def _counts(row):
+    return row.frames, row.bits, row.bit_errors, row.frame_errors
+
+
+def test_run_point_may_be_called_from_several_threads():
+    # each draw call owns its generator, so two points decoded at once give
+    # the rows of a sequential run; a shared generator reseeded per frame
+    # interleaves the two points' streams under frequent thread switches
+    cfg = SimConfig(snr_list_db=(4.0, 8.0), frames_per_point=300, base_seed=11,
+                    max_frame_errors=300, sections_per_frame=20)
+    want = [_counts(run_point(cfg, i)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(6):
+                start = threading.Barrier(2, timeout=60)
+
+                def point(i):
+                    start.wait()
+                    return _counts(run_point(cfg, i))
+
+                assert list(pool.map(point, range(2), timeout=60)) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cached_tables_are_read_only():
+    # the tables cached for the whole process are shared by every caller:
+    # a write into one would change every later run_point
+    cfg = SimConfig(snr_list_db=(6.0,), frames_per_point=50, base_seed=3)
+    want = _counts(run_point(cfg, 0))
+    arrays = [matrix_stack()] + [e.matrix for e in build_constellation()]
+    for spec in (uncoded_trellis(), default_trellis()):
+        arrays += [v for v in vars(spec).values() if isinstance(v, np.ndarray)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] *= 2
+    assert _counts(run_point(cfg, 0)) == want
 
 
 def test_uncoded_high_snr_is_error_free():
