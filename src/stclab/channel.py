@@ -3,8 +3,8 @@
 One receive antenna.  Over a block of T channel uses with codematrix C and
 channel vector h (length N, constant over the frame), the received samples
 are r = C h + n with circularly symmetric Gaussian noise, variance sigma^2
-per real dimension.  transmit gathers whole frames of C h from the faded
-candidates that the decoder scores and adds noise drawn beforehand.
+per real dimension.  transmit gathers whole frames of C h from a table of
+faded candidates and adds noise drawn beforehand.
 A channel is a complex array, (N,) for one draw or (D, N) for D draws or
 one per section; channels_from_uniform draws it, and designs.checked_array
 checks every channel and received-block input.
@@ -73,7 +73,7 @@ def transmit(faded: np.ndarray, indices: np.ndarray, noise: np.ndarray,
     """Received blocks r = C h + n of F frames, shape (F, blocks, T).
 
     Block b of frame f sends faded[f, indices[f, b]]: faded (F, 32, T) holds
-    each frame's faded candidates C h, the table the decoder scores.  noise
+    each frame's faded candidates C h.  noise
     (F, 2 * blocks * T) holds standard normal draws, interleaved re/im per
     channel use, scaled by sigma per real dimension.  Neither input is
     written to; the noise is added into the gathered blocks in place.
@@ -174,7 +174,8 @@ def shape_invariance_audit(e: ExpandedConstellation, hs) -> ShapeInvarianceRepor
     its worst value over all draws.  Draws are evaluated CHUNK_DRAWS at a time, and
     every number is computed exactly as for the draw alone, so the report
     equals the field-wise maximum of one-draw audits.  Any degenerate draw
-    (||h|| = 0) or draw whose ||h||^2 overflows raises ValueError.
+    (||h|| = 0), or draw whose ||h||^2 or received distances overflow,
+    raises ValueError.
     """
     hs = checked_array(hs, "channel", e.base_generators.num_antennas, ndims=(2,))
     bases, scale = _frame_bases(e), e.base_generators.scale
@@ -197,32 +198,37 @@ def shape_invariance_audit(e: ExpandedConstellation, hs) -> ShapeInvarianceRepor
     cos_src = ((chis.T @ chis) / np.outer(norms, norms).clip(min=1e-300))[a_c, b_c]
 
     gram_err = dist_err = angle_err = cross_err = 0.0
-    for lo in range(0, hs.shape[0], CHUNK_DRAWS):
-        h = hs[lo:lo + CHUNK_DRAWS]
-        stacked, _, gain = _stacked_frames(bases, scale, h)
-        gram = np.swapaxes(stacked, 1, 2) @ stacked
-        gram_err = max(gram_err, float(np.max(np.abs(gram - np.eye(four_k)))))
+    # _stacked_frames rejects an ||h||^2 overflow; one left is a squared distance
+    try:
+        with np.errstate(over="raise"):
+            for lo in range(0, hs.shape[0], CHUNK_DRAWS):
+                h = hs[lo:lo + CHUNK_DRAWS]
+                stacked, _, gain = _stacked_frames(bases, scale, h)
+                gram = np.swapaxes(stacked, 1, 2) @ stacked
+                gram_err = max(gram_err, float(np.max(np.abs(gram - np.eye(four_k)))))
 
-        # received distances against gain * coordinate distances; squares
-        # are summed over the channel uses in order, as for one draw
-        received = (mats @ h[:, None, :, None])[..., 0]                    # (D, P, T)
-        d_phys = 0.0
-        for t in range(received.shape[2]):
-            diff = np.take(received[:, :, t], a_d, axis=1)
-            diff -= np.take(received[:, :, t], b_d, axis=1)
-            d_phys = d_phys + np.abs(diff) ** 2
-        d_phys = np.sqrt(d_phys)
-        d_coord = gain[:, None] * d_chi
-        rel = np.abs(d_phys - d_coord) / d_coord
-        dist_err = max(dist_err, _worst(rel[:, :n_same]))
-        cross_err = max(cross_err, _worst(rel[:, n_same:]))
+                # received distances against gain * coordinate distances; squares
+                # are summed over the channel uses in order, as for one draw
+                received = (mats @ h[:, None, :, None])[..., 0]                    # (D, P, T)
+                d_phys = 0.0
+                for t in range(received.shape[2]):
+                    diff = np.take(received[:, :, t], a_d, axis=1)
+                    diff -= np.take(received[:, :, t], b_d, axis=1)
+                    d_phys = d_phys + np.abs(diff) ** 2
+                d_phys = np.sqrt(d_phys)
+                d_coord = gain[:, None] * d_chi
+                rel = np.abs(d_phys - d_coord) / d_coord
+                dist_err = max(dist_err, _worst(rel[:, :n_same]))
+                cross_err = max(cross_err, _worst(rel[:, n_same:]))
 
-        # pairwise cosine angles of the coordinate vectors against their images
-        images = stacked @ chis                                           # (D, 4K, P)
-        inorms = np.linalg.norm(images, axis=1)
-        cos_img = (np.swapaxes(images, 1, 2) @ images)[:, a_c, b_c]
-        cos_img /= (inorms[:, a_c] * inorms[:, b_c]).clip(min=1e-300)
-        angle_err = max(angle_err, _worst(np.abs(cos_img - cos_src)))
+                # pairwise cosine angles of the coordinate vectors against their images
+                images = stacked @ chis                                           # (D, 4K, P)
+                inorms = np.linalg.norm(images, axis=1)
+                cos_img = (np.swapaxes(images, 1, 2) @ images)[:, a_c, b_c]
+                cos_img /= (inorms[:, a_c] * inorms[:, b_c]).clip(min=1e-300)
+                angle_err = max(angle_err, _worst(np.abs(cos_img - cos_src)))
+    except FloatingPointError:
+        raise ValueError("channel draw too large: received distances overflow") from None
 
     return ShapeInvarianceReport(max_gram_error=gram_err,
                                  max_distance_error=dist_err,

@@ -12,6 +12,8 @@ uncoded bit), read from the shipped data table.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -198,19 +200,9 @@ def distance_spectrum(which: str = "FULL") -> dict:
     which selects BASE, PRIMED, or FULL (all 32 points).  Distances are
     grouped on a 1e-9 grid; for this constellation they are exact integers.
     """
-    entries = build_constellation()
-    if which == "BASE":
-        pool = [e for e in entries if e.subconstellation is Subconstellation.BASE]
-    elif which == "PRIMED":
-        pool = [e for e in entries if e.subconstellation is Subconstellation.PRIMED]
-    elif which == "FULL":
-        pool = list(entries)
-    else:
+    if which not in ("BASE", "PRIMED", "FULL"):
         raise ValueError("which must be BASE, PRIMED, or FULL, got %r" % (which,))
-    spectrum = {}
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            d2 = float(np.sum(np.abs(pool[i].matrix - pool[j].matrix) ** 2))
-            key = round(d2 / 1e-9) * 1e-9
-            spectrum[key] = spectrum.get(key, 0) + 1
+    pool = [e for e in build_constellation() if which in ("FULL", e.subconstellation.value)]
+    spectrum = Counter(round(float(np.sum(np.abs(a.matrix - b.matrix) ** 2)) / 1e-9) * 1e-9
+                       for a, b in itertools.combinations(pool, 2))
     return dict(sorted(spectrum.items()))

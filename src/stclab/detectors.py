@@ -2,22 +2,18 @@
 
 Both detectors assume receiver-side channel knowledge.  ml_block_decode
 scores candidates by the squared Euclidean distance ||r - C h||^2 of the
-received block from the faded codematrix.  The trellis decoder scores them
-by the correlation -Re<r, C h> instead: every codematrix C has
+received block from the faded codematrix.  The trellis decoder maximises
+the correlation Re<r, C h> instead: every codematrix C has
 C^H C = c ||chi||^2 I with the same ||chi||^2, so all 32 faded candidates
 C h have one energy and both scores rank them alike, up to rounding-level
-near-ties.  It scores every section of a chunk of frames first, then runs
-add-compare-select over a section trellis whose branches carry parallel
-codematrix labels (one coset per branch); parallel transitions are resolved
-to the best label before the compare step.  viterbi_decode re-sums the
-exact ||r - C h||^2 of the decided candidates, so the metric it returns is
-the path's squared distance.  All tie-breaks are deterministic: smaller
-predecessor state, then smaller label position.  Ties are counted only on
-request (viterbi_decode always asks).  Uncoded BASE transmission is the
-one-state trellis (uncoded_trellis): per-block ML, exact ties by that same
-rule.  A TrellisSpec is its transitions plus the arrays derived from them,
-which the encoder and decoder read; it rejects unequal out-degrees itself,
-and load_trellis names a line in every error of a listing that has a header.
+near-ties.  C = sum_l chi_l B_l over its half's generators, so the
+correlation is linear in chi, and a label row that is a sign-flip coset is
+decided by one matched-filter sign per uncoded bit (Alamouti's linear ML,
+decoupled over parallel transitions as in Jafarkhani and Seshadri, 2003);
+add-compare-select then runs over the section trellis.  Uncoded BASE
+transmission is the one-state trellis (uncoded_trellis).  A TrellisSpec is
+its transitions plus the arrays derived from them, which the encoder and
+decoder read; load_trellis reads and checks the text format.
 """
 
 from __future__ import annotations
@@ -28,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constellation import build_constellation, chi_coordinates, matrix_stack
-from .designs import checked_array
+from .constellation import build_constellation, matrix_stack
+from .designs import alamouti_generators, checked_array, primed_alamouti_generators
 from .expansion import Subconstellation
 
 TRELLIS_FILE = "trellis8.txt"
@@ -69,7 +65,11 @@ class TrellisSpec:
     * groups[s] lists the transitions into state s by from-state, padded
       with the index len(transitions), whose candidate metric is +inf;
     * indexed (state, coded value): next_state, and branch_labels with the
-      label row on the last axis.
+      label row on the last axis;
+    * per label row c: chi0[c], the chi_coordinates of its position 0, and
+      masks[c], the coordinates that uncoded bit i flips and, last, those
+      that no bit flips; a row that is no such sign-flip coset raises
+      ValueError (_sign_flips).
 
     The derived arrays are read-only, since cached specs are shared.
     """
@@ -96,6 +96,10 @@ class TrellisSpec:
         distinct = {}
         coset_of = np.array([distinct.setdefault(t.labels, len(distinct)) for t in trans],
                             dtype=np.intp)
+        cosets = np.array(list(distinct), dtype=np.intp)
+        chi0, masks, coset = _sign_flips(cosets)
+        if not coset.all():
+            raise ValueError("label row %s is not a sign-flip coset" % cosets[~coset][0].tolist())
         into = np.argsort(to_state * states + from_state, kind="stable")
         enters = to_state[into]
         groups = np.full((states, np.bincount(to_state).max()), len(trans), dtype=np.intp)
@@ -103,9 +107,9 @@ class TrellisSpec:
         for name, value in dict(
                 labels_per_branch=labels.shape[1], uncoded_bits=uncoded_bits,
                 coded_bits=coded_bits, from_state=from_state, to_state=to_state,
-                coded=coded, labels=labels, cosets=np.array(list(distinct), dtype=np.intp),
-                coset_of=coset_of, coset_count=np.bincount(coset_of), groups=groups,
-                next_state=to_state[branch], branch_labels=labels[branch]).items():
+                coded=coded, labels=labels, cosets=cosets, coset_of=coset_of,
+                coset_count=np.bincount(coset_of), groups=groups, next_state=to_state[branch],
+                branch_labels=labels[branch], chi0=chi0, masks=masks).items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -119,6 +123,31 @@ _PARTITIONS = {8: ("q8_coset", "q8_bits"), 16: ("q16_coset", "q16_bit")}
 def _entry_column(value) -> np.ndarray:
     """value(entry) of the 32 codematrix entries, by index."""
     return np.array([value(e) for e in build_constellation()])
+
+
+@lru_cache(maxsize=None)
+def _chi_basis():
+    """chi_coordinates of the 32 entries (32, 8), exactly 0 or +-1, as one projection
+    on their basis, the BASE then PRIMED generators, orthonormal under Re tr(A^H B)
+    (c N = 1); the basis as re/im-interleaved reals (8, T, 2N)."""
+    basis = np.stack(alamouti_generators().basis + primed_alamouti_generators().basis).view(float)
+    chi = np.rint(matrix_stack().view(float).reshape(32, -1) @ basis.reshape(8, -1).T)
+    chi.flags.writeable = basis.flags.writeable = False
+    return chi, basis
+
+
+def _sign_flips(rows):
+    """chi0 (R, 8) and masks (R, bits + 1, 8) of label rows (R, 2**bits), and
+    whether each is a sign-flip coset (R,): position p is chi0 with mask i
+    negated for each set bit i of p, no coordinate twice.  Mask i holds the
+    coordinates where position 2**i differs from position 0; the last, the rest."""
+    chi = _chi_basis()[0][rows]                                      # (R, L, 8)
+    bits = rows.shape[1].bit_length() - 1
+    chi0 = chi[:, 0]
+    flips = chi[:, 1 << np.arange(bits)] != chi0[:, None]           # (R, bits, 8)
+    set_bits = np.arange(rows.shape[1])[:, None] >> np.arange(bits) & 1
+    coset = np.all(chi == chi0[:, None] * (1 - 2 * (set_bits @ flips)), axis=(1, 2))
+    return chi0, np.concatenate([flips, ~np.any(flips, axis=1, keepdims=True)], axis=1), coset
 
 
 def load_trellis(text: str) -> TrellisSpec:
@@ -185,11 +214,7 @@ def load_trellis(text: str) -> TrellisSpec:
     if num_states > len(transitions) or coded >= len(transitions).bit_length():
         raise ValueError("line %d: states=%d bits_per_section=%d need more than the %d "
                          "listed transitions" % (head_no, num_states, bits, len(transitions)))
-    try:
-        spec = TrellisSpec(num_states=num_states, bits_per_section=bits,
-                           transitions=tuple(transitions))
-    except ValueError as exc:    # only the out-degree is left to reject
-        raise ValueError("line %d: %s" % (head_no, exc)) from None
+    labels = np.array([t.labels for t in transitions], dtype=np.intp)
 
     def first(bad, message):
         """Raise message(k, ...) at the line of the first k where bad holds."""
@@ -201,26 +226,33 @@ def load_trellis(text: str) -> TrellisSpec:
         return transitions[k].from_state, transitions[k].to_state
 
     primed_of = _entry_column(lambda e: e.subconstellation is Subconstellation.PRIMED)
-    primed = primed_of[spec.labels]
+    primed = primed_of[labels]
     first(primed != primed[:, :1],
           lambda k, _: "transition %d->%d mixes subconstellations" % edge(k))
+    if num_states in _PARTITIONS:
+        coset_attr, bits_attr = _PARTITIONS[num_states]
+        sits_in = _entry_column(lambda e: getattr(e, coset_attr))[labels]
+        declared = np.array([t.coset for t in transitions], dtype=object)    # any int
+        first(sits_in != declared[:, None],
+              lambda k, pos: "transition %d->%d declares coset %d but label %d sits in %s %d"
+              % (edge(k) + (declared[k], labels[k, pos], coset_attr.replace("_", " "),
+                            sits_in[k, pos])))
+        position = _entry_column(lambda e: int(getattr(e, bits_attr), 2))[labels]
+        first(position != np.arange(labels.shape[1]),
+              lambda k, pos: "transition %d->%d label %d out of uncoded-bit order"
+              % (edge(k) + (labels[k, pos],)))
+    first(~_sign_flips(labels)[2],
+          lambda k: "transition %d->%d labels are not a sign-flip coset" % edge(k))
+    try:
+        spec = TrellisSpec(num_states=num_states, bits_per_section=bits,
+                           transitions=tuple(transitions))
+    except ValueError as exc:    # only the out-degree is left to reject
+        raise ValueError("line %d: %s" % (head_no, exc)) from None
     tag = primed[:, 0]      # against the first transition listed out of, then into, a state
     first(tag != primed_of[spec.branch_labels[spec.from_state, 0, 0]],
           lambda k: "state %d departs on a mix of subconstellations" % spec.from_state[k])
     first(tag != tag[spec.groups.min(axis=1)[spec.to_state]],
           lambda k: "state %d is entered on a mix of subconstellations" % spec.to_state[k])
-    if num_states in _PARTITIONS:
-        coset_attr, bits_attr = _PARTITIONS[num_states]
-        sits_in = _entry_column(lambda e: getattr(e, coset_attr))[spec.labels]
-        declared = np.array([t.coset for t in transitions], dtype=object)    # any int
-        first(sits_in != declared[:, None],
-              lambda k, pos: "transition %d->%d declares coset %d but label %d sits in %s %d"
-              % (edge(k) + (declared[k], spec.labels[k, pos], coset_attr.replace("_", " "),
-                            sits_in[k, pos])))
-        position = _entry_column(lambda e: int(getattr(e, bits_attr), 2))[spec.labels]
-        first(position != np.arange(spec.labels_per_branch),
-              lambda k, pos: "transition %d->%d label %d out of uncoded-bit order"
-              % (edge(k) + (spec.labels[k, pos],)))
     covered = np.count_nonzero(np.bincount(spec.labels.ravel(), minlength=32))
     if covered != 32:
         raise ValueError("line %d: branch labels cover %d of 32 codematrix indices"
@@ -238,10 +270,9 @@ def default_trellis() -> TrellisSpec:
 @lru_cache(maxsize=None)
 def uncoded_trellis() -> TrellisSpec:
     """One state, one branch: label v is the BASE entry whose Gray bits spell v."""
-    label = {int(np.round((1 - chi_coordinates(e)[:4]) / 2) @ [8, 4, 2, 1]): e.index
-             for e in base_subconstellation_entries()}
+    spelled = (1 - _chi_basis()[0][:16, :4]) / 2 @ [8, 4, 2, 1]
     return TrellisSpec(num_states=1, bits_per_section=4, transitions=(
-        Transition(0, 0, 0, tuple(label[v] for v in range(16))),))
+        Transition(0, 0, 0, tuple(np.argsort(spelled).tolist())),))
 
 
 def squared_distances(received, faded_t) -> np.ndarray:
@@ -327,69 +358,58 @@ def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
     return trellis_encode_frames(spec, [bits], initial_state)[0].tolist()
 
 
-#: Candidate scores that _branches holds at once, 128 KiB of floats, unless
+#: Filter outputs that _branches holds at once, 128 KiB of floats, unless
 #: one frame alone has more.
 _BRANCH_SCORES = 16384
 
 
-def _first_min(vals, best, out) -> None:
-    """Write to out the index of the first of vals[0], vals[1], ... equal to best.
+def _branches(spec: TrellisSpec, received, channels, count_ties: bool):
+    """Best label position and correlation of every label row in every section.
 
-    best is their elementwise minimum and out an unsigned integer array.  A
-    chain of compares: argmin over an axis this short costs several times more.
-    """
-    above = vals[0] > best
-    out[...] = above
-    for v in vals[1:-1]:
-        above &= v > best
-        out += above.view(np.uint8)
+    received (F, S, T) is scored with channels (F, N), one per frame, or
+    (F, S, N), one per section.  Position p of row c correlates
+    sum_i +-a_i + a_rest, with a_i = Re<r, M_i h> the matched filter of
+    M_i = sum_l chi0_l B_l over masks[c, i], negated when bit i of p is set,
+    and a_rest that of the last mask (not formed when that is empty in every
+    row).  So the best position sets bit i exactly when a_i < 0 (an exact 0
+    keeps the lower position) and correlates sum_i |a_i| + a_rest.  The
+    filters M_i h are formed elementwise and applied by a real matmul with
+    the re/im-interleaved blocks, over blocks of frames of up to
+    _BRANCH_SCORES filter outputs.
 
-
-def _branches(spec: TrellisSpec, received, faded, count_ties: bool):
-    """Best label position and score of every label row in every section.
-
-    received (F, S, T) is scored against faded, the candidates C h of
-    matrix_stack(): (F, 32, T) for one channel per frame or (F, S, 32, T)
-    for one per section.  The score of C h is -Re<r, C h>: a real matmul of
-    the re/im-interleaved candidates and blocks, over blocks of frames of
-    up to _BRANCH_SCORES scores.  Every codematrix has C^H C = c ||chi||^2 I
-    with the same ||chi||^2, so the 32 candidates C h share the energy
-    c ||chi||^2 ||h||^2, and ||r - C h||^2 = ||r||^2 + ||C h||^2 - 2 Re<r, C h>
-    ranks them as the score does, up to rounding-level near-ties.
-    load_trellis accepts no label outside these 32, so this holds on every
-    trellis it returns.
-
-    Returns best_pos (F, C, S), the first best position in each label row,
-    in the smallest dtype that holds one; branch (S, C, F), the best score
-    of each label row; and ties (F,), when count_ties, each transition whose
-    label row has more than one best label, else zeros.  The negated,
-    label-major candidates are built per block of frames, so that no copy
-    of the whole table is held.
+    Returns best_pos (F, C, S), the best position in each label row, in the
+    smallest dtype that holds one; branch (S, C, F), the best correlation of
+    each label row; and ties (F,), when count_ties, each transition whose
+    label row has more than one best label (some a_i is 0), else zeros.
     """
     frames, sections = received.shape[:2]
-    rows, labels = spec.cosets.shape
+    rows, bits = len(spec.cosets), spec.uncoded_bits
     r = received.view(np.float64)                                    # (F, S, 2T)
-    order = spec.cosets.T.ravel()                                    # label-major
-    best_pos = np.empty((frames, rows, sections), dtype=np.min_scalar_type(labels - 1))
+    weights = np.moveaxis(spec.chi0[:, None] * spec.masks, 1, 0)   # (bits + 1, C, 8)
+    terms = bits + weights[bits].any()          # the rest's filters only when some row has one
+    filters = np.tensordot(weights[:terms], _chi_basis()[1], 1).view(np.complex128)
+    filters = filters.reshape((-1,) + filters.shape[2:])             # (terms * C, T, N)
+    best_pos = np.zeros((frames, rows, sections), dtype=np.min_scalar_type(2 ** bits - 1))
     branch = np.empty((sections, rows, frames))
     ties = np.zeros(frames, dtype=np.int64)
-    step = max(1, _BRANCH_SCORES // (sections * rows * labels))
+    step = max(1, _BRANCH_SCORES // (sections * len(filters)))
     for f in range(0, frames, step):
         blk = slice(f, f + step)
-        c = faded[blk][..., order, :]
-        c = np.negative(c, out=c).view(np.float64)
-        if faded.ndim == 3:
-            score = c @ np.swapaxes(r[blk], 1, 2)
+        h = channels[blk, ..., None, None, :]
+        m = (filters[..., 0] * h[..., 0] + filters[..., 1] * h[..., 1]).view(np.float64)
+        if channels.ndim == 2:
+            a = m @ np.swapaxes(r[blk], 1, 2)
         else:
-            score = np.moveaxis((c @ r[blk, ..., None])[..., 0], 1, 2)
-        score = score.reshape(-1, labels, rows, sections)              # (frames, L, C, S)
-        best = np.minimum.reduce(score, axis=1)
-        branch[:, :, blk] = best.T
-        _first_min(np.moveaxis(score, 1, 0), best, best_pos[blk])
+            a = np.moveaxis((m @ r[blk, ..., None])[..., 0], 1, 2)
+        a = a.reshape(-1, terms, rows, sections)                       # (frames, terms, C, S)
+        for i in range(bits):
+            best_pos[blk] |= np.left_shift(a[:, i] < 0, i, dtype=best_pos.dtype)
         if count_ties:
-            multi = np.count_nonzero(score == best[:, None], axis=1) > 1
+            multi = np.any(a[:, :bits] == 0, axis=1)
             ties[blk] = np.sum(spec.coset_count @ multi, axis=1)
-        del score          # one block of scores alive at a time
+        np.abs(a[:, :bits], out=a[:, :bits])
+        branch[:, :, blk] = np.sum(a, axis=1).T
+        del a              # one block of filter outputs alive at a time
     return best_pos, branch, ties
 
 
@@ -397,8 +417,10 @@ def _acs(spec: TrellisSpec, branch, initial_state: int, count_ties: bool):
     """Add-compare-select over the sections of branch (S, C, F).
 
     Each section adds to the metric of every from-state in spec.groups the
-    score of its transition's label row and keeps the first minimum per
-    state: the smaller from-state.  Padding reads a last, +inf path metric.
+    score of its transition's label row (subtracts its correlation: the same
+    float operation) and keeps the first minimum per state, the smaller
+    from-state, by a chain of compares, several times cheaper than argmin
+    over so short an axis.  Padding reads a last, +inf path metric.
     Returns back (S, states, F), the survivor's position in spec.groups in
     the smallest dtype that holds one; the final path metrics (states, F);
     and ties (F,), when count_ties, each extra equal candidate of a finite
@@ -415,9 +437,13 @@ def _acs(spec: TrellisSpec, branch, initial_state: int, count_ties: bool):
     ties = np.zeros(frames, dtype=np.int64)
     for s in range(sections):
         vals = metrics[from_g]                                        # (indeg, states, F)
-        vals += branch[s, coset_g]
+        vals -= branch[s, coset_g]
         np.minimum.reduce(vals, out=pm)
-        _first_min(vals, pm, back[s])
+        above = vals[0] > pm
+        back[s] = above
+        for v in vals[1:-1]:
+            above &= v > pm
+            back[s] += above.view(np.uint8)
         if count_ties:
             ties += np.sum((np.sum(vals == pm, axis=0) - 1) * np.isfinite(pm), axis=0)
     if count_ties:
@@ -449,16 +475,16 @@ def _decisions(spec: TrellisSpec, path, best_pos):
     return spec.labels[path, pos], bits.astype(np.uint8, copy=False).reshape(frames, -1)
 
 
-def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int = 0,
+def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: int = 0,
                           count_ties: bool = False):
     """ML sequence decisions for F frames at once.
 
-    received is (F, sections, T); faded holds the faded candidates
-    matrix_stack() @ h, (F, 32, T) for one channel per frame or
-    (F, sections, 32, T) for one per section.  Every frame starts in the
-    known initial_state and ends in a free state (best final metric).
-    Three stages run in turn: _branches scores every section by correlation,
-    _acs keeps the survivors, and _traceback with _decisions reads the path.
+    received is (F, sections, T); channels is (F, N), one draw per frame,
+    or (F, sections, N), one per section.  Every frame starts in the known
+    initial_state and ends in a free state (best final metric).  Three
+    stages run in turn: _branches scores every label row of every section
+    by matched-filter signs, _acs keeps the survivors, and _traceback with
+    _decisions reads the path.
 
     Returns (decided (F, sections), bits (F, sections * bits_per_section)
     as uint8, ties_broken (F,)); viterbi_decode adds the decided path's
@@ -472,8 +498,8 @@ def viterbi_decode_frames(spec: TrellisSpec, received, faded, initial_state: int
     """
     _check_initial_state(spec, initial_state)
     received = np.ascontiguousarray(received, dtype=np.complex128)
-    faded = np.asarray(faded, dtype=np.complex128)
-    best_pos, branch, ties = _branches(spec, received, faded, count_ties)
+    channels = np.asarray(channels, dtype=np.complex128)
+    best_pos, branch, ties = _branches(spec, received, channels, count_ties)
     if spec.num_states == len(spec.transitions) == 1:
         path = np.zeros(received.shape[:2], dtype=np.intp)
     else:
@@ -502,18 +528,10 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
     hs = checked_array(channels, "channel", mats.shape[2], ndims=(1, 2), rows="sections")
     if hs.ndim == 2 and len(hs) != len(rec):
         raise ValueError("got %d received blocks but %d channels" % (len(rec), len(hs)))
-    faded = (mats @ hs[..., None, :, None])[..., 0]        # (32, T) or (sections, 32, T)
-    (decided,), (bits,), (ties,) = viterbi_decode_frames(spec, rec[None], faded[None],
+    (decided,), (bits,), (ties,) = viterbi_decode_frames(spec, rec[None], hs[None],
                                                          initial_state, count_ties=True)
-    section = np.arange(len(rec))
-    chosen = np.broadcast_to(faded, section.shape + faded.shape[-2:])[section, decided]
-    metric = np.cumsum(squared_distances(rec, chosen[..., None])[..., 0])[-1]
+    chosen = mats[decided] @ hs[..., None]                 # (sections, T, 1)
+    metric = np.cumsum(squared_distances(rec, chosen)[..., 0])[-1]
     result = DecodeResult(decided_indices=tuple(decided.tolist()), metric=float(metric),
                           ties_broken=int(ties))
     return result, bits.astype(np.int64)
-
-
-def base_subconstellation_entries():
-    """The 16 BASE entries, index order; the labels of uncoded_trellis."""
-    return [e for e in build_constellation()
-            if e.subconstellation is Subconstellation.BASE]

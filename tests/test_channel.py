@@ -246,6 +246,20 @@ def test_audit_rejects_a_draw_whose_norm_overflows():
         build_equivalent_real_model(e, huge[0])
 
 
+def test_audit_rejects_a_draw_whose_received_distances_overflow():
+    # ||h||^2 = 5e307 is finite, but the squared distance of two received
+    # blocks overflows: a ValueError, not an overflow warning and an inf
+    # report, in any chunk; draws of 3e153 still audit cleanly
+    e = _expanded()
+    rng = np.random.default_rng(29)
+    normal = np.stack([_channel(rng) for _ in range(CHUNK_DRAWS + 1)])
+    for pos in (0, CHUNK_DRAWS + 1):
+        with pytest.raises(ValueError, match="received distances overflow"):
+            shape_invariance_audit(e, np.insert(normal, pos, 5e153, axis=0))
+    rep = shape_invariance_audit(e, np.concatenate([normal, np.full((1, 2), 3e153)]))
+    assert rep.max_distance_error < 1e-11 and np.isfinite(rep.max_cross_distance_error)
+
+
 def test_batched_audit_rejects_bad_draws_anywhere():
     e = _expanded()
     rng = np.random.default_rng(26)

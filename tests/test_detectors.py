@@ -18,7 +18,6 @@ from stclab.constellation import (
 from stclab.detectors import (
     Transition,
     TrellisSpec,
-    base_subconstellation_entries,
     default_trellis,
     load_trellis,
     ml_block_decode,
@@ -183,10 +182,38 @@ def test_spec_rejects_unequal_out_degree():
             Transition(1, 1, 0, labels)))
 
 
+#: A 4-state, 1 coded + 2 uncoded bit listing over the 8 q8 cosets: even
+#: states depart on BASE, odd ones on PRIMED; the transition from 2 to 0 is
+#: on line 6.
+FOUR_STATE = """states=4 bits_per_section=3
+0 0 0 0 8 2 10
+0 1 1 1 9 3 11
+1 2 4 17 25 19 27
+1 3 5 16 24 18 26
+2 0 2 5 13 7 15
+2 1 3 4 12 6 14
+3 2 6 20 28 22 30
+3 3 7 21 29 23 31
+"""
+
+
+def test_a_row_that_is_no_sign_flip_coset_is_rejected():
+    assert load_trellis(FOUR_STATE).num_states == 4
+    # 13 and 15 differ from 5 in overlapping coordinates, so no disjoint
+    # masks give the row; no partition check covers 4 states, and the error
+    # still names the line
+    with pytest.raises(ValueError, match="^line 6: transition 2->0 labels are not a sign-flip"):
+        load_trellis(FOUR_STATE.replace("2 0 2 5 13 7 15", "2 0 2 5 13 15 7"))
+    for row in ((5, 13, 15, 7), (0, 8, 2, 26)):          # overlapping masks; mixed halves
+        with pytest.raises(ValueError, match=r"^label row \[%s\] is not a sign-flip coset"
+                           % ", ".join(map(str, row))):
+            TrellisSpec(num_states=1, bits_per_section=2, transitions=(Transition(0, 0, 0, row),))
+
+
 #: Every array a TrellisSpec derives from its transitions.
 DERIVED = ("labels_per_branch", "uncoded_bits", "coded_bits", "from_state", "to_state",
            "coded", "labels", "cosets", "coset_of", "coset_count", "groups", "next_state",
-           "branch_labels")
+           "branch_labels", "chi0", "masks")
 
 
 @pytest.mark.parametrize("spec", [default_trellis(), load_trellis(irregular_trellis_text())],
@@ -405,13 +432,11 @@ def test_frame_batch_matches_single_frame_decodes(spec, per_section):
     shape = (frames, sections) if per_section else (frames, 1)
     h = (rng.standard_normal(shape + (2,)) + 1j * rng.standard_normal(shape + (2,)))
     h[-2:] = 0.0
-    faded = (mats @ h[..., None, :, None])[..., 0]          # (F, 1|n, 32, 2)
     rec = (mats[idx] @ h[..., None])[..., 0]
     rec = rec + 0.6 * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
     rec[-2:] = 0.0
     decided, got_bits, ties = viterbi_decode_frames(
-        spec, rec, faded if per_section else faded[:, 0], initial_state=start,
-        count_ties=True)
+        spec, rec, h if per_section else h[:, 0], initial_state=start, count_ties=True)
     assert ties[-1] > 0 and ties[-2] == ties[-1]
     for f in range(frames):
         hs = h[f] if per_section else h[f, 0]
@@ -426,7 +451,8 @@ def _exact_distance_decode(spec, received, faded, initial_state):
     """Reference kernel: add-compare-select on the exact ||r - C h||^2 of each section.
 
     The per-section loop that viterbi_decode_frames ran before it scored by
-    correlation, with its tie-break and tie-count rules.  The one-state
+    correlation, with its tie-break and tie-count rules; it reads the faded
+    candidates C h, (F, 32, T) or (F, S, 32, T).  The one-state
     trellis runs through it too: its one-candidate compares never tie.
     """
     frames, sections = received.shape[:2]
@@ -469,12 +495,31 @@ def _exact_distance_decode(spec, received, faded, initial_state):
     return decided, bits, metric, ties
 
 
+#: Entry index by its chi_coordinates, rounded to their exact 0 and +-1.
+CHI_INDEX = {tuple(np.rint(chi_coordinates(e))): e.index for e in build_constellation()}
+
+
+def _random_coset(rng, owner, width) -> tuple:
+    """A sign-flip coset of 2**width labels: a random half and chi0, and
+    each coordinate flipped by bit owner[l] (by none where it is width)."""
+    chi0 = rng.choice([-1.0, 1.0], 8) * np.repeat(np.arange(2) == rng.integers(0, 2), 4)
+    return tuple(CHI_INDEX[tuple(chi0 * (1 - 2 * (p >> owner & 1)))] for p in range(2 ** width))
+
+
 def _random_trellis(rng) -> TrellisSpec:
-    """Up to 6 states and 4 transitions per state over a few shared label rows."""
+    """Up to 6 states and 4 transitions per state over a few shared label rows.
+
+    Each row is a random sign-flip coset, the only rows a TrellisSpec takes.
+    The rows share one random set of masks, some possibly empty (a bit that
+    flips nothing repeats labels), so two rows hold the same labels or none
+    in common, as the cosets of a set partition do.  Rows that share only
+    some labels would tie exactly on exact distances whenever a shared label
+    is best in both, and not on filter sums that round differently.
+    """
     states, coded = int(rng.integers(1, 7)), int(rng.integers(0, 3))
     width = int(rng.integers(0 if coded else 1, 3))      # at least one bit per section
-    rows = [tuple(int(i) for i in rng.permutation(32)[:2 ** width])
-            for _ in range(int(rng.integers(1, 5)))]
+    owner = rng.integers(0, width + 1, size=8)
+    rows = [_random_coset(rng, owner, width) for _ in range(int(rng.integers(1, 5)))]
     return TrellisSpec(num_states=states, bits_per_section=coded + width, transitions=tuple(
         Transition(frm, int(rng.integers(0, states)), 0, rows[int(rng.integers(0, len(rows)))])
         for frm in range(states) for _ in range(2 ** coded)))
@@ -512,7 +557,7 @@ NAMED_TRELLISES = {"regular": default_trellis(), "irregular": load_trellis(irreg
        per_section=st.booleans(), all_tie=st.integers(0, 2))
 def test_correlation_kernel_equals_exact_distance_reference(seed, trellis, frames, sections,
                                                             sigma, per_section, all_tie):
-    # decisions by -Re<r, C h>, and the exact metric that viterbi_decode
+    # decisions by matched-filter signs, and the exact metric that viterbi_decode
     # re-sums along them, are the bytes that the ACS over exact distances
     # gives, tie counts included; noisy blocks only, since the two can part
     # on a sum that is a tie in exact arithmetic but not in rounding
@@ -522,7 +567,7 @@ def test_correlation_kernel_equals_exact_distance_reference(seed, trellis, frame
     start = int(rng.integers(0, spec.num_states))
     rec, faded, h = _noisy_batch(spec, rng, frames, sections, start, sigma, per_section,
                                  min(all_tie, frames))
-    got = viterbi_decode_frames(spec, rec, faded, initial_state=start, count_ties=True)
+    got = viterbi_decode_frames(spec, rec, h, initial_state=start, count_ties=True)
     decided, bits, metric, ties = _exact_distance_decode(spec, rec, faded, start)
     for name, g, w in zip(("decided", "bits", "ties"), got, (decided, bits, ties)):
         assert g.dtype == w.dtype and g.shape == w.shape, name
@@ -532,13 +577,39 @@ def test_correlation_kernel_equals_exact_distance_reference(seed, trellis, frame
         assert np.float64(res.metric).tobytes() == metric[f].tobytes()
 
 
+#: Family -> its label rows: the q8 and q16 cosets, and the uncoded row.
+ROWS = {"q8": tuple(q8_cosets().values()), "q16": tuple(q16_cosets().values()),
+        "uncoded": (uncoded_trellis().transitions[0].labels,)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(sorted(ROWS)),
+       sigma=st.floats(0.05, 3.0))
+def test_sign_decisions_equal_exhaustive_ml_over_each_row(seed, family, sigma):
+    # each row, decoded as a one-state trellis by its matched-filter signs,
+    # decides every noisy block as exhaustive ML over the row's entries does
+    rng = np.random.default_rng(seed)
+    entries = build_constellation()
+    for row in ROWS[family]:
+        spec = TrellisSpec(num_states=1, bits_per_section=len(row).bit_length() - 1,
+                           transitions=(Transition(0, 0, 0, row),))
+        h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        sent = np.array(row)[rng.integers(0, len(row), size=(3, 5))]
+        rec = (matrix_stack()[sent] @ h[:, None, :, None])[..., 0]
+        rec += sigma * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
+        decided = viterbi_decode_frames(spec, rec, h)[0]
+        for f, s in np.ndindex(decided.shape):
+            ml = ml_block_decode(rec[f, s], h[f], [entries[i] for i in row])
+            assert decided[f, s] == ml.decided_indices[0]
+
+
 @pytest.mark.parametrize("trellis", sorted(NAMED_TRELLISES))
 @pytest.mark.parametrize("per_section", [False, True])
 def test_count_ties_false_changes_nothing_else(trellis, per_section):
     spec = NAMED_TRELLISES[trellis]
-    rec, faded, _ = _noisy_batch(spec, np.random.default_rng(41), 9, 7, 0, 0.6, per_section, 2)
-    counted = viterbi_decode_frames(spec, rec, faded, count_ties=True)
-    uncounted = viterbi_decode_frames(spec, rec, faded)
+    rec, _, h = _noisy_batch(spec, np.random.default_rng(41), 9, 7, 0, 0.6, per_section, 2)
+    counted = viterbi_decode_frames(spec, rec, h, count_ties=True)
+    uncounted = viterbi_decode_frames(spec, rec, h)
     for c, u in zip(counted[:2], uncounted[:2]):
         assert c.dtype == u.dtype and c.tobytes() == u.tobytes()
     assert counted[2][-1] > 0
@@ -549,16 +620,16 @@ def test_count_ties_false_changes_nothing_else(trellis, per_section):
 @pytest.mark.parametrize("trellis", sorted(NAMED_TRELLISES))
 @pytest.mark.parametrize("per_section", [False, True])
 def test_decisions_do_not_depend_on_the_branch_block(monkeypatch, trellis, per_section):
-    # _branches scores blocks of frames of up to _BRANCH_SCORES scores: one
-    # frame per block, the default's few frames (its last block short) and
-    # all 45 frames in one block must give the same bytes
+    # _branches applies its filters to blocks of frames of up to
+    # _BRANCH_SCORES outputs: one frame per block, the default's few frames
+    # (its last block short) and all 45 frames in one block must give the
+    # same bytes
     spec = NAMED_TRELLISES[trellis]
-    rec, faded, _ = _noisy_batch(spec, np.random.default_rng(43), 45, 50, 0, 0.6,
-                                 per_section, 2)
+    rec, _, h = _noisy_batch(spec, np.random.default_rng(43), 45, 50, 0, 0.6, per_section, 2)
     runs = []
     for scores in (1, detectors._BRANCH_SCORES, 10**9):
         monkeypatch.setattr(detectors, "_BRANCH_SCORES", scores)
-        runs.append(viterbi_decode_frames(spec, rec, faded, count_ties=True))
+        runs.append(viterbi_decode_frames(spec, rec, h, count_ties=True))
     for got in runs[1:]:
         for name, g, w in zip(("decided", "bits", "ties"), got, runs[0]):
             assert g.dtype == w.dtype and g.shape == w.shape, name
@@ -616,18 +687,14 @@ def test_viterbi_input_validation():
         viterbi_decode(spec, [np.zeros(2, complex)], h, initial_state=-1)
 
 
-def test_base_subconstellation_entries():
-    ents = base_subconstellation_entries()
-    assert [e.index for e in ents] == list(range(16))
-
-
 def test_uncoded_trellis_gray_structure():
     spec = uncoded_trellis()
     assert (spec.num_states, spec.bits_per_section, spec.coded_bits) == (1, 4, 0)
     (t,) = spec.transitions
-    assert sorted(t.labels) == [e.index for e in base_subconstellation_entries()]
-    # label position v spells the Gray bits (chi = 1 - 2b) of its entry
+    # the labels are the 16 BASE entries, and position v spells the Gray
+    # bits (chi = 1 - 2b) of its entry
     entries = build_constellation()
+    assert sorted(t.labels) == [e.index for e in entries if e.subconstellation.value == "BASE"]
     chi = np.array([chi_coordinates(entries[i])[:4] for i in t.labels])
     bits = np.round((1 - chi) / 2).astype(int)
     assert np.allclose(chi, 1 - 2 * bits)
@@ -660,14 +727,13 @@ def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_s
     assert idx.tolist() == trellis_encode_frames(twin, bits).tolist()
     shape = (frames, sections if per_section else 1, 2)
     h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    faded = (matrix_stack() @ h[..., None, :, None])[..., 0]
     rec = (matrix_stack()[idx] @ np.broadcast_to(h, (frames, sections, 2))[..., None])[..., 0]
     rec = rec + sigma * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
-    faded = faded if per_section else faded[:, 0]
-    decided, got_bits, ties = viterbi_decode_frames(spec, rec, faded)
-    for got, want in zip((decided, got_bits, ties), viterbi_decode_frames(twin, rec, faded)):
+    channels = h if per_section else h[:, 0]
+    decided, got_bits, ties = viterbi_decode_frames(spec, rec, channels)
+    for got, want in zip((decided, got_bits, ties), viterbi_decode_frames(twin, rec, channels)):
         assert got.tobytes() == want.tobytes()
-    base = base_subconstellation_entries()
+    base = [build_constellation()[i] for i in labels]
     for f in range(frames):
         hs = h[f] if per_section else h[f, 0]
         metric = viterbi_decode(spec, rec[f], hs)[0].metric

@@ -16,7 +16,7 @@ from stclab.channel import (
     shape_invariance_audit,
 )
 from stclab.cli import main
-from stclab.constellation import table_expansion
+from stclab.constellation import build_constellation, table_expansion
 from stclab.designs import (
     alamouti_generators,
     analyze,
@@ -28,7 +28,6 @@ from stclab.designs import (
     write_generator_file,
 )
 from stclab.detectors import (
-    base_subconstellation_entries,
     default_trellis,
     load_trellis,
     ml_block_decode,
@@ -198,7 +197,7 @@ ENTRY_POINTS = {
         lambda a: make_generator_set(DESIGN.basis[:3] + (a["matrix"],)),
         {"matrix": (2, 2)}),
     "ml_block_decode": (
-        lambda a: ml_block_decode(a["received"], a["channel"], base_subconstellation_entries()),
+        lambda a: ml_block_decode(a["received"], a["channel"], build_constellation()[:16]),
         {"received": (2,), "channel": (2,)}),
     "viterbi_decode": (_decode, {"received": (3, 2), "channel": (2,)}),
     "viterbi_decode per section": (_decode, {"received": (3, 2), "channel": (3, 2)}),
