@@ -12,14 +12,12 @@ uncoded bit), read from the shipped data table.
 from __future__ import annotations
 
 import importlib.resources
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .designs import alamouti_generators, analyze, primed_alamouti_generators
+from .designs import alamouti_generators, primed_alamouti_generators
 from .expansion import ExpandedConstellation, Subconstellation, expand
 
 #: 4PSK alphabet; index k is exp(j*(pi/4 + k*pi/2)).
@@ -109,23 +107,43 @@ def matrix_stack() -> np.ndarray:
     return mats
 
 
+@lru_cache(maxsize=None)
+def generator_stack() -> np.ndarray:
+    """The 8 generators, BASE then PRIMED, as a read-only (8, 2, 2) array."""
+    gens = np.stack(alamouti_generators().basis + primed_alamouti_generators().basis)
+    gens.flags.writeable = False
+    return gens
+
+
+@lru_cache(maxsize=None)
+def chi_table() -> np.ndarray:
+    """chi_coordinates of all 32 entries as a read-only (32, 8) array, index order.
+
+    The 8 generators are orthonormal under Re tr(A^H B) (c N = 1), so one
+    projection gives every coordinate: those on an entry's own half are its
+    chi, and the norm of those on the other half is its residual off its
+    tagged design.
+    """
+    gens = generator_stack().view(float).reshape(8, -1)
+    chi = matrix_stack().view(float).reshape(32, -1) @ gens.T
+    primed = [e.subconstellation is Subconstellation.PRIMED for e in build_constellation()]
+    own = np.equal.outer(primed, np.arange(8) >= 4)
+    resid = np.linalg.norm(np.where(own, 0.0, chi), axis=1)
+    if resid.max() > 1e-9:
+        raise ValueError("entry %d does not lie in its tagged design (residual %g)"
+                         % (resid.argmax(), resid.max()))
+    chi = np.where(own, chi, 0.0)
+    chi.flags.writeable = False
+    return chi
+
+
 def chi_coordinates(entry: CodematrixEntry) -> np.ndarray:
     """Direct-sum coordinates (length 8) of an entry over its own basis.
 
     BASE entries occupy the first four slots, PRIMED entries the last four;
-    the other half is exactly zero.
+    the other half is exactly zero.  A copy of the entry's row of chi_table.
     """
-    out = np.zeros(8)
-    if entry.subconstellation is Subconstellation.BASE:
-        chi, resid = analyze(alamouti_generators(), entry.matrix)
-        out[:4] = chi
-    else:
-        chi, resid = analyze(primed_alamouti_generators(), entry.matrix)
-        out[4:] = chi
-    if resid > 1e-9:
-        raise ValueError("entry %d does not lie in its tagged design (residual %g)"
-                         % (entry.index, resid))
-    return out
+    return chi_table()[entry.index].copy()
 
 
 def table_expansion(unitary=((1, 0), (0, -1))) -> ExpandedConstellation:
@@ -133,9 +151,7 @@ def table_expansion(unitary=((1, 0), (0, -1))) -> ExpandedConstellation:
 
     The default diag(1, -1) reproduces the 32-entry table.
     """
-    chis = [chi_coordinates(e)[:4] for e in build_constellation()
-            if e.subconstellation is Subconstellation.BASE]
-    return expand(alamouti_generators(), chis, unitary)
+    return expand(alamouti_generators(), list(chi_table()[:16, :4]), unitary)
 
 
 @dataclass(frozen=True)
@@ -200,9 +216,19 @@ def distance_spectrum(which: str = "FULL") -> dict:
     which selects BASE, PRIMED, or FULL (all 32 points).  Distances are
     grouped on a 1e-9 grid; for this constellation they are exact integers.
     """
-    if which not in ("BASE", "PRIMED", "FULL"):
+    entries = build_constellation()
+    if which == "BASE":
+        pool = [e for e in entries if e.subconstellation is Subconstellation.BASE]
+    elif which == "PRIMED":
+        pool = [e for e in entries if e.subconstellation is Subconstellation.PRIMED]
+    elif which == "FULL":
+        pool = list(entries)
+    else:
         raise ValueError("which must be BASE, PRIMED, or FULL, got %r" % (which,))
-    pool = [e for e in build_constellation() if which in ("FULL", e.subconstellation.value)]
-    spectrum = Counter(round(float(np.sum(np.abs(a.matrix - b.matrix) ** 2)) / 1e-9) * 1e-9
-                       for a, b in itertools.combinations(pool, 2))
+    spectrum = {}
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            d2 = float(np.sum(np.abs(pool[i].matrix - pool[j].matrix) ** 2))
+            key = round(d2 / 1e-9) * 1e-9
+            spectrum[key] = spectrum.get(key, 0) + 1
     return dict(sorted(spectrum.items()))

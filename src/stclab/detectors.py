@@ -2,18 +2,28 @@
 
 Both detectors assume receiver-side channel knowledge.  ml_block_decode
 scores candidates by the squared Euclidean distance ||r - C h||^2 of the
-received block from the faded codematrix.  The trellis decoder maximises
-the correlation Re<r, C h> instead: every codematrix C has
+received block from the faded codematrix.  The trellis decoder scores them
+by the correlation -Re<r, C h> instead: every codematrix C has
 C^H C = c ||chi||^2 I with the same ||chi||^2, so all 32 faded candidates
 C h have one energy and both scores rank them alike, up to rounding-level
-near-ties.  C = sum_l chi_l B_l over its half's generators, so the
-correlation is linear in chi, and a label row that is a sign-flip coset is
-decided by one matched-filter sign per uncoded bit (Alamouti's linear ML,
-decoupled over parallel transitions as in Jafarkhani and Seshadri, 2003);
-add-compare-select then runs over the section trellis.  Uncoded BASE
-transmission is the one-state trellis (uncoded_trellis).  A TrellisSpec is
-its transitions plus the arrays derived from them, which the encoder and
-decoder read; load_trellis reads and checks the text format.
+near-ties.  It scores every section of a chunk of frames first, then runs
+add-compare-select over a section trellis whose branches carry parallel
+codematrix labels (one coset per branch); parallel transitions are resolved
+to the best label before the compare step.  C = sum_l chi_l B_l over its
+half's generators, so the correlation is linear in chi: every label row is
+a sign-flip coset, and its best label takes one matched-filter sign per
+uncoded bit (Alamouti's linear ML, decoupled over parallel transitions as
+in Jafarkhani and Seshadri, 2003).  viterbi_decode re-sums the exact
+||r - C h||^2 of the decided candidates, so the metric it returns is the
+path's squared distance.  All tie-breaks are deterministic: smaller
+predecessor state, then smaller label position.  Ties are counted only on
+request (viterbi_decode always asks).  Uncoded BASE transmission is the
+one-state trellis (uncoded_trellis): per-block ML, exact ties by that same
+rule.  A TrellisSpec is its transitions plus the arrays derived from them,
+which the encoder and decoder read; it rejects unequal out-degrees, and
+label rows that are no sign-flip coset or that share a label with another
+row, itself, and load_trellis names a line in every error of a listing
+that has a header.
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constellation import build_constellation, matrix_stack
-from .designs import alamouti_generators, checked_array, primed_alamouti_generators
+from .constellation import build_constellation, chi_table, generator_stack, matrix_stack
+from .designs import checked_array
 from .expansion import Subconstellation
 
 TRELLIS_FILE = "trellis8.txt"
@@ -68,8 +78,11 @@ class TrellisSpec:
       label row on the last axis;
     * per label row c: chi0[c], the chi_coordinates of its position 0, and
       masks[c], the coordinates that uncoded bit i flips and, last, those
-      that no bit flips; a row that is no such sign-flip coset raises
-      ValueError (_sign_flips).
+      that no bit flips.  A row that is no such sign-flip coset raises
+      ValueError (_sign_flips), and so does a row that shares a label with
+      another row (_overlaps): each row sums a label's correlation in its
+      own order, so an exact tie of that label across the two rows would go
+      by rounding rather than by the smaller from-state.
 
     The derived arrays are read-only, since cached specs are shared.
     """
@@ -100,6 +113,10 @@ class TrellisSpec:
         chi0, masks, coset = _sign_flips(cosets)
         if not coset.all():
             raise ValueError("label row %s is not a sign-flip coset" % cosets[~coset][0].tolist())
+        overlap = _overlaps(cosets)
+        if overlap.any():
+            raise ValueError("label row %s shares a label with another row"
+                             % cosets[overlap][0].tolist())
         into = np.argsort(to_state * states + from_state, kind="stable")
         enters = to_state[into]
         groups = np.full((states, np.bincount(to_state).max()), len(trans), dtype=np.intp)
@@ -125,29 +142,25 @@ def _entry_column(value) -> np.ndarray:
     return np.array([value(e) for e in build_constellation()])
 
 
-@lru_cache(maxsize=None)
-def _chi_basis():
-    """chi_coordinates of the 32 entries (32, 8), exactly 0 or +-1, as one projection
-    on their basis, the BASE then PRIMED generators, orthonormal under Re tr(A^H B)
-    (c N = 1); the basis as re/im-interleaved reals (8, T, 2N)."""
-    basis = np.stack(alamouti_generators().basis + primed_alamouti_generators().basis).view(float)
-    chi = np.rint(matrix_stack().view(float).reshape(32, -1) @ basis.reshape(8, -1).T)
-    chi.flags.writeable = basis.flags.writeable = False
-    return chi, basis
-
-
 def _sign_flips(rows):
     """chi0 (R, 8) and masks (R, bits + 1, 8) of label rows (R, 2**bits), and
     whether each is a sign-flip coset (R,): position p is chi0 with mask i
     negated for each set bit i of p, no coordinate twice.  Mask i holds the
     coordinates where position 2**i differs from position 0; the last, the rest."""
-    chi = _chi_basis()[0][rows]                                      # (R, L, 8)
+    chi = np.sign(chi_table())[rows]                    # (R, L, 8), exactly 0 or +-1
     bits = rows.shape[1].bit_length() - 1
     chi0 = chi[:, 0]
     flips = chi[:, 1 << np.arange(bits)] != chi0[:, None]           # (R, bits, 8)
     set_bits = np.arange(rows.shape[1])[:, None] >> np.arange(bits) & 1
     coset = np.all(chi == chi0[:, None] * (1 - 2 * (set_bits @ flips)), axis=(1, 2))
     return chi0, np.concatenate([flips, ~np.any(flips, axis=1, keepdims=True)], axis=1), coset
+
+
+def _overlaps(rows) -> np.ndarray:
+    """Whether each label row (R, L) shares a label with an earlier row it does not repeat."""
+    holder = {}
+    return np.array([any([holder.setdefault(label, row) != row for label in row])
+                     for row in map(tuple, rows.tolist())], dtype=bool)
 
 
 def load_trellis(text: str) -> TrellisSpec:
@@ -243,6 +256,8 @@ def load_trellis(text: str) -> TrellisSpec:
               % (edge(k) + (labels[k, pos],)))
     first(~_sign_flips(labels)[2],
           lambda k: "transition %d->%d labels are not a sign-flip coset" % edge(k))
+    first(_overlaps(labels),
+          lambda k: "transition %d->%d shares a label with an earlier label row" % edge(k))
     try:
         spec = TrellisSpec(num_states=num_states, bits_per_section=bits,
                            transitions=tuple(transitions))
@@ -270,7 +285,7 @@ def default_trellis() -> TrellisSpec:
 @lru_cache(maxsize=None)
 def uncoded_trellis() -> TrellisSpec:
     """One state, one branch: label v is the BASE entry whose Gray bits spell v."""
-    spelled = (1 - _chi_basis()[0][:16, :4]) / 2 @ [8, 4, 2, 1]
+    spelled = (1 - np.sign(chi_table()[:16, :4])) / 2 @ [8, 4, 2, 1]
     return TrellisSpec(num_states=1, bits_per_section=4, transitions=(
         Transition(0, 0, 0, tuple(np.argsort(spelled).tolist())),))
 
@@ -387,7 +402,7 @@ def _branches(spec: TrellisSpec, received, channels, count_ties: bool):
     r = received.view(np.float64)                                    # (F, S, 2T)
     weights = np.moveaxis(spec.chi0[:, None] * spec.masks, 1, 0)   # (bits + 1, C, 8)
     terms = bits + weights[bits].any()          # the rest's filters only when some row has one
-    filters = np.tensordot(weights[:terms], _chi_basis()[1], 1).view(np.complex128)
+    filters = np.tensordot(weights[:terms], generator_stack().view(float), 1).view(np.complex128)
     filters = filters.reshape((-1,) + filters.shape[2:])             # (terms * C, T, N)
     best_pos = np.zeros((frames, rows, sections), dtype=np.min_scalar_type(2 ** bits - 1))
     branch = np.empty((sections, rows, frames))

@@ -19,22 +19,41 @@ noise).  Runs are therefore reproducible for a given config regardless of
 how frames are scheduled.  One channel draw per frame, held constant across
 the frame's blocks, independent across frames.
 
-The stream is realised without building those objects per frame:
-_frame_states, the one re-implementation of numpy's seeding, turns a
-chunk's keys into PCG64 states, and _draw_frames loads them in turn into a
-PCG64 of its own, so the simulator may be called from several threads.
-numpy freezes both algorithms, and the tests compare the states and the
-draws with numpy's own objects, so the contract carries no version.
+The stream is realised without building those objects per frame: numpy
+hashes the seed and point once per chunk, and _frame_states, the one
+re-implementation of numpy's seeding, continues the hash over the chunk's
+frame words and turns each result into PCG64's state.  Each chunk's draw
+call builds its own PCG64 and loads it with those states in turn, so no
+generator outlives a call and the simulator may be called from several
+threads.  Both algorithms are frozen by numpy's stream-compatibility
+policy, and the tests compare the states and the draws with numpy's own
+objects, so the draws are bit-identical and the contract carries no version.
 
-Frames are decoded in chunks of whole frames (CHUNK_SECTIONS).
-channel.transmit gathers a chunk's sent blocks from its faded candidates
-C h, which are freed before viterbi_decode_frames decides the chunk from
-its received blocks and channels.  run_point cuts the chunk that spends the
-error budget after that frame, so results do not depend on the chunk size.
-A chunk's memory does: for 128 frames of 50 sections the tracemalloc peak
-is about 0.8 MiB uncoded and 0.9 MiB in trellis mode, where the decoder's
-branch correlations (400 KiB) and the received blocks (200 KiB) are alive
-together; tests/test_simulate.py holds both to a ceiling.
+Each frame's stream is read with one rng.random call that fills the frame's
+row of uniforms in that order: the payload bits (u < 0.5), then the 4
+uniforms of the channel, then the 4 * sections of the noise.  On PCG64 one
+call of length a + b returns the same doubles as a call of length a
+followed by one of length b, since each double consumes one 64-bit output,
+so this equals drawing the bits, the channel and the noise with separate
+calls.  The rows of a quarter of a chunk's frames share one buffer;
+Box-Muller (channel.normals_from_uniform) runs once per quarter over its
+channel columns and once over its noise columns.
+
+Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS
+sections and at least one frame.  A chunk's faded candidates C h are formed
+once, channel.transmit gathers the sent blocks from them, and they are
+freed before one viterbi_decode_frames call decides the chunk from its
+received blocks and channels.  Chunks keep their size to the end of a
+point: the chunk in which the frame errors reach max_frame_errors is
+decoded whole and cut after that frame, the frame where a frame-by-frame
+run stops.  Results therefore do not depend on the chunk
+size; the frames past the stop (at most one chunk less one frame per
+point) are drawn and decoded but not counted, and elapsed_seconds includes
+that work.  A chunk's memory does depend on its size: for 128 frames of 50
+sections the tracemalloc peak is about 0.8 MiB uncoded and 0.9 MiB in
+trellis mode, where the decoder's branch correlations (400 KiB) and the
+received blocks (200 KiB) are alive together; tests/test_simulate.py holds
+both to a ceiling.
 """
 
 from __future__ import annotations
@@ -276,13 +295,12 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
 
     Row f of a uniform buffer is filled by one random call on frame
     first + f's stream and read in the frozen order: bits_per_frame uniforms
-    for the payload bits, 4 for the channel, 4 * sections for the noise; on
-    PCG64, where each double takes one 64-bit output, that equals separate
-    calls for the three.  The call builds one PCG64 generator of its own and
-    loads it with each frame's state from _frame_states, so concurrent calls
-    share no state.  The buffer holds a quarter of the frames (rounded up)
-    and is refilled for each quarter in turn; Box-Muller runs once over each
-    part of a quarter, into arrays sized for all count frames.
+    for the payload bits, 4 for the channel, 4 * sections for the noise.
+    The call builds one PCG64 generator of its own and loads it with each
+    frame's state from _frame_states, so concurrent calls share no state.
+    The buffer holds a quarter of the frames (rounded up) and is refilled
+    for each quarter in turn; Box-Muller runs once over each part of a
+    quarter, and the results land in arrays sized for all count frames.
     """
     ch_end = bits_per_frame + 4
     u = np.empty((-(-count // 4), ch_end + 4 * cfg.sections_per_frame))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from stclab import constellation
 from stclab.constellation import (
     QPSK,
     _parse_table,
     build_constellation,
     chi_coordinates,
+    chi_table,
     distance_spectrum,
     matrix_from_indices,
     matrix_stack,
@@ -14,7 +16,7 @@ from stclab.constellation import (
     table_expansion,
     verify_forms,
 )
-from stclab.designs import alamouti_generators, primed_alamouti_generators, synthesize
+from stclab.designs import alamouti_generators, analyze, primed_alamouti_generators, synthesize
 from stclab.expansion import Subconstellation
 
 
@@ -73,11 +75,27 @@ def test_chi_coordinates_resynthesize_each_entry():
         assert np.all(np.abs(np.abs(co[co != 0]) - 1.0) < 1e-12)
         if e.subconstellation is Subconstellation.BASE:
             assert np.all(co[4:] == 0)
-            s = synthesize(base, co[:4])
+            g, own = base, co[:4]
         else:
             assert np.all(co[:4] == 0)
-            s = synthesize(primed, co[4:])
-        assert np.max(np.abs(s - e.matrix)) < 1e-12
+            g, own = primed, co[4:]
+        assert np.max(np.abs(synthesize(g, own) - e.matrix)) < 1e-12
+        # the table's one projection gives analyze's coordinates bit for bit
+        assert own.tobytes() == analyze(g, e.matrix)[0].tobytes()
+
+
+def test_chi_table_rejects_an_entry_off_its_tagged_design(monkeypatch):
+    # a PRIMED generator component takes BASE entry 5 off the BASE design
+    mats = matrix_stack().copy()
+    mats[5] += 1e-6 * primed_alamouti_generators().basis[0]
+    monkeypatch.setattr(constellation, "matrix_stack", lambda: mats)
+    chi_table.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"^entry 5 does not lie in its tagged design "
+                                             r"\(residual 1e-06\)"):
+            chi_table()
+    finally:
+        chi_table.cache_clear()
 
 
 def test_q8_cosets_partition():

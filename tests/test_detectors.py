@@ -208,6 +208,12 @@ def test_a_row_that_is_no_sign_flip_coset_is_rejected():
         with pytest.raises(ValueError, match=r"^label row \[%s\] is not a sign-flip coset"
                            % ", ".join(map(str, row))):
             TrellisSpec(num_states=1, bits_per_section=2, transitions=(Transition(0, 0, 0, row),))
+    # 0 8 1 9 is a sign-flip coset, but it shares 0 and 8 with the row of line 2
+    with pytest.raises(ValueError, match="^line 3: transition 0->1 shares a label with an earlier"):
+        load_trellis(FOUR_STATE.replace("0 1 1 1 9 3 11", "0 1 1 0 8 1 9"))
+    with pytest.raises(ValueError, match=r"^label row \[0, 8, 1, 9\] shares a label with another"):
+        TrellisSpec(num_states=1, bits_per_section=3, transitions=(
+            Transition(0, 0, 0, (0, 8, 2, 10)), Transition(0, 0, 1, (0, 8, 1, 9))))
 
 
 #: Every array a TrellisSpec derives from its transitions.
@@ -499,27 +505,30 @@ def _exact_distance_decode(spec, received, faded, initial_state):
 CHI_INDEX = {tuple(np.rint(chi_coordinates(e))): e.index for e in build_constellation()}
 
 
-def _random_coset(rng, owner, width) -> tuple:
-    """A sign-flip coset of 2**width labels: a random half and chi0, and
-    each coordinate flipped by bit owner[l] (by none where it is width)."""
+def _random_coset(rng, width) -> tuple:
+    """A sign-flip coset of 2**width labels: a random half, chi0 and masks,
+    coordinate l flipped by bit owner[l] (by none where it is width), so
+    some masks may be empty (a bit that flips nothing repeats labels)."""
+    owner = rng.integers(0, width + 1, size=8)
     chi0 = rng.choice([-1.0, 1.0], 8) * np.repeat(np.arange(2) == rng.integers(0, 2), 4)
     return tuple(CHI_INDEX[tuple(chi0 * (1 - 2 * (p >> owner & 1)))] for p in range(2 ** width))
 
 
 def _random_trellis(rng) -> TrellisSpec:
-    """Up to 6 states and 4 transitions per state over a few shared label rows.
+    """Up to 6 states and 4 transitions per state over a few label rows.
 
-    Each row is a random sign-flip coset, the only rows a TrellisSpec takes.
-    The rows share one random set of masks, some possibly empty (a bit that
-    flips nothing repeats labels), so two rows hold the same labels or none
-    in common, as the cosets of a set partition do.  Rows that share only
-    some labels would tie exactly on exact distances whenever a shared label
-    is best in both, and not on filter sums that round differently.
+    Each row is a random sign-flip coset with masks of its own.  A row that
+    shares a label with an earlier one is dropped: a TrellisSpec takes only
+    rows that repeat each other or share no label.  Transitions pick their
+    rows at random, so rows repeat.
     """
     states, coded = int(rng.integers(1, 7)), int(rng.integers(0, 3))
     width = int(rng.integers(0 if coded else 1, 3))      # at least one bit per section
-    owner = rng.integers(0, width + 1, size=8)
-    rows = [_random_coset(rng, owner, width) for _ in range(int(rng.integers(1, 5)))]
+    rows = []
+    for _ in range(int(rng.integers(1, 5))):
+        row = _random_coset(rng, width)
+        if all(set(row).isdisjoint(other) for other in rows):
+            rows.append(row)
     return TrellisSpec(num_states=states, bits_per_section=coded + width, transitions=tuple(
         Transition(frm, int(rng.integers(0, states)), 0, rows[int(rng.integers(0, len(rows)))])
         for frm in range(states) for _ in range(2 ** coded)))
