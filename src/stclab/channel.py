@@ -3,8 +3,8 @@
 One receive antenna.  Over a block of T channel uses with codematrix C and
 channel vector h (length N, constant over the frame), the received samples
 are r = C h + n with circularly symmetric Gaussian noise, variance sigma^2
-per real dimension.  transmit gathers whole frames of C h from a table of
-faded candidates and adds noise drawn beforehand.
+per real dimension.  transmit forms C h of each frame's 32 candidates from
+its one channel draw, gathers the sent blocks and adds noise drawn beforehand.
 A channel is a complex array, (N,) for one draw or (D, N) for D draws or
 one per section; channels_from_uniform draws it, and designs.checked_array
 checks every channel and received-block input.
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constellation import matrix_stack
 from .designs import checked_array
 from .expansion import ExpandedConstellation, Subconstellation
 
@@ -68,16 +69,19 @@ def channels_from_uniform(u: np.ndarray) -> np.ndarray:
     return (g[..., 0::2] + 1j * g[..., 1::2]) / np.sqrt(2.0)
 
 
-def transmit(faded: np.ndarray, indices: np.ndarray, noise: np.ndarray,
+def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,
              sigma: float) -> np.ndarray:
     """Received blocks r = C h + n of F frames, shape (F, blocks, T).
 
-    Block b of frame f sends faded[f, indices[f, b]]: faded (F, 32, T) holds
-    each frame's faded candidates C h.  noise
-    (F, 2 * blocks * T) holds standard normal draws, interleaved re/im per
-    channel use, scaled by sigma per real dimension.  Neither input is
-    written to; the noise is added into the gathered blocks in place.
+    Block b of frame f sends codematrix indices[f, b] over channels[f], one
+    draw h (N,) per frame.  noise (F, 2 * blocks * T) holds standard normal
+    draws, interleaved re/im per channel use, scaled by sigma per real
+    dimension.  Neither input is written to; the noise is added into the
+    gathered blocks in place.
     """
+    # C h for all 32 candidates (F, 32, T), elementwise: cheaper than F * 32 matmuls
+    mats, h = matrix_stack(), channels[:, None, None]
+    faded = mats[..., 0] * h[..., 0] + mats[..., 1] * h[..., 1]
     rec = faded[np.arange(len(faded))[:, None], indices]
     rec += sigma * np.ascontiguousarray(noise, dtype=np.float64).view(
         np.complex128).reshape(rec.shape)
@@ -105,16 +109,16 @@ def _stacked_frames(bases: np.ndarray, scale: float, hs: np.ndarray):
 
     Column k of each half is flatten(B_k h) / gain over that half's bases;
     the base and primed halves sit block-diagonally.  Degenerate fades
-    (||h|| = 0) are rejected, as are draws whose ||h||^2 overflows; the
-    frames are undefined there.
+    (||h||^2 = 0 or subnormal) are rejected, as are draws whose ||h||^2
+    overflows; the frames are undefined or inexact there.
     """
     try:
         with np.errstate(over="raise"):
             h_norm = np.sqrt(np.vecdot(hs.real, hs.real) + np.vecdot(hs.imag, hs.imag))
     except FloatingPointError:
         raise ValueError("channel draw too large: ||h||^2 overflows") from None
-    if not (h_norm > 0.0).all():
-        raise ValueError("degenerate fade: ||h|| = 0 leaves no signal space")
+    if not (h_norm >= np.sqrt(np.finfo(float).tiny)).all():    # 2^-511: iff ||h||^2 normal
+        raise ValueError("degenerate fade: ||h||^2 is 0 or subnormal")
     gain = np.sqrt(scale) * h_norm
     v = (bases @ hs[:, None, None, :, None])[..., 0]                 # (D, 2, 2K, T)
     d, _, two_k, t = v.shape
@@ -129,8 +133,8 @@ def _stacked_frames(bases: np.ndarray, scale: float, hs: np.ndarray):
 def build_equivalent_real_model(e: ExpandedConstellation, h) -> EquivalentRealModel:
     """Orthonormal base/primed/stacked frames for one channel draw h (N,).
 
-    Degenerate fades (||h|| = 0) and draws whose ||h||^2 overflows are
-    rejected; the frames are undefined there.
+    Degenerate fades (||h||^2 = 0 or subnormal) and draws whose ||h||^2
+    overflows are rejected; the frames are undefined or inexact there.
     """
     h = checked_array(h, "channel", e.base_generators.num_antennas)
     stacked, h_norm, gain = _stacked_frames(_frame_bases(e), e.base_generators.scale,
@@ -174,8 +178,8 @@ def shape_invariance_audit(e: ExpandedConstellation, hs) -> ShapeInvarianceRepor
     its worst value over all draws.  Draws are evaluated CHUNK_DRAWS at a time, and
     every number is computed exactly as for the draw alone, so the report
     equals the field-wise maximum of one-draw audits.  Any degenerate draw
-    (||h|| = 0), or draw whose ||h||^2 or received distances overflow,
-    raises ValueError.
+    (||h||^2 = 0 or subnormal), or draw whose ||h||^2 or received distances
+    overflow, raises ValueError.
     """
     hs = checked_array(hs, "channel", e.base_generators.num_antennas, ndims=(2,))
     bases, scale = _frame_bases(e), e.base_generators.scale

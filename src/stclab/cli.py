@@ -142,6 +142,9 @@ def cmd_audit(args) -> int:
     if args.seed < 0:
         print("error: --seed must be nonnegative", file=sys.stderr)
         return 2
+    if args.generators and args.which not in ("RH", "ALL"):
+        print("error: --generators needs --which RH or ALL", file=sys.stderr)
+        return 2
     names = list(AUDITS) if args.which == "ALL" else [args.which]
     e = table_expansion()       # one expansion for every audit of the call
     ok = True

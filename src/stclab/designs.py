@@ -150,9 +150,8 @@ def alamouti_generators() -> GeneratorSet:
 
 def primed_alamouti_generators() -> GeneratorSet:
     """The companion quadruple, the base one right-multiplied by diag(1, -1)."""
-    u = np.diag([1.0, -1.0]).astype(np.complex128)
-    base = alamouti_generators()
-    return GeneratorSet(tuple(b @ u for b in base.basis), 0.5)
+    u = np.array([1.0, -1.0])         # the diagonal: b * u negates column 1 of b
+    return GeneratorSet(tuple(b * u for b in alamouti_generators().basis), 0.5)
 
 
 @dataclass(frozen=True)

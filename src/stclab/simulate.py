@@ -39,21 +39,19 @@ calls.  The rows of a quarter of a chunk's frames share one buffer;
 Box-Muller (channel.normals_from_uniform) runs once per quarter over its
 channel columns and once over its noise columns.
 
-Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS
-sections and at least one frame.  A chunk's faded candidates C h are formed
-once, channel.transmit gathers the sent blocks from them, and they are
-freed before one viterbi_decode_frames call decides the chunk from its
-received blocks and channels.  Chunks keep their size to the end of a
-point: the chunk in which the frame errors reach max_frame_errors is
-decoded whole and cut after that frame, the frame where a frame-by-frame
-run stops.  Results therefore do not depend on the chunk
-size; the frames past the stop (at most one chunk less one frame per
-point) are drawn and decoded but not counted, and elapsed_seconds includes
-that work.  A chunk's memory does depend on its size: for 128 frames of 50
-sections the tracemalloc peak is about 0.8 MiB uncoded and 0.9 MiB in
-trellis mode, where the decoder's branch correlations (400 KiB) and the
-received blocks (200 KiB) are alive together; tests/test_simulate.py holds
-both to a ceiling.
+Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS sections
+and at least one frame.  A chunk's payload bits, channels and noise are
+drawn, then go through trellis_encode_frames, channel.transmit and one
+viterbi_decode_frames call.  Chunks keep their size to the end of a point:
+the chunk in which the frame errors reach max_frame_errors is decoded whole
+and cut after that frame, the frame where a frame-by-frame run stops.
+Results therefore do not depend on the chunk size; the frames past the stop
+(at most one chunk less one frame per point) are drawn and decoded but not
+counted, and elapsed_seconds includes that work.  A chunk's memory does
+depend on its size: for 128 frames of 50 sections the tracemalloc peak is
+about 0.8 MiB uncoded and 0.9 MiB in trellis mode, where the decoder's
+branch correlations (400 KiB) and the received blocks (200 KiB) are alive
+together; tests/test_simulate.py holds both to a ceiling.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import channels_from_uniform, normals_from_uniform, transmit
-from .constellation import matrix_stack
 from .detectors import (
     TrellisSpec,
     default_trellis,
@@ -344,7 +341,6 @@ def run_point(cfg: SimConfig, point_index: int,
     snr_db = cfg.snr_list_db[point_index]
     sigma = sigma_for_snr_db(snr_db)
     spec = spec or _trellis_for(cfg)
-    mats = matrix_stack()
     sections = cfg.sections_per_frame
     bits_per_frame = sections * spec.bits_per_section
     t0 = time.perf_counter()
@@ -353,10 +349,8 @@ def run_point(cfg: SimConfig, point_index: int,
         count = min(max(1, CHUNK_SECTIONS // sections), cfg.frames_per_point - frames)
         tx_bits, h, noise = _draw_frames(cfg, point_index, frames, count,
                                          bits_per_frame)
-        # C h for all 32 candidates (F, 32, 2), elementwise: cheaper than F * 32 matmuls
-        faded = mats[..., 0] * h[:, None, None, 0] + mats[..., 1] * h[:, None, None, 1]
-        rec = transmit(faded, trellis_encode_frames(spec, tx_bits), noise, sigma)
-        del faded, noise
+        rec = transmit(h, trellis_encode_frames(spec, tx_bits), noise, sigma)
+        del noise
         rx_bits = viterbi_decode_frames(spec, rec, h)[1]
         errs = np.count_nonzero(rx_bits != tx_bits, axis=1)
         # keep the frames up to the one that spends the error budget, where a

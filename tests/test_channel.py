@@ -86,18 +86,13 @@ def test_transmit_noiseless_and_noise_scaling():
     idx = rng.integers(0, 32, size=(frames, blocks))
     h = np.stack([_channel(rng) for _ in range(frames)])
     noise = normals_from_uniform(rng.random(frames * 4 * blocks)).reshape(frames, 4 * blocks)
-    # the faded candidates as the simulator forms them, one table per frame
-    faded = mats[..., 0] * h[:, None, None, 0] + mats[..., 1] * h[:, None, None, 1]
-    clean = transmit(faded, idx, noise, 0.0)
+    clean = transmit(h, idx, noise, 0.0)
     assert clean.shape == (frames, blocks, 2)
-    for f in (0, 7, frames - 1):
-        for b in (0, blocks - 1):
-            assert np.array_equal(clean[f, b], faded[f, idx[f, b]])
     # the gather is the product C h of every sent codematrix, byte for byte
     assert clean.tobytes() == (mats[idx] @ h[:, None, :, None])[..., 0].tobytes()
     # with noise: residual variance matches 2*sigma^2 per complex sample
     sigma = 0.3
-    r = transmit(faded, idx, noise, sigma)
+    r = transmit(h, idx, noise, sigma)
     assert r.shape == (frames, blocks, 2)
     per_complex = float(np.mean(np.abs(r - clean) ** 2))
     assert abs(per_complex - 2 * sigma ** 2) < 0.005
@@ -128,12 +123,15 @@ def test_normals_from_uniform_equal_the_two_temporary_formula(shape, cols):
 def test_transmit_equals_gather_plus_scaled_noise_and_keeps_its_inputs(sigma):
     rng = np.random.default_rng(17)
     frames, blocks = 37, 11
-    faded = rng.standard_normal((frames, 32, 2)) + 1j * rng.standard_normal((frames, 32, 2))
+    h = rng.standard_normal((frames, 2)) + 1j * rng.standard_normal((frames, 2))
     idx = rng.integers(0, 32, size=(frames, blocks))
     noise = rng.standard_normal((frames, 4 * blocks))
-    faded_bytes, noise_bytes = faded.tobytes(), noise.tobytes()
-    got = transmit(faded, idx, noise, sigma)
-    assert faded.tobytes() == faded_bytes and noise.tobytes() == noise_bytes
+    h_bytes, noise_bytes = h.tobytes(), noise.tobytes()
+    got = transmit(h, idx, noise, sigma)
+    assert h.tobytes() == h_bytes and noise.tobytes() == noise_bytes
+    # the gather from a table of each frame's 32 faded candidates C h
+    mats = matrix_stack()
+    faded = mats[..., 0] * h[:, None, None, 0] + mats[..., 1] * h[:, None, None, 1]
     want = faded[np.arange(frames)[:, None], idx] + sigma * (
         noise[:, 0::2] + 1j * noise[:, 1::2]).reshape(frames, blocks, 2)
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -244,6 +242,26 @@ def test_audit_rejects_a_draw_whose_norm_overflows():
             shape_invariance_audit(e, hs)
     with pytest.raises(ValueError, match="too large"):
         build_equivalent_real_model(e, huge[0])
+
+
+@pytest.mark.parametrize("h", [[1e-160, 1e-160], [1e-154, 1e-154],
+                               [np.nextafter(2.0 ** -511, 0.0), 0.0]])
+def test_a_subnormal_fade_is_rejected(h):
+    # ||h||^2 below the smallest normal float, 2^-1022: frames built from that
+    # norm are inexact (a gram error of 1e-5 at 1e-160), so the draw is rejected
+    e = _expanded()
+    with pytest.raises(ValueError, match="degenerate fade"):
+        shape_invariance_audit(e, np.array([h]))
+    with pytest.raises(ValueError, match="degenerate fade"):
+        build_equivalent_real_model(e, np.array(h))
+
+
+@pytest.mark.parametrize("h", [[1.5e-154, 1.5e-154], [2.0 ** -511, 0.0]])
+def test_the_smallest_normal_fades_still_audit(h):
+    e = _expanded()
+    assert shape_invariance_audit(e, np.array([h])).max_gram_error < 1e-15
+    model = build_equivalent_real_model(e, np.array(h))
+    assert np.max(np.abs(model.stacked_frame.T @ model.stacked_frame - np.eye(8))) < 1e-15
 
 
 def test_audit_rejects_a_draw_whose_received_distances_overflow():

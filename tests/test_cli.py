@@ -185,6 +185,27 @@ def test_audit_missing_file_is_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["THEOREM1", "COROLLARY1", "INVARIANCE", "FORMS", "forms"])
+def test_generators_without_the_rh_audit_is_exit_2(which, capsys):
+    # no audit but RH reads the file, so naming one is a usage error, raised
+    # before any audit runs or the file is opened
+    rc = main(["audit", "--which", which, "--generators", "/no/such/file.txt"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: --generators needs --which RH or ALL\n"
+
+
+@pytest.mark.parametrize("which", ["RH", "ALL", "all"])
+def test_rh_and_all_read_the_generator_file(which, tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    good.write_text(write_generator_file(alamouti_generators()))
+    rc = main(["audit", "--which", which, "--trials", "10", "--generators", str(good)])
+    out = capsys.readouterr().out
+    assert rc == 0 and "rh.file.pass=True" in out and "rh.base" not in out
+    rc = main(["audit", "--which", which, "--generators", "/no/such/file.txt"])
+    assert rc == 2 and "No such file" in capsys.readouterr().err
+
+
 def test_simulate_stdout_and_file_agree_modulo_elapsed(tmp_path, capsys):
     args = ["simulate", "--mode", "uncoded", "--snr", "8", "--frames", "20",
             "--seed", "4", "--sections", "10"]

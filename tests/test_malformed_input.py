@@ -102,21 +102,30 @@ def test_mutated_texts_raise_only_value_error(name, edits):
         pass
 
 
-# the shipped listing: 6 comment lines, the header on line 7, transitions from line 8
+#: The one error of each format that names no line: a text with no header.
+#: A config with no key=value line is valid, so it has none.
+EMPTY_TEXT_ERRORS = {"config": None, "trellis": "empty trellis file",
+                     "generators": "empty generator file"}
+
+
+# the examples are for the shipped trellis listing: 6 comment lines, the
+# header on line 7, transitions from line 8
+@pytest.mark.parametrize("name", sorted(PARSERS))
 @settings(max_examples=300, deadline=None)
 @given(edits=EDITS)
 @example(edits=[("drop", 8, 0, "")])          # state 0 keeps 3 of its 4 transitions
 @example(edits=[("cut", 7, 0, "")])           # the header alone
 @example(edits=[("token", 6, 3, "5")])        # bits_per_section=5: 8 out per state
-def test_mutated_trellis_errors_name_a_line(edits):
-    text = _mutate(TRELLIS, edits)
+def test_mutated_errors_name_a_line(name, edits):
+    text, parse = PARSERS[name]
+    text = _mutate(text, edits)
     try:
-        load_trellis(text)
+        parse(text)
     except ValueError as exc:
         if any(ln.strip() and not ln.strip().startswith("#") for ln in text.splitlines()):
             assert re.match(r"line \d+: ", str(exc)), str(exc)
         else:
-            assert str(exc) == "empty trellis file"
+            assert str(exc) == EMPTY_TEXT_ERRORS[name]
 
 
 def test_zero_bits_per_section_exits_2_at_the_header(tmp_path, capsys):
