@@ -4,7 +4,8 @@ One receive antenna.  Over a block of T channel uses with codematrix C and
 channel vector h (length N, constant over the frame), the received samples
 are r = C h + n with circularly symmetric Gaussian noise, variance sigma^2
 per real dimension.  transmit forms C h of each frame's 32 candidates from
-its one channel draw, gathers the sent blocks and adds noise drawn beforehand.
+its one channel draw and adds the sent blocks to noise drawn beforehand, in
+the noise's own buffer.
 A channel is a complex array, (N,) for one draw or (D, N) for D draws or
 one per section; channels_from_uniform draws it, and designs.checked_array
 checks every channel and received-block input.
@@ -36,7 +37,8 @@ from .expansion import ExpandedConstellation, Subconstellation
 
 #: Channel draws shape_invariance_audit evaluates together.  On 1000-draw
 #: audits 16 ran within 7% of 32 or 64 draws, with a third to a half of
-#: their added peak memory (about 1 MiB).  Reports do not depend on it.
+#: their added peak memory (about 1 MiB).  transmit forms the faded
+#: candidates of as many frames at a time.  No result depends on it.
 CHUNK_DRAWS = 16
 
 
@@ -76,15 +78,23 @@ def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,
     Block b of frame f sends codematrix indices[f, b] over channels[f], one
     draw h (N,) per frame.  noise (F, 2 * blocks * T) holds standard normal
     draws, interleaved re/im per channel use, scaled by sigma per real
-    dimension.  Neither input is written to; the noise is added into the
-    gathered blocks in place.
+    dimension.  transmit takes the noise over: a writeable C-contiguous
+    float64 noise array is scaled in place and the blocks C h are added into
+    it, so the result is a view of its buffer and the noise values are gone
+    (any other noise is copied first).  channels and indices are not written
+    to.
     """
-    # C h for all 32 candidates (F, 32, T), elementwise: cheaper than F * 32 matmuls
-    mats, h = matrix_stack(), channels[:, None, None]
-    faded = mats[..., 0] * h[..., 0] + mats[..., 1] * h[..., 1]
-    rec = faded[np.arange(len(faded))[:, None], indices]
-    rec += sigma * np.ascontiguousarray(noise, dtype=np.float64).view(
-        np.complex128).reshape(rec.shape)
+    mats = matrix_stack()
+    rec = np.require(noise, np.float64, "CW").view(np.complex128).reshape(
+        np.shape(indices) + mats.shape[1:2])
+    rec *= sigma
+    # C h of each frame's 32 candidates, elementwise (cheaper than 32 matmuls),
+    # for CHUNK_DRAWS frames at a time
+    for lo in range(0, len(rec), CHUNK_DRAWS):
+        h = channels[lo:lo + CHUNK_DRAWS, None, None]
+        faded = mats[..., 0] * h[..., 0] + mats[..., 1] * h[..., 1]
+        rec[lo:lo + CHUNK_DRAWS] += faded[np.arange(len(faded))[:, None],
+                                          indices[lo:lo + CHUNK_DRAWS]]
     return rec
 
 

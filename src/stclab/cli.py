@@ -155,12 +155,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    kwargs = {}
+    kwargs = {name: field_value(name, getattr(args, name)) for name in FIELDS
+              if getattr(args, name) is not None}
     if args.config:
         with open(args.config) as fh:
-            kwargs.update(parse_config_file(fh.read()))
-    kwargs.update((name, field_value(name, getattr(args, name))) for name in FIELDS
-                  if getattr(args, name) is not None)
+            kwargs = parse_config_file(fh.read(), kwargs)
     cfg = SimConfig(**kwargs)
     return _write_out(format_csv(cfg, run_simulation(cfg)), args.out)
 

@@ -6,14 +6,15 @@ received block from the faded codematrix.  The trellis decoder scores them
 by the correlation -Re<r, C h> instead: every codematrix C has
 C^H C = c ||chi||^2 I with the same ||chi||^2, so all 32 faded candidates
 C h have one energy and both scores rank them alike, up to rounding-level
-near-ties.  It scores every section of a chunk of frames first, then runs
-add-compare-select over a section trellis whose branches carry parallel
-codematrix labels (one coset per branch); parallel transitions are resolved
-to the best label before the compare step.  C = sum_l chi_l B_l over its
-half's generators, so the correlation is linear in chi: every label row is
-a sign-flip coset, and its best label takes one matched-filter sign per
-uncoded bit (Alamouti's linear ML, decoupled over parallel transitions as
-in Jafarkhani and Seshadri, 2003).  viterbi_decode re-sums the exact
+near-ties.  It scores a chunk of frames block of sections by block, and
+runs add-compare-select over each block as it is scored, on a section
+trellis whose branches carry parallel codematrix labels (one coset per
+branch); parallel transitions are resolved to the best label before the
+compare step.  C = sum_l chi_l B_l over its half's generators, so the
+correlation is linear in chi: every label row is a sign-flip coset, and
+its best label takes one matched-filter sign per uncoded bit (Alamouti's
+linear ML, decoupled over parallel transitions as in Jafarkhani and
+Seshadri, 2003).  viterbi_decode re-sums the exact
 ||r - C h||^2 of the decided candidates, so the metric it returns is the
 path's squared distance.  All tie-breaks are deterministic: smaller
 predecessor state, then smaller label position.  Ties are counted only on
@@ -374,12 +375,12 @@ def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
 
 
 #: Filter outputs that _branches holds at once, 128 KiB of floats, unless
-#: one frame alone has more.
+#: one section of every frame alone has more.
 _BRANCH_SCORES = 16384
 
 
-def _branches(spec: TrellisSpec, received, channels, count_ties: bool):
-    """Best label position and correlation of every label row in every section.
+def _branches(spec: TrellisSpec, received, channels, best_pos, ties):
+    """Best correlation of every label row in every section, by blocks of sections.
 
     received (F, S, T) is scored with channels (F, N), one per frame, or
     (F, S, N), one per section.  Position p of row c correlates
@@ -387,49 +388,51 @@ def _branches(spec: TrellisSpec, received, channels, count_ties: bool):
     M_i = sum_l chi0_l B_l over masks[c, i], negated when bit i of p is set,
     and a_rest that of the last mask (not formed when that is empty in every
     row).  So the best position sets bit i exactly when a_i < 0 (an exact 0
-    keeps the lower position) and correlates sum_i |a_i| + a_rest.  The
-    filters M_i h are formed elementwise and applied by a real matmul with
-    the re/im-interleaved blocks, over blocks of frames of up to
-    _BRANCH_SCORES filter outputs.
+    keeps the lower position) and correlates sum_i |a_i| + a_rest.  Each
+    a_i = sum_{t,n} Re(M_i[t, n] conj(r_t) h_n) is one real matmul row: the
+    parts of M_i against the 4 T N products of a part of r_t with a part of
+    h_n, formed for a block of sections of all frames at once.  So every
+    output is rounded alike whatever the block (one frame alone goes
+    through BLAS's matrix-vector path), and a block holds up to
+    _BRANCH_SCORES filter outputs or products.
 
-    Returns best_pos (F, C, S), the best position in each label row, in the
-    smallest dtype that holds one; branch (S, C, F), the best correlation of
-    each label row; and ties (F,), when count_ties, each transition whose
-    label row has more than one best label (some a_i is 0), else zeros.
+    Yields branch (w, C, F), the best correlation of each label row, for
+    each block of w sections in turn.  Sets best_pos (S, C, F) to the best
+    position in each label row, and adds to ties (F,), unless it is None,
+    each transition whose label row has more than one best label (some a_i
+    is 0).
     """
-    frames, sections = received.shape[:2]
+    frames, sections, t = received.shape
     rows, bits = len(spec.cosets), spec.uncoded_bits
-    r = received.view(np.float64)                                    # (F, S, 2T)
     weights = np.moveaxis(spec.chi0[:, None] * spec.masks, 1, 0)   # (bits + 1, C, 8)
     terms = bits + weights[bits].any()          # the rest's filters only when some row has one
-    filters = np.tensordot(weights[:terms], generator_stack().view(float), 1).view(np.complex128)
-    filters = filters.reshape((-1,) + filters.shape[2:])             # (terms * C, T, N)
-    best_pos = np.zeros((frames, rows, sections), dtype=np.min_scalar_type(2 ** bits - 1))
-    branch = np.empty((sections, rows, frames))
-    ties = np.zeros(frames, dtype=np.int64)
-    step = max(1, _BRANCH_SCORES // (sections * len(filters)))
-    for f in range(0, frames, step):
-        blk = slice(f, f + step)
-        h = channels[blk, ..., None, None, :]
-        m = (filters[..., 0] * h[..., 0] + filters[..., 1] * h[..., 1]).view(np.float64)
-        if channels.ndim == 2:
-            a = m @ np.swapaxes(r[blk], 1, 2)
-        else:
-            a = np.moveaxis((m @ r[blk, ..., None])[..., 0], 1, 2)
-        a = a.reshape(-1, terms, rows, sections)                       # (frames, terms, C, S)
-        for i in range(bits):
-            best_pos[blk] |= np.left_shift(a[:, i] < 0, i, dtype=best_pos.dtype)
-        if count_ties:
-            multi = np.any(a[:, :bits] == 0, axis=1)
-            ties[blk] = np.sum(spec.coset_count @ multi, axis=1)
+    m = np.tensordot(weights[:terms], generator_stack().view(float), 1).view(np.complex128)
+    # Re(M conj(r) h) = r_re (h_re M_re - h_im M_im) + r_im (h_re M_im + h_im M_re)
+    coef = np.stack([np.stack([m.real, -m.imag], -1), np.stack([m.imag, m.real], -1)], -3)
+    coef = coef.reshape(terms * rows, -1)                              # (K, T * 2 * N * 2)
+    r = np.moveaxis(received.view(np.float64).reshape(frames, sections, t, 2), 0, -1)
+    h = np.moveaxis(channels.view(np.float64).reshape(frames, -1, channels.shape[-1], 2), 0, -1)
+    h = np.broadcast_to(np.ascontiguousarray(h)[:, None, None],
+                        (sections, 1, 1) + h.shape[1:])                # (S, 1, 1, N, 2, F)
+    place = (1 << np.arange(bits)).astype(best_pos.dtype)     # the position's bit values
+    step = max(1, _BRANCH_SCORES // (frames * max(coef.shape)))
+    for lo in range(0, sections, step):
+        hi = min(lo + step, sections)
+        products = np.ascontiguousarray(r[lo:hi])[:, :, :, None, None] * h[lo:hi]
+        a = coef @ products.reshape(hi - lo, coef.shape[1], frames)    # (w, K, F)
+        del products
+        a = a.reshape(hi - lo, terms, rows, frames)
+        np.einsum("wicf,i->wcf", (a[:, :bits] < 0).view(np.uint8), place, out=best_pos[lo:hi])
+        if ties is not None:
+            ties += np.sum(spec.coset_count @ np.any(a[:, :bits] == 0, axis=1), axis=0)
         np.abs(a[:, :bits], out=a[:, :bits])
-        branch[:, :, blk] = np.sum(a, axis=1).T
-        del a              # one block of filter outputs alive at a time
-    return best_pos, branch, ties
+        a = np.sum(a, axis=1)          # one block of filter outputs alive at a time
+        yield a
+        del a              # nor a block of scores while the next is formed
 
 
-def _acs(spec: TrellisSpec, branch, initial_state: int, count_ties: bool):
-    """Add-compare-select over the sections of branch (S, C, F).
+def _acs(spec: TrellisSpec, blocks, shape, initial_state: int, ties):
+    """Add-compare-select over the sections (S, F) = shape of branch blocks (w, C, F).
 
     Each section adds to the metric of every from-state in spec.groups the
     score of its transition's label row (subtracts its correlation: the same
@@ -437,34 +440,36 @@ def _acs(spec: TrellisSpec, branch, initial_state: int, count_ties: bool):
     from-state, by a chain of compares, several times cheaper than argmin
     over so short an axis.  Padding reads a last, +inf path metric.
     Returns back (S, states, F), the survivor's position in spec.groups in
-    the smallest dtype that holds one; the final path metrics (states, F);
-    and ties (F,), when count_ties, each extra equal candidate of a finite
-    compare and each extra equal final metric, else zeros.
+    the smallest dtype that holds one, and the final path metrics (states,
+    F).  Adds to ties (F,), unless it is None, each extra equal candidate of
+    a finite compare and each extra equal final metric.
     """
-    sections, _, frames = branch.shape
     states = spec.num_states
     from_g = np.append(spec.from_state, states)[spec.groups.T]        # (indeg, states)
     coset_g = np.append(spec.coset_of, 0)[spec.groups.T]
-    metrics = np.full((states + 1, frames), np.inf)
+    metrics = np.full((states + 1, shape[1]), np.inf)
     pm = metrics[:states]
     pm[initial_state] = 0.0
-    back = np.empty((sections,) + pm.shape, dtype=np.min_scalar_type(len(from_g) - 1))
-    ties = np.zeros(frames, dtype=np.int64)
-    for s in range(sections):
-        vals = metrics[from_g]                                        # (indeg, states, F)
-        vals -= branch[s, coset_g]
-        np.minimum.reduce(vals, out=pm)
-        above = vals[0] > pm
-        back[s] = above
-        for v in vals[1:-1]:
-            above &= v > pm
-            back[s] += above.view(np.uint8)
-        if count_ties:
-            ties += np.sum((np.sum(vals == pm, axis=0) - 1) * np.isfinite(pm), axis=0)
-    if count_ties:
+    back = np.empty((shape[0],) + pm.shape, dtype=np.min_scalar_type(len(from_g) - 1))
+    s = 0
+    for branch in blocks:
+        for j in range(len(branch)):
+            vals = metrics[from_g]                                    # (indeg, states, F)
+            vals -= branch[j, coset_g]
+            np.minimum.reduce(vals, out=pm)
+            above = vals[0] > pm
+            back[s] = above
+            for k in range(1, len(vals) - 1):
+                above &= vals[k] > pm
+                back[s] += above.view(np.uint8)
+            if ties is not None:
+                ties += np.sum((np.sum(vals == pm, axis=0) - 1) * np.isfinite(pm), axis=0)
+            s += 1
+        del branch, vals, above         # freed before the next block is scored
+    if ties is not None:
         final = np.min(pm, axis=0)
         ties += (np.sum(pm == final, axis=0) - 1) * np.isfinite(final)
-    return back, pm, ties
+    return back, pm
 
 
 def _traceback(spec: TrellisSpec, back, state) -> np.ndarray:
@@ -479,15 +484,26 @@ def _traceback(spec: TrellisSpec, back, state) -> np.ndarray:
 
 
 def _decisions(spec: TrellisSpec, path, best_pos):
-    """Decided indices (F, S) and bits (F, S * bits_per_section), uint8, along path."""
+    """Decided indices (F, S) and bits (F, S * bits_per_section), uint8, along path.
+
+    path (F, S) holds transitions; it is overwritten with flat label indices.
+    """
     frames, sections = path.shape
-    pos = best_pos[np.arange(frames)[:, None], spec.coset_of[path], np.arange(sections)]
+    flat = spec.coset_of[path]          # flat index into best_pos, built in place
+    flat *= frames
+    flat += np.arange(sections) * best_pos[0].size
+    flat += np.arange(frames)[:, None]
+    pos = best_pos.ravel()[flat]
+    del flat
     dtype = _value_dtype(spec)
     value = (spec.coded << spec.uncoded_bits).astype(dtype)[path]
     value |= pos
     bits = value[..., None] >> np.arange(spec.bits_per_section - 1, -1, -1, dtype=dtype)
     bits &= 1
-    return spec.labels[path, pos], bits.astype(np.uint8, copy=False).reshape(frames, -1)
+    del value
+    path *= spec.labels_per_branch
+    path += pos
+    return spec.labels.ravel()[path], bits.astype(np.uint8, copy=False).reshape(frames, -1)
 
 
 def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: int = 0,
@@ -496,9 +512,10 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
 
     received is (F, sections, T); channels is (F, N), one draw per frame,
     or (F, sections, N), one per section.  Every frame starts in the known
-    initial_state and ends in a free state (best final metric).  Three
-    stages run in turn: _branches scores every label row of every section
-    by matched-filter signs, _acs keeps the survivors, and _traceback with
+    initial_state and ends in a free state (best final metric).  _branches
+    scores every label row of a block of sections by matched-filter signs
+    and _acs keeps the survivors over it, block by block, so that the
+    scores of one block are alive at a time; then _traceback with
     _decisions reads the path.
 
     Returns (decided (F, sections), bits (F, sections * bits_per_section)
@@ -509,19 +526,33 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
     label is not unique, each extra equal candidate of a finite compare,
     and each extra equal final metric; +inf candidates never tie.  Without
     it ties_broken is all zero.  A one-state, one-transition trellis
-    (uncoded_trellis) skips the ACS loop.
+    (uncoded_trellis) skips the ACS loop.  Both arrays are checked by
+    checked_array, and ValueError is raised unless they hold at least one
+    block and agree in frames (and in sections, for per-section channels).
     """
     _check_initial_state(spec, initial_state)
-    received = np.ascontiguousarray(received, dtype=np.complex128)
-    channels = np.asarray(channels, dtype=np.complex128)
-    best_pos, branch, ties = _branches(spec, received, channels, count_ties)
+    t, n = generator_stack().shape[1:]
+    received = np.ascontiguousarray(checked_array(received, "received block", t, ndims=(3,)))
+    channels = np.ascontiguousarray(checked_array(channels, "channel", n, ndims=(2, 3)))
+    if not received.size:
+        raise ValueError("no received blocks given, shape %s" % (received.shape,))
+    if channels.shape[:-1] != received.shape[:channels.ndim - 1]:
+        raise ValueError("channels of shape %s do not match received blocks of shape %s"
+                         % (channels.shape, received.shape))
+    frames, sections = received.shape[:2]
+    best_pos = np.empty((sections, len(spec.cosets), frames),
+                        dtype=np.min_scalar_type(2 ** spec.uncoded_bits - 1))
+    ties = np.zeros(frames, dtype=np.int64)
+    counted = ties if count_ties else None
+    blocks = _branches(spec, received, channels, best_pos, counted)
     if spec.num_states == len(spec.transitions) == 1:
-        path = np.zeros(received.shape[:2], dtype=np.intp)
+        for _ in blocks:
+            pass
+        path = np.zeros((frames, sections), dtype=np.intp)
     else:
-        back, pm, acs_ties = _acs(spec, branch, initial_state, count_ties)
-        del branch         # its floats are not needed past the ACS
+        back, pm = _acs(spec, blocks, (sections, frames), initial_state, counted)
         path = _traceback(spec, back, np.argmin(pm, axis=0))
-        ties += acs_ties
+        del back
     return _decisions(spec, path, best_pos) + (ties,)
 
 

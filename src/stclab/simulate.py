@@ -35,9 +35,10 @@ uniforms of the channel, then the 4 * sections of the noise.  On PCG64 one
 call of length a + b returns the same doubles as a call of length a
 followed by one of length b, since each double consumes one 64-bit output,
 so this equals drawing the bits, the channel and the noise with separate
-calls.  The rows of a quarter of a chunk's frames share one buffer;
-Box-Muller (channel.normals_from_uniform) runs once per quarter over its
-channel columns and once over its noise columns.
+calls.  The rows of 32 frames at a time share one buffer, each frame's
+state is made as its row is filled, and Box-Muller
+(channel.normals_from_uniform) runs once per refill over its channel
+columns and once over its noise columns.
 
 Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS sections
 and at least one frame.  A chunk's payload bits, channels and noise are
@@ -48,10 +49,12 @@ and cut after that frame, the frame where a frame-by-frame run stops.
 Results therefore do not depend on the chunk size; the frames past the stop
 (at most one chunk less one frame per point) are drawn and decoded but not
 counted, and elapsed_seconds includes that work.  A chunk's memory does
-depend on its size: for 128 frames of 50 sections the tracemalloc peak is
-about 0.8 MiB uncoded and 0.9 MiB in trellis mode, where the decoder's
-branch correlations (400 KiB) and the received blocks (200 KiB) are alive
-together; tests/test_simulate.py holds both to a ceiling.
+depend on its size: for 256 frames of 50 sections the tracemalloc peak is
+about 0.77 MiB uncoded and 0.97 MiB in trellis mode.  transmit forms the
+received blocks (400 KiB) in the noise's buffer, and they stay alive while
+the decoder holds its best label positions and survivors (100 KiB each in
+trellis mode) and the scores of one block of sections;
+tests/test_simulate.py holds both peaks to a ceiling.
 """
 
 from __future__ import annotations
@@ -74,13 +77,13 @@ from .detectors import (
     viterbi_decode_frames,
 )
 
-#: Sections drawn and decoded together by run_point, in whole frames (128
+#: Sections drawn and decoded together by run_point, in whole frames (256
 #: frames of 50 sections): enough frames that the decoder's per-section
 #: loops cost little per frame, and a bound on the chunk's memory for any
 #: frame length.  Every chunk of a point has this size but the last of
 #: frames_per_point, including the one an early stop cuts.  Results do not
 #: depend on it.
-CHUNK_SECTIONS = 6400
+CHUNK_SECTIONS = 12800
 
 CSV_HEADER = "snr_db,frames,bits,bit_errors,frame_errors,ber,fer,elapsed_seconds"
 
@@ -252,9 +255,11 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _frame_states(base_seed: int, point_index: int, first: int, count: int) -> list:
+def _frame_states(base_seed: int, point_index: int, first: int, count: int):
     """PCG64(SeedSequence(base_seed, spawn_key=(point_index, f))).state for
-    frames f = first, ..., first + count - 1 (below 2^64), in order.
+    frames f = first, ..., first + count - 1 (below 2^64), in order, made one
+    at a time by a generator: the hash runs over all frames at the first
+    next(), and each state dict is built when it is asked for.
 
     The frame words continue the hash from the pool of
     SeedSequence(base_seed, spawn_key=(point_index,)), which took 4 steps per
@@ -277,13 +282,11 @@ def _frame_states(base_seed: int, point_index: int, first: int, count: int) -> l
         pool = np.where(high != 0, _mix(pool, _hash(high, c[4:8], c[5:9])), pool)
     o = _hash_constants(_INIT_B, _MULT_B, 8)
     out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], o[:8], o[1:]).astype(np.uint64)
-    states = []
     for seed_hi, seed_lo, seq_hi, seq_lo in (out[0::2] | out[1::2] << 32).T.tolist():
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
         state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
@@ -295,12 +298,12 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
     for the payload bits, 4 for the channel, 4 * sections for the noise.
     The call builds one PCG64 generator of its own and loads it with each
     frame's state from _frame_states, so concurrent calls share no state.
-    The buffer holds a quarter of the frames (rounded up) and is refilled
-    for each quarter in turn; Box-Muller runs once over each part of a
-    quarter, and the results land in arrays sized for all count frames.
+    The buffer holds 32 rows, whatever count is, and is refilled for each
+    32 frames in turn; Box-Muller runs once over each part of a refill, and
+    the results land in arrays sized for all count frames.
     """
     ch_end = bits_per_frame + 4
-    u = np.empty((-(-count // 4), ch_end + 4 * cfg.sections_per_frame))
+    u = np.empty((min(count, 32), ch_end + 4 * cfg.sections_per_frame))
     tx_bits = np.empty((count, bits_per_frame), dtype=np.uint8)
     h = np.empty((count, 2), dtype=np.complex128)
     noise = np.empty((count, 4 * cfg.sections_per_frame))
@@ -309,7 +312,7 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
     states = _frame_states(cfg.base_seed, point_index, first, count)
     for lo in range(0, count, len(u)):
         part = u[:count - lo]
-        for row, state in zip(part, states[lo:lo + len(u)]):
+        for row, state in zip(part, states):
             bit_generator.state = state
             gen.random(out=row)
         rows = slice(lo, lo + len(part))
@@ -349,8 +352,8 @@ def run_point(cfg: SimConfig, point_index: int,
         count = min(max(1, CHUNK_SECTIONS // sections), cfg.frames_per_point - frames)
         tx_bits, h, noise = _draw_frames(cfg, point_index, frames, count,
                                          bits_per_frame)
+        # the received blocks take the noise's buffer over
         rec = transmit(h, trellis_encode_frames(spec, tx_bits), noise, sigma)
-        del noise
         rx_bits = viterbi_decode_frames(spec, rec, h)[1]
         errs = np.count_nonzero(rx_bits != tx_bits, axis=1)
         # keep the frames up to the one that spends the error budget, where a
@@ -361,7 +364,7 @@ def run_point(cfg: SimConfig, point_index: int,
         bit_errors += int(np.sum(errs))
         frame_errors += int(np.count_nonzero(errs))
         # free this chunk's arrays before the next chunk is drawn
-        del tx_bits, h, rec, rx_bits, errs
+        del tx_bits, h, noise, rec, rx_bits, errs
     elapsed = time.perf_counter() - t0
     return SimResultRow(snr_db=snr_db, frames=frames, bits=frames * bits_per_frame,
                         bit_errors=bit_errors, frame_errors=frame_errors,
@@ -399,11 +402,14 @@ def format_csv(cfg: SimConfig, rows) -> str:
     return buf.getvalue()
 
 
-def parse_config_file(text: str) -> dict:
+def parse_config_file(text: str, overrides=None) -> dict:
     """key=value per line; '#' comments; keys from FIELDS, each once.
 
-    Malformed lines, unknown or repeated keys, and values that field_value
-    rejects raise ValueError naming the line.
+    Returns the text's values updated by overrides, field values that take
+    precedence over the text (simulate's flags).  Malformed lines, unknown
+    or repeated keys, values that field_value rejects, and a trellis_path
+    line that the resolved mode would not read raise ValueError naming the
+    line.
     """
     out, first_line = {}, {}
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -423,4 +429,11 @@ def parse_config_file(text: str) -> dict:
         except ValueError as exc:
             raise ValueError("line %d: %s" % (no, exc)) from None
         first_line[key] = no
+    overrides = overrides or {}
+    out.update(overrides)
+    if "trellis_path" in first_line and "trellis_path" not in overrides:
+        try:
+            SimConfig(**out)      # every value is checked: only the mode can reject it
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (first_line["trellis_path"], exc)) from None
     return out

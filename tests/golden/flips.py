@@ -1,0 +1,114 @@
+"""Compare the decoder's decisions in this tree with those of another checkout.
+
+    python tests/golden/flips.py --against DIR [--seeds 7,2026]
+
+DIR is the root of another checkout of the repository, for example the
+parent commit extracted with ``git archive``.  For each seed and in both
+modes, each tree draws 5,120 frames of 50 sections at each of 15 SNRs from
+-10 to 40 dB with the simulator's own draws (``simulate._draw_frames``, the
+trellis encoder and ``channel.transmit``) and decodes them with
+``viterbi_decode_frames(..., count_ties=True)``.  Each tree runs in a
+process of its own, with its own ``src`` first on ``sys.path``.
+
+The script prints, per seed and mode, the blocks whose decided index
+differs, the decided bits that differ and the frames whose tie counts
+differ, with the first few differing blocks, and exits 1 on any
+difference (0 when there is none).  A decoder change that only reorders
+rounding should flip nothing; a flip at a near-tie is reported here, not
+hidden.
+"""
+
+from __future__ import annotations
+
+import argparse
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[2]
+MODES = ("uncoded", "trellis")
+SNRS_DB = np.linspace(-10.0, 40.0, 15)
+FRAMES, SECTIONS, CHUNK = 5120, 50, 256
+SHOWN = 5           # differing blocks listed per seed and mode
+
+
+def _dump(src: str, seed: int, out: str) -> None:
+    """Decode every point of both modes in the tree at src; save to out (.npz)."""
+    sys.path.insert(0, str(Path(src) / "src"))
+    from stclab.channel import transmit
+    from stclab.detectors import trellis_encode_frames, viterbi_decode_frames
+    from stclab.simulate import SimConfig, _draw_frames, _trellis_for, sigma_for_snr_db
+
+    arrays = {}
+    for mode in MODES:
+        cfg = SimConfig(mode=mode, snr_list_db=tuple(SNRS_DB), frames_per_point=FRAMES,
+                        base_seed=seed, max_frame_errors=FRAMES, sections_per_frame=SECTIONS)
+        spec = _trellis_for(cfg)
+        decided, bits, ties = [], [], []
+        for point, snr_db in enumerate(cfg.snr_list_db):
+            sigma = sigma_for_snr_db(snr_db)
+            for first in range(0, FRAMES, CHUNK):
+                tx_bits, h, noise = _draw_frames(cfg, point, first, CHUNK,
+                                                 SECTIONS * spec.bits_per_section)
+                rec = transmit(h, trellis_encode_frames(spec, tx_bits), noise, sigma)
+                d, b, t = viterbi_decode_frames(spec, rec, h, count_ties=True)
+                decided.append(d.astype(np.uint8))
+                bits.append(np.packbits(b, axis=1))
+                ties.append(t)
+        arrays.update({mode + "_decided": np.concatenate(decided),
+                       mode + "_bits": np.concatenate(bits),
+                       mode + "_ties": np.concatenate(ties)})
+    np.savez(out, **arrays)
+
+
+def _decode(tree: Path, seed: int, out: Path) -> dict:
+    """The arrays _dump saves for the tree at tree, run in a process of its own."""
+    subprocess.run([sys.executable, __file__, "--dump", str(tree), str(seed), str(out)],
+                   check=True)
+    with np.load(out) as data:
+        return dict(data)
+
+
+def compare(against: Path, seeds) -> int:
+    """Print the differences per seed and mode; the number of differing items."""
+    total = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            ours, theirs = (_decode(tree, seed, Path(tmp) / ("%s-%d.npz" % (side, seed)))
+                            for side, tree in (("ours", REPO), ("theirs", against)))
+            for mode in MODES:
+                dec = ours[mode + "_decided"] != theirs[mode + "_decided"]
+                bits = np.unpackbits(ours[mode + "_bits"] ^ theirs[mode + "_bits"], axis=1)
+                ties = ours[mode + "_ties"] != theirs[mode + "_ties"]
+                counts = (np.count_nonzero(dec), int(bits.sum()), np.count_nonzero(ties))
+                total += sum(counts)
+                print("seed %d %s: %d blocks, %d differing blocks, %d differing bits, "
+                      "%d differing tie counts" % ((seed, mode, dec.size) + counts))
+                for row, section in np.argwhere(dec)[:SHOWN]:
+                    point, frame = divmod(int(row), FRAMES)
+                    print("  snr %g dB frame %d section %d: %d here, %d there"
+                          % (SNRS_DB[point], frame, section,
+                             ours[mode + "_decided"][row, section],
+                             theirs[mode + "_decided"][row, section]))
+    return total
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--against", type=Path, help="root of the other checkout")
+    p.add_argument("--seeds", default="7,2026", help="comma-separated base seeds")
+    p.add_argument("--dump", nargs=3, metavar=("TREE", "SEED", "OUT"), help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.dump:
+        _dump(args.dump[0], int(args.dump[1]), args.dump[2])
+        return 0
+    if args.against is None:
+        p.error("--against is required")
+    return 1 if compare(args.against.resolve(), [int(s) for s in args.seeds.split(",")]) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

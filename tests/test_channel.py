@@ -86,7 +86,7 @@ def test_transmit_noiseless_and_noise_scaling():
     idx = rng.integers(0, 32, size=(frames, blocks))
     h = np.stack([_channel(rng) for _ in range(frames)])
     noise = normals_from_uniform(rng.random(frames * 4 * blocks)).reshape(frames, 4 * blocks)
-    clean = transmit(h, idx, noise, 0.0)
+    clean = transmit(h, idx, noise.copy(), 0.0)        # transmit takes its noise over
     assert clean.shape == (frames, blocks, 2)
     # the gather is the product C h of every sent codematrix, byte for byte
     assert clean.tobytes() == (mats[idx] @ h[:, None, :, None])[..., 0].tobytes()
@@ -120,20 +120,31 @@ def test_normals_from_uniform_equal_the_two_temporary_formula(shape, cols):
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-3, 1e3])
-def test_transmit_equals_gather_plus_scaled_noise_and_keeps_its_inputs(sigma):
+def test_transmit_equals_gather_plus_scaled_noise_in_the_noise_buffer(sigma):
+    # 37 frames: the candidates are formed for CHUNK_DRAWS frames at a time,
+    # the last block short
     rng = np.random.default_rng(17)
     frames, blocks = 37, 11
     h = rng.standard_normal((frames, 2)) + 1j * rng.standard_normal((frames, 2))
     idx = rng.integers(0, 32, size=(frames, blocks))
     noise = rng.standard_normal((frames, 4 * blocks))
-    h_bytes, noise_bytes = h.tobytes(), noise.tobytes()
-    got = transmit(h, idx, noise, sigma)
-    assert h.tobytes() == h_bytes and noise.tobytes() == noise_bytes
     # the gather from a table of each frame's 32 faded candidates C h
     mats = matrix_stack()
     faded = mats[..., 0] * h[:, None, None, 0] + mats[..., 1] * h[:, None, None, 1]
     want = faded[np.arange(frames)[:, None], idx] + sigma * (
         noise[:, 0::2] + 1j * noise[:, 1::2]).reshape(frames, blocks, 2)
+    # noise that is not writeable C-contiguous float64 is copied and left as it is
+    fortran, frozen = np.asfortranarray(noise), noise.copy()
+    frozen.flags.writeable = False
+    for kept in (fortran, frozen):
+        got = transmit(h, idx, kept, sigma)
+        assert kept.tobytes() == noise.tobytes() and not np.shares_memory(got, kept)
+        assert got.tobytes() == want.tobytes()
+    # C-contiguous float64 noise is taken over: the blocks are formed in its buffer
+    h_bytes, idx_bytes = h.tobytes(), idx.tobytes()
+    got = transmit(h, idx, noise, sigma)
+    assert h.tobytes() == h_bytes and idx.tobytes() == idx_bytes
+    assert np.shares_memory(got, noise)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 

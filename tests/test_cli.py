@@ -243,10 +243,23 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
         cfgf.write_text(bad)
         assert main(["simulate", "--config", str(cfgf)]) == 2
         assert "error: line %d:" % line in capsys.readouterr().err
-    # a trellis file in uncoded mode would be ignored: rejected instead
+    # a trellis file in uncoded mode would be ignored: rejected instead, at
+    # its line when the config names it, whatever gives the mode
     cfgf.write_text("mode=uncoded\nframes_per_point=1\ntrellis_path=/nonexistent\n")
     assert main(["simulate", "--config", str(cfgf)]) == 2
-    assert "trellis_path is only read in trellis mode" in capsys.readouterr().err
+    assert "error: line 3: trellis_path is only read in trellis mode" in capsys.readouterr().err
+    cfgf.write_text("frames_per_point=1\ntrellis_path=/nonexistent\n")
+    for flags in ([], ["--mode", "uncoded"]):
+        assert main(["simulate", "--config", str(cfgf)] + flags) == 2
+        assert "error: line 2: trellis_path is only read" in capsys.readouterr().err
+    cfgf.write_text("mode=uncoded\nframes_per_point=1\n")
+    assert main(["simulate", "--config", str(cfgf), "--trellis", "/nonexistent"]) == 2
+    assert "error: trellis_path is only read in trellis mode" in capsys.readouterr().err
+    # the flag's mode is the one a config's trellis file is read in
+    cfgf.write_text("mode=uncoded\nframes_per_point=1\nsections_per_frame=2\n"
+                    "trellis_path=/nonexistent\n")
+    assert main(["simulate", "--config", str(cfgf), "--mode", "trellis"]) == 2
+    assert "No such file" in capsys.readouterr().err
 
 
 def test_simulate_bad_mode_is_exit_2(capsys):

@@ -626,24 +626,56 @@ def test_count_ties_false_changes_nothing_else(trellis, per_section):
     assert not uncounted[2].any()
 
 
+@pytest.fixture
+def block_widths(monkeypatch):
+    """The width of each block of sections that _branches yields, in order."""
+    widths = []
+    branches = detectors._branches
+
+    def spy(*args):
+        for block in branches(*args):
+            widths.append(len(block))
+            yield block
+    monkeypatch.setattr(detectors, "_branches", spy)
+    return widths
+
+
+#: Values that _branches forms per section of a frame for every named
+#: trellis: 16 filter outputs (2 x 8 label rows) or, uncoded, 16 products
+#: of a part of r_t with a part of h_n.
+SCORES_PER_SECTION = 16
+
+
 @pytest.mark.parametrize("trellis", sorted(NAMED_TRELLISES))
 @pytest.mark.parametrize("per_section", [False, True])
-def test_decisions_do_not_depend_on_the_branch_block(monkeypatch, trellis, per_section):
-    # _branches applies its filters to blocks of frames of up to
-    # _BRANCH_SCORES outputs: one frame per block, the default's few frames
-    # (its last block short) and all 45 frames in one block must give the
-    # same bytes
+def test_decisions_do_not_depend_on_the_branch_block(monkeypatch, block_widths, trellis,
+                                                     per_section):
+    # _branches scores blocks of sections of up to _BRANCH_SCORES values
+    # and the ACS runs block by block: blocks of 1, 2 and 7 sections, the
+    # default and all 50 sections must give the same bytes, with zero-channel
+    # and all-tie frames among the 45
     spec = NAMED_TRELLISES[trellis]
-    rec, _, h = _noisy_batch(spec, np.random.default_rng(43), 45, 50, 0, 0.6, per_section, 2)
+    frames, sections = 45, 50
+    rec, _, h = _noisy_batch(spec, np.random.default_rng(43), frames, sections, 0, 0.6,
+                             per_section, 2)
+    h[0] = 0.0                  # a zero channel under noise
+    rec[1] = 0.0                # nothing received over a fading channel
     runs = []
-    for scores in (1, detectors._BRANCH_SCORES, 10**9):
+    default = detectors._BRANCH_SCORES
+    for width in (1, 2, 7, None, sections):
+        scores = default if width is None else width * frames * SCORES_PER_SECTION
         monkeypatch.setattr(detectors, "_BRANCH_SCORES", scores)
+        block_widths.clear()
         runs.append(viterbi_decode_frames(spec, rec, h, count_ties=True))
+        want = width or default // (frames * SCORES_PER_SECTION)
+        assert block_widths == [want] * (sections // want) + [sections % want] * (
+            sections % want > 0)
     for got in runs[1:]:
         for name, g, w in zip(("decided", "bits", "ties"), got, runs[0]):
             assert g.dtype == w.dtype and g.shape == w.shape, name
             assert g.tobytes() == w.tobytes(), name
-    assert runs[0][2][-1] > 0          # the all-tie frames count their ties
+    ties = runs[0][2]
+    assert ties[0] > 0 and ties[1] > 0 and ties[-1] > 0       # the tie frames count them
 
 
 @settings(max_examples=100, deadline=None)
@@ -694,6 +726,52 @@ def test_viterbi_input_validation():
         viterbi_decode(spec, [np.zeros(2, complex)], [h, h])
     with pytest.raises(ValueError):
         viterbi_decode(spec, [np.zeros(2, complex)], h, initial_state=-1)
+
+
+def _frames_batch(frames=4, sections=3):
+    """Received blocks (F, S, 2) and per-frame channels (F, 2) of noise."""
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((frames, sections + 1, 2, 2))
+    return g[:, 1:, :, 0] + 1j * g[:, 1:, :, 1], g[:, 0, :, 0] + 1j * g[:, 0, :, 1]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("three channel columns", "channel has 3 coefficients, expected 2"),
+    ("NaN channel", "channel coefficients must be finite"),
+    ("two extra channel rows", "channels of shape \\(6, 2\\) do not match"),
+    ("per-section channels of other sections", "channels of shape \\(4, 2, 2\\) do not match"),
+    ("infinite received sample", "received block samples must be finite"),
+    ("2-D received blocks", "received block array must be 3-D"),
+    ("three samples per block", "received block has 3 samples, expected 2"),
+    ("no frames", "no channel draws given"),
+    ("no sections", "no received blocks given"),
+    ("1-D channel", "channel array must be 2-D or 3-D"),
+])
+def test_viterbi_decode_frames_rejects_malformed_input(case, message):
+    # each used to decode to silent garbage or fail inside numpy
+    rec, h = _frames_batch()
+    if case == "three channel columns":
+        h = np.column_stack([h, h[:, :1]])
+    elif case == "NaN channel":
+        h[2, 1] = complex(np.nan, 0.0)
+    elif case == "two extra channel rows":
+        h = np.concatenate([h, h[:2]])
+    elif case == "per-section channels of other sections":
+        h = np.repeat(h[:, None], 2, axis=1)
+    elif case == "infinite received sample":
+        rec[0, 1, 0] = complex(0.0, np.inf)
+    elif case == "2-D received blocks":
+        rec = rec[0]
+    elif case == "three samples per block":
+        rec = np.concatenate([rec, rec[..., :1]], axis=-1)
+    elif case == "no frames":
+        rec, h = rec[:0], h[:0]
+    elif case == "no sections":
+        rec = rec[:, :0]
+    else:
+        h = h[0]
+    with pytest.raises(ValueError, match=message):
+        viterbi_decode_frames(default_trellis(), rec, h)
 
 
 def test_uncoded_trellis_gray_structure():

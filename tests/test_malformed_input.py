@@ -58,7 +58,7 @@ TOKENS = st.one_of(
     LARGE.map(str),
     st.integers(-2**70, 2**70).map(str),
     st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e999", "x", "", "1,2", "=", "#",
-                     "9" * 5000, "0.5", "1,0", "re,im"]))
+                     "9" * 5000, "0.5", "1,0", "re,im", "trellis_path"]))
 EDITS = st.lists(st.tuples(st.sampled_from(["token", "drop", "repeat", "cut"]),
                            st.integers(0, 400), st.integers(0, 40), TOKENS),
                  min_size=1, max_size=4)
@@ -116,6 +116,7 @@ EMPTY_TEXT_ERRORS = {"config": None, "trellis": "empty trellis file",
 @example(edits=[("drop", 8, 0, "")])          # state 0 keeps 3 of its 4 transitions
 @example(edits=[("cut", 7, 0, "")])           # the header alone
 @example(edits=[("token", 6, 3, "5")])        # bits_per_section=5: 8 out per state
+@example(edits=[("token", 1, 0, "trellis_path")])   # config: a trellis file, default mode
 def test_mutated_errors_name_a_line(name, edits):
     text, parse = PARSERS[name]
     text = _mutate(text, edits)

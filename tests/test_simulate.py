@@ -11,7 +11,7 @@ from golden.record import irregular_trellis_text
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stclab import simulate
+from stclab import detectors, simulate
 from stclab.constellation import build_constellation, matrix_stack
 from stclab.detectors import default_trellis, load_trellis, uncoded_trellis
 from stclab.simulate import (
@@ -138,7 +138,7 @@ WORD_COUNTS = (st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 -
 @example(seed=2**128, point=2**32, frame=2**32)
 def test_frame_states_equal_pcg64_state(seed, point, frame):
     want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(point, frame))).state
-    assert _frame_states(seed, point, frame, 1) == [want]
+    assert list(_frame_states(seed, point, frame, 1)) == [want]
 
 
 def _two_call_normals(rng, n):
@@ -372,10 +372,26 @@ def test_an_early_stop_cuts_a_whole_chunk(monkeypatch, spawn_keys):
         assert spawn_keys == [(0,)] * -(-stop // chunk), chunk
 
 
+@pytest.mark.parametrize("mode", ["uncoded", "trellis"])
+def test_counts_do_not_depend_on_the_section_block(monkeypatch, mode):
+    # the decoder scores and runs the ACS by blocks of sections of up to
+    # detectors._BRANCH_SCORES values: one section at a time, 7 of the 20,
+    # the default and whole frames count the same frames and errors
+    cfg = SimConfig(mode=mode, snr_list_db=(2.0, 6.0), frames_per_point=70, base_seed=9,
+                    max_frame_errors=25, sections_per_frame=20)
+    rows = []
+    for scores in (1, 7 * 70 * 16, detectors._BRANCH_SCORES, 10**9):
+        monkeypatch.setattr(detectors, "_BRANCH_SCORES", scores)
+        rows.append([replace(r, elapsed_seconds=0.0) for r in run_simulation(cfg)])
+    assert rows[0][0].frames < 70            # the first point stops early
+    assert all(r == rows[0] for r in rows[1:])
+
+
 #: tracemalloc peak in KiB of run_point over one full chunk of 50-section
-#: frames: measured 811 (uncoded) and 1017 (trellis) with numpy 2.4 at
-#: CHUNK_SECTIONS = 6400, plus a margin of 5%.  A chunk size or a chunk
-#: array that grows past it fails here.
+#: frames: set at 811 (uncoded) and 1017 (trellis), measured with numpy 2.4
+#: at CHUNK_SECTIONS = 6400, plus a margin of 5%; measured 786 and 988 at
+#: CHUNK_SECTIONS = 12800.  A chunk size or a chunk array that grows past
+#: it fails here.
 CHUNK_PEAK_KIB = {"uncoded": 852, "trellis": 1068}
 
 
