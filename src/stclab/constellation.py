@@ -108,23 +108,16 @@ def matrix_stack() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def generator_stack() -> np.ndarray:
-    """The 8 generators, BASE then PRIMED, as a read-only (8, 2, 2) array."""
-    gens = np.stack(alamouti_generators().basis + primed_alamouti_generators().basis)
-    gens.flags.writeable = False
-    return gens
-
-
-@lru_cache(maxsize=None)
 def chi_table() -> np.ndarray:
     """chi_coordinates of all 32 entries as a read-only (32, 8) array, index order.
 
-    The 8 generators are orthonormal under Re tr(A^H B) (c N = 1), so one
-    projection gives every coordinate: those on an entry's own half are its
-    chi, and the norm of those on the other half is its residual off its
-    tagged design.
+    The 8 generators, BASE then PRIMED, are orthonormal under Re tr(A^H B)
+    (c N = 1), so one projection gives every coordinate: those on an entry's
+    own half are its chi, and the norm of those on the other half is its
+    residual off its tagged design.
     """
-    gens = generator_stack().view(float).reshape(8, -1)
+    gens = np.stack(alamouti_generators().basis + primed_alamouti_generators().basis)
+    gens = gens.view(float).reshape(8, -1)
     chi = matrix_stack().view(float).reshape(32, -1) @ gens.T
     primed = [e.subconstellation is Subconstellation.PRIMED for e in build_constellation()]
     own = np.equal.outer(primed, np.arange(8) >= 4)

@@ -12,10 +12,11 @@ trellis whose branches carry parallel codematrix labels (one coset per
 branch); parallel transitions are resolved to the best label before the
 compare step.  C = sum_l chi_l B_l over its half's generators, so the
 correlation is linear in chi: every label row is a sign-flip coset, and
-its best label takes one matched-filter sign per uncoded bit (Alamouti's
-linear ML, decoupled over parallel transitions as in Jafarkhani and
-Seshadri, 2003).  viterbi_decode re-sums the exact
-||r - C h||^2 of the decided candidates, so the metric it returns is the
+its best label takes one matched-filter sign per uncoded bit, each filter
+half the difference of two of the row's codematrices (Alamouti's linear
+ML, decoupled over parallel transitions as in Jafarkhani and Seshadri,
+2003).  viterbi_decode re-sums the exact ||r - C h||^2 of the decided
+candidates, so the metric it returns is the
 path's squared distance.  All tie-breaks are deterministic: smaller
 predecessor state, then smaller label position.  Ties are counted only on
 request (viterbi_decode always asks).  Uncoded BASE transmission is the
@@ -30,12 +31,13 @@ that has a header.
 from __future__ import annotations
 
 import importlib.resources
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .constellation import build_constellation, chi_table, generator_stack, matrix_stack
+from .constellation import build_constellation, chi_table, matrix_stack
 from .designs import checked_array
 from .expansion import Subconstellation
 
@@ -76,14 +78,13 @@ class TrellisSpec:
     * groups[s] lists the transitions into state s by from-state, padded
       with the index len(transitions), whose candidate metric is +inf;
     * indexed (state, coded value): next_state, and branch_labels with the
-      label row on the last axis;
-    * per label row c: chi0[c], the chi_coordinates of its position 0, and
-      masks[c], the coordinates that uncoded bit i flips and, last, those
-      that no bit flips.  A row that is no such sign-flip coset raises
-      ValueError (_sign_flips), and so does a row that shares a label with
-      another row (_overlaps): each row sums a label's correlation in its
-      own order, so an exact tie of that label across the two rows would go
-      by rounding rather than by the smaller from-state.
+      label row on the last axis.
+
+    It also raises ValueError for a label row that is no sign-flip coset
+    (_sign_flips), so that _filters can take its filters from its own
+    codematrices, and for a row that shares a label with another row
+    (_overlaps): each row sums a label's correlation in its own order, so a
+    tie of that label would go by rounding, not by the smaller from-state.
 
     The derived arrays are read-only, since cached specs are shared.
     """
@@ -99,6 +100,15 @@ class TrellisSpec:
         coded_bits = self.bits_per_section - uncoded_bits
         from_state = np.array([t.from_state for t in trans], dtype=np.intp)
         to_state = np.array([t.to_state for t in trans], dtype=np.intp)
+        if self.bits_per_section < 1:
+            raise ValueError("bits_per_section must be at least 1, got %d" % self.bits_per_section)
+        edges = np.stack([from_state, to_state], axis=1)
+        for bad, what in ((np.any((edges < 0) | (edges >= states), axis=1),
+                           "a state out of range 0..%d" % (states - 1)),
+                          (np.any((labels < 0) | (labels >= 32), axis=1),
+                           "a label out of range 0..31")):
+            if bad.any():
+                raise ValueError("transition %d->%d has %s" % (*edges[bad.argmax()], what))
         degree = np.bincount(from_state, minlength=states)
         wrong = np.flatnonzero(degree != 2 ** coded_bits)
         if wrong.size:
@@ -111,7 +121,7 @@ class TrellisSpec:
         coset_of = np.array([distinct.setdefault(t.labels, len(distinct)) for t in trans],
                             dtype=np.intp)
         cosets = np.array(list(distinct), dtype=np.intp)
-        chi0, masks, coset = _sign_flips(cosets)
+        coset = _sign_flips(cosets)
         if not coset.all():
             raise ValueError("label row %s is not a sign-flip coset" % cosets[~coset][0].tolist())
         overlap = _overlaps(cosets)
@@ -127,7 +137,7 @@ class TrellisSpec:
                 coded_bits=coded_bits, from_state=from_state, to_state=to_state,
                 coded=coded, labels=labels, cosets=cosets, coset_of=coset_of,
                 coset_count=np.bincount(coset_of), groups=groups, next_state=to_state[branch],
-                branch_labels=labels[branch], chi0=chi0, masks=masks).items():
+                branch_labels=labels[branch]).items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -143,18 +153,16 @@ def _entry_column(value) -> np.ndarray:
     return np.array([value(e) for e in build_constellation()])
 
 
-def _sign_flips(rows):
-    """chi0 (R, 8) and masks (R, bits + 1, 8) of label rows (R, 2**bits), and
-    whether each is a sign-flip coset (R,): position p is chi0 with mask i
-    negated for each set bit i of p, no coordinate twice.  Mask i holds the
-    coordinates where position 2**i differs from position 0; the last, the rest."""
+def _sign_flips(rows) -> np.ndarray:
+    """Whether each label row (R, 2**bits) is a sign-flip coset: the chi signs
+    of position p are those of position 0, negated for each set bit i of p
+    where position 2**i differs from position 0, and no two bits negate one
+    coordinate."""
     chi = np.sign(chi_table())[rows]                    # (R, L, 8), exactly 0 or +-1
     bits = rows.shape[1].bit_length() - 1
-    chi0 = chi[:, 0]
-    flips = chi[:, 1 << np.arange(bits)] != chi0[:, None]           # (R, bits, 8)
+    flips = chi[:, 1 << np.arange(bits)] != chi[:, :1]              # (R, bits, 8)
     set_bits = np.arange(rows.shape[1])[:, None] >> np.arange(bits) & 1
-    coset = np.all(chi == chi0[:, None] * (1 - 2 * (set_bits @ flips)), axis=(1, 2))
-    return chi0, np.concatenate([flips, ~np.any(flips, axis=1, keepdims=True)], axis=1), coset
+    return np.all(chi == chi[:, :1] * (1 - 2 * (set_bits @ flips)), axis=(1, 2))
 
 
 def _overlaps(rows) -> np.ndarray:
@@ -255,7 +263,7 @@ def load_trellis(text: str) -> TrellisSpec:
         first(position != np.arange(labels.shape[1]),
               lambda k, pos: "transition %d->%d label %d out of uncoded-bit order"
               % (edge(k) + (labels[k, pos],)))
-    first(~_sign_flips(labels)[2],
+    first(~_sign_flips(labels),
           lambda k: "transition %d->%d labels are not a sign-flip coset" % edge(k))
     first(_overlaps(labels),
           lambda k: "transition %d->%d shares a label with an earlier label row" % edge(k))
@@ -327,9 +335,15 @@ def _value_dtype(spec: TrellisSpec) -> np.dtype:
     return np.min_scalar_type((1 << spec.bits_per_section) - 1)
 
 
-def _check_initial_state(spec: TrellisSpec, initial_state: int) -> None:
-    if not 0 <= initial_state < spec.num_states:
-        raise ValueError("initial state out of range")
+def _check_initial_state(spec: TrellisSpec, initial_state: int) -> int:
+    """initial_state as an int, which must name a state of spec."""
+    try:
+        state = operator.index(initial_state)
+    except TypeError:
+        raise ValueError("initial_state must be an integer, got %r" % (initial_state,)) from None
+    if not 0 <= state < spec.num_states:
+        raise ValueError("initial_state %d out of range 0..%d" % (state, spec.num_states - 1))
+    return state
 
 
 def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np.ndarray:
@@ -343,7 +357,7 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
     if b.ndim != 2 or b.shape[1] % spec.bits_per_section:
         raise ValueError("bits must be rows of a multiple of %d, got shape %s"
                          % (spec.bits_per_section, b.shape))
-    _check_initial_state(spec, initial_state)
+    initial_state = _check_initial_state(spec, initial_state)
     if not np.all((b == 0) | (b == 1)):         # before the values are read as integers
         raise ValueError("bits must be 0 or 1")
     dtype = _value_dtype(spec)
@@ -379,22 +393,30 @@ def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
 _BRANCH_SCORES = 16384
 
 
+def _filters(spec: TrellisSpec) -> np.ndarray:
+    """Matched filters (terms, C, T, N) of the label rows: M_i = (C_0 - C_2**i) / 2 per
+    uncoded bit i, then (C_0 + C_last) / 2, what no bit flips, if some row has any."""
+    c = matrix_stack()[spec.cosets]                                    # (C, L, T, N)
+    m = np.moveaxis(np.concatenate([c[:, :1] - c[:, 1 << np.arange(spec.uncoded_bits)],
+                                    c[:, :1] + c[:, -1:]], axis=1) / 2, 1, 0)
+    return m[:spec.uncoded_bits + m[-1].any()]
+
+
 def _branches(spec: TrellisSpec, received, channels, best_pos, ties):
     """Best correlation of every label row in every section, by blocks of sections.
 
     received (F, S, T) is scored with channels (F, N), one per frame, or
     (F, S, N), one per section.  Position p of row c correlates
-    sum_i +-a_i + a_rest, with a_i = Re<r, M_i h> the matched filter of
-    M_i = sum_l chi0_l B_l over masks[c, i], negated when bit i of p is set,
-    and a_rest that of the last mask (not formed when that is empty in every
-    row).  So the best position sets bit i exactly when a_i < 0 (an exact 0
-    keeps the lower position) and correlates sum_i |a_i| + a_rest.  Each
-    a_i = sum_{t,n} Re(M_i[t, n] conj(r_t) h_n) is one real matmul row: the
-    parts of M_i against the 4 T N products of a part of r_t with a part of
-    h_n, formed for a block of sections of all frames at once.  So every
-    output is rounded alike whatever the block (one frame alone goes
-    through BLAS's matrix-vector path), and a block holds up to
-    _BRANCH_SCORES filter outputs or products.
+    sum_i +-a_i + a_rest, with a_i = Re<r, M_i h> for the row's filters M_i
+    (_filters), negated when bit i of p is set, and a_rest that of the
+    coordinates no bit flips.  So the best position sets bit i exactly when
+    a_i < 0 (an exact 0 keeps the lower position) and correlates
+    sum_i |a_i| + a_rest.  Each a_i = sum_{t,n} Re(M_i[t, n] conj(r_t) h_n)
+    is one real matmul row: the parts of M_i against the 4 T N products of
+    a part of r_t with a part of h_n, formed for a block of sections of all
+    frames at once.  So every output is rounded alike whatever the block
+    (one frame alone goes through BLAS's matrix-vector path), and a block
+    holds up to _BRANCH_SCORES filter outputs or products.
 
     Yields branch (w, C, F), the best correlation of each label row, for
     each block of w sections in turn.  Sets best_pos (S, C, F) to the best
@@ -404,9 +426,8 @@ def _branches(spec: TrellisSpec, received, channels, best_pos, ties):
     """
     frames, sections, t = received.shape
     rows, bits = len(spec.cosets), spec.uncoded_bits
-    weights = np.moveaxis(spec.chi0[:, None] * spec.masks, 1, 0)   # (bits + 1, C, 8)
-    terms = bits + weights[bits].any()          # the rest's filters only when some row has one
-    m = np.tensordot(weights[:terms], generator_stack().view(float), 1).view(np.complex128)
+    m = _filters(spec)
+    terms = len(m)
     # Re(M conj(r) h) = r_re (h_re M_re - h_im M_im) + r_im (h_re M_im + h_im M_re)
     coef = np.stack([np.stack([m.real, -m.imag], -1), np.stack([m.imag, m.real], -1)], -3)
     coef = coef.reshape(terms * rows, -1)                              # (K, T * 2 * N * 2)
@@ -530,8 +551,8 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
     checked_array, and ValueError is raised unless they hold at least one
     block and agree in frames (and in sections, for per-section channels).
     """
-    _check_initial_state(spec, initial_state)
-    t, n = generator_stack().shape[1:]
+    initial_state = _check_initial_state(spec, initial_state)
+    t, n = matrix_stack().shape[1:]
     received = np.ascontiguousarray(checked_array(received, "received block", t, ndims=(3,)))
     channels = np.ascontiguousarray(checked_array(channels, "channel", n, ndims=(2, 3)))
     if not received.size:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stclab
-from stclab import cli
+from stclab import cli, constellation
 from stclab.channel import channels_from_uniform
 from stclab.cli import main
 from stclab.constellation import distance_spectrum
@@ -83,6 +84,17 @@ def test_invariance_audit_draws_equal_per_call_draws(seed, trials):
     want = np.stack([channels_from_uniform(rng.random(4)) for _ in range(trials)])
     assert hs.dtype == want.dtype and hs.shape == want.shape
     assert hs.tobytes() == want.tobytes()
+
+
+def test_forms_audit_prints_each_violation(monkeypatch, capsys):
+    entries = list(constellation.build_constellation())
+    entries[3] = replace(entries[3], matrix=entries[19].matrix)     # a PRIMED-form matrix
+    monkeypatch.setattr(cli, "verify_forms", lambda: constellation.verify_forms(entries))
+    assert main(["audit", "--which", "FORMS"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "forms.violations=1",
+        "forms.violation=entry 3: does not match [[A, conj(B)], [B, -conj(A)]] form",
+        "forms.pass=False", "audit.overall=FAIL"]
 
 
 def test_audit_single_and_case_insensitive(capsys):

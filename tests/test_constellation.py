@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,11 +47,17 @@ def test_every_entry_matches_its_form():
 def test_verify_forms_flags_a_broken_entry():
     entries = list(build_constellation())
     bad = entries[3]
-    from dataclasses import replace
     entries[3] = replace(bad, matrix=bad.matrix + 0.5)
     rep = verify_forms(entries)
     assert not rep.passed
     assert any("entry 3" in v for v in rep.violations)
+    # each half's matrix under the other half's tag: 4PSK first columns, wrong form
+    entries = list(build_constellation())
+    entries[3], entries[19] = (replace(entries[3], matrix=entries[19].matrix),
+                               replace(entries[19], matrix=entries[3].matrix))
+    assert verify_forms(entries).violations == (
+        "entry 3: does not match [[A, conj(B)], [B, -conj(A)]] form",
+        "entry 19: does not match [[A, -conj(B)], [B, conj(A)]] form")
 
 
 def test_index_matrix_round_trip():
@@ -154,3 +163,9 @@ def test_parse_table_error_lines():
         _parse_table("# comment\n0, 0 0 9 0, 0, 00, 0, 0\n")
     with pytest.raises(ValueError, match="binary"):
         _parse_table("0, 0 0 0 0, 0, 0x, 0, 0\n")
+    for text, message in (
+            ("# five fields\n0, 0 0 0 0, 0, 00, 0\n", "line 2: expected 6 comma fields, got 5"),
+            ("0, 0 0 x 0, 0, 00, 0, 0\n", "line 1: invalid literal for int() with base 10: 'x'"),
+            ("\n\n0, 0 0 0 0, 0, 00, 0, 2\n", "line 3: q16 bit must be one binary digit")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            _parse_table(text)

@@ -314,6 +314,9 @@ def test_generator_file_errors_carry_line_numbers():
     # a huge N is caught on the first row (line 3), before any matrix is allocated
     with pytest.raises(ValueError, match="line 3: expected 99999999999 entries, got 2"):
         read_generator_file(good.replace("2 2 2 0.5", "2 99999999999 2 0.5", 1))
+    # a cell that is no 're,im' pair, in a row of the right length
+    with pytest.raises(ValueError, match="^line 3: bad entry '0.7071067811865475;0.0', want"):
+        read_generator_file(good.replace("0.7071067811865475,0.0 ", "0.7071067811865475;0.0 ", 1))
 
 
 def test_generator_set_validation():

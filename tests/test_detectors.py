@@ -1,4 +1,5 @@
 import importlib.resources
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from stclab.constellation import (
     q8_cosets,
     q16_cosets,
 )
+from stclab.designs import alamouti_generators, primed_alamouti_generators
 from stclab.detectors import (
     Transition,
     TrellisSpec,
@@ -105,6 +107,10 @@ def test_load_trellis_error_lines(tmp_path):
         load_trellis("\n".join(kept))
     with pytest.raises(ValueError, match="^line 7: trellis has no transitions"):
         load_trellis("\n".join(lines[:7]))
+    with pytest.raises(ValueError, match="^line 3: label count must be a power of two$"):
+        load_trellis("states=1 bits_per_section=2\n# three labels\n0 0 0 0 8 2\n")
+    with pytest.raises(ValueError, match="^line 3: expected 4 labels$"):
+        load_trellis("states=1 bits_per_section=2\n0 0 0 0 8 2 10\n0 0 1 1 9\n")
 
 
 def test_load_trellis_rejects_header_counts_the_listing_cannot_serve():
@@ -182,6 +188,32 @@ def test_spec_rejects_unequal_out_degree():
             Transition(1, 1, 0, labels)))
 
 
+@pytest.mark.parametrize("label", [-28, 40])
+def test_spec_rejects_a_label_out_of_range(label):
+    # -28 used to read chi_table()[4] and decode to -28; 40 failed inside numpy
+    spec = default_trellis()
+    first = next(t for t in spec.transitions if 4 in t.labels)
+    trans = tuple(replace(t, labels=tuple(label if i == 4 else i for i in t.labels))
+                  for t in spec.transitions)
+    with pytest.raises(ValueError, match=r"^transition %d->%d has a label out of range 0\.\.31$"
+                       % (first.from_state, first.to_state)):
+        TrellisSpec(num_states=8, bits_per_section=4, transitions=trans)
+
+
+@pytest.mark.parametrize("frm, to", [(0, 3), (-1, 0)])
+def test_spec_rejects_a_state_out_of_range(frm, to):
+    labels = uncoded_trellis().transitions[0].labels
+    with pytest.raises(ValueError, match=r"^transition %d->%d has a state out of range 0\.\.0$"
+                       % (frm, to)):
+        TrellisSpec(num_states=1, bits_per_section=4, transitions=(Transition(frm, to, 0, labels),))
+
+
+def test_spec_rejects_a_section_of_no_bits():
+    # one label per row and no coded bit used to pass, and the encoder divided by 0
+    with pytest.raises(ValueError, match="^bits_per_section must be at least 1, got 0$"):
+        TrellisSpec(num_states=1, bits_per_section=0, transitions=(Transition(0, 0, 0, (5,)),))
+
+
 #: A 4-state, 1 coded + 2 uncoded bit listing over the 8 q8 cosets: even
 #: states depart on BASE, odd ones on PRIMED; the transition from 2 to 0 is
 #: on line 6.
@@ -219,7 +251,7 @@ def test_a_row_that_is_no_sign_flip_coset_is_rejected():
 #: Every array a TrellisSpec derives from its transitions.
 DERIVED = ("labels_per_branch", "uncoded_bits", "coded_bits", "from_state", "to_state",
            "coded", "labels", "cosets", "coset_of", "coset_count", "groups", "next_state",
-           "branch_labels", "chi0", "masks")
+           "branch_labels")
 
 
 @pytest.mark.parametrize("spec", [default_trellis(), load_trellis(irregular_trellis_text())],
@@ -559,6 +591,37 @@ NAMED_TRELLISES = {"regular": default_trellis(), "irregular": load_trellis(irreg
                    "one-state": uncoded_trellis()}
 
 
+def _generator_filters(spec):
+    """The decoder's filters by generator algebra, (terms, C, T, N).
+
+    Per label row, chi0 is the chi signs of position 0, mask i the coordinates
+    where position 2**i differs from it, and the rest those no mask holds;
+    a filter is the chi0-signed sum of the generators over a mask, the
+    rest's only when some row has one.
+    """
+    gens = np.stack(alamouti_generators().basis + primed_alamouti_generators().basis)
+    chi = np.sign([[chi_coordinates(build_constellation()[i]) for i in row]
+                   for row in spec.cosets])                          # (C, L, 8), 0 or +-1
+    flips = chi[:, 1 << np.arange(spec.uncoded_bits)] != chi[:, :1]
+    masks = np.concatenate([flips, ~flips.any(axis=1, keepdims=True)], axis=1)
+    weights = np.moveaxis(chi[:, :1] * masks, 1, 0)                          # (bits + 1, C, 8)
+    terms = spec.uncoded_bits + weights[-1].any()
+    return np.tensordot(weights[:terms], gens.view(float), 1).view(np.complex128)
+
+
+def test_filters_equal_the_generator_algebra_byte_for_byte():
+    # the codematrix identities give the very bytes of the chi0-signed generator sums
+    rng = np.random.default_rng(24)
+    specs = list(NAMED_TRELLISES.values()) + [_random_trellis(rng) for _ in range(300)]
+    rests = 0
+    for spec in specs:
+        want, got = _generator_filters(spec), detectors._filters(spec)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        rests += len(got) > spec.uncoded_bits
+    assert 0 < rests < len(specs)       # specs with a rest's filter and specs without
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        trellis=st.sampled_from(sorted(NAMED_TRELLISES) + ["random"]),
@@ -715,6 +778,31 @@ def test_trellis_tables_are_freed_with_the_spec():
     del spec
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("coder", ["encoder", "decoder"])
+def test_a_fractional_initial_state_is_rejected(coder):
+    # the encoder used to start from a state between 1 and 2, the decoder in an IndexError
+    spec = default_trellis()
+    with pytest.raises(ValueError, match="^initial_state must be an integer, got 1.5$"):
+        if coder == "encoder":
+            trellis_encode_frames(spec, np.zeros((1, 8), dtype=np.uint8), initial_state=1.5)
+        else:
+            viterbi_decode(spec, np.zeros((2, 2), complex), np.ones(2, complex), initial_state=1.5)
+
+
+@pytest.mark.parametrize("start", [True, np.int64(1)], ids=["True", "int64"])
+def test_an_integer_like_initial_state_is_that_state(start):
+    # True used to zero every start metric through pm[True] and decode from any state
+    spec, rng = default_trellis(), np.random.default_rng(8)
+    bits = rng.integers(0, 2, size=(1, 24))
+    h = _channel(rng)
+    rec = matrix_stack()[trellis_encode_frames(spec, bits)[0]] @ h         # sent from state 0
+    from_one, _ = viterbi_decode(spec, rec, h, initial_state=1)
+    assert viterbi_decode(spec, rec, h, initial_state=start)[0] == from_one
+    assert viterbi_decode(spec, rec, h)[0] != from_one
+    assert np.array_equal(trellis_encode_frames(spec, bits, initial_state=start),
+                          trellis_encode_frames(spec, bits, initial_state=1))
 
 
 def test_viterbi_input_validation():
