@@ -81,12 +81,20 @@ def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,
     dimension.  transmit takes the noise over: a writeable C-contiguous
     float64 noise array is scaled in place and the blocks C h are added into
     it, so the result is a view of its buffer and the noise values are gone
-    (any other noise is copied first).  channels and indices are not written
-    to.
+    (any other noise is copied first).  channels and indices are checked
+    and not written to.
     """
     mats = matrix_stack()
+    channels = checked_array(channels, "channel", mats.shape[2], ndims=(2,))
+    indices = np.asarray(indices)
+    if indices.ndim != 2 or len(indices) != len(channels):
+        raise ValueError("indices of shape %s do not match channels of shape %s"
+                         % (indices.shape, channels.shape))
+    if indices.dtype.kind not in "iu" or indices.size and not (
+            0 <= indices.min() <= indices.max() < len(mats)):
+        raise ValueError("codematrix indices must be integers in 0..%d" % (len(mats) - 1))
     rec = np.require(noise, np.float64, "CW").view(np.complex128).reshape(
-        np.shape(indices) + mats.shape[1:2])
+        indices.shape + mats.shape[1:2])
     rec *= sigma
     # C h of each frame's 32 candidates, elementwise (cheaper than 32 matmuls),
     # for CHUNK_DRAWS frames at a time

@@ -22,10 +22,9 @@ predecessor state, then smaller label position.  Ties are counted only on
 request (viterbi_decode always asks).  Uncoded BASE transmission is the
 one-state trellis (uncoded_trellis): per-block ML, exact ties by that same
 rule.  A TrellisSpec is its transitions plus the arrays derived from them,
-which the encoder and decoder read; it rejects unequal out-degrees, and
-label rows that are no sign-flip coset or that share a label with another
-row, itself, and load_trellis names a line in every error of a listing
-that has a header.
+which the encoder and decoder read; its constructor is the one structural
+check of a trellis, and load_trellis adds the rules of the file format and
+names a line in every error of a listing that has a header.
 """
 
 from __future__ import annotations
@@ -61,15 +60,37 @@ class Transition:
     labels: tuple      # codematrix indices, uncoded-bit order
 
 
+class TrellisError(ValueError):
+    """A fault of a trellis; transition indexes the offending transition, or is None."""
+
+    def __init__(self, message: str, transition=None):
+        super().__init__(message)
+        self.transition = transition
+
+
+def _integer(value, name: str, transition=None) -> int:
+    """value as an int (any value operator.index accepts), or TrellisError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TrellisError("%s must be an integer, got %r" % (name, value), transition) from None
+
+
 @dataclass(frozen=True, eq=False)
 class TrellisSpec:
     """Section trellis and the arrays that encode and decode it.
 
     bits_per_section splits into coded bits (selecting the transition, in
     listing order per from-state) and uncoded bits (selecting the parallel
-    label within the branch).  Construction raises ValueError when a
-    state's out-degree is not 2**coded_bits, so every state has the same
-    out-degree, and derives every table once:
+    label within the branch).  Construction is the one structural check of
+    a trellis: it raises TrellisError, naming the first offending transition
+    if there is one, and reads the Python values before any cast, so that
+    none wraps or is truncated.  A label row must be a sign-flip coset
+    (_sign_flips), so that _filters can take its filters from its own
+    codematrices, and share no label with an earlier row it does not repeat
+    (_overlaps): each row sums a label's correlation in its own order, so a
+    tie of that label would go by rounding, not by the smaller from-state.
+    Then it derives every table once:
 
     * per transition k: from_state, to_state, coded (its coded value, the
       rank of k among the transitions of its from-state) and labels;
@@ -80,12 +101,6 @@ class TrellisSpec:
     * indexed (state, coded value): next_state, and branch_labels with the
       label row on the last axis.
 
-    It also raises ValueError for a label row that is no sign-flip coset
-    (_sign_flips), so that _filters can take its filters from its own
-    codematrices, and for a row that shares a label with another row
-    (_overlaps): each row sums a label's correlation in its own order, so a
-    tie of that label would go by rounding, not by the smaller from-state.
-
     The derived arrays are read-only, since cached specs are shared.
     """
 
@@ -94,26 +109,45 @@ class TrellisSpec:
     transitions: tuple
 
     def __post_init__(self):
-        trans, states = self.transitions, self.num_states
+        trans = self.transitions
+        states = _integer(self.num_states, "states")
+        bits = _integer(self.bits_per_section, "bits_per_section")
+        for value, name in ((states, "states"), (bits, "bits_per_section")):
+            if value < 1:
+                raise TrellisError("%s must be at least 1, got %d" % (name, value))
+        if not trans:
+            raise TrellisError("trellis has no transitions")
+        width = len(trans[0].labels)
+        for k, t in enumerate(trans):
+            edge = "transition %s->%s" % (t.from_state, t.to_state)
+            for values, last, what in (((t.from_state, t.to_state), states - 1, "state"),
+                                       (t.labels, 31, "label")):
+                if not all(0 <= _integer(v, "%s %s" % (edge, what), k) <= last for v in values):
+                    raise TrellisError("%s has a %s out of range 0..%d" % (edge, what, last), k)
+            if width & (width - 1) or not width:
+                raise TrellisError("label count must be a power of two", k)
+            if len(t.labels) != width:
+                raise TrellisError("expected %d labels" % width, k)
+        uncoded_bits = width.bit_length() - 1
+        coded_bits = bits - uncoded_bits                # 2**coded_bits transitions per state
+        if coded_bits < 0:
+            raise TrellisError("more parallel labels than bits_per_section allows")
+        if states > len(trans) or coded_bits >= len(trans).bit_length():
+            raise TrellisError("states=%d bits_per_section=%d need more than the %d listed "
+                               "transitions" % (states, bits, len(trans)))
         labels = np.array([t.labels for t in trans], dtype=np.intp)
-        uncoded_bits = labels.shape[1].bit_length() - 1
-        coded_bits = self.bits_per_section - uncoded_bits
         from_state = np.array([t.from_state for t in trans], dtype=np.intp)
         to_state = np.array([t.to_state for t in trans], dtype=np.intp)
-        if self.bits_per_section < 1:
-            raise ValueError("bits_per_section must be at least 1, got %d" % self.bits_per_section)
-        edges = np.stack([from_state, to_state], axis=1)
-        for bad, what in ((np.any((edges < 0) | (edges >= states), axis=1),
-                           "a state out of range 0..%d" % (states - 1)),
-                          (np.any((labels < 0) | (labels >= 32), axis=1),
-                           "a label out of range 0..31")):
-            if bad.any():
-                raise ValueError("transition %d->%d has %s" % (*edges[bad.argmax()], what))
         degree = np.bincount(from_state, minlength=states)
         wrong = np.flatnonzero(degree != 2 ** coded_bits)
         if wrong.size:
-            raise ValueError("state %d has %d outgoing transitions, expected %d"
-                             % (wrong[0], degree[wrong[0]], 2 ** coded_bits))
+            raise TrellisError("state %d has %d outgoing transitions, expected %d"
+                               % (wrong[0], degree[wrong[0]], 2 ** coded_bits))
+        for bad, what in ((~_sign_flips(labels), "labels are not a sign-flip coset"),
+                          (_overlaps(labels), "shares a label with an earlier label row")):
+            if bad.any():
+                k = int(bad.argmax())
+                raise TrellisError("transition %d->%d %s" % (from_state[k], to_state[k], what), k)
         branch = np.argsort(from_state, kind="stable").reshape(states, -1)
         coded = np.empty(len(trans), dtype=np.intp)
         coded[branch] = np.arange(branch.shape[1])
@@ -121,13 +155,6 @@ class TrellisSpec:
         coset_of = np.array([distinct.setdefault(t.labels, len(distinct)) for t in trans],
                             dtype=np.intp)
         cosets = np.array(list(distinct), dtype=np.intp)
-        coset = _sign_flips(cosets)
-        if not coset.all():
-            raise ValueError("label row %s is not a sign-flip coset" % cosets[~coset][0].tolist())
-        overlap = _overlaps(cosets)
-        if overlap.any():
-            raise ValueError("label row %s shares a label with another row"
-                             % cosets[overlap][0].tolist())
         into = np.argsort(to_state * states + from_state, kind="stable")
         enters = to_state[into]
         groups = np.full((states, np.bincount(to_state).max()), len(trans), dtype=np.intp)
@@ -173,13 +200,14 @@ def _overlaps(rows) -> np.ndarray:
 
 
 def load_trellis(text: str) -> TrellisSpec:
-    """Parse and validate the trellis text format.
+    """Parse the trellis text format; TrellisSpec checks the structure.
 
     Header ``states=<n> bits_per_section=<k>``, then one line per transition
-    ``from to coset idx...``.  Raises ValueError naming a line on malformed
-    input, and on a structurally inconsistent trellis: the first offending
-    transition's line, or the header's for an out-degree or label coverage
-    error.  Only a text with no header raises without one.
+    ``from to coset idx...``.  The format adds that 8- and 16-state
+    trellises follow the q8 or q16 cosets in uncoded-bit order, that each
+    state departs and is entered on one subconstellation, and that the
+    labels cover all 32 codematrices.  Every error but an empty text's
+    names a line: the offending transition's, or else the header's.
     """
     body = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())
             if ln.strip() and not ln.strip().startswith("#")]
@@ -200,13 +228,7 @@ def load_trellis(text: str) -> TrellisSpec:
     except (KeyError, ValueError):
         raise ValueError("line %d: header must carry states=<n> "
                          "bits_per_section=<k>" % head_no) from None
-    if num_states < 1:
-        raise ValueError("line %d: states must be at least 1, got %d" % (head_no, num_states))
-    if bits < 1:
-        raise ValueError("line %d: bits_per_section must be at least 1, got %d"
-                         % (head_no, bits))
-    transitions, line_of = [], []
-    n_labels = None
+    transitions = []
     for no, ln in body[1:]:
         parts = ln.split()
         if len(parts) < 4:
@@ -216,71 +238,44 @@ def load_trellis(text: str) -> TrellisSpec:
             labels = tuple(int(x) for x in parts[3:])
         except ValueError:
             raise ValueError("line %d: non-integer field" % no) from None
-        if not 0 <= frm < num_states or not 0 <= to < num_states:
-            raise ValueError("line %d: state out of range 0..%d" % (no, num_states - 1))
-        if any(not 0 <= i < 32 for i in labels):
-            raise ValueError("line %d: label index out of range 0..31" % no)
-        if n_labels is None:
-            n_labels = len(labels)
-            if n_labels & (n_labels - 1) or n_labels == 0:
-                raise ValueError("line %d: label count must be a power of two" % no)
-        elif len(labels) != n_labels:
-            raise ValueError("line %d: expected %d labels" % (no, n_labels))
         transitions.append(Transition(frm, to, coset, labels))
-        line_of.append(no)
-    if not transitions:
-        raise ValueError("line %d: trellis has no transitions" % head_no)
-    coded = bits - (n_labels.bit_length() - 1)      # 2**coded transitions per state
-    if coded < 0:
-        raise ValueError("line %d: more parallel labels than bits_per_section allows" % head_no)
-    if num_states > len(transitions) or coded >= len(transitions).bit_length():
-        raise ValueError("line %d: states=%d bits_per_section=%d need more than the %d "
-                         "listed transitions" % (head_no, num_states, bits, len(transitions)))
-    labels = np.array([t.labels for t in transitions], dtype=np.intp)
 
     def first(bad, message):
-        """Raise message(k, ...) at the line of the first k where bad holds."""
+        """Raise message(k, ...) for the first transition k where bad holds."""
         hits = np.argwhere(bad)
         if len(hits):
-            raise ValueError("line %d: %s" % (line_of[hits[0][0]], message(*hits[0])))
+            raise TrellisError(message(*hits[0]), hits[0][0])
 
-    def edge(k):
-        return transitions[k].from_state, transitions[k].to_state
-
-    primed_of = _entry_column(lambda e: e.subconstellation is Subconstellation.PRIMED)
-    primed = primed_of[labels]
-    first(primed != primed[:, :1],
-          lambda k, _: "transition %d->%d mixes subconstellations" % edge(k))
-    if num_states in _PARTITIONS:
-        coset_attr, bits_attr = _PARTITIONS[num_states]
-        sits_in = _entry_column(lambda e: getattr(e, coset_attr))[labels]
-        declared = np.array([t.coset for t in transitions], dtype=object)    # any int
-        first(sits_in != declared[:, None],
-              lambda k, pos: "transition %d->%d declares coset %d but label %d sits in %s %d"
-              % (edge(k) + (declared[k], labels[k, pos], coset_attr.replace("_", " "),
-                            sits_in[k, pos])))
-        position = _entry_column(lambda e: int(getattr(e, bits_attr), 2))[labels]
-        first(position != np.arange(labels.shape[1]),
-              lambda k, pos: "transition %d->%d label %d out of uncoded-bit order"
-              % (edge(k) + (labels[k, pos],)))
-    first(~_sign_flips(labels),
-          lambda k: "transition %d->%d labels are not a sign-flip coset" % edge(k))
-    first(_overlaps(labels),
-          lambda k: "transition %d->%d shares a label with an earlier label row" % edge(k))
     try:
         spec = TrellisSpec(num_states=num_states, bits_per_section=bits,
                            transitions=tuple(transitions))
-    except ValueError as exc:    # only the out-degree is left to reject
-        raise ValueError("line %d: %s" % (head_no, exc)) from None
-    tag = primed[:, 0]      # against the first transition listed out of, then into, a state
-    first(tag != primed_of[spec.branch_labels[spec.from_state, 0, 0]],
-          lambda k: "state %d departs on a mix of subconstellations" % spec.from_state[k])
-    first(tag != tag[spec.groups.min(axis=1)[spec.to_state]],
-          lambda k: "state %d is entered on a mix of subconstellations" % spec.to_state[k])
-    covered = np.count_nonzero(np.bincount(spec.labels.ravel(), minlength=32))
-    if covered != 32:
-        raise ValueError("line %d: branch labels cover %d of 32 codematrix indices"
-                         % (head_no, covered))
+        labels = spec.labels
+        if num_states in _PARTITIONS:
+            coset_attr, bits_attr = _PARTITIONS[num_states]
+            sits_in = _entry_column(lambda e: getattr(e, coset_attr))[labels]
+            declared = np.array([t.coset for t in transitions], dtype=object)    # any int
+            first(sits_in != declared[:, None],
+                  lambda k, pos: "transition %d->%d declares coset %d but label %d sits in %s %d"
+                  % (spec.from_state[k], spec.to_state[k], declared[k], labels[k, pos],
+                     coset_attr.replace("_", " "), sits_in[k, pos]))
+            position = _entry_column(lambda e: int(getattr(e, bits_attr), 2))[labels]
+            first(position != np.arange(labels.shape[1]),
+                  lambda k, pos: "transition %d->%d label %d out of uncoded-bit order"
+                  % (spec.from_state[k], spec.to_state[k], labels[k, pos]))
+        # a sign-flip row keeps to its first label's half; checked against
+        # the first transition listed out of, then into, a state
+        primed_of = _entry_column(lambda e: e.subconstellation is Subconstellation.PRIMED)
+        tag = primed_of[labels[:, 0]]
+        first(tag != primed_of[spec.branch_labels[spec.from_state, 0, 0]],
+              lambda k: "state %d departs on a mix of subconstellations" % spec.from_state[k])
+        first(tag != tag[spec.groups.min(axis=1)[spec.to_state]],
+              lambda k: "state %d is entered on a mix of subconstellations" % spec.to_state[k])
+        covered = np.count_nonzero(np.bincount(labels.ravel(), minlength=32))
+        if covered != 32:
+            raise TrellisError("branch labels cover %d of 32 codematrix indices" % covered)
+    except TrellisError as exc:
+        no = head_no if exc.transition is None else body[1 + exc.transition][0]
+        raise ValueError("line %d: %s" % (no, exc)) from None
     return spec
 
 
@@ -337,10 +332,7 @@ def _value_dtype(spec: TrellisSpec) -> np.dtype:
 
 def _check_initial_state(spec: TrellisSpec, initial_state: int) -> int:
     """initial_state as an int, which must name a state of spec."""
-    try:
-        state = operator.index(initial_state)
-    except TypeError:
-        raise ValueError("initial_state must be an integer, got %r" % (initial_state,)) from None
+    state = _integer(initial_state, "initial_state")
     if not 0 <= state < spec.num_states:
         raise ValueError("initial_state %d out of range 0..%d" % (state, spec.num_states - 1))
     return state

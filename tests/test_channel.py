@@ -149,6 +149,38 @@ def test_transmit_equals_gather_plus_scaled_noise_in_the_noise_buffer(sigma):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("case, message", [
+    ("index -1", r"^codematrix indices must be integers in 0\.\.31$"),
+    ("index 40", r"^codematrix indices must be integers in 0\.\.31$"),
+    ("index 1.5", r"^codematrix indices must be integers in 0\.\.31$"),
+    ("one channel short", r"^indices of shape \(3, 4\) do not match channels of shape \(2, 2\)$"),
+    ("1-D indices", r"^indices of shape \(4,\) do not match channels of shape \(3, 2\)$"),
+    ("NaN channel", "^channel coefficients must be finite$"),
+    ("three channel columns", "^channel has 3 coefficients, expected 2$"),
+])
+def test_transmit_rejects_malformed_input(case, message):
+    # index -1 used to send entry 31; the others failed inside numpy
+    rng = np.random.default_rng(3)
+    h = channels_from_uniform(rng.random((3, 4)))
+    idx = rng.integers(0, 32, size=(3, 4))
+    if case == "index -1":
+        idx[1, 2] = -1
+    elif case == "index 40":
+        idx[2, 3] = 40
+    elif case == "index 1.5":
+        idx = idx + 0.5
+    elif case == "one channel short":
+        h = h[:2]
+    elif case == "1-D indices":
+        idx = idx[0]
+    elif case == "NaN channel":
+        h[0, 1] = complex(np.nan, 0.0)
+    else:
+        h = np.column_stack([h, h[:, :1]])
+    with pytest.raises(ValueError, match=message):
+        transmit(h, idx, np.zeros((3, 16)), 0.5)
+
+
 def test_equivalent_real_model_orthonormal_frames():
     e = _expanded()
     rng = np.random.default_rng(23)

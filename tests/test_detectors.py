@@ -1,4 +1,5 @@
 import importlib.resources
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from stclab.detectors import (
     viterbi_decode,
     viterbi_decode_frames,
 )
+from stclab.expansion import Subconstellation
 
 
 def _noisy(clean, sigma, rng):
@@ -87,19 +89,15 @@ def test_load_trellis_error_lines(tmp_path):
         load_trellis("states=8 bits_per_section=4\n0 0 zero 0 8 2 10\n")
     with pytest.raises(ValueError, match="out of range"):
         load_trellis("states=8 bits_per_section=4\n0 9 0 0 8 2 10\n")
-    # structurally wrong: swap two labels so the uncoded-bit order breaks
+    # structurally wrong: swap the label pairs of one coset at every
+    # occurrence, so the row stays a sign-flip coset but its uncoded-bit
+    # order breaks
     good = (tmp_path / "t.txt")
     import importlib.resources
     text = importlib.resources.files("stclab.data").joinpath("trellis8.txt").read_text()
-    lines = text.splitlines()
-    for i, ln in enumerate(lines):
-        if ln.strip().startswith("0 0 "):
-            parts = ln.split()
-            parts[3], parts[4] = parts[4], parts[3]
-            lines[i] = " ".join(parts)
-            break
-    with pytest.raises(ValueError, match="uncoded-bit order"):
-        load_trellis("\n".join(lines))
+    with pytest.raises(ValueError,
+                       match="^line 8: transition 0->0 label 8 out of uncoded-bit order$"):
+        load_trellis(text.replace(" 0 8 2 10", " 8 0 10 2"))
     # dropping a line leaves a state with out-degree 3
     lines = text.splitlines()
     kept = [ln for ln in lines if not ln.strip().startswith("0 1 ")]
@@ -150,9 +148,13 @@ def test_load_trellis_checks_the_partition_of_its_state_count():
     assert (spec.num_states, spec.coded_bits, spec.uncoded_bits) == (16, 1, 1)
     c = halves[0][0]
     first = "0 0 %d %d %d" % ((c,) + cosets[c])
+    # swapped on both lines of coset c, so that the row stays a sign-flip
+    # coset that shares no label with another row
+    listing = "\n".join(lines) + "\n"
+    row = " %d %d %d\n" % ((c,) + cosets[c])
+    assert listing.count(row) == 2
     with pytest.raises(ValueError, match="uncoded-bit order"):
-        load_trellis("\n".join(lines).replace(
-            first, "0 0 %d %d %d" % (c, cosets[c][1], cosets[c][0])))
+        load_trellis(listing.replace(row, " %d %d %d\n" % (c, cosets[c][1], cosets[c][0])))
     with pytest.raises(ValueError, match="sits in q16 coset %d" % c):
         load_trellis("\n".join(lines).replace(
             first, "0 0 %d %d %d" % ((halves[0][1],) + cosets[c])))
@@ -164,12 +166,13 @@ SHIPPED = importlib.resources.files("stclab.data").joinpath("trellis8.txt").read
 # the shipped listing has its header on line 7 and transition k on line 8 + k
 @pytest.mark.parametrize("old, new, error", [
     ("0 1 3 4 12 6 14\n", "", "line 7: state 0 has 3 outgoing transitions, expected 4"),
-    ("0 0 0 0 8 2 10", "0 0 0 0 8 2 26", "line 8: transition 0->0 mixes subconstellations"),
+    ("0 0 0 0 8 2 10", "0 0 0 0 8 2 26",
+     "line 8: transition 0->0 labels are not a sign-flip coset$"),
     ("0 2 2 5 13 7 15", "0 2 5 16 24 18 26", "line 10: state 0 departs on a mix"),
     ("2 1 0 0 8 2 10", "2 4 0 0 8 2 10", "line 17: state 4 is entered on a mix"),
     ("0 0 0 0 8 2 10", "0 0 5 0 8 2 10",
      "line 8: transition 0->0 declares coset 5 but label 0 sits in q8 coset 0"),
-    ("0 0 0 0 8 2 10", "0 0 0 8 0 2 10", "line 8: transition 0->0 label 8 out of uncoded-bit"),
+    (" 0 8 2 10", " 8 0 10 2", "line 8: transition 0->0 label 8 out of uncoded-bit"),
     (" 3 4 12 6 14", " 0 0 8 2 10", "line 7: branch labels cover 28 of 32 codematrix"),
 ], ids=["out-degree", "transition-mix", "departs-mix", "entered-mix", "coset", "order",
         "coverage"])
@@ -237,15 +240,99 @@ def test_a_row_that_is_no_sign_flip_coset_is_rejected():
     with pytest.raises(ValueError, match="^line 6: transition 2->0 labels are not a sign-flip"):
         load_trellis(FOUR_STATE.replace("2 0 2 5 13 7 15", "2 0 2 5 13 15 7"))
     for row in ((5, 13, 15, 7), (0, 8, 2, 26)):          # overlapping masks; mixed halves
-        with pytest.raises(ValueError, match=r"^label row \[%s\] is not a sign-flip coset"
-                           % ", ".join(map(str, row))):
+        with pytest.raises(ValueError, match="^transition 0->0 labels are not a sign-flip coset$"):
             TrellisSpec(num_states=1, bits_per_section=2, transitions=(Transition(0, 0, 0, row),))
     # 0 8 1 9 is a sign-flip coset, but it shares 0 and 8 with the row of line 2
     with pytest.raises(ValueError, match="^line 3: transition 0->1 shares a label with an earlier"):
         load_trellis(FOUR_STATE.replace("0 1 1 1 9 3 11", "0 1 1 0 8 1 9"))
-    with pytest.raises(ValueError, match=r"^label row \[0, 8, 1, 9\] shares a label with another"):
+    with pytest.raises(ValueError,
+                       match="^transition 0->0 shares a label with an earlier label row$"):
         TrellisSpec(num_states=1, bits_per_section=3, transitions=(
             Transition(0, 0, 0, (0, 8, 2, 10)), Transition(0, 0, 1, (0, 8, 1, 9))))
+
+
+def _spec_args(listing: str) -> dict:
+    """TrellisSpec's arguments for a listing of a header and transition lines."""
+    head, *rows = listing.splitlines()
+    fields = dict(tok.split("=") for tok in head.split())
+    return dict(num_states=int(fields["states"]),
+                bits_per_section=int(fields["bits_per_section"]),
+                transitions=tuple(Transition(*map(int, r.split()[:3]),
+                                             tuple(map(int, r.split()[3:]))) for r in rows))
+
+
+#: The 16 BASE labels of the one-state trellis, as a listing spells them.
+BASE_ROW = " ".join(map(str, uncoded_trellis().transitions[0].labels))
+
+
+# (a listing, or the spec's arguments where the format cannot spell the
+# fault, the line that load_trellis names, the message)
+@pytest.mark.parametrize("source, line, message", [
+    pytest.param("states=1 bits_per_section=4", 1, "trellis has no transitions",
+                 id="no-transitions"),
+    pytest.param("states=1 bits_per_section=1\n0 0 0 0 8 2", 2,
+                 "label count must be a power of two", id="three-labels"),
+    pytest.param("states=1 bits_per_section=3\n0 0 0 0 8 2 10\n0 0 1 1 9", 3,
+                 "expected 4 labels", id="ragged"),
+    pytest.param("states=1 bits_per_section=2\n0 %d 0 0 8 2 10" % 2**63, 2,
+                 "transition 0->%d has a state out of range 0..0" % 2**63, id="state-2**63"),
+    pytest.param("states=1 bits_per_section=2\n0 0 0 0 8 2 %d" % 2**63, 2,
+                 "transition 0->0 has a label out of range 0..31", id="label-2**63"),
+    pytest.param(dict(num_states=1, bits_per_section=2,
+                      transitions=(Transition(0, 0, 0, (0, 8, 0.7, 10)),)), None,
+                 "transition 0->0 label must be an integer, got 0.7", id="label-0.7"),
+    pytest.param(dict(num_states=1, bits_per_section=4.0,
+                      transitions=uncoded_trellis().transitions), None,
+                 "bits_per_section must be an integer, got 4.0", id="bits-4.0"),
+    pytest.param(dict(num_states="1", bits_per_section=4,
+                      transitions=uncoded_trellis().transitions), None,
+                 "states must be an integer, got '1'", id="states-str"),
+    pytest.param("states=0 bits_per_section=3\n0 0 0 0 8 2 10", 1,
+                 "states must be at least 1, got 0", id="states-0"),
+    pytest.param("states=1 bits_per_section=-2\n0 0 0 0 8 2 10", 1,
+                 "bits_per_section must be at least 1, got -2", id="bits-negative"),
+    pytest.param("states=1 bits_per_section=1\n0 0 0 " + BASE_ROW, 1,
+                 "more parallel labels than bits_per_section allows", id="sixteen-labels-one-bit"),
+    pytest.param("states=1 bits_per_section=1000000\n0 0 0 " + BASE_ROW, 1,
+                 "states=1 bits_per_section=1000000 need more than the 1 listed transitions",
+                 id="bits-10**6"),
+    pytest.param(FOUR_STATE.replace("states=4", "states=9"), 1,
+                 "states=9 bits_per_section=3 need more than the 8 listed transitions",
+                 id="states-beyond-listing"),
+    pytest.param(FOUR_STATE.replace("0 1 1 1 9 3 11\n", ""), 1,
+                 "state 0 has 1 outgoing transitions, expected 2", id="out-degree"),
+    pytest.param(FOUR_STATE.replace("2 0 2 5 13 7 15", "2 0 2 5 13 15 7"), 6,
+                 "transition 2->0 labels are not a sign-flip coset", id="sign-flip"),
+    pytest.param(FOUR_STATE.replace("0 0 0 0 8 2 10", "0 0 0 0 8 2 26"), 2,
+                 "transition 0->0 labels are not a sign-flip coset", id="mixed-halves"),
+    pytest.param(FOUR_STATE.replace("0 1 1 1 9 3 11", "0 1 1 0 8 1 9"), 3,
+                 "transition 0->1 shares a label with an earlier label row", id="shared-label"),
+])
+def test_spec_and_loader_reject_a_fault_alike(source, line, message):
+    args = source if isinstance(source, dict) else _spec_args(source)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        TrellisSpec(**args)
+    if line is not None:
+        with pytest.raises(ValueError, match="^line %d: %s$" % (line, re.escape(message))):
+            load_trellis(source)
+
+
+def test_a_row_that_mixes_halves_is_no_sign_flip_coset():
+    # why load_trellis checks no row for a mix of BASE and PRIMED labels:
+    # every 2-label mixed row, and every row that puts one label of the other
+    # half into a q8 coset or the 16 BASE labels, fails _sign_flips
+    primed = np.array([e.subconstellation is Subconstellation.PRIMED
+                       for e in build_constellation()])
+    rows = {2: [(a, b) for a in range(32) for b in range(32) if primed[a] != primed[b]]}
+    for coset in (*q8_cosets().values(), uncoded_trellis().transitions[0].labels):
+        assert detectors._sign_flips(np.array([coset])).all()
+        rows.setdefault(len(coset), []).extend(
+            coset[:p] + (label,) + coset[p + 1:] for p in range(len(coset))
+            for label in np.flatnonzero(primed != primed[coset[0]]))
+    for width, mixed in rows.items():
+        mixed = np.array(mixed)
+        assert (primed[mixed].any(axis=1) & ~primed[mixed].all(axis=1)).all()
+        assert not detectors._sign_flips(mixed).any(), width
 
 
 #: Every array a TrellisSpec derives from its transitions.
