@@ -308,6 +308,8 @@ def test_generator_file_errors_carry_line_numbers():
     for head in ("2 2 -1 0.5", "0 2 2 0.5", "2 0 2 0.5"):
         with pytest.raises(ValueError, match="line 2: T, N and K must be positive"):
             read_generator_file("# header on line 2\n" + good.replace("2 2 2 0.5", head, 1))
+    with pytest.raises(ValueError, match="^line 2: bad header field"):
+        read_generator_file("# header on line 2\n" + good.replace("2 2 2 0.5", "2 2 two 0.5", 1))
     for scale in ("inf", "nan", "0"):
         with pytest.raises(ValueError, match="line 2: scale must be positive and finite"):
             read_generator_file("# header on line 2\n" + good.replace(" 0.5\n", " %s\n" % scale, 1))
