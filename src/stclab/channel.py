@@ -93,6 +93,10 @@ def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,
     if indices.dtype.kind not in "iu" or indices.size and not (
             0 <= indices.min() <= indices.max() < len(mats)):
         raise ValueError("codematrix indices must be integers in 0..%d" % (len(mats) - 1))
+    want = (len(indices), 2 * indices.shape[1] * mats.shape[1])
+    if np.shape(noise) != want:
+        raise ValueError("noise of shape %s does not match the expected shape %s"
+                         % (np.shape(noise), want))
     rec = np.require(noise, np.float64, "CW").view(np.complex128).reshape(
         indices.shape + mats.shape[1:2])
     rec *= sigma

@@ -137,14 +137,11 @@ AUDITS = {
 
 def cmd_audit(args) -> int:
     if args.trials < 1:
-        print("error: --trials must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("--trials must be positive")
     if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--seed must be nonnegative")
     if args.generators and args.which not in ("RH", "ALL"):
-        print("error: --generators needs --which RH or ALL", file=sys.stderr)
-        return 2
+        raise ValueError("--generators needs --which RH or ALL")
     names = list(AUDITS) if args.which == "ALL" else [args.which]
     e = table_expansion()       # one expansion for every audit of the call
     ok = True

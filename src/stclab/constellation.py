@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .designs import alamouti_generators, primed_alamouti_generators
+from .designs import alamouti_generators, content_lines, primed_alamouti_generators
 from .expansion import ExpandedConstellation, Subconstellation, expand
 
 #: 4PSK alphabet; index k is exp(j*(pi/4 + k*pi/2)).
@@ -54,10 +54,7 @@ def matrix_from_indices(index_matrix) -> np.ndarray:
 
 def _parse_table(text: str):
     rows = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in content_lines(text):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 6:
             raise ValueError("line %d: expected 6 comma fields, got %d" % (no, len(fields)))
@@ -185,22 +182,24 @@ def verify_forms(entries=None) -> FormReport:
     return FormReport(violations=tuple(bad))
 
 
-def q8_cosets() -> dict:
-    """Map q8 coset id -> member indices in uncoded-bit order 00,01,10,11."""
+def _cosets(label, order) -> dict:
+    """Map coset id -> member indices in the uncoded-bit order of order, where
+    label(entry) gives an entry's (coset id, uncoded bits)."""
     out = {}
     for e in build_constellation():
-        out.setdefault(e.q8_coset, {})[e.q8_bits] = e.index
-    return {c: tuple(members[b] for b in ("00", "01", "10", "11"))
-            for c, members in sorted(out.items())}
+        coset, bits = label(e)
+        out.setdefault(coset, {})[bits] = e.index
+    return {c: tuple(members[b] for b in order) for c, members in sorted(out.items())}
+
+
+def q8_cosets() -> dict:
+    """Map q8 coset id -> member indices in uncoded-bit order 00,01,10,11."""
+    return _cosets(lambda e: (e.q8_coset, e.q8_bits), ("00", "01", "10", "11"))
 
 
 def q16_cosets() -> dict:
     """Map q16 coset id -> member indices in uncoded-bit order 0,1."""
-    out = {}
-    for e in build_constellation():
-        out.setdefault(e.q16_coset, {})[e.q16_bit] = e.index
-    return {c: tuple(members[b] for b in ("0", "1"))
-            for c, members in sorted(out.items())}
+    return _cosets(lambda e: (e.q16_coset, e.q16_bit), ("0", "1"))
 
 
 def distance_spectrum(which: str = "FULL") -> dict:

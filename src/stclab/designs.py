@@ -57,6 +57,13 @@ def checked_array(values, what: str, width, ndims=(1,), rows: str = "draws"):
     return a
 
 
+def content_lines(text: str) -> list:
+    """(line number from 1, stripped line) of each line of text that is
+    neither blank nor a '#' comment: the line reader of every text format."""
+    return [(no, line) for no, line in enumerate(map(str.strip, text.splitlines()), start=1)
+            if line and not line.startswith("#")]
+
+
 def checked_coordinates(values, what: str, dtype=np.float64) -> np.ndarray:
     """values as a flat contiguous dtype array, the one check of coordinate input.
 
@@ -307,9 +314,7 @@ def read_generator_file(text: str) -> GeneratorSet:
 
     Raises ValueError with a line number on malformed input.
     """
-    lines = text.splitlines()
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines)
-            if ln.strip() and not ln.strip().startswith("#")]
+    body = content_lines(text)
     if not body:
         raise ValueError("empty generator file")
     head_no, head = body[0]

@@ -24,7 +24,9 @@ one-state trellis (uncoded_trellis): per-block ML, exact ties by that same
 rule.  A TrellisSpec is its transitions plus the arrays derived from them,
 which the encoder and decoder read; its constructor is the one structural
 check of a trellis, and load_trellis adds the rules of the file format and
-names a line in every error of a listing that has a header.
+names a line in every error of a listing that has a header.  The format's
+8- and 16-state rules follow constellation's q8 and q16 coset tables
+(q8_cosets, q16_cosets), and a label's half is read off chi_table.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constellation import build_constellation, chi_table, matrix_stack
-from .designs import checked_array
-from .expansion import Subconstellation
+from .constellation import chi_table, matrix_stack, q8_cosets, q16_cosets
+from .designs import checked_array, content_lines
 
 TRELLIS_FILE = "trellis8.txt"
 
@@ -68,6 +69,15 @@ class TrellisError(ValueError):
         self.transition = transition
 
 
+def _first(bad, message):
+    """Raise TrellisError(message(k, ...)) at the first index (k, ...) where bad
+    holds, k naming the offending transition."""
+    hits = np.argwhere(bad)
+    if len(hits):
+        k = hits[0].tolist()
+        raise TrellisError(message(*k), k[0])
+
+
 def _integer(value, name: str, transition=None) -> int:
     """value as an int (any value operator.index accepts), or TrellisError."""
     try:
@@ -87,9 +97,9 @@ class TrellisSpec:
     if there is one, and reads the Python values before any cast, so that
     none wraps or is truncated.  A label row must be a sign-flip coset
     (_sign_flips), so that _filters can take its filters from its own
-    codematrices, and share no label with an earlier row it does not repeat
-    (_overlaps): each row sums a label's correlation in its own order, so a
-    tie of that label would go by rounding, not by the smaller from-state.
+    codematrices, and share no label with an earlier row it does not repeat:
+    each row sums a label's correlation in its own order, so a tie of that
+    label would go by rounding, not by the smaller from-state.
     Then it derives every table once:
 
     * per transition k: from_state, to_state, coded (its coded value, the
@@ -143,17 +153,18 @@ class TrellisSpec:
         if wrong.size:
             raise TrellisError("state %d has %d outgoing transitions, expected %d"
                                % (wrong[0], degree[wrong[0]], 2 ** coded_bits))
+        # one pass numbers the distinct rows and gives each label the row that holds it first
+        distinct, holder, coset_of, shares = {}, {}, [], []
+        for row in map(tuple, labels.tolist()):
+            coset_of.append(distinct.setdefault(row, len(distinct)))
+            shares.append(any([holder.setdefault(v, coset_of[-1]) != coset_of[-1] for v in row]))
         for bad, what in ((~_sign_flips(labels), "labels are not a sign-flip coset"),
-                          (_overlaps(labels), "shares a label with an earlier label row")):
-            if bad.any():
-                k = int(bad.argmax())
-                raise TrellisError("transition %d->%d %s" % (from_state[k], to_state[k], what), k)
+                          (shares, "shares a label with an earlier label row")):
+            _first(bad, lambda k: "transition %d->%d %s" % (from_state[k], to_state[k], what))
         branch = np.argsort(from_state, kind="stable").reshape(states, -1)
         coded = np.empty(len(trans), dtype=np.intp)
         coded[branch] = np.arange(branch.shape[1])
-        distinct = {}
-        coset_of = np.array([distinct.setdefault(t.labels, len(distinct)) for t in trans],
-                            dtype=np.intp)
+        coset_of = np.array(coset_of, dtype=np.intp)
         cosets = np.array(list(distinct), dtype=np.intp)
         into = np.argsort(to_state * states + from_state, kind="stable")
         enters = to_state[into]
@@ -170,16 +181,6 @@ class TrellisSpec:
             object.__setattr__(self, name, value)
 
 
-#: State count -> (coset attribute, uncoded-bit attribute) of the partition
-#: that the branch labels of a trellis with that many states must follow.
-_PARTITIONS = {8: ("q8_coset", "q8_bits"), 16: ("q16_coset", "q16_bit")}
-
-
-def _entry_column(value) -> np.ndarray:
-    """value(entry) of the 32 codematrix entries, by index."""
-    return np.array([value(e) for e in build_constellation()])
-
-
 def _sign_flips(rows) -> np.ndarray:
     """Whether each label row (R, 2**bits) is a sign-flip coset: the chi signs
     of position p are those of position 0, negated for each set bit i of p
@@ -192,25 +193,18 @@ def _sign_flips(rows) -> np.ndarray:
     return np.all(chi == chi[:, :1] * (1 - 2 * (set_bits @ flips)), axis=(1, 2))
 
 
-def _overlaps(rows) -> np.ndarray:
-    """Whether each label row (R, L) shares a label with an earlier row it does not repeat."""
-    holder = {}
-    return np.array([any([holder.setdefault(label, row) != row for label in row])
-                     for row in map(tuple, rows.tolist())], dtype=bool)
-
-
 def load_trellis(text: str) -> TrellisSpec:
     """Parse the trellis text format; TrellisSpec checks the structure.
 
     Header ``states=<n> bits_per_section=<k>``, then one line per transition
     ``from to coset idx...``.  The format adds that 8- and 16-state
-    trellises follow the q8 or q16 cosets in uncoded-bit order, that each
-    state departs and is entered on one subconstellation, and that the
-    labels cover all 32 codematrices.  Every error but an empty text's
+    trellises follow the q8 or q16 cosets in uncoded-bit order, as
+    constellation's q8_cosets and q16_cosets list them, that each state
+    departs and is entered on one subconstellation, and that the labels
+    cover all 32 codematrices.  Every error but an empty text's
     names a line: the offending transition's, or else the header's.
     """
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())
-            if ln.strip() and not ln.strip().startswith("#")]
+    body = content_lines(text)
     if not body:
         raise ValueError("empty trellis file")
     head_no, head = body[0]
@@ -239,37 +233,32 @@ def load_trellis(text: str) -> TrellisSpec:
         except ValueError:
             raise ValueError("line %d: non-integer field" % no) from None
         transitions.append(Transition(frm, to, coset, labels))
-
-    def first(bad, message):
-        """Raise message(k, ...) for the first transition k where bad holds."""
-        hits = np.argwhere(bad)
-        if len(hits):
-            raise TrellisError(message(*hits[0]), hits[0][0])
-
     try:
         spec = TrellisSpec(num_states=num_states, bits_per_section=bits,
                            transitions=tuple(transitions))
         labels = spec.labels
-        if num_states in _PARTITIONS:
-            coset_attr, bits_attr = _PARTITIONS[num_states]
-            sits_in = _entry_column(lambda e: getattr(e, coset_attr))[labels]
+        if num_states in (8, 16):
+            cosets = (q8_cosets if num_states == 8 else q16_cosets)()
+            members = np.array(list(cosets.values()))       # (cosets, labels), uncoded-bit order
+            sits_in, position = np.zeros((2, 32), dtype=np.intp)
+            sits_in[members] = np.array(list(cosets))[:, None]
+            position[members] = np.arange(members.shape[1])
             declared = np.array([t.coset for t in transitions], dtype=object)    # any int
-            first(sits_in != declared[:, None],
-                  lambda k, pos: "transition %d->%d declares coset %d but label %d sits in %s %d"
-                  % (spec.from_state[k], spec.to_state[k], declared[k], labels[k, pos],
-                     coset_attr.replace("_", " "), sits_in[k, pos]))
-            position = _entry_column(lambda e: int(getattr(e, bits_attr), 2))[labels]
-            first(position != np.arange(labels.shape[1]),
-                  lambda k, pos: "transition %d->%d label %d out of uncoded-bit order"
-                  % (spec.from_state[k], spec.to_state[k], labels[k, pos]))
+            _first(sits_in[labels] != declared[:, None],
+                   lambda k, pos: "transition %d->%d declares coset %d but label %d sits in "
+                   "q%d coset %d" % (spec.from_state[k], spec.to_state[k], declared[k],
+                                     labels[k, pos], num_states, sits_in[labels[k, pos]]))
+            _first(position[labels] != np.arange(labels.shape[1]),
+                   lambda k, pos: "transition %d->%d label %d out of uncoded-bit order"
+                   % (spec.from_state[k], spec.to_state[k], labels[k, pos]))
         # a sign-flip row keeps to its first label's half; checked against
         # the first transition listed out of, then into, a state
-        primed_of = _entry_column(lambda e: e.subconstellation is Subconstellation.PRIMED)
+        primed_of = chi_table()[:, 4:].any(axis=1)
         tag = primed_of[labels[:, 0]]
-        first(tag != primed_of[spec.branch_labels[spec.from_state, 0, 0]],
-              lambda k: "state %d departs on a mix of subconstellations" % spec.from_state[k])
-        first(tag != tag[spec.groups.min(axis=1)[spec.to_state]],
-              lambda k: "state %d is entered on a mix of subconstellations" % spec.to_state[k])
+        _first(tag != primed_of[spec.branch_labels[spec.from_state, 0, 0]],
+               lambda k: "state %d departs on a mix of subconstellations" % spec.from_state[k])
+        _first(tag != tag[spec.groups.min(axis=1)[spec.to_state]],
+               lambda k: "state %d is entered on a mix of subconstellations" % spec.to_state[k])
         covered = np.count_nonzero(np.bincount(labels.ravel(), minlength=32))
         if covered != 32:
             raise TrellisError("branch labels cover %d of 32 codematrix indices" % covered)

@@ -68,6 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import channels_from_uniform, normals_from_uniform, transmit
+from .designs import content_lines
 from .detectors import (
     TrellisSpec,
     default_trellis,
@@ -412,10 +413,7 @@ def parse_config_file(text: str, overrides=None) -> dict:
     line.
     """
     out, first_line = {}, {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in content_lines(text):
         if "=" not in line:
             raise ValueError("line %d: expected key=value, got %r" % (no, line))
         key, val = (s.strip() for s in line.split("=", 1))

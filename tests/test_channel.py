@@ -157,12 +157,17 @@ def test_transmit_equals_gather_plus_scaled_noise_in_the_noise_buffer(sigma):
     ("1-D indices", r"^indices of shape \(4,\) do not match channels of shape \(3, 2\)$"),
     ("NaN channel", "^channel coefficients must be finite$"),
     ("three channel columns", "^channel has 3 coefficients, expected 2$"),
+    ("noise of 5 columns",
+     r"^noise of shape \(2, 5\) does not match the expected shape \(2, 12\)$"),
+    ("noise of 16 columns",
+     r"^noise of shape \(2, 16\) does not match the expected shape \(2, 12\)$"),
 ])
 def test_transmit_rejects_malformed_input(case, message):
     # index -1 used to send entry 31; the others failed inside numpy
     rng = np.random.default_rng(3)
     h = channels_from_uniform(rng.random((3, 4)))
     idx = rng.integers(0, 32, size=(3, 4))
+    noise = np.zeros((3, 16))
     if case == "index -1":
         idx[1, 2] = -1
     elif case == "index 40":
@@ -175,10 +180,12 @@ def test_transmit_rejects_malformed_input(case, message):
         idx = idx[0]
     elif case == "NaN channel":
         h[0, 1] = complex(np.nan, 0.0)
+    elif case.startswith("noise"):     # 2 frames of 3 blocks take 12 noise columns
+        h, idx, noise = h[:2], idx[:2, :3], np.zeros((2, int(case.split()[2])))
     else:
         h = np.column_stack([h, h[:, :1]])
     with pytest.raises(ValueError, match=message):
-        transmit(h, idx, np.zeros((3, 16)), 0.5)
+        transmit(h, idx, noise, 0.5)
 
 
 def test_equivalent_real_model_orthonormal_frames():

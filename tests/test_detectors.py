@@ -341,6 +341,13 @@ DERIVED = ("labels_per_branch", "uncoded_bits", "coded_bits", "from_state", "to_
            "branch_labels")
 
 
+def _assert_same_tables(got, want):
+    for name in DERIVED:
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
 @pytest.mark.parametrize("spec", [default_trellis(), load_trellis(irregular_trellis_text())],
                          ids=["regular", "irregular"])
 def test_trellis_text_round_trips(spec):
@@ -349,10 +356,15 @@ def test_trellis_text_round_trips(spec):
               for t in spec.transitions]
     again = load_trellis("\n".join(lines) + "\n")
     assert again.transitions == spec.transitions
-    for name in DERIVED:
-        want, got = np.asarray(getattr(spec, name)), np.asarray(getattr(again, name))
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert np.array_equal(got, want), name
+    _assert_same_tables(again, spec)
+
+
+def test_a_list_label_row_builds_the_tables_of_its_tuple():
+    # a list row used to raise TypeError: unhashable type: 'list'
+    got, want = (TrellisSpec(num_states=1, bits_per_section=2,
+                             transitions=(Transition(0, 0, 0, row),))
+                 for row in ([0, 8, 2, 10], (0, 8, 2, 10)))
+    _assert_same_tables(got, want)
 
 
 def test_block_metrics_against_direct_formula():
