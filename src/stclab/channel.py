@@ -27,6 +27,7 @@ build_equivalent_real_model uses the same frame builder with one draw.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +77,13 @@ def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,
     """Received blocks r = C h + n of F frames, shape (F, blocks, T).
 
     Block b of frame f sends codematrix indices[f, b] over channels[f], one
-    draw h (N,) per frame.  noise (F, 2 * blocks * T) holds standard normal
-    draws, interleaved re/im per channel use, scaled by sigma per real
-    dimension.  transmit takes the noise over: a writeable C-contiguous
-    float64 noise array is scaled in place and the blocks C h are added into
-    it, so the result is a view of its buffer and the noise values are gone
-    (any other noise is copied first).  channels and indices are checked
-    and not written to.
+    draw h (N,) per frame.  noise (F, 2 * blocks * T), integer or float,
+    holds standard normal draws, interleaved re/im per channel use, scaled
+    by sigma, a finite real >= 0, per real dimension.  transmit takes the
+    noise over: a writeable C-contiguous float64 noise array is scaled in
+    place and the blocks C h are added into it, so the result is a view of
+    its buffer and the noise values are gone (any other noise is copied
+    first).  Every input is checked; channels and indices are not written to.
     """
     mats = matrix_stack()
     channels = checked_array(channels, "channel", mats.shape[2], ndims=(2,))
@@ -93,13 +94,18 @@ def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,
     if indices.dtype.kind not in "iu" or indices.size and not (
             0 <= indices.min() <= indices.max() < len(mats)):
         raise ValueError("codematrix indices must be integers in 0..%d" % (len(mats) - 1))
+    if not isinstance(sigma, numbers.Real) or not 0 <= sigma <= np.finfo(float).max:
+        raise ValueError("sigma must be a finite real number >= 0, got %r" % (sigma,))
+    noise = np.asarray(noise)
     want = (len(indices), 2 * indices.shape[1] * mats.shape[1])
-    if np.shape(noise) != want:
+    if noise.shape != want:
         raise ValueError("noise of shape %s does not match the expected shape %s"
-                         % (np.shape(noise), want))
+                         % (noise.shape, want))
+    if noise.dtype.kind not in "iuf":
+        raise ValueError("noise must hold real numbers, got dtype %s" % noise.dtype)
     rec = np.require(noise, np.float64, "CW").view(np.complex128).reshape(
         indices.shape + mats.shape[1:2])
-    rec *= sigma
+    rec *= float(sigma)
     # C h of each frame's 32 candidates, elementwise (cheaper than 32 matmuls),
     # for CHUNK_DRAWS frames at a time
     for lo in range(0, len(rec), CHUNK_DRAWS):

@@ -15,8 +15,8 @@ correlation is linear in chi: every label row is a sign-flip coset, and
 its best label takes one matched-filter sign per uncoded bit, each filter
 half the difference of two of the row's codematrices (Alamouti's linear
 ML, decoupled over parallel transitions as in Jafarkhani and Seshadri,
-2003).  viterbi_decode re-sums the exact ||r - C h||^2 of the decided
-candidates, so the metric it returns is the
+2003).  The decoder returns the bits it decides, which the encoder maps to
+codematrix indices; viterbi_decode re-sums their exact ||r - C h||^2, the
 path's squared distance.  All tie-breaks are deterministic: smaller
 predecessor state, then smaller label position.  Ties are counted only on
 request (viterbi_decode always asks).  Uncoded BASE transmission is the
@@ -485,11 +485,9 @@ def _traceback(spec: TrellisSpec, back, state) -> np.ndarray:
     return path
 
 
-def _decisions(spec: TrellisSpec, path, best_pos):
-    """Decided indices (F, S) and bits (F, S * bits_per_section), uint8, along path.
-
-    path (F, S) holds transitions; it is overwritten with flat label indices.
-    """
+def _decisions(spec: TrellisSpec, path, best_pos) -> np.ndarray:
+    """Decided bits (F, S * bits_per_section), uint8, along path (F, S) of transitions:
+    per section the transition's coded value, then its label row's best position."""
     frames, sections = path.shape
     flat = spec.coset_of[path]          # flat index into best_pos, built in place
     flat *= frames
@@ -502,10 +500,7 @@ def _decisions(spec: TrellisSpec, path, best_pos):
     value |= pos
     bits = value[..., None] >> np.arange(spec.bits_per_section - 1, -1, -1, dtype=dtype)
     bits &= 1
-    del value
-    path *= spec.labels_per_branch
-    path += pos
-    return spec.labels.ravel()[path], bits.astype(np.uint8, copy=False).reshape(frames, -1)
+    return bits.astype(np.uint8, copy=False).reshape(frames, -1)
 
 
 def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: int = 0,
@@ -518,11 +513,11 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
     scores every label row of a block of sections by matched-filter signs
     and _acs keeps the survivors over it, block by block, so that the
     scores of one block are alive at a time; then _traceback with
-    _decisions reads the path.
+    _decisions reads the bits off the path.
 
-    Returns (decided (F, sections), bits (F, sections * bits_per_section)
-    as uint8, ties_broken (F,)); viterbi_decode adds the decided path's
-    exact metric.  Ties go to the first minimum: the smaller label position
+    Returns (bits (F, sections * bits_per_section) as uint8, ties_broken
+    (F,)); trellis_encode_frames maps the bits to the decided codematrix
+    indices.  Ties go to the first minimum: the smaller label position
     within a branch, the smaller from-state within a compare, the smaller
     state at the end.  With count_ties a tie counts each branch whose best
     label is not unique, each extra equal candidate of a finite compare,
@@ -555,7 +550,7 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
         back, pm = _acs(spec, blocks, (sections, frames), initial_state, counted)
         path = _traceback(spec, back, np.argmin(pm, axis=0))
         del back
-    return _decisions(spec, path, best_pos) + (ties,)
+    return _decisions(spec, path, best_pos), ties
 
 
 def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
@@ -566,9 +561,9 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
     one draw (N,) for the frame or one per section (sections, N).  Both are
     checked by checked_array.  The start state is known to the decoder; the
     end state is free (best final metric).  One frame of
-    viterbi_decode_frames, whose decisions fix the returned metric: the
-    exact ||r - C h||^2 of the decided blocks, summed in section order
-    (0.0 + b0 + b1 + ...) as an ACS over exact distances adds them.
+    viterbi_decode_frames; trellis_encode_frames maps its bits to the
+    decided indices, whose exact ||r - C h||^2 is the metric, summed in
+    section order (0.0 + b0 + b1 + ...) as an ACS over exact distances.
     """
     mats = matrix_stack()
     rec = checked_array(received_blocks, "received block", mats.shape[1], ndims=(2,),
@@ -576,10 +571,9 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
     hs = checked_array(channels, "channel", mats.shape[2], ndims=(1, 2), rows="sections")
     if hs.ndim == 2 and len(hs) != len(rec):
         raise ValueError("got %d received blocks but %d channels" % (len(rec), len(hs)))
-    (decided,), (bits,), (ties,) = viterbi_decode_frames(spec, rec[None], hs[None],
-                                                         initial_state, count_ties=True)
+    bits, ties = viterbi_decode_frames(spec, rec[None], hs[None], initial_state, count_ties=True)
+    decided = trellis_encode_frames(spec, bits, initial_state)[0]
     chosen = mats[decided] @ hs[..., None]                 # (sections, T, 1)
     metric = np.cumsum(squared_distances(rec, chosen)[..., 0])[-1]
-    result = DecodeResult(decided_indices=tuple(decided.tolist()), metric=float(metric),
-                          ties_broken=int(ties))
-    return result, bits.astype(np.int64)
+    return DecodeResult(decided_indices=tuple(decided.tolist()), metric=float(metric),
+                        ties_broken=int(ties[0])), bits[0].astype(np.int64)

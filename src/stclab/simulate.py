@@ -355,7 +355,7 @@ def run_point(cfg: SimConfig, point_index: int,
                                          bits_per_frame)
         # the received blocks take the noise's buffer over
         rec = transmit(h, trellis_encode_frames(spec, tx_bits), noise, sigma)
-        rx_bits = viterbi_decode_frames(spec, rec, h)[1]
+        rx_bits, _ = viterbi_decode_frames(spec, rec, h)
         errs = np.count_nonzero(rx_bits != tx_bits, axis=1)
         # keep the frames up to the one that spends the error budget, where a
         # frame-by-frame run stops (all of them if none does)

@@ -149,6 +149,11 @@ def test_transmit_equals_gather_plus_scaled_noise_in_the_noise_buffer(sigma):
     assert got.tobytes() == want.tobytes()
 
 
+#: sigma values that transmit rejects, by case of test_transmit_rejects_malformed_input.
+BAD_SIGMAS = {"sigma NaN": np.nan, "sigma inf": np.inf, "sigma -1": -1.0, "sigma 1j": 1j,
+              "sigma array": np.array([0.5, 0.5]), "sigma abc": "abc", "sigma None": None}
+
+
 @pytest.mark.parametrize("case, message", [
     ("index -1", r"^codematrix indices must be integers in 0\.\.31$"),
     ("index 40", r"^codematrix indices must be integers in 0\.\.31$"),
@@ -161,13 +166,18 @@ def test_transmit_equals_gather_plus_scaled_noise_in_the_noise_buffer(sigma):
      r"^noise of shape \(2, 5\) does not match the expected shape \(2, 12\)$"),
     ("noise of 16 columns",
      r"^noise of shape \(2, 16\) does not match the expected shape \(2, 12\)$"),
-])
+    ("complex noise", "^noise must hold real numbers, got dtype complex128$"),
+    ("str noise", "^noise must hold real numbers, got dtype <U32$"),
+    ("bool noise", "^noise must hold real numbers, got dtype bool$"),
+] + [(case, "^sigma must be a finite real number >= 0, got ") for case in BAD_SIGMAS])
 def test_transmit_rejects_malformed_input(case, message):
-    # index -1 used to send entry 31; the others failed inside numpy
+    # index -1 used to send entry 31; a bad sigma gave plausible or non-finite
+    # blocks, and complex, str or bool noise was cast to float64; the others
+    # failed inside numpy
     rng = np.random.default_rng(3)
     h = channels_from_uniform(rng.random((3, 4)))
     idx = rng.integers(0, 32, size=(3, 4))
-    noise = np.zeros((3, 16))
+    noise, sigma = np.zeros((3, 16)), 0.5
     if case == "index -1":
         idx[1, 2] = -1
     elif case == "index 40":
@@ -182,10 +192,14 @@ def test_transmit_rejects_malformed_input(case, message):
         h[0, 1] = complex(np.nan, 0.0)
     elif case.startswith("noise"):     # 2 frames of 3 blocks take 12 noise columns
         h, idx, noise = h[:2], idx[:2, :3], np.zeros((2, int(case.split()[2])))
+    elif case.endswith("noise"):
+        h, idx, noise = h[:2], idx[:2, :3], np.zeros((2, 12)).astype(case.split()[0])
+    elif case.startswith("sigma"):
+        h, idx, noise, sigma = h[:2], idx[:2, :3], np.zeros((2, 12)), BAD_SIGMAS[case]
     else:
         h = np.column_stack([h, h[:, :1]])
     with pytest.raises(ValueError, match=message):
-        transmit(h, idx, noise, 0.5)
+        transmit(h, idx, noise, sigma)
 
 
 def test_equivalent_real_model_orthonormal_frames():

@@ -572,8 +572,9 @@ def test_frame_batch_matches_single_frame_decodes(spec, per_section):
     rec = (mats[idx] @ h[..., None])[..., 0]
     rec = rec + 0.6 * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
     rec[-2:] = 0.0
-    decided, got_bits, ties = viterbi_decode_frames(
+    got_bits, ties = viterbi_decode_frames(
         spec, rec, h if per_section else h[:, 0], initial_state=start, count_ties=True)
+    decided = trellis_encode_frames(spec, got_bits, initial_state=start)
     assert ties[-1] > 0 and ties[-2] == ties[-1]
     for f in range(frames):
         hs = h[f] if per_section else h[f, 0]
@@ -738,7 +739,9 @@ def test_correlation_kernel_equals_exact_distance_reference(seed, trellis, frame
     start = int(rng.integers(0, spec.num_states))
     rec, faded, h = _noisy_batch(spec, rng, frames, sections, start, sigma, per_section,
                                  min(all_tie, frames))
-    got = viterbi_decode_frames(spec, rec, h, initial_state=start, count_ties=True)
+    got_bits, got_ties = viterbi_decode_frames(spec, rec, h, initial_state=start,
+                                               count_ties=True)
+    got = (trellis_encode_frames(spec, got_bits, initial_state=start), got_bits, got_ties)
     decided, bits, metric, ties = _exact_distance_decode(spec, rec, faded, start)
     for name, g, w in zip(("decided", "bits", "ties"), got, (decided, bits, ties)):
         assert g.dtype == w.dtype and g.shape == w.shape, name
@@ -768,7 +771,7 @@ def test_sign_decisions_equal_exhaustive_ml_over_each_row(seed, family, sigma):
         sent = np.array(row)[rng.integers(0, len(row), size=(3, 5))]
         rec = (matrix_stack()[sent] @ h[:, None, :, None])[..., 0]
         rec += sigma * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
-        decided = viterbi_decode_frames(spec, rec, h)[0]
+        decided = trellis_encode_frames(spec, viterbi_decode_frames(spec, rec, h)[0])
         for f, s in np.ndindex(decided.shape):
             ml = ml_block_decode(rec[f, s], h[f], [entries[i] for i in row])
             assert decided[f, s] == ml.decided_indices[0]
@@ -781,11 +784,12 @@ def test_count_ties_false_changes_nothing_else(trellis, per_section):
     rec, _, h = _noisy_batch(spec, np.random.default_rng(41), 9, 7, 0, 0.6, per_section, 2)
     counted = viterbi_decode_frames(spec, rec, h, count_ties=True)
     uncounted = viterbi_decode_frames(spec, rec, h)
-    for c, u in zip(counted[:2], uncounted[:2]):
+    encoded = [trellis_encode_frames(spec, out[0]) for out in (counted, uncounted)]
+    for c, u in (encoded, (counted[0], uncounted[0])):
         assert c.dtype == u.dtype and c.tobytes() == u.tobytes()
-    assert counted[2][-1] > 0
-    assert uncounted[2].dtype == np.int64 and uncounted[2].shape == (9,)
-    assert not uncounted[2].any()
+    assert counted[1][-1] > 0
+    assert uncounted[1].dtype == np.int64 and uncounted[1].shape == (9,)
+    assert not uncounted[1].any()
 
 
 @pytest.fixture
@@ -828,7 +832,8 @@ def test_decisions_do_not_depend_on_the_branch_block(monkeypatch, block_widths, 
         scores = default if width is None else width * frames * SCORES_PER_SECTION
         monkeypatch.setattr(detectors, "_BRANCH_SCORES", scores)
         block_widths.clear()
-        runs.append(viterbi_decode_frames(spec, rec, h, count_ties=True))
+        bits, ties = viterbi_decode_frames(spec, rec, h, count_ties=True)
+        runs.append((trellis_encode_frames(spec, bits), bits, ties))
         want = width or default // (frames * SCORES_PER_SECTION)
         assert block_widths == [want] * (sections // want) + [sections % want] * (
             sections % want > 0)
@@ -1004,8 +1009,11 @@ def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_s
     rec = (matrix_stack()[idx] @ np.broadcast_to(h, (frames, sections, 2))[..., None])[..., 0]
     rec = rec + sigma * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
     channels = h if per_section else h[:, 0]
-    decided, got_bits, ties = viterbi_decode_frames(spec, rec, channels)
-    for got, want in zip((decided, got_bits, ties), viterbi_decode_frames(twin, rec, channels)):
+    got_bits, ties = viterbi_decode_frames(spec, rec, channels)
+    twin_bits, twin_ties = viterbi_decode_frames(twin, rec, channels)
+    decided = trellis_encode_frames(spec, got_bits)
+    for got, want in zip((decided, got_bits, ties),
+                         (trellis_encode_frames(twin, twin_bits), twin_bits, twin_ties)):
         assert got.tobytes() == want.tobytes()
     base = [build_constellation()[i] for i in labels]
     for f in range(frames):
@@ -1019,4 +1027,3 @@ def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_s
             total += ml.metric
         assert abs(metric - total) <= 1e-12 * max(1.0, total)
         assert ties[f] == 0
-    assert trellis_encode_frames(spec, got_bits).tolist() == decided.tolist()

@@ -120,7 +120,7 @@ def _per_frame_bit_errors(monkeypatch, point: int):
 
     def spy_decode(*args):
         out = decode(*args)
-        decided.append(out[1])
+        decided.append(out[0])
         return out
 
     monkeypatch.setattr(simulate, "trellis_encode_frames", spy_encode)
