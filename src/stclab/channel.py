@@ -66,10 +66,9 @@ def channels_from_uniform(u: np.ndarray) -> np.ndarray:
     """Rayleigh channel vectors (..., N) from uniforms u of shape (..., 2N).
 
     h_n = (a + jb)/sqrt(2) with (a, b) the n-th Box-Muller pair of
-    normals_from_uniform(u); E||h||^2 = N.
+    normals_from_uniform(u) viewed as complex, as transmit views noise; E||h||^2 = N.
     """
-    g = normals_from_uniform(u)
-    return (g[..., 0::2] + 1j * g[..., 1::2]) / np.sqrt(2.0)
+    return normals_from_uniform(u).view(np.complex128) / np.sqrt(2.0)
 
 
 def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,

@@ -17,7 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .designs import alamouti_generators, content_lines, primed_alamouti_generators
+from .designs import (
+    alamouti_generators,
+    checked_index,
+    content_lines,
+    primed_alamouti_generators,
+)
 from .expansion import ExpandedConstellation, Subconstellation, expand
 
 #: 4PSK alphabet; index k is exp(j*(pi/4 + k*pi/2)).
@@ -44,12 +49,12 @@ class CodematrixEntry:
 
 
 def matrix_from_indices(index_matrix) -> np.ndarray:
-    """Codematrix from a 2x2 array of 4PSK alphabet indices."""
+    """Codematrix from a 2x2 array of 4PSK alphabet indices, integers in 0..3."""
     im = np.asarray(index_matrix)
     if im.shape != (2, 2):
         raise ValueError("index matrix must be 2x2, got %s" % (im.shape,))
-    return np.array([[QPSK[int(im[r, c])] for c in range(2)] for r in range(2)],
-                    dtype=np.complex128)
+    return np.array([[QPSK[checked_index(k, "4PSK index", 0, 3)] for k in row]
+                     for row in im.tolist()], dtype=np.complex128)
 
 
 def _parse_table(text: str):
@@ -67,7 +72,7 @@ def _parse_table(text: str):
             q16_bit = fields[5]
         except ValueError as exc:
             raise ValueError("line %d: %s" % (no, exc)) from None
-        if len(cells) != 4 or any(not 0 <= c <= 3 for c in cells):
+        if len(cells) != 4 or any(not 0 <= c <= 3 for c in cells):    # named by its line
             raise ValueError("line %d: need four 4PSK indices in 0..3" % no)
         if len(q8_bits) != 2 or not set(q8_bits) <= {"0", "1"}:
             raise ValueError("line %d: q8 bits must be two binary digits" % no)
@@ -155,11 +160,17 @@ class FormReport:
         return not self.violations
 
 
+#: Tag -> (s, name) of its form [[A, s conj(B)], [B, -s conj(A)]].
+_FORMS = {Subconstellation.BASE: (1.0, "[[A, conj(B)], [B, -conj(A)]]"),
+          Subconstellation.PRIMED: (-1.0, "[[A, -conj(B)], [B, conj(A)]]")}
+
+
 def verify_forms(entries=None) -> FormReport:
     """Check the algebraic form of every entry against its tag.
 
-    BASE: [[A, conj(B)], [B, -conj(A)]]; PRIMED: [[A, -conj(B)], [B, conj(A)]];
-    in both cases A, B must be 4PSK points, every match to within 1e-12.
+    Every entry must be [[A, s conj(B)], [B, -s conj(A)]] with A, B 4PSK
+    points, s = +1 for BASE and -1 for PRIMED (a PRIMED entry is its BASE
+    pre-image times diag(1, -1)), every match to within 1e-12.
     """
     tol = 1e-12
     if entries is None:
@@ -171,13 +182,8 @@ def verify_forms(entries=None) -> FormReport:
         if min(abs(a - s) for s in QPSK) > tol or min(abs(b - s) for s in QPSK) > tol:
             bad.append("entry %d: first column not drawn from 4PSK" % e.index)
             continue
-        if e.subconstellation is Subconstellation.BASE:
-            ok = (abs(m[0, 1] - np.conj(b)) <= tol and abs(m[1, 1] + np.conj(a)) <= tol)
-            form = "[[A, conj(B)], [B, -conj(A)]]"
-        else:
-            ok = (abs(m[0, 1] + np.conj(b)) <= tol and abs(m[1, 1] - np.conj(a)) <= tol)
-            form = "[[A, -conj(B)], [B, conj(A)]]"
-        if not ok:
+        s, form = _FORMS[e.subconstellation]
+        if not (abs(m[0, 1] - s * np.conj(b)) <= tol and abs(m[1, 1] + s * np.conj(a)) <= tol):
             bad.append("entry %d: does not match %s form" % (e.index, form))
     return FormReport(violations=tuple(bad))
 
@@ -208,15 +214,9 @@ def distance_spectrum(which: str = "FULL") -> dict:
     which selects BASE, PRIMED, or FULL (all 32 points).  Distances are
     grouped on a 1e-9 grid; for this constellation they are exact integers.
     """
-    entries = build_constellation()
-    if which == "BASE":
-        pool = [e for e in entries if e.subconstellation is Subconstellation.BASE]
-    elif which == "PRIMED":
-        pool = [e for e in entries if e.subconstellation is Subconstellation.PRIMED]
-    elif which == "FULL":
-        pool = list(entries)
-    else:
+    if which not in ("BASE", "PRIMED", "FULL"):
         raise ValueError("which must be BASE, PRIMED, or FULL, got %r" % (which,))
+    pool = [e for e in build_constellation() if which in ("FULL", e.subconstellation.value)]
     spectrum = {}
     for i in range(len(pool)):
         for j in range(i + 1, len(pool)):

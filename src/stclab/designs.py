@@ -21,6 +21,8 @@ orthogonal with squared gain c * ||chi - chi'||^2 per antenna.
 from __future__ import annotations
 
 import io
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +66,12 @@ def content_lines(text: str) -> list:
             if line and not line.startswith("#")]
 
 
-def checked_coordinates(values, what: str, dtype=np.float64) -> np.ndarray:
+def checked_coordinates(values, what: str, dtype=np.float64, size=None) -> np.ndarray:
     """values as a flat contiguous dtype array, the one check of coordinate input.
 
-    Raises ValueError on a non-finite entry and, in real coordinates (dtype
-    float64), on a complex entry, whose imaginary part a cast would drop.
-    Callers check the length.
+    Raises ValueError on a non-finite entry, in real coordinates (dtype
+    float64) on a complex entry, whose imaginary part a cast would drop,
+    and, when size is not None, unless there are size entries.
     """
     a = np.asarray(values)
     if dtype == np.float64 and np.iscomplexobj(a):
@@ -77,7 +79,31 @@ def checked_coordinates(values, what: str, dtype=np.float64) -> np.ndarray:
     x = np.ascontiguousarray(a, dtype=dtype).reshape(-1)
     if not np.isfinite(x).all():
         raise ValueError("%s entries must be finite" % what)
+    if size is not None and x.size != size:
+        raise ValueError("%s must have length %d, got %d" % (what, size, x.size))
     return x
+
+
+def real_float(value) -> float:
+    """float(value) of a real value, or an infinity of its sign when it is past
+    the float range (an int or Fraction), as float("1e400") is."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
+def checked_index(value, what: str, lo: int = None, hi: int = None) -> int:
+    """value as an int, the one check of index input: ValueError unless
+    operator.index accepts it (a float or a string it does not) and, when a
+    range lo..hi is given, it lies in that range."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (what, value)) from None
+    if lo is not None and not lo <= k <= hi:
+        raise ValueError("%s %d out of range %d..%d" % (what, k, lo, hi))
+    return k
 
 
 def checked_unimodular(zeta) -> complex:
@@ -93,7 +119,7 @@ class GeneratorSet:
     """Ordered Radon-Hurwitz basis of a generalized orthogonal design.
 
     Construction raises ValueError unless the basis is 2K >= 2 matrices of
-    one shape, none of them empty, and the scale is positive and finite.
+    one shape, none of them empty, and the scale is a positive, finite real.
 
     Attributes
     ----------
@@ -121,10 +147,11 @@ class GeneratorSet:
             if b.shape != shape:
                 raise ValueError("basis[%d] has shape %s, expected %s"
                                  % (k, b.shape, shape))
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
+        c = real_float(self.scale) if isinstance(self.scale, numbers.Real) else np.nan
+        if not 0.0 < c < np.inf:
             raise ValueError("scale must be positive and finite, got %r" % (self.scale,))
-        for name, value in dict(basis=shaped, block_len=shape[0], num_antennas=shape[1],
-                                num_symbols=len(shaped) // 2).items():
+        for name, value in dict(basis=shaped, scale=c, block_len=shape[0],
+                                num_antennas=shape[1], num_symbols=len(shaped) // 2).items():
             object.__setattr__(self, name, value)
 
     def stacked(self) -> np.ndarray:
@@ -194,9 +221,7 @@ def radon_hurwitz_check(g: GeneratorSet) -> RadonHurwitzReport:
 
 def synthesize(g: GeneratorSet, chi) -> np.ndarray:
     """Codematrix S(chi) = sum_l chi_l B_l for real coordinates chi."""
-    x = checked_coordinates(chi, "chi")
-    if x.size != 2 * g.num_symbols:
-        raise ValueError("chi must have length %d, got %d" % (2 * g.num_symbols, x.size))
+    x = checked_coordinates(chi, "chi", size=2 * g.num_symbols)
     return np.tensordot(x, g.stacked(), axes=1)
 
 
@@ -230,8 +255,7 @@ def conjugate_basis_pair(g: GeneratorSet, l: int) -> tuple[np.ndarray, np.ndarra
     B-_l = (B_{2l-2} - i B_{2l-1}) / 2 the symbol itself, so that
     S = sum_l z_l B-_l + conj(z_l) B+_l.
     """
-    if not 1 <= l <= g.num_symbols:
-        raise ValueError("symbol slot must be in 1..%d, got %d" % (g.num_symbols, l))
+    l = checked_index(l, "symbol slot", 1, g.num_symbols)
     be = g.basis[2 * l - 2]
     bo = g.basis[2 * l - 1]
     plus = (be + 1j * bo) / 2.0
@@ -245,9 +269,8 @@ def pairwise_difference_check(g: GeneratorSet, chi_a, chi_b) -> float:
     Returns the residual; values above RH_TOL mean the semiunitary
     difference identity does not hold for this pair.
     """
-    xa, xb = checked_coordinates(chi_a, "chi_a"), checked_coordinates(chi_b, "chi_b")
-    if xa.size != xb.size or xa.size != 2 * g.num_symbols:
-        raise ValueError("coordinate vectors must both have length %d" % (2 * g.num_symbols,))
+    xa = checked_coordinates(chi_a, "chi_a", size=2 * g.num_symbols)
+    xb = checked_coordinates(chi_b, "chi_b", size=2 * g.num_symbols)
     d = synthesize(g, xa) - synthesize(g, xb)
     lhs = d.conj().T @ d
     expect = g.scale * float(np.sum((xa - xb) ** 2)) * np.eye(g.num_antennas)

@@ -32,14 +32,13 @@ names a line in every error of a listing that has a header.  The format's
 from __future__ import annotations
 
 import importlib.resources
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .constellation import chi_table, matrix_stack, q8_cosets, q16_cosets
-from .designs import checked_array, content_lines
+from .designs import checked_array, checked_index, content_lines
 
 TRELLIS_FILE = "trellis8.txt"
 
@@ -79,11 +78,11 @@ def _first(bad, message):
 
 
 def _integer(value, name: str, transition=None) -> int:
-    """value as an int (any value operator.index accepts), or TrellisError."""
+    """value as an int by checked_index, its ValueError raised as a TrellisError."""
     try:
-        return operator.index(value)
-    except TypeError:
-        raise TrellisError("%s must be an integer, got %r" % (name, value), transition) from None
+        return checked_index(value, name)
+    except ValueError as exc:
+        raise TrellisError(str(exc), transition) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +107,8 @@ class TrellisSpec:
       transition k and coset_count[c] the number of transitions on row c;
     * groups[s] lists the transitions into state s by from-state, padded
       with the index len(transitions), whose candidate metric is +inf;
-    * indexed (state, coded value): next_state, and branch_labels with the
-      label row on the last axis.
+    * the encoder's flat tables over the key (state << bits_per_section) + value:
+      key_label, the label sent, and key_next, the key of the next state.
 
     The derived arrays are read-only, since cached specs are shared.
     """
@@ -170,12 +169,12 @@ class TrellisSpec:
         enters = to_state[into]
         groups = np.full((states, np.bincount(to_state).max()), len(trans), dtype=np.intp)
         groups[enters, np.arange(len(trans)) - np.searchsorted(enters, enters)] = into
+        key = branch.repeat(width, axis=1).ravel()         # the transition of each key
         for name, value in dict(
-                labels_per_branch=labels.shape[1], uncoded_bits=uncoded_bits,
-                coded_bits=coded_bits, from_state=from_state, to_state=to_state,
-                coded=coded, labels=labels, cosets=cosets, coset_of=coset_of,
-                coset_count=np.bincount(coset_of), groups=groups, next_state=to_state[branch],
-                branch_labels=labels[branch]).items():
+                uncoded_bits=uncoded_bits, coded_bits=coded_bits, from_state=from_state,
+                to_state=to_state, coded=coded, labels=labels, cosets=cosets,
+                coset_of=coset_of, coset_count=np.bincount(coset_of), groups=groups,
+                key_next=to_state[key] << bits, key_label=labels[branch].ravel()).items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -255,7 +254,7 @@ def load_trellis(text: str) -> TrellisSpec:
         # the first transition listed out of, then into, a state
         primed_of = chi_table()[:, 4:].any(axis=1)
         tag = primed_of[labels[:, 0]]
-        _first(tag != primed_of[spec.branch_labels[spec.from_state, 0, 0]],
+        _first(tag != primed_of[spec.key_label[spec.from_state << bits]],
                lambda k: "state %d departs on a mix of subconstellations" % spec.from_state[k])
         _first(tag != tag[spec.groups.min(axis=1)[spec.to_state]],
                lambda k: "state %d is entered on a mix of subconstellations" % spec.to_state[k])
@@ -319,14 +318,6 @@ def _value_dtype(spec: TrellisSpec) -> np.dtype:
     return np.min_scalar_type((1 << spec.bits_per_section) - 1)
 
 
-def _check_initial_state(spec: TrellisSpec, initial_state: int) -> int:
-    """initial_state as an int, which must name a state of spec."""
-    state = _integer(initial_state, "initial_state")
-    if not 0 <= state < spec.num_states:
-        raise ValueError("initial_state %d out of range 0..%d" % (state, spec.num_states - 1))
-    return state
-
-
 def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np.ndarray:
     """Codematrix indices (F, sections) for the bit rows (F, bits) of F frames.
 
@@ -338,7 +329,7 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
     if b.ndim != 2 or b.shape[1] % spec.bits_per_section:
         raise ValueError("bits must be rows of a multiple of %d, got shape %s"
                          % (spec.bits_per_section, b.shape))
-    initial_state = _check_initial_state(spec, initial_state)
+    initial_state = checked_index(initial_state, "initial_state", 0, spec.num_states - 1)
     if not np.all((b == 0) | (b == 1)):         # before the values are read as integers
         raise ValueError("bits must be 0 or 1")
     dtype = _value_dtype(spec)
@@ -346,19 +337,14 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
     frames, sections = b.shape[0], b.shape[1] // spec.bits_per_section
     weights = (1 << np.arange(spec.bits_per_section - 1, -1, -1)).astype(dtype)
     value = b.reshape(frames, sections, spec.bits_per_section) @ weights
-    # the label and the next state of a section, flat over the key
-    # state * 2^bits_per_section + value; the state is carried premultiplied
-    n_values = 1 << spec.bits_per_section
-    labels = spec.branch_labels.reshape(-1)
-    if spec.num_states == 1:        # no state to track: the value picks the label
-        return labels[value]
-    to = (np.repeat(spec.next_state, spec.labels_per_branch, axis=1) * n_values).ravel()
+    if spec.num_states == 1:        # no state to track: the value is the key
+        return spec.key_label[value]
     key = np.empty((sections, frames), dtype=np.intp)
-    state = np.full(frames, initial_state * n_values, dtype=np.intp)
+    state = np.full(frames, initial_state << spec.bits_per_section, dtype=np.intp)
     for s, v in enumerate(value.T):
         np.add(state, v, out=key[s])
-        state = to[key[s]]
-    return labels[key.T]
+        state = spec.key_next[key[s]]
+    return spec.key_label[key.T]
 
 
 def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
@@ -527,7 +513,7 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
     checked_array, and ValueError is raised unless they hold at least one
     block and agree in frames (and in sections, for per-section channels).
     """
-    initial_state = _check_initial_state(spec, initial_state)
+    initial_state = checked_index(initial_state, "initial_state", 0, spec.num_states - 1)
     t, n = matrix_stack().shape[1:]
     received = np.ascontiguousarray(checked_array(received, "received block", t, ndims=(3,)))
     channels = np.ascontiguousarray(checked_array(channels, "channel", n, ndims=(2, 3)))

@@ -45,6 +45,7 @@ from .designs import (
     analyze,
     checked_array,
     checked_coordinates,
+    checked_index,
     checked_unimodular,
     design_matrix,
     pairwise_difference_check,
@@ -251,22 +252,21 @@ def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int) -> floa
     """Pairwise semiunitary-difference defect for two like-tagged points.
 
     Mixed-tag pairs are rejected: the identity is a within-subconstellation
-    statement, each tag carrying its own basis.
+    statement, each tag (half 0 or 1 of chi_oplus) carrying its own basis.
     """
-    a, b = e.points[i], e.points[j]
+    a, b = (e.points[checked_index(k, "point index", 0, len(e.points) - 1)] for k in (i, j))
     if a.tag is not b.tag:
         raise ValueError("pairwise difference identity needs points from the "
                          "same subconstellation, got %s vs %s" % (a.tag.value, b.tag.value))
-    g = e.base_generators if a.tag is Subconstellation.BASE else e.primed_generators
-    two_k = 2 * g.num_symbols
-    sl = slice(0, two_k) if a.tag is Subconstellation.BASE else slice(two_k, 2 * two_k)
-    return pairwise_difference_check(g, a.chi_oplus[sl], b.chi_oplus[sl])
+    half = list(Subconstellation).index(a.tag)
+    return pairwise_difference_check((e.base_generators, e.primed_generators)[half],
+                                     *(p.chi_oplus.reshape(2, -1)[half] for p in (a, b)))
 
 
 def rotated_synthesis_residual(g: GeneratorSet, symbols, zeta) -> float:
     """Defect of the rotation identity: rotated-basis synthesis of z*zeta
     versus zeta * S(z).  Zero for every unimodular zeta."""
-    z = checked_coordinates(symbols, "symbols", np.complex128)
+    z = checked_coordinates(symbols, "symbols", np.complex128, g.num_symbols)
     rot = rotate_generators(g, zeta)
     lhs = synthesize(rot, (z * complex(zeta)).view(np.float64))
     rhs = complex(zeta) * synthesize(g, z.view(np.float64))

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import channels_from_uniform, normals_from_uniform, transmit
-from .designs import content_lines
+from .designs import content_lines, real_float
 from .detectors import (
     TrellisSpec,
     default_trellis,
@@ -79,11 +79,11 @@ from .detectors import (
 )
 
 #: Sections drawn and decoded together by run_point, in whole frames (256
-#: frames of 50 sections): enough frames that the decoder's per-section
-#: loops cost little per frame, and a bound on the chunk's memory for any
-#: frame length.  Every chunk of a point has this size but the last of
-#: frames_per_point, including the one an early stop cuts.  Results do not
-#: depend on it.
+#: frames of 50 sections) and at least one: enough frames that the decoder's
+#: per-section loops cost little per frame, and a bound on the chunk's memory
+#: while no frame is longer; a longer frame is a chunk of its own.  Every
+#: chunk of a point has this size but the last of frames_per_point,
+#: including the one an early stop cuts.  Results do not depend on it.
 CHUNK_SECTIONS = 12800
 
 CSV_HEADER = "snr_db,frames,bits,bit_errors,frame_errors,ber,fer,elapsed_seconds"
@@ -106,15 +106,6 @@ def _string(value) -> str:
     return value
 
 
-def _real(value) -> float:
-    """float(value), or an infinity of its sign when it is past the float range
-    (an int or Fraction), as float("1e400") is."""
-    try:
-        return float(value)
-    except OverflowError:
-        return float("inf") if value > 0 else float("-inf")
-
-
 def _reals(values) -> tuple:
     """values as a tuple of floats; TypeError for text or a non-real entry."""
     if isinstance(values, (str, bytes)):
@@ -122,7 +113,7 @@ def _reals(values) -> tuple:
     values = tuple(values)
     if not all(isinstance(v, numbers.Real) for v in values):
         raise TypeError(values)
-    return tuple(map(_real, values))
+    return tuple(map(real_float, values))
 
 
 _INTEGER = (operator.index, "an integer")

@@ -171,6 +171,33 @@ def test_audit_generator_file_pass_and_fail(tmp_path, capsys):
     assert "audit.overall=FAIL" in out
 
 
+#: Generator set -> (exit code, the whole stdout of audit --which RH on its file).
+RH_FILE_REPORTS = {
+    "alamouti": (0, "rh.file.scale=0.5\n"
+                    "rh.file.max_residual=2.220446e-16 tol=1e-12\n"
+                    "rh.file.worst_pair=0,0\n"
+                    "rh.file.pass=True\n"
+                    "audit.overall=PASS\n"),
+    "repeated basis[0]": (1, "rh.file.scale=0.5\n"
+                             "rh.file.max_residual=1.000000e+00 tol=1e-12\n"
+                             "rh.file.worst_pair=0,1\n"
+                             "rh.file.pass=False\n"
+                             "audit.overall=FAIL\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RH_FILE_REPORTS))
+def test_rh_file_report_is_the_recorded_text(name, tmp_path, capsys):
+    from stclab.designs import make_generator_set
+    g = alamouti_generators()
+    if name != "alamouti":
+        g = make_generator_set([g.basis[0], g.basis[0], g.basis[2], g.basis[3]])
+    path = tmp_path / "g.txt"
+    path.write_text(write_generator_file(g))
+    rc = main(["audit", "--which", "RH", "--generators", str(path)])
+    assert (rc, capsys.readouterr().out) == RH_FILE_REPORTS[name]
+
+
 def test_audit_generator_file_with_huge_or_infinite_scale(tmp_path, capsys):
     # 2c = inf must fail the check, not make NaN residuals that compare as passing
     f = tmp_path / "g.txt"

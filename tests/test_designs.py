@@ -247,10 +247,10 @@ def test_real_coordinates_must_not_be_complex():
             synthesize(g, chi)
         with pytest.raises(ValueError, match="^chi_b must be real coordinates"):
             pairwise_difference_check(g, np.zeros(4), chi)
-    # lengths keep their messages; entries are flattened as before
+    # a length error names the coordinates; entries are flattened as before
     with pytest.raises(ValueError, match="^chi must have length 4, got 3$"):
         synthesize(g, [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="^coordinate vectors must both have length 4$"):
+    with pytest.raises(ValueError, match="^chi_b must have length 4, got 5$"):
         pairwise_difference_check(g, np.zeros(4), np.zeros(5))
     assert np.array_equal(synthesize(g, [[1, 0], [0, 1]]), synthesize(g, [1.0, 0, 0, 1.0]))
     z = checked_coordinates(np.arange(8, dtype=complex)[::2], "symbols", np.complex128)

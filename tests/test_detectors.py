@@ -336,9 +336,8 @@ def test_a_row_that_mixes_halves_is_no_sign_flip_coset():
 
 
 #: Every array a TrellisSpec derives from its transitions.
-DERIVED = ("labels_per_branch", "uncoded_bits", "coded_bits", "from_state", "to_state",
-           "coded", "labels", "cosets", "coset_of", "coset_count", "groups", "next_state",
-           "branch_labels")
+DERIVED = ("uncoded_bits", "coded_bits", "from_state", "to_state", "coded", "labels",
+           "cosets", "coset_of", "coset_count", "groups", "key_next", "key_label")
 
 
 def _assert_same_tables(got, want):

@@ -16,10 +16,12 @@ from stclab.channel import (
     shape_invariance_audit,
 )
 from stclab.cli import main
-from stclab.constellation import build_constellation, table_expansion
+from stclab.constellation import build_constellation, matrix_from_indices, table_expansion
 from stclab.designs import (
+    GeneratorSet,
     alamouti_generators,
     analyze,
+    conjugate_basis_pair,
     make_generator_set,
     pairwise_difference_check,
     read_generator_file,
@@ -33,7 +35,12 @@ from stclab.detectors import (
     ml_block_decode,
     viterbi_decode,
 )
-from stclab.expansion import decompose_direct_sum, expand, rotated_synthesis_residual
+from stclab.expansion import (
+    decompose_direct_sum,
+    expand,
+    rotated_synthesis_residual,
+    tagged_difference_residual,
+)
 from stclab.simulate import SimConfig, parse_config_file
 
 CONFIG = """# a valid trellis run
@@ -313,3 +320,44 @@ def test_malformed_arrays_raise_only_value_error(entry, target, how, seed, level
     with pytest.raises(ValueError) as caught:
         call(inputs)
     assert caught.type is ValueError          # not a subclass such as LinAlgError
+
+
+#: A call with a malformed index, scale or symbol count -> its whole ValueError
+#: message.  Before the arguments were checked, each raised TypeError or
+#: IndexError, returned a value, or named the 2K coordinates for the K symbols.
+BAD_ARGUMENTS = {
+    "scale as text": (lambda: GeneratorSet(DESIGN.basis, "0.5"),
+                      "scale must be positive and finite, got '0.5'"),
+    "scale None": (lambda: GeneratorSet(DESIGN.basis, None),
+                   "scale must be positive and finite, got None"),
+    "complex scale": (lambda: GeneratorSet(DESIGN.basis, 0.5j),
+                      "scale must be positive and finite, got 0.5j"),
+    "scale past the float range": (lambda: GeneratorSet(DESIGN.basis, 10**400),
+                                   "scale must be positive and finite, got %d" % 10**400),
+    "fractional symbol slot": (lambda: conjugate_basis_pair(DESIGN, 1.5),
+                               "symbol slot must be an integer, got 1.5"),
+    "symbol slot as text": (lambda: conjugate_basis_pair(DESIGN, "1"),
+                            "symbol slot must be an integer, got '1'"),
+    "point index past the end": (lambda: tagged_difference_residual(EXPANDED, 0, 32),
+                                 "point index 32 out of range 0..31"),
+    "fractional point index": (lambda: tagged_difference_residual(EXPANDED, 0, 1.5),
+                               "point index must be an integer, got 1.5"),
+    "negative point index": (lambda: tagged_difference_residual(EXPANDED, 0, -32),
+                             "point index -32 out of range 0..31"),
+    "negative 4PSK index": (lambda: matrix_from_indices([[0, -1], [0, 0]]),
+                            "4PSK index -1 out of range 0..3"),
+    "fractional 4PSK index": (lambda: matrix_from_indices([[1.7, 0], [0, 0]]),
+                              "4PSK index must be an integer, got 1.7"),
+    "4PSK index past the end": (lambda: matrix_from_indices([[0, 4], [0, 0]]),
+                                "4PSK index 4 out of range 0..3"),
+    "three symbols for two": (lambda: rotated_synthesis_residual(DESIGN, [1, 2, 3], 1),
+                              "symbols must have length 2, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_malformed_arguments_raise_value_error(case):
+    call, message = BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)) as caught:
+        call()
+    assert caught.type is ValueError
