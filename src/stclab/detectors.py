@@ -4,29 +4,29 @@ Both detectors assume receiver-side channel knowledge.  ml_block_decode
 scores candidates by the squared Euclidean distance ||r - C h||^2 of the
 received block from the faded codematrix.  The trellis decoder scores them
 by the correlation -Re<r, C h> instead: every codematrix C has
-C^H C = c ||chi||^2 I with the same ||chi||^2, so all 32 faded candidates
-C h have one energy and both scores rank them alike, up to rounding-level
-near-ties.  It scores a chunk of frames block of sections by block, and
-runs add-compare-select over each block as it is scored, on a section
-trellis whose branches carry parallel codematrix labels (one coset per
-branch); parallel transitions are resolved to the best label before the
-compare step.  C = sum_l chi_l B_l over its half's generators, so the
-correlation is linear in chi: every label row is a sign-flip coset, and
-its best label takes one matched-filter sign per uncoded bit, each filter
-half the difference of two of the row's codematrices (Alamouti's linear
-ML, decoupled over parallel transitions as in Jafarkhani and Seshadri,
-2003).  The decoder returns the bits it decides, which the encoder maps to
-codematrix indices; viterbi_decode re-sums their exact ||r - C h||^2, the
-path's squared distance.  All tie-breaks are deterministic: smaller
-predecessor state, then smaller label position.  Ties are counted only on
-request (viterbi_decode always asks).  Uncoded BASE transmission is the
-one-state trellis (uncoded_trellis): per-block ML, exact ties by that same
-rule.  A TrellisSpec is its transitions plus the arrays derived from them,
-which the encoder and decoder read; its constructor is the one structural
-check of a trellis, and load_trellis adds the rules of the file format and
-names a line in every error of a listing that has a header.  The format's
-8- and 16-state rules follow constellation's q8 and q16 coset tables
-(q8_cosets, q16_cosets), and a label's half is read off chi_table.
+C^H C = c ||chi||^2 I with the same ||chi||^2, so all 32 faded
+candidates C h have one energy and both scores rank them alike, up to
+rounding-level near-ties.  It scores a chunk of frames block of sections by
+block and runs add-compare-select over each block as it is scored, on a
+section trellis whose branches carry parallel codematrix labels (one coset
+per branch), each resolved to its best label first.  C = sum_l chi_l B_l
+over its half's generators, so the correlation is linear in chi: every label
+row is a sign-flip coset, and its best label takes one matched-filter sign
+per uncoded bit, each filter half the difference of two of the row's
+codematrices (Alamouti's linear ML, decoupled over parallel transitions as
+in Jafarkhani and Seshadri, 2003).  Uncoded BASE transmission is the
+one-state trellis (uncoded_trellis), per-block ML with no path: its bits are
+those signs alone, one matmul per block of frames.  The decoder returns the
+bits it decides, which the encoder maps to codematrix indices;
+viterbi_decode re-sums their exact ||r - C h||^2, the path's squared
+distance.  All tie-breaks are deterministic: smaller predecessor state, then
+smaller label position.  Ties are counted only on request (viterbi_decode
+always asks).  A TrellisSpec is its transitions plus the arrays derived from
+them, which the encoder and decoder read; its constructor is the one
+structural check of a trellis, and load_trellis adds the rules of the file
+format and names a line in every error of a listing that has a header.  The
+format's 8- and 16-state rules follow constellation's q8 and q16 coset
+tables (q8_cosets, q16_cosets), and a label's half is read off chi_table.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ class TrellisSpec:
     * groups[s] lists the transitions into state s by from-state, padded
       with the index len(transitions), whose candidate metric is +inf;
     * the encoder's flat tables over the key (state << bits_per_section) + value:
-      key_label, the label sent, and key_next, the key of the next state.
+      key_label, the label sent, and key_next, the key of the next state;
+    * value_dtype, the smallest dtype that holds a section's bits as one value.
 
     The derived arrays are read-only, since cached specs are shared.
     """
@@ -174,7 +175,8 @@ class TrellisSpec:
                 uncoded_bits=uncoded_bits, coded_bits=coded_bits, from_state=from_state,
                 to_state=to_state, coded=coded, labels=labels, cosets=cosets,
                 coset_of=coset_of, coset_count=np.bincount(coset_of), groups=groups,
-                key_next=to_state[key] << bits, key_label=labels[branch].ravel()).items():
+                key_next=to_state[key] << bits, key_label=labels[branch].ravel(),
+                value_dtype=np.min_scalar_type((1 << bits) - 1)).items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -313,11 +315,6 @@ def ml_block_decode(received, h, candidates) -> DecodeResult:
                         ties_broken=ties)
 
 
-def _value_dtype(spec: TrellisSpec) -> np.dtype:
-    """The smallest dtype that holds a section's bits as one unsigned value."""
-    return np.min_scalar_type((1 << spec.bits_per_section) - 1)
-
-
 def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np.ndarray:
     """Codematrix indices (F, sections) for the bit rows (F, bits) of F frames.
 
@@ -332,7 +329,7 @@ def trellis_encode_frames(spec: TrellisSpec, bits, initial_state: int = 0) -> np
     initial_state = checked_index(initial_state, "initial_state", 0, spec.num_states - 1)
     if not np.all((b == 0) | (b == 1)):         # before the values are read as integers
         raise ValueError("bits must be 0 or 1")
-    dtype = _value_dtype(spec)
+    dtype = spec.value_dtype
     b = b.astype(dtype, copy=False)
     frames, sections = b.shape[0], b.shape[1] // spec.bits_per_section
     weights = (1 << np.arange(spec.bits_per_section - 1, -1, -1)).astype(dtype)
@@ -355,8 +352,8 @@ def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
     return trellis_encode_frames(spec, [bits], initial_state)[0].tolist()
 
 
-#: Filter outputs that _branches holds at once, 128 KiB of floats, unless
-#: one section of every frame alone has more.
+#: Filter outputs that a block of _branches or _matched holds at once, 128
+#: KiB of floats, unless one section of every frame or one frame has more.
 _BRANCH_SCORES = 16384
 
 
@@ -481,12 +478,31 @@ def _decisions(spec: TrellisSpec, path, best_pos) -> np.ndarray:
     flat += np.arange(frames)[:, None]
     pos = best_pos.ravel()[flat]
     del flat
-    dtype = _value_dtype(spec)
+    dtype = spec.value_dtype
     value = (spec.coded << spec.uncoded_bits).astype(dtype)[path]
     value |= pos
     bits = value[..., None] >> np.arange(spec.bits_per_section - 1, -1, -1, dtype=dtype)
     bits &= 1
     return bits.astype(np.uint8, copy=False).reshape(frames, -1)
+
+
+def _matched(spec: TrellisSpec, received, channels, ties):
+    """Filter outputs a_i = Re<r, g_i> (w, S, bits) of a one-transition trellis per block
+    of w whole frames, up to _BRANCH_SCORES outputs; adds to ties (F,), unless None, each
+    section where some a_i is 0.  g_i = M_i h (_filters, most significant bit first) is
+    formed once per channel draw; a block is then (S, 2T) @ (2T, bits) per frame or (1, 2T)
+    @ (2T, bits) per section, shapes (and so rounding) that no chunk or block changes."""
+    (frames, sections, t), bits = received.shape, spec.uncoded_bits
+    m = _filters(spec)[bits - 1::-1, 0].reshape(bits * t, -1)             # (bits T, N)
+    g = (m @ channels.reshape(frames, -1, m.shape[1], 1)).view(np.float64)
+    g = np.ascontiguousarray(g.reshape(frames, -1, bits, 2 * t).swapaxes(-1, -2))
+    r = received.view(np.float64).reshape(g.shape[:2] + (-1, 2 * t))
+    step = max(1, _BRANCH_SCORES // (sections * bits))
+    for lo in range(0, frames, step):
+        a = (r[lo:lo + step] @ g[lo:lo + step]).reshape(-1, sections, bits)
+        if ties is not None:
+            ties[lo:lo + step] += np.count_nonzero(np.any(a == 0, axis=-1), axis=1)
+        yield a
 
 
 def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: int = 0,
@@ -509,9 +525,9 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
     label is not unique, each extra equal candidate of a finite compare,
     and each extra equal final metric; +inf candidates never tie.  Without
     it ties_broken is all zero.  A one-state, one-transition trellis
-    (uncoded_trellis) skips the ACS loop.  Both arrays are checked by
-    checked_array, and ValueError is raised unless they hold at least one
-    block and agree in frames (and in sections, for per-section channels).
+    (uncoded_trellis) has no path: its bits are _matched's signs.  Both arrays
+    are checked by checked_array, and ValueError is raised unless they hold at
+    least one block and agree in frames (and in sections, for per-section channels).
     """
     initial_state = checked_index(initial_state, "initial_state", 0, spec.num_states - 1)
     t, n = matrix_stack().shape[1:]
@@ -523,19 +539,17 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
         raise ValueError("channels of shape %s do not match received blocks of shape %s"
                          % (channels.shape, received.shape))
     frames, sections = received.shape[:2]
-    best_pos = np.empty((sections, len(spec.cosets), frames),
-                        dtype=np.min_scalar_type(2 ** spec.uncoded_bits - 1))
     ties = np.zeros(frames, dtype=np.int64)
     counted = ties if count_ties else None
-    blocks = _branches(spec, received, channels, best_pos, counted)
     if spec.num_states == len(spec.transitions) == 1:
-        for _ in blocks:
-            pass
-        path = np.zeros((frames, sections), dtype=np.intp)
-    else:
-        back, pm = _acs(spec, blocks, (sections, frames), initial_state, counted)
-        path = _traceback(spec, back, np.argmin(pm, axis=0))
-        del back
+        bits = np.concatenate([a < 0 for a in _matched(spec, received, channels, counted)])
+        return bits.view(np.uint8).reshape(frames, -1), ties
+    best_pos = np.empty((sections, len(spec.cosets), frames),
+                        dtype=np.min_scalar_type(2 ** spec.uncoded_bits - 1))
+    blocks = _branches(spec, received, channels, best_pos, counted)
+    back, pm = _acs(spec, blocks, (sections, frames), initial_state, counted)
+    path = _traceback(spec, back, np.argmin(pm, axis=0))
+    del back
     return _decisions(spec, path, best_pos), ties
 
 

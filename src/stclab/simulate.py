@@ -51,10 +51,10 @@ Results therefore do not depend on the chunk size; the frames past the stop
 counted, and elapsed_seconds includes that work.  A chunk's memory does
 depend on its size: for 256 frames of 50 sections the tracemalloc peak is
 about 0.77 MiB uncoded and 0.97 MiB in trellis mode.  transmit forms the
-received blocks (400 KiB) in the noise's buffer, and they stay alive while
-the decoder holds its best label positions and survivors (100 KiB each in
-trellis mode) and the scores of one block of sections;
-tests/test_simulate.py holds both peaks to a ceiling.
+received blocks (400 KiB) in the noise's buffer, alive while the decoder
+holds the trellis's best label positions and survivors (100 KiB each) and
+one block of section scores, or uncoded one block of frames' filter
+outputs; tests/test_simulate.py holds both peaks to a ceiling.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ FIELDS = {
     "frames_per_point": _POSITIVE,
     "base_seed": (int, _INTEGER, lambda v: v >= 0, "must be nonnegative"),
     "max_frame_errors": _POSITIVE,
-    "sections_per_frame": _POSITIVE,
+    "sections_per_frame": (int, _INTEGER, lambda v: 1 <= v <= 2**20, "must be from 1 to "
+                           "1048576 (one frame of 2**20 sections peaks at about 181 MiB)"),
     "trellis_path": (str, _STRING, lambda v: v != "", "must name a file"),
 }
 

@@ -16,7 +16,10 @@ ties_broken)``.  Each tree runs in a process of its own, with its own
 
 The script prints, per seed and mode, the blocks whose decided index
 differs, the decided bits that differ and the frames whose tie counts
-differ, with the first few differing blocks, and exits 1 on any
+differ, with the first few differing blocks.  Each tree also decodes the
+same frames in chunks of 37 frames, and the script prints the same
+differences between that decode and the tree's own 256-frame decode, so
+that a decoder whose blocks follow the chunk shows it.  It exits 1 on any
 difference (0 when there is none).  A decoder change that only reorders
 rounding should flip nothing; a flip at a near-tie is reported here, not
 hidden.
@@ -35,12 +38,14 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[2]
 MODES = ("uncoded", "trellis")
 SNRS_DB = np.linspace(-10.0, 40.0, 15)
-FRAMES, SECTIONS, CHUNK = 5120, 50, 256
+FRAMES, SECTIONS = 5120, 50
+CHUNKS = {"": 256, "_odd": 37}       # array-name suffix -> frames per decode call
 SHOWN = 5           # differing blocks listed per seed and mode
 
 
 def _dump(src: str, seed: int, out: str) -> None:
-    """Decode every point of both modes in the tree at src; save to out (.npz)."""
+    """Decode every point of both modes in the tree at src, in chunks of each
+    width in CHUNKS; save to out (.npz)."""
     sys.path.insert(0, str(Path(src) / "src"))
     from stclab.channel import transmit
     from stclab.detectors import trellis_encode_frames, viterbi_decode_frames
@@ -51,20 +56,22 @@ def _dump(src: str, seed: int, out: str) -> None:
         cfg = SimConfig(mode=mode, snr_list_db=tuple(SNRS_DB), frames_per_point=FRAMES,
                         base_seed=seed, max_frame_errors=FRAMES, sections_per_frame=SECTIONS)
         spec = _trellis_for(cfg)
-        decided, bits, ties = [], [], []
-        for point, snr_db in enumerate(cfg.snr_list_db):
-            sigma = sigma_for_snr_db(snr_db)
-            for first in range(0, FRAMES, CHUNK):
-                tx_bits, h, noise = _draw_frames(cfg, point, first, CHUNK,
-                                                 SECTIONS * spec.bits_per_section)
-                rec = transmit(h, trellis_encode_frames(spec, tx_bits), noise, sigma)
-                *_, b, t = viterbi_decode_frames(spec, rec, h, count_ties=True)
-                decided.append(trellis_encode_frames(spec, b).astype(np.uint8))
-                bits.append(np.packbits(b, axis=1))
-                ties.append(t)
-        arrays.update({mode + "_decided": np.concatenate(decided),
-                       mode + "_bits": np.concatenate(bits),
-                       mode + "_ties": np.concatenate(ties)})
+        for suffix, chunk in CHUNKS.items():
+            decided, bits, ties = [], [], []
+            for point, snr_db in enumerate(cfg.snr_list_db):
+                sigma = sigma_for_snr_db(snr_db)
+                for first in range(0, FRAMES, chunk):
+                    tx_bits, h, noise = _draw_frames(cfg, point, first,
+                                                     min(chunk, FRAMES - first),
+                                                     SECTIONS * spec.bits_per_section)
+                    rec = transmit(h, trellis_encode_frames(spec, tx_bits), noise, sigma)
+                    *_, b, t = viterbi_decode_frames(spec, rec, h, count_ties=True)
+                    decided.append(trellis_encode_frames(spec, b).astype(np.uint8))
+                    bits.append(np.packbits(b, axis=1))
+                    ties.append(t)
+            arrays.update({mode + "_decided" + suffix: np.concatenate(decided),
+                           mode + "_bits" + suffix: np.concatenate(bits),
+                           mode + "_ties" + suffix: np.concatenate(ties)})
     np.savez(out, **arrays)
 
 
@@ -76,27 +83,37 @@ def _decode(tree: Path, seed: int, out: Path) -> dict:
         return dict(data)
 
 
+def _report(label: str, ours: dict, theirs: dict, mode: str, suffix: str = "") -> int:
+    """Print, under label, the differences of mode's arrays named with suffix
+    in ours from those without in theirs; the number of differing items."""
+    here, there = ours[mode + "_decided" + suffix], theirs[mode + "_decided"]
+    dec = here != there
+    bits = np.unpackbits(ours[mode + "_bits" + suffix] ^ theirs[mode + "_bits"], axis=1)
+    ties = ours[mode + "_ties" + suffix] != theirs[mode + "_ties"]
+    counts = (np.count_nonzero(dec), int(bits.sum()), np.count_nonzero(ties))
+    print("%s: %d blocks, %d differing blocks, %d differing bits, %d differing tie counts"
+          % ((label, dec.size) + counts))
+    for row, section in np.argwhere(dec)[:SHOWN]:
+        point, frame = divmod(int(row), FRAMES)
+        print("  snr %g dB frame %d section %d: %d, against %d"
+              % (SNRS_DB[point], frame, section, here[row, section], there[row, section]))
+    return sum(counts)
+
+
 def compare(against: Path, seeds) -> int:
     """Print the differences per seed and mode; the number of differing items."""
     total = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
-            ours, theirs = (_decode(tree, seed, Path(tmp) / ("%s-%d.npz" % (side, seed)))
-                            for side, tree in (("ours", REPO), ("theirs", against)))
+            trees = {side: _decode(tree, seed, Path(tmp) / ("%s-%d.npz" % (side, seed)))
+                     for side, tree in (("here", REPO), ("there", against))}
             for mode in MODES:
-                dec = ours[mode + "_decided"] != theirs[mode + "_decided"]
-                bits = np.unpackbits(ours[mode + "_bits"] ^ theirs[mode + "_bits"], axis=1)
-                ties = ours[mode + "_ties"] != theirs[mode + "_ties"]
-                counts = (np.count_nonzero(dec), int(bits.sum()), np.count_nonzero(ties))
-                total += sum(counts)
-                print("seed %d %s: %d blocks, %d differing blocks, %d differing bits, "
-                      "%d differing tie counts" % ((seed, mode, dec.size) + counts))
-                for row, section in np.argwhere(dec)[:SHOWN]:
-                    point, frame = divmod(int(row), FRAMES)
-                    print("  snr %g dB frame %d section %d: %d here, %d there"
-                          % (SNRS_DB[point], frame, section,
-                             ours[mode + "_decided"][row, section],
-                             theirs[mode + "_decided"][row, section]))
+                total += _report("seed %d %s" % (seed, mode), trees["here"], trees["there"],
+                                 mode)
+                for side, arrays in trees.items():
+                    total += _report("  %d-frame chunks %s against %d-frame chunks"
+                                     % (CHUNKS["_odd"], side, CHUNKS[""]),
+                                     arrays, arrays, mode, "_odd")
     return total
 
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from golden.record import irregular_trellis_text
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stclab import detectors
@@ -793,22 +793,25 @@ def test_count_ties_false_changes_nothing_else(trellis, per_section):
 
 @pytest.fixture
 def block_widths(monkeypatch):
-    """The width of each block of sections that _branches yields, in order."""
+    """The length of each block that _branches (of sections) or _matched (of
+    frames, for a one-state trellis) yields, in order."""
     widths = []
-    branches = detectors._branches
 
-    def spy(*args):
-        for block in branches(*args):
-            widths.append(len(block))
-            yield block
-    monkeypatch.setattr(detectors, "_branches", spy)
+    def spy(blocks):
+        def spied(*args):
+            for block in blocks(*args):
+                widths.append(len(block))
+                yield block
+        return spied
+    for name in ("_branches", "_matched"):
+        monkeypatch.setattr(detectors, name, spy(getattr(detectors, name)))
     return widths
 
 
-#: Values that _branches forms per section of a frame for every named
-#: trellis: 16 filter outputs (2 x 8 label rows) or, uncoded, 16 products
-#: of a part of r_t with a part of h_n.
-SCORES_PER_SECTION = 16
+#: Filter outputs that a block holds per section of a frame, by named
+#: trellis: 16 (2 x 8 label rows) in a block of sections of _branches, or,
+#: one-state, one per bit (4) in a block of frames of _matched.
+SCORES_PER_SECTION = {"regular": 16, "irregular": 16, "one-state": 4}
 
 
 @pytest.mark.parametrize("trellis", sorted(NAMED_TRELLISES))
@@ -816,32 +819,55 @@ SCORES_PER_SECTION = 16
 def test_decisions_do_not_depend_on_the_branch_block(monkeypatch, block_widths, trellis,
                                                      per_section):
     # _branches scores blocks of sections of up to _BRANCH_SCORES values
-    # and the ACS runs block by block: blocks of 1, 2 and 7 sections, the
-    # default and all 50 sections must give the same bytes, with zero-channel
-    # and all-tie frames among the 45
+    # and the ACS runs block by block; the one-state trellis takes the signs
+    # of _matched's blocks of whole frames of up to as many values instead.
+    # Blocks of 1, 2 and 7 sections (frames), the default and all 50
+    # sections (45 frames) must give the same bytes, with zero-channel and
+    # all-tie frames among the 45
     spec = NAMED_TRELLISES[trellis]
     frames, sections = 45, 50
+    blocked, other = (frames, sections) if spec.num_states == 1 else (sections, frames)
     rec, _, h = _noisy_batch(spec, np.random.default_rng(43), frames, sections, 0, 0.6,
                              per_section, 2)
     h[0] = 0.0                  # a zero channel under noise
     rec[1] = 0.0                # nothing received over a fading channel
     runs = []
     default = detectors._BRANCH_SCORES
-    for width in (1, 2, 7, None, sections):
-        scores = default if width is None else width * frames * SCORES_PER_SECTION
+    for width in (1, 2, 7, None, blocked):
+        scores = default if width is None else width * other * SCORES_PER_SECTION[trellis]
         monkeypatch.setattr(detectors, "_BRANCH_SCORES", scores)
         block_widths.clear()
         bits, ties = viterbi_decode_frames(spec, rec, h, count_ties=True)
         runs.append((trellis_encode_frames(spec, bits), bits, ties))
-        want = width or default // (frames * SCORES_PER_SECTION)
-        assert block_widths == [want] * (sections // want) + [sections % want] * (
-            sections % want > 0)
+        want = width or default // (other * SCORES_PER_SECTION[trellis])
+        assert block_widths == [want] * (blocked // want) + [blocked % want] * (
+            blocked % want > 0)
     for got in runs[1:]:
         for name, g, w in zip(("decided", "bits", "ties"), got, runs[0]):
             assert g.dtype == w.dtype and g.shape == w.shape, name
             assert g.tobytes() == w.tobytes(), name
     ties = runs[0][2]
     assert ties[0] > 0 and ties[1] > 0 and ties[-1] > 0       # the tie frames count them
+
+
+@pytest.mark.parametrize("per_section", [False, True])
+def test_one_state_decoding_takes_no_branch_scores(monkeypatch, per_section):
+    # the one-state trellis is decided by the filters' signs alone: the
+    # branch scores, the ACS, the traceback and the path's decisions never run
+    spec = uncoded_trellis()
+    rec, _, h = _noisy_batch(spec, np.random.default_rng(44), 5, 6, 0, 0.6, per_section, 1)
+    want = viterbi_decode_frames(spec, rec, h, count_ties=True)
+
+    def called(*args):
+        raise AssertionError("the one-state decoder called the trellis machinery")
+    for name in ("_branches", "_acs", "_traceback", "_decisions"):
+        monkeypatch.setattr(detectors, name, called)
+    for count_ties in (False, True):
+        bits, ties = viterbi_decode_frames(spec, rec, h, count_ties=count_ties)
+        assert bits.tobytes() == want[0].tobytes()
+        assert ties.tolist() == (want[1].tolist() if count_ties else [0] * 5)
+    assert want[1][-1] == 6
+    assert viterbi_decode(spec, rec[0], h[0])[1].tolist() == want[0][0].tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -990,11 +1016,19 @@ def test_uncoded_trellis_gray_structure():
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 6),
        sections=st.integers(1, 20), sigma=st.floats(0.05, 2.0),
-       per_section=st.booleans())
-def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_section):
+       per_section=st.booleans(), tie_frame=st.booleans())
+@example(seed=5, frames=4, sections=1, sigma=0.7, per_section=False, tie_frame=False)
+@example(seed=6, frames=3, sections=1500, sigma=0.7, per_section=False, tie_frame=False)
+@example(seed=7, frames=3, sections=5, sigma=0.7, per_section=False, tie_frame=True)
+@example(seed=8, frames=2, sections=5, sigma=0.7, per_section=True, tie_frame=True)
+def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_section,
+                                            tie_frame):
     # the batched one-state decoder decides every block as exhaustive ML over
     # the 16 BASE entries does, and equals the full ACS recursion run on a
-    # two-state twin whose second state is never reached, metric bit for bit
+    # two-state twin whose second state is never reached, metric bit for bit.
+    # The examples: one section per frame (a matrix-vector product per
+    # frame), 3 frames of 1500 sections (frame blocks of 2, so one block of
+    # 1), and a first frame with a zero channel, where every section ties
     spec = uncoded_trellis()
     labels = spec.transitions[0].labels
     twin = TrellisSpec(num_states=2, bits_per_section=4, transitions=(
@@ -1005,10 +1039,15 @@ def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_s
     assert idx.tolist() == trellis_encode_frames(twin, bits).tolist()
     shape = (frames, sections if per_section else 1, 2)
     h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if tie_frame:
+        h[0] = 0.0              # every section of frame 0 ties
     rec = (matrix_stack()[idx] @ np.broadcast_to(h, (frames, sections, 2))[..., None])[..., 0]
     rec = rec + sigma * (rng.standard_normal(rec.shape) + 1j * rng.standard_normal(rec.shape))
     channels = h if per_section else h[:, 0]
     got_bits, ties = viterbi_decode_frames(spec, rec, channels)
+    counted_bits, counted = viterbi_decode_frames(spec, rec, channels, count_ties=True)
+    assert counted_bits.tobytes() == got_bits.tobytes()
+    assert counted.tolist() == [sections * tie_frame] + [0] * (frames - 1)
     twin_bits, twin_ties = viterbi_decode_frames(twin, rec, channels)
     decided = trellis_encode_frames(spec, got_bits)
     for got, want in zip((decided, got_bits, ties),
@@ -1022,7 +1061,10 @@ def test_one_state_decisions_equal_block_ml(seed, frames, sections, sigma, per_s
         total = 0.0
         for s in range(sections):
             ml = ml_block_decode(rec[f, s], h[f, s if per_section else 0], base)
-            assert decided[f, s] == ml.decided_indices[0]
+            if tie_frame and f == 0:      # all 16 tie: the lowest position, not the lowest index
+                assert decided[f, s] == labels[0] and ml.ties_broken == 15
+            else:
+                assert decided[f, s] == ml.decided_indices[0]
             total += ml.metric
         assert abs(metric - total) <= 1e-12 * max(1.0, total)
         assert ties[f] == 0

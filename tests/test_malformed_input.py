@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from stclab import simulate
 from stclab.channel import (
     build_equivalent_real_model,
     channels_from_uniform,
@@ -148,6 +149,33 @@ def test_zero_bits_per_section_exits_2_at_the_header(tmp_path, capsys):
                  "--frames", "1"]) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: line 1: ") and "Traceback" not in out.err + out.out
+
+
+#: The sections_per_frame rule's message for a value past its bound
+TOO_MANY_SECTIONS = "sections_per_frame must be from 1 to 1048576"
+
+
+@pytest.mark.parametrize("sections", [2**20 + 1, 100_000_000, 10**30])
+def test_too_many_sections_exit_2_before_any_draw(monkeypatch, tmp_path, capsys, sections):
+    # one frame is drawn and decoded whole, so a frame past the bound would
+    # allocate by its length (8e8 uniforms at 1e8 sections): the rule stops
+    # it first, as a flag and as a config line naming its line.  A draw
+    # fails the test instead of allocating
+    def draw(*args):
+        raise AssertionError("a frame of %d sections was drawn" % sections)
+    monkeypatch.setattr(simulate, "_draw_frames", draw)
+    argv = ["simulate", "--frames", "1", "--snr", "0"]
+    assert main(argv + ["--sections", str(sections)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: %s" % TOO_MANY_SECTIONS) and not out.out
+    path = tmp_path / "long.cfg"
+    path.write_text("mode=uncoded\n# one frame\nsections_per_frame=%d\n" % sections)
+    assert main(argv + ["--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: line 3: %s" % TOO_MANY_SECTIONS) and not out.out
+    with pytest.raises(ValueError, match="^%s" % TOO_MANY_SECTIONS):
+        SimConfig(sections_per_frame=sections)
+    assert SimConfig(sections_per_frame=2**20).sections_per_frame == 2**20
 
 
 @pytest.mark.parametrize("cell", ["nan,0.0", "inf,1e400", "0.0,1e400", "0.0,-inf"])

@@ -389,9 +389,9 @@ def test_counts_do_not_depend_on_the_section_block(monkeypatch, mode):
 
 #: tracemalloc peak in KiB of run_point over one full chunk of 50-section
 #: frames: set at 811 (uncoded) and 1017 (trellis), measured with numpy 2.4
-#: at CHUNK_SECTIONS = 6400, plus a margin of 5%; measured 786 and 988 at
-#: CHUNK_SECTIONS = 12800.  A chunk size or a chunk array that grows past
-#: it fails here.
+#: at CHUNK_SECTIONS = 6400, plus a margin of 5%; measured 784 and 987 at
+#: CHUNK_SECTIONS = 12800, the uncoded decoder taking the filters' signs
+#: alone.  A chunk size or a chunk array that grows past it fails here.
 CHUNK_PEAK_KIB = {"uncoded": 852, "trellis": 1068}
 
 
