@@ -165,18 +165,16 @@ _FORMS = {Subconstellation.BASE: (1.0, "[[A, conj(B)], [B, -conj(A)]]"),
           Subconstellation.PRIMED: (-1.0, "[[A, -conj(B)], [B, conj(A)]]")}
 
 
-def verify_forms(entries=None) -> FormReport:
-    """Check the algebraic form of every entry against its tag.
+def verify_forms() -> FormReport:
+    """Check the algebraic form of every build_constellation() entry against its tag.
 
     Every entry must be [[A, s conj(B)], [B, -s conj(A)]] with A, B 4PSK
     points, s = +1 for BASE and -1 for PRIMED (a PRIMED entry is its BASE
     pre-image times diag(1, -1)), every match to within 1e-12.
     """
     tol = 1e-12
-    if entries is None:
-        entries = build_constellation()
     bad = []
-    for e in entries:
+    for e in build_constellation():
         m = e.matrix
         a, b = m[0, 0], m[1, 0]
         if min(abs(a - s) for s in QPSK) > tol or min(abs(b - s) for s in QPSK) > tol:

@@ -6,27 +6,29 @@ received block from the faded codematrix.  The trellis decoder scores them
 by the correlation -Re<r, C h> instead: every codematrix C has
 C^H C = c ||chi||^2 I with the same ||chi||^2, so all 32 faded
 candidates C h have one energy and both scores rank them alike, up to
-rounding-level near-ties.  It scores a chunk of frames block of sections by
-block and runs add-compare-select over each block as it is scored, on a
-section trellis whose branches carry parallel codematrix labels (one coset
-per branch), each resolved to its best label first.  C = sum_l chi_l B_l
-over its half's generators, so the correlation is linear in chi: every label
-row is a sign-flip coset, and its best label takes one matched-filter sign
-per uncoded bit, each filter half the difference of two of the row's
-codematrices (Alamouti's linear ML, decoupled over parallel transitions as
-in Jafarkhani and Seshadri, 2003).  Uncoded BASE transmission is the
-one-state trellis (uncoded_trellis), per-block ML with no path: its bits are
-those signs alone, one matmul per block of frames.  The decoder returns the
-bits it decides, which the encoder maps to codematrix indices;
-viterbi_decode re-sums their exact ||r - C h||^2, the path's squared
-distance.  All tie-breaks are deterministic: smaller predecessor state, then
-smaller label position.  Ties are counted only on request (viterbi_decode
-always asks).  A TrellisSpec is its transitions plus the arrays derived from
-them, which the encoder and decoder read; its constructor is the one
-structural check of a trellis, and load_trellis adds the rules of the file
-format and names a line in every error of a listing that has a header.  The
-format's 8- and 16-state rules follow constellation's q8 and q16 coset
-tables (q8_cosets, q16_cosets), and a label's half is read off chi_table.
+rounding-level near-ties.  It makes one pass per block of sections of a
+chunk of frames, scoring the block and running add-compare-select over it
+in the same loop, on a section trellis whose branches carry parallel
+codematrix labels (one coset per branch), each resolved to its best label
+first.  C = sum_l chi_l B_l over its half's generators, so the correlation
+is linear in chi: every label row is a sign-flip coset, and its best label
+takes one matched-filter sign per uncoded bit, each filter half the
+difference of two of the row's codematrices (Alamouti's linear ML,
+decoupled over parallel transitions as in Jafarkhani and Seshadri, 2003).
+Uncoded BASE transmission is the one-state trellis (uncoded_trellis),
+per-block ML with no path: its bits are those signs alone, one matmul per
+block of frames.  The decoder returns the bits it decides, which the
+encoder maps to codematrix indices; viterbi_decode re-sums their exact
+||r - C h||^2, the path's squared distance.  All tie-breaks are
+deterministic: smaller predecessor state, then smaller label position.
+Ties are counted only on request (viterbi_decode always asks).  A
+TrellisSpec is its transitions plus the arrays derived from them, which the
+encoder and decoder read; its constructor is the one structural check of a
+trellis, and load_trellis adds the rules of the file format and names a
+line in every error of a listing that has a header.  The format's 8- and
+16-state rules follow constellation's q8 and q16 coset tables (q8_cosets,
+q16_cosets), at any state count its coset column names each distinct label
+row once, and a label's half is read off chi_table.
 """
 
 from __future__ import annotations
@@ -201,8 +203,9 @@ def load_trellis(text: str) -> TrellisSpec:
     ``from to coset idx...``.  The format adds that 8- and 16-state
     trellises follow the q8 or q16 cosets in uncoded-bit order, as
     constellation's q8_cosets and q16_cosets list them, that each state
-    departs and is entered on one subconstellation, and that the labels
-    cover all 32 codematrices.  Every error but an empty text's
+    departs and is entered on one subconstellation, that the labels
+    cover all 32 codematrices, and that the coset column names each distinct
+    label row once, at any state count.  Every error but an empty text's
     names a line: the offending transition's, or else the header's.
     """
     body = content_lines(text)
@@ -263,6 +266,12 @@ def load_trellis(text: str) -> TrellisSpec:
         covered = np.count_nonzero(np.bincount(labels.ravel(), minlength=32))
         if covered != 32:
             raise TrellisError("branch labels cover %d of 32 codematrix indices" % covered)
+        row_of, name_of = {}, {}                # declared coset -> row, and row -> coset
+        _first([row_of.setdefault(t.coset, c) != c or name_of.setdefault(c, t.coset) != t.coset
+                for t, c in zip(transitions, spec.coset_of.tolist())],
+               lambda k: "transition %d->%d declares coset %d, but an earlier line gives that "
+               "coset other labels or these labels another coset"
+               % (spec.from_state[k], spec.to_state[k], transitions[k].coset))
     except TrellisError as exc:
         no = head_no if exc.transition is None else body[1 + exc.transition][0]
         raise ValueError("line %d: %s" % (no, exc)) from None
@@ -352,9 +361,17 @@ def trellis_encode(spec: TrellisSpec, bits, initial_state: int = 0) -> list:
     return trellis_encode_frames(spec, [bits], initial_state)[0].tolist()
 
 
-#: Filter outputs that a block of _branches or _matched holds at once, 128
-#: KiB of floats, unless one section of every frame or one frame has more.
+#: Filter outputs that a block of _acs or _matched holds at once, 128 KiB of
+#: floats, unless one section of every frame or one frame has more.
 _BRANCH_SCORES = 16384
+
+
+def _blocks(count: int, size: int):
+    """Bounds (lo, hi) of consecutive blocks of count items of size filter outputs
+    each: as many items as _BRANCH_SCORES outputs hold, and at least one."""
+    step = max(1, _BRANCH_SCORES // size)
+    for lo in range(0, count, step):
+        yield lo, min(lo + step, count)
 
 
 def _filters(spec: TrellisSpec) -> np.ndarray:
@@ -366,8 +383,8 @@ def _filters(spec: TrellisSpec) -> np.ndarray:
     return m[:spec.uncoded_bits + m[-1].any()]
 
 
-def _branches(spec: TrellisSpec, received, channels, best_pos, ties):
-    """Best correlation of every label row in every section, by blocks of sections.
+def _acs(spec: TrellisSpec, received, channels, initial_state: int, ties):
+    """Score every label row of a block of sections, then add-compare-select over it.
 
     received (F, S, T) is scored with channels (F, N), one per frame, or
     (F, S, N), one per section.  Position p of row c correlates
@@ -378,18 +395,23 @@ def _branches(spec: TrellisSpec, received, channels, best_pos, ties):
     sum_i |a_i| + a_rest.  Each a_i = sum_{t,n} Re(M_i[t, n] conj(r_t) h_n)
     is one real matmul row: the parts of M_i against the 4 T N products of
     a part of r_t with a part of h_n, formed for a block of sections of all
-    frames at once.  So every output is rounded alike whatever the block
-    (one frame alone goes through BLAS's matrix-vector path), and a block
-    holds up to _BRANCH_SCORES filter outputs or products.
+    frames at once (_blocks).  So every output is rounded alike whatever the
+    block (one frame alone goes through BLAS's matrix-vector path).
 
-    Yields branch (w, C, F), the best correlation of each label row, for
-    each block of w sections in turn.  Sets best_pos (S, C, F) to the best
-    position in each label row, and adds to ties (F,), unless it is None,
-    each transition whose label row has more than one best label (some a_i
-    is 0).
+    Each section then adds to the metric of every from-state in spec.groups
+    the score of its transition's label row (subtracts its correlation: the
+    same float operation) and keeps the first minimum per state, the
+    smaller from-state, by a chain of compares, several times cheaper than
+    argmin over so short an axis.  Padding reads a last, +inf path metric.
+    Returns best_pos (S, C, F), the best position in each label row; back
+    (S, states, F), the survivor's position in spec.groups in the smallest
+    dtype that holds one; and the final path metrics (states, F).  Adds to
+    ties (F,), unless it is None, each transition whose label row has more
+    than one best label (some a_i is 0), each extra equal candidate of a
+    finite compare and each extra equal final metric.
     """
     frames, sections, t = received.shape
-    rows, bits = len(spec.cosets), spec.uncoded_bits
+    rows, bits, states = len(spec.cosets), spec.uncoded_bits, spec.num_states
     m = _filters(spec)
     terms = len(m)
     # Re(M conj(r) h) = r_re (h_re M_re - h_im M_im) + r_im (h_re M_im + h_im M_re)
@@ -399,10 +421,15 @@ def _branches(spec: TrellisSpec, received, channels, best_pos, ties):
     h = np.moveaxis(channels.view(np.float64).reshape(frames, -1, channels.shape[-1], 2), 0, -1)
     h = np.broadcast_to(np.ascontiguousarray(h)[:, None, None],
                         (sections, 1, 1) + h.shape[1:])                # (S, 1, 1, N, 2, F)
+    best_pos = np.empty((sections, rows, frames), dtype=np.min_scalar_type(2 ** bits - 1))
     place = (1 << np.arange(bits)).astype(best_pos.dtype)     # the position's bit values
-    step = max(1, _BRANCH_SCORES // (frames * max(coef.shape)))
-    for lo in range(0, sections, step):
-        hi = min(lo + step, sections)
+    from_g = np.append(spec.from_state, states)[spec.groups.T]        # (indeg, states)
+    coset_g = np.append(spec.coset_of, 0)[spec.groups.T]
+    metrics = np.full((states + 1, frames), np.inf)
+    pm = metrics[:states]
+    pm[initial_state] = 0.0
+    back = np.empty((sections,) + pm.shape, dtype=np.min_scalar_type(len(from_g) - 1))
+    for lo, hi in _blocks(sections, frames * max(coef.shape)):
         products = np.ascontiguousarray(r[lo:hi])[:, :, :, None, None] * h[lo:hi]
         a = coef @ products.reshape(hi - lo, coef.shape[1], frames)    # (w, K, F)
         del products
@@ -411,36 +438,11 @@ def _branches(spec: TrellisSpec, received, channels, best_pos, ties):
         if ties is not None:
             ties += np.sum(spec.coset_count @ np.any(a[:, :bits] == 0, axis=1), axis=0)
         np.abs(a[:, :bits], out=a[:, :bits])
-        a = np.sum(a, axis=1)          # one block of filter outputs alive at a time
-        yield a
-        del a              # nor a block of scores while the next is formed
-
-
-def _acs(spec: TrellisSpec, blocks, shape, initial_state: int, ties):
-    """Add-compare-select over the sections (S, F) = shape of branch blocks (w, C, F).
-
-    Each section adds to the metric of every from-state in spec.groups the
-    score of its transition's label row (subtracts its correlation: the same
-    float operation) and keeps the first minimum per state, the smaller
-    from-state, by a chain of compares, several times cheaper than argmin
-    over so short an axis.  Padding reads a last, +inf path metric.
-    Returns back (S, states, F), the survivor's position in spec.groups in
-    the smallest dtype that holds one, and the final path metrics (states,
-    F).  Adds to ties (F,), unless it is None, each extra equal candidate of
-    a finite compare and each extra equal final metric.
-    """
-    states = spec.num_states
-    from_g = np.append(spec.from_state, states)[spec.groups.T]        # (indeg, states)
-    coset_g = np.append(spec.coset_of, 0)[spec.groups.T]
-    metrics = np.full((states + 1, shape[1]), np.inf)
-    pm = metrics[:states]
-    pm[initial_state] = 0.0
-    back = np.empty((shape[0],) + pm.shape, dtype=np.min_scalar_type(len(from_g) - 1))
-    s = 0
-    for branch in blocks:
-        for j in range(len(branch)):
+        branch = np.sum(a, axis=1)     # (w, C, F): one block of filter outputs alive at a time
+        del a
+        for s in range(lo, hi):
             vals = metrics[from_g]                                    # (indeg, states, F)
-            vals -= branch[j, coset_g]
+            vals -= branch[s - lo, coset_g]
             np.minimum.reduce(vals, out=pm)
             above = vals[0] > pm
             back[s] = above
@@ -449,12 +451,11 @@ def _acs(spec: TrellisSpec, blocks, shape, initial_state: int, ties):
                 back[s] += above.view(np.uint8)
             if ties is not None:
                 ties += np.sum((np.sum(vals == pm, axis=0) - 1) * np.isfinite(pm), axis=0)
-            s += 1
-        del branch, vals, above         # freed before the next block is scored
+        del branch, vals, above         # nor a block of scores while the next is formed
     if ties is not None:
         final = np.min(pm, axis=0)
         ties += (np.sum(pm == final, axis=0) - 1) * np.isfinite(final)
-    return back, pm
+    return best_pos, back, pm
 
 
 def _traceback(spec: TrellisSpec, back, state) -> np.ndarray:
@@ -488,20 +489,19 @@ def _decisions(spec: TrellisSpec, path, best_pos) -> np.ndarray:
 
 def _matched(spec: TrellisSpec, received, channels, ties):
     """Filter outputs a_i = Re<r, g_i> (w, S, bits) of a one-transition trellis per block
-    of w whole frames, up to _BRANCH_SCORES outputs; adds to ties (F,), unless None, each
-    section where some a_i is 0.  g_i = M_i h (_filters, most significant bit first) is
-    formed once per channel draw; a block is then (S, 2T) @ (2T, bits) per frame or (1, 2T)
-    @ (2T, bits) per section, shapes (and so rounding) that no chunk or block changes."""
+    of w whole frames (_blocks); adds to ties (F,), unless None, each section where some
+    a_i is 0.  g_i = M_i h (_filters, most significant bit first) is formed once per
+    channel draw; a block is then (S, 2T) @ (2T, bits) per frame or (1, 2T) @ (2T, bits)
+    per section, shapes (and so rounding) that no chunk or block changes."""
     (frames, sections, t), bits = received.shape, spec.uncoded_bits
     m = _filters(spec)[bits - 1::-1, 0].reshape(bits * t, -1)             # (bits T, N)
     g = (m @ channels.reshape(frames, -1, m.shape[1], 1)).view(np.float64)
     g = np.ascontiguousarray(g.reshape(frames, -1, bits, 2 * t).swapaxes(-1, -2))
     r = received.view(np.float64).reshape(g.shape[:2] + (-1, 2 * t))
-    step = max(1, _BRANCH_SCORES // (sections * bits))
-    for lo in range(0, frames, step):
-        a = (r[lo:lo + step] @ g[lo:lo + step]).reshape(-1, sections, bits)
+    for lo, hi in _blocks(frames, sections * bits):
+        a = (r[lo:hi] @ g[lo:hi]).reshape(-1, sections, bits)
         if ties is not None:
-            ties[lo:lo + step] += np.count_nonzero(np.any(a == 0, axis=-1), axis=1)
+            ties[lo:hi] += np.count_nonzero(np.any(a == 0, axis=-1), axis=1)
         yield a
 
 
@@ -511,10 +511,10 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
 
     received is (F, sections, T); channels is (F, N), one draw per frame,
     or (F, sections, N), one per section.  Every frame starts in the known
-    initial_state and ends in a free state (best final metric).  _branches
+    initial_state and ends in a free state (best final metric).  _acs
     scores every label row of a block of sections by matched-filter signs
-    and _acs keeps the survivors over it, block by block, so that the
-    scores of one block are alive at a time; then _traceback with
+    and keeps the survivors over that block before it scores the next, so
+    that the scores of one block are alive at a time; then _traceback with
     _decisions reads the bits off the path.
 
     Returns (bits (F, sections * bits_per_section) as uint8, ties_broken
@@ -538,16 +538,13 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
     if channels.shape[:-1] != received.shape[:channels.ndim - 1]:
         raise ValueError("channels of shape %s do not match received blocks of shape %s"
                          % (channels.shape, received.shape))
-    frames, sections = received.shape[:2]
+    frames = len(received)
     ties = np.zeros(frames, dtype=np.int64)
     counted = ties if count_ties else None
     if spec.num_states == len(spec.transitions) == 1:
         bits = np.concatenate([a < 0 for a in _matched(spec, received, channels, counted)])
         return bits.view(np.uint8).reshape(frames, -1), ties
-    best_pos = np.empty((sections, len(spec.cosets), frames),
-                        dtype=np.min_scalar_type(2 ** spec.uncoded_bits - 1))
-    blocks = _branches(spec, received, channels, best_pos, counted)
-    back, pm = _acs(spec, blocks, (sections, frames), initial_state, counted)
+    best_pos, back, pm = _acs(spec, received, channels, initial_state, counted)
     path = _traceback(spec, back, np.argmin(pm, axis=0))
     del back
     return _decisions(spec, path, best_pos), ties

@@ -53,8 +53,9 @@ depend on its size: for 256 frames of 50 sections the tracemalloc peak is
 about 0.77 MiB uncoded and 0.97 MiB in trellis mode.  transmit forms the
 received blocks (400 KiB) in the noise's buffer, alive while the decoder
 holds the trellis's best label positions and survivors (100 KiB each) and
-one block of section scores, or uncoded one block of frames' filter
-outputs; tests/test_simulate.py holds both peaks to a ceiling.
+one block of section scores, scored and selected in one pass, or uncoded
+one block of frames' filter outputs; one rule sizes both blocks, and
+tests/test_simulate.py holds both peaks to a ceiling.
 """
 
 from __future__ import annotations

@@ -7,12 +7,10 @@ parent commit extracted with ``git archive``.  For each seed and in both
 modes, each tree draws 5,120 frames of 50 sections at each of 15 SNRs from
 -10 to 40 dB with the simulator's own draws (``simulate._draw_frames``, the
 trellis encoder and ``channel.transmit``) and decodes them with
-``viterbi_decode_frames(..., count_ties=True)``.  The decided bits and tie
-counts are its last two outputs, and the decided indices are the tree's own
-``trellis_encode_frames`` of those bits, so DIR may hold a decoder that
-returns ``(bits, ties_broken)`` or one that returns ``(decided, bits,
-ties_broken)``.  Each tree runs in a process of its own, with its own
-``src`` first on ``sys.path``.
+``viterbi_decode_frames(..., count_ties=True)``, which returns the decided
+bits and tie counts; the decided indices are the tree's own
+``trellis_encode_frames`` of those bits.  Each tree runs in a process of
+its own, with its own ``src`` first on ``sys.path``.
 
 The script prints, per seed and mode, the blocks whose decided index
 differs, the decided bits that differ and the frames whose tie counts
@@ -65,7 +63,7 @@ def _dump(src: str, seed: int, out: str) -> None:
                                                      min(chunk, FRAMES - first),
                                                      SECTIONS * spec.bits_per_section)
                     rec = transmit(h, trellis_encode_frames(spec, tx_bits), noise, sigma)
-                    *_, b, t = viterbi_decode_frames(spec, rec, h, count_ties=True)
+                    b, t = viterbi_decode_frames(spec, rec, h, count_ties=True)
                     decided.append(trellis_encode_frames(spec, b).astype(np.uint8))
                     bits.append(np.packbits(b, axis=1))
                     ties.append(t)

@@ -89,7 +89,7 @@ def test_invariance_audit_draws_equal_per_call_draws(seed, trials):
 def test_forms_audit_prints_each_violation(monkeypatch, capsys):
     entries = list(constellation.build_constellation())
     entries[3] = replace(entries[3], matrix=entries[19].matrix)     # a PRIMED-form matrix
-    monkeypatch.setattr(cli, "verify_forms", lambda: constellation.verify_forms(entries))
+    monkeypatch.setattr(constellation, "build_constellation", lambda: entries)
     assert main(["audit", "--which", "FORMS"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "forms.violations=1",

@@ -44,18 +44,20 @@ def test_every_entry_matches_its_form():
     assert rep.passed, rep.violations
 
 
-def test_verify_forms_flags_a_broken_entry():
+def test_verify_forms_flags_a_broken_entry(monkeypatch):
     entries = list(build_constellation())
     bad = entries[3]
     entries[3] = replace(bad, matrix=bad.matrix + 0.5)
-    rep = verify_forms(entries)
+    monkeypatch.setattr(constellation, "build_constellation", lambda: entries)
+    rep = verify_forms()
     assert not rep.passed
     assert any("entry 3" in v for v in rep.violations)
     # each half's matrix under the other half's tag: 4PSK first columns, wrong form
     entries = list(build_constellation())
     entries[3], entries[19] = (replace(entries[3], matrix=entries[19].matrix),
                                replace(entries[19], matrix=entries[3].matrix))
-    assert verify_forms(entries).violations == (
+    monkeypatch.setattr(constellation, "build_constellation", lambda: entries)
+    assert verify_forms().violations == (
         "entry 3: does not match [[A, conj(B)], [B, -conj(A)]] form",
         "entry 19: does not match [[A, -conj(B)], [B, conj(A)]] form")
 

@@ -251,6 +251,31 @@ def test_a_row_that_is_no_sign_flip_coset_is_rejected():
             Transition(0, 0, 0, (0, 8, 2, 10)), Transition(0, 0, 1, (0, 8, 1, 9))))
 
 
+def test_the_coset_column_names_each_label_row_once_at_any_state_count():
+    clash = "^line %d: transition %s declares coset 0, but an earlier line gives that coset"
+    # one name for two rows, on either edited line alone
+    for line, old, new in ((3, "0 1 1 1 9 3 11", "0 1 0 1 9 3 11"),
+                           (4, "1 2 4 17 25 19 27", "1 2 0 17 25 19 27")):
+        with pytest.raises(ValueError, match=clash % (line, new[:3].replace(" ", "->"))):
+            load_trellis(FOUR_STATE.replace(old, new))
+    # a consistent renaming is free outside the 8- and 16-state rules
+    renamed = load_trellis(FOUR_STATE.replace("0 1 1 1 9 3 11", "0 1 99 1 9 3 11"))
+    assert renamed.transitions[1].coset == 99
+    # two names for one row: a 4-state listing that repeats each q8 row on two states
+    cosets = q8_cosets()
+    lines = ["states=4 bits_per_section=4"]
+    for st in range(4):
+        for j, c in enumerate(range(4 * (st // 2), 4 * (st // 2) + 4)):
+            row = " ".join(map(str, cosets[c]))
+            lines.append("%d %d %d %s" % (st, 2 * (st // 2) + j % 2, c, row))
+    listing = "\n".join(lines) + "\n"
+    assert len(load_trellis(listing).cosets) == 8
+    with pytest.raises(ValueError, match="^line 6: transition 1->0 declares coset 9, but an"):
+        load_trellis(listing.replace("\n1 0 0 ", "\n1 0 9 "))
+    for text in (SHIPPED, irregular_trellis_text()):
+        assert load_trellis(text).num_states == 8
+
+
 def _spec_args(listing: str) -> dict:
     """TrellisSpec's arguments for a listing of a header and transition lines."""
     head, *rows = listing.splitlines()
@@ -793,23 +818,21 @@ def test_count_ties_false_changes_nothing_else(trellis, per_section):
 
 @pytest.fixture
 def block_widths(monkeypatch):
-    """The length of each block that _branches (of sections) or _matched (of
-    frames, for a one-state trellis) yields, in order."""
+    """The length hi - lo of each block that _blocks bounds, in order: of
+    sections for _acs, or of frames for _matched (a one-state trellis)."""
     widths = []
+    blocks = detectors._blocks
 
-    def spy(blocks):
-        def spied(*args):
-            for block in blocks(*args):
-                widths.append(len(block))
-                yield block
-        return spied
-    for name in ("_branches", "_matched"):
-        monkeypatch.setattr(detectors, name, spy(getattr(detectors, name)))
+    def spied(*args):
+        for lo, hi in blocks(*args):
+            widths.append(hi - lo)
+            yield lo, hi
+    monkeypatch.setattr(detectors, "_blocks", spied)
     return widths
 
 
 #: Filter outputs that a block holds per section of a frame, by named
-#: trellis: 16 (2 x 8 label rows) in a block of sections of _branches, or,
+#: trellis: 16 (2 x 8 label rows) in a block of sections of _acs, or,
 #: one-state, one per bit (4) in a block of frames of _matched.
 SCORES_PER_SECTION = {"regular": 16, "irregular": 16, "one-state": 4}
 
@@ -818,9 +841,10 @@ SCORES_PER_SECTION = {"regular": 16, "irregular": 16, "one-state": 4}
 @pytest.mark.parametrize("per_section", [False, True])
 def test_decisions_do_not_depend_on_the_branch_block(monkeypatch, block_widths, trellis,
                                                      per_section):
-    # _branches scores blocks of sections of up to _BRANCH_SCORES values
-    # and the ACS runs block by block; the one-state trellis takes the signs
-    # of _matched's blocks of whole frames of up to as many values instead.
+    # _acs scores blocks of sections of up to _BRANCH_SCORES values and
+    # runs the ACS over each block as it is scored; the one-state trellis
+    # takes the signs of _matched's blocks of whole frames of up to as many
+    # values instead.
     # Blocks of 1, 2 and 7 sections (frames), the default and all 50
     # sections (45 frames) must give the same bytes, with zero-channel and
     # all-tie frames among the 45
@@ -853,14 +877,14 @@ def test_decisions_do_not_depend_on_the_branch_block(monkeypatch, block_widths, 
 @pytest.mark.parametrize("per_section", [False, True])
 def test_one_state_decoding_takes_no_branch_scores(monkeypatch, per_section):
     # the one-state trellis is decided by the filters' signs alone: the
-    # branch scores, the ACS, the traceback and the path's decisions never run
+    # branch scores with the ACS, the traceback and the path's decisions never run
     spec = uncoded_trellis()
     rec, _, h = _noisy_batch(spec, np.random.default_rng(44), 5, 6, 0, 0.6, per_section, 1)
     want = viterbi_decode_frames(spec, rec, h, count_ties=True)
 
     def called(*args):
         raise AssertionError("the one-state decoder called the trellis machinery")
-    for name in ("_branches", "_acs", "_traceback", "_decisions"):
+    for name in ("_acs", "_traceback", "_decisions"):
         monkeypatch.setattr(detectors, name, called)
     for count_ties in (False, True):
         bits, ties = viterbi_decode_frames(spec, rec, h, count_ties=count_ties)
