@@ -93,6 +93,7 @@ def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,
     if indices.dtype.kind not in "iu" or indices.size and not (
             0 <= indices.min() <= indices.max() < len(mats)):
         raise ValueError("codematrix indices must be integers in 0..%d" % (len(mats) - 1))
+    indices = indices.astype(np.intp, copy=False)       # uint64 + intp would be float
     if not isinstance(sigma, numbers.Real) or not 0 <= sigma <= np.finfo(float).max:
         raise ValueError("sigma must be a finite real number >= 0, got %r" % (sigma,))
     noise = np.asarray(noise)
@@ -106,12 +107,13 @@ def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,
         indices.shape + mats.shape[1:2])
     rec *= float(sigma)
     # C h of each frame's 32 candidates, elementwise (cheaper than 32 matmuls),
-    # for CHUNK_DRAWS frames at a time
+    # for CHUNK_DRAWS frames at a time; the sent ones are gathered by one take
+    # over the block's flat (frames * 32, T) stack
     for lo in range(0, len(rec), CHUNK_DRAWS):
         h = channels[lo:lo + CHUNK_DRAWS, None, None]
         faded = mats[..., 0] * h[..., 0] + mats[..., 1] * h[..., 1]
-        rec[lo:lo + CHUNK_DRAWS] += faded[np.arange(len(faded))[:, None],
-                                          indices[lo:lo + CHUNK_DRAWS]]
+        sent = indices[lo:lo + CHUNK_DRAWS] + len(mats) * np.arange(len(faded))[:, None]
+        rec[lo:lo + CHUNK_DRAWS] += np.take(faded.reshape(-1, mats.shape[1]), sent, axis=0)
     return rec
 
 

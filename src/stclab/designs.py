@@ -248,21 +248,6 @@ def analyze(g: GeneratorSet, s) -> tuple[np.ndarray, float]:
     return chi, float(np.linalg.norm(sm - synthesize(g, chi)))
 
 
-def conjugate_basis_pair(g: GeneratorSet, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugation split (B+_l, B-_l) of symbol slot l (1-based).
-
-    B+_l = (B_{2l-2} + i B_{2l-1}) / 2 multiplies the conjugated symbol,
-    B-_l = (B_{2l-2} - i B_{2l-1}) / 2 the symbol itself, so that
-    S = sum_l z_l B-_l + conj(z_l) B+_l.
-    """
-    l = checked_index(l, "symbol slot", 1, g.num_symbols)
-    be = g.basis[2 * l - 2]
-    bo = g.basis[2 * l - 1]
-    plus = (be + 1j * bo) / 2.0
-    minus = (be - 1j * bo) / 2.0
-    return plus, minus
-
-
 def pairwise_difference_check(g: GeneratorSet, chi_a, chi_b) -> float:
     """Max-abs defect of (S - S')^H (S - S') = c ||chi_a - chi_b||^2 I.
 

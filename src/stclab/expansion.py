@@ -45,11 +45,8 @@ from .designs import (
     analyze,
     checked_array,
     checked_coordinates,
-    checked_index,
     checked_unimodular,
     design_matrix,
-    pairwise_difference_check,
-    rotate_generators,
     span_residuals,
     synthesize,
 )
@@ -246,28 +243,3 @@ def decompose_direct_sum(e: ExpandedConstellation, s) -> TaggedPoint:
     if not hit.any():
         raise ValueError("matrix does not match any point of the expanded constellation")
     return e.points[int(np.argmax(hit))]
-
-
-def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int) -> float:
-    """Pairwise semiunitary-difference defect for two like-tagged points.
-
-    Mixed-tag pairs are rejected: the identity is a within-subconstellation
-    statement, each tag (half 0 or 1 of chi_oplus) carrying its own basis.
-    """
-    a, b = (e.points[checked_index(k, "point index", 0, len(e.points) - 1)] for k in (i, j))
-    if a.tag is not b.tag:
-        raise ValueError("pairwise difference identity needs points from the "
-                         "same subconstellation, got %s vs %s" % (a.tag.value, b.tag.value))
-    half = list(Subconstellation).index(a.tag)
-    return pairwise_difference_check((e.base_generators, e.primed_generators)[half],
-                                     *(p.chi_oplus.reshape(2, -1)[half] for p in (a, b)))
-
-
-def rotated_synthesis_residual(g: GeneratorSet, symbols, zeta) -> float:
-    """Defect of the rotation identity: rotated-basis synthesis of z*zeta
-    versus zeta * S(z).  Zero for every unimodular zeta."""
-    z = checked_coordinates(symbols, "symbols", np.complex128, g.num_symbols)
-    rot = rotate_generators(g, zeta)
-    lhs = synthesize(rot, (z * complex(zeta)).view(np.float64))
-    rhs = complex(zeta) * synthesize(g, z.view(np.float64))
-    return float(np.max(np.abs(lhs - rhs)))

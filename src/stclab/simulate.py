@@ -26,8 +26,11 @@ frame words and turns each result into PCG64's state.  Each chunk's draw
 call builds its own PCG64 and loads it with those states in turn, so no
 generator outlives a call and the simulator may be called from several
 threads.  Both algorithms are frozen by numpy's stream-compatibility
-policy, and the tests compare the states and the draws with numpy's own
-objects, so the draws are bit-identical and the contract carries no version.
+policy, and the tests compare the states and the uniforms with numpy's own
+objects.  The Gaussian bytes are pinned per numpy version and per CPU
+dispatch target only: np.log1p gives other last bits with numpy's AVX-512
+kernels turned off.  Decisions and counts were found equal across dispatch
+targets over the blocks measured.
 
 Each frame's stream is read with one rng.random call that fills the frame's
 row of uniforms in that order: the payload bits (u < 0.5), then the 4
@@ -35,20 +38,25 @@ uniforms of the channel, then the 4 * sections of the noise.  On PCG64 one
 call of length a + b returns the same doubles as a call of length a
 followed by one of length b, since each double consumes one 64-bit output,
 so this equals drawing the bits, the channel and the noise with separate
-calls.  The rows of 32 frames at a time share one buffer, each frame's
-state is made as its row is filled, and Box-Muller
-(channel.normals_from_uniform) runs once per refill over its channel
-columns and once over its noise columns.
+calls.  The rows of 32 frames at a time share one buffer on a 64-byte
+boundary, each frame's state is made as its row is filled, and Box-Muller
+(channel.normals_from_uniform) runs once per refill over its noise
+columns.  Each refill copies its channel columns into one (F, 4) array,
+and channels_from_uniform runs once per chunk over it.
 
 Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS sections
 and at least one frame.  A chunk's payload bits, channels and noise are
 drawn, then go through trellis_encode_frames, channel.transmit and one
-viterbi_decode_frames call.  Chunks keep their size to the end of a point:
-the chunk in which the frame errors reach max_frame_errors is decoded whole
-and cut after that frame, the frame where a frame-by-frame run stops.
-Results therefore do not depend on the chunk size; the frames past the stop
-(at most one chunk less one frame per point) are drawn and decoded but not
-counted, and elapsed_seconds includes that work.  A chunk's memory does
+viterbi_decode_frames call.  Once a point has frame errors, the next chunk
+holds at most need + need // 4 + 8 frames, where need =
+(max_frame_errors - frame_errors) * frames // frame_errors is what the
+error budget still needs at the FER seen so far.  The chunk in which the
+frame errors reach max_frame_errors is decoded whole and cut after that
+frame, the frame where a frame-by-frame run stops.  Results therefore do
+not depend on the chunk size; the frames past the stop are drawn and
+decoded but not counted, and elapsed_seconds includes that work.  They are
+fewer than the last chunk: about need // 4 + 8 at a steady FER, and at
+most one chunk less one frame if the FER falls.  A chunk's memory does
 depend on its size: for 256 frames of 50 sections the tracemalloc peak is
 about 0.77 MiB uncoded and 0.97 MiB in trellis mode.  transmit forms the
 received blocks (400 KiB) in the noise's buffer, alive while the decoder
@@ -82,9 +90,10 @@ from .detectors import (
 #: Sections drawn and decoded together by run_point, in whole frames (256
 #: frames of 50 sections) and at least one: enough frames that the decoder's
 #: per-section loops cost little per frame, and a bound on the chunk's memory
-#: while no frame is longer; a longer frame is a chunk of its own.  Every
-#: chunk of a point has this size but the last of frames_per_point,
-#: including the one an early stop cuts.  Results do not depend on it.
+#: while no frame is longer; a longer frame is a chunk of its own.  Chunks
+#: have this size until a point has frame errors; then run_point caps each
+#: at need + need // 4 + 8 frames, need being the frames the error budget
+#: still needs at the FER seen so far.  Results do not depend on it.
 CHUNK_SECTIONS = 12800
 
 CSV_HEADER = "snr_db,frames,bits,bit_errors,frame_errors,ber,fer,elapsed_seconds"
@@ -293,13 +302,21 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
     The call builds one PCG64 generator of its own and loads it with each
     frame's state from _frame_states, so concurrent calls share no state.
     The buffer holds 32 rows, whatever count is, and is refilled for each
-    32 frames in turn; Box-Muller runs once over each part of a refill, and
-    the results land in arrays sized for all count frames.
+    32 frames in turn.  It starts on a 64-byte boundary, where numpy
+    promises 16, so its rows' layout against cache lines does not depend on
+    where the allocator puts it.  Box-Muller runs once over the noise part
+    of each refill, into an array sized for all count frames; each refill's
+    channel uniforms are copied into one (count, 4) array, and the channels
+    go through Box-Muller once per call.
     """
     ch_end = bits_per_frame + 4
-    u = np.empty((min(count, 32), ch_end + 4 * cfg.sections_per_frame))
+    width = ch_end + 4 * cfg.sections_per_frame
+    size = min(count, 32) * width
+    raw = np.empty(size + 7)
+    skip = -raw.ctypes.data % 64 // 8        # in doubles
+    u = raw[skip:skip + size].reshape(-1, width)
     tx_bits = np.empty((count, bits_per_frame), dtype=np.uint8)
-    h = np.empty((count, 2), dtype=np.complex128)
+    chan = np.empty((count, 4))
     noise = np.empty((count, 4 * cfg.sections_per_frame))
     gen = np.random.Generator(np.random.PCG64(0))
     bit_generator = gen.bit_generator
@@ -311,9 +328,9 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
             gen.random(out=row)
         rows = slice(lo, lo + len(part))
         tx_bits[rows] = part[:, :bits_per_frame] < 0.5
-        h[rows] = channels_from_uniform(part[:, bits_per_frame:ch_end])
+        chan[rows] = part[:, bits_per_frame:ch_end]
         noise[rows] = normals_from_uniform(part[:, ch_end:])
-    return tx_bits, h, noise
+    return tx_bits, channels_from_uniform(chan), noise
 
 
 def _trellis_for(cfg: SimConfig) -> TrellisSpec:
@@ -328,12 +345,17 @@ def run_point(cfg: SimConfig, point_index: int,
               spec: TrellisSpec | None = None) -> SimResultRow:
     """One SNR point over spec (default: the config's), stopping at max_frame_errors.
 
-    Chunks are sized by CHUNK_SECTIONS and the frames left only.  The chunk
-    that reaches max_frame_errors is decoded whole and counted up to the
-    frame that reaches it, so the counts equal a frame-by-frame run's.  The
-    frames decoded past that one, at most one chunk less one frame, are not
-    counted but are timed in elapsed_seconds.  Each chunk is decoded without
-    counting ties, since the row does not report them.
+    Chunks are sized by CHUNK_SECTIONS and the frames left.  Once the point
+    has frame errors, a chunk also holds at most need + need // 4 + 8
+    frames, need = (max_frame_errors - frame_errors) * frames // frame_errors
+    being the frames the error budget still needs at the FER seen so far,
+    so the point stops near its budget rather than up to a chunk past it.
+    The chunk that reaches max_frame_errors is decoded whole and counted up
+    to the frame that reaches it, so the counts equal a frame-by-frame
+    run's.  The frames decoded past that one, fewer than the last chunk
+    (about need // 4 + 8 at a steady FER), are not counted but are timed in
+    elapsed_seconds.  Each chunk is decoded without counting ties, since the
+    row does not report them.
     """
     snr_db = cfg.snr_list_db[point_index]
     sigma = sigma_for_snr_db(snr_db)
@@ -343,7 +365,12 @@ def run_point(cfg: SimConfig, point_index: int,
     t0 = time.perf_counter()
     frames = bit_errors = frame_errors = 0
     while frames < cfg.frames_per_point and frame_errors < cfg.max_frame_errors:
-        count = min(max(1, CHUNK_SECTIONS // sections), cfg.frames_per_point - frames)
+        count = max(1, CHUNK_SECTIONS // sections)
+        if frame_errors:
+            # the frames the error budget still needs at the observed FER
+            need = (cfg.max_frame_errors - frame_errors) * frames // frame_errors
+            count = min(count, need + need // 4 + 8)
+        count = min(count, cfg.frames_per_point - frames)
         tx_bits, h, noise = _draw_frames(cfg, point_index, frames, count,
                                          bits_per_frame)
         # the received blocks take the noise's buffer over

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from conftest import record_verdict
+from identities import rotated_synthesis_residual
 
 from stclab.channel import channels_from_uniform, shape_invariance_audit
 from stclab.cli import main
@@ -38,11 +39,7 @@ from stclab.detectors import (
     trellis_encode,
     viterbi_decode,
 )
-from stclab.expansion import (
-    corollary1_audit,
-    rotated_synthesis_residual,
-    theorem1_audit,
-)
+from stclab.expansion import corollary1_audit, theorem1_audit
 from stclab.simulate import CSV_HEADER, SimConfig, format_csv, run_simulation
 
 

@@ -140,6 +140,9 @@ def test_transmit_equals_gather_plus_scaled_noise_in_the_noise_buffer(sigma):
         got = transmit(h, idx, kept, sigma)
         assert kept.tobytes() == noise.tobytes() and not np.shares_memory(got, kept)
         assert got.tobytes() == want.tobytes()
+    # indices of any integer dtype gather the same blocks
+    for dtype in (np.uint8, np.int16, np.uint64):
+        assert transmit(h, idx.astype(dtype), fortran, sigma).tobytes() == want.tobytes()
     # C-contiguous float64 noise is taken over: the blocks are formed in its buffer
     h_bytes, idx_bytes = h.tobytes(), idx.tobytes()
     got = transmit(h, idx, noise, sigma)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from identities import conjugate_basis_pair
 
 from stclab.designs import (
     GeneratorSet,
@@ -10,7 +11,6 @@ from stclab.designs import (
     analyze,
     checked_array,
     checked_coordinates,
-    conjugate_basis_pair,
     make_generator_set,
     pairwise_difference_check,
     primed_alamouti_generators,

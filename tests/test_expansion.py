@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from identities import (
+    conjugate_basis_pair,
+    rotated_synthesis_residual,
+    tagged_difference_residual,
+)
 
 from stclab.designs import (
     alamouti_generators,
-    conjugate_basis_pair,
     radon_hurwitz_check,
     rotate_generators,
     synthesize,
@@ -20,8 +24,6 @@ from stclab.expansion import (
     corollary1_audit,
     decompose_direct_sum,
     expand,
-    rotated_synthesis_residual,
-    tagged_difference_residual,
     theorem1_audit,
 )
 

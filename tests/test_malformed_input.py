@@ -9,6 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from identities import (
+    conjugate_basis_pair,
+    rotated_synthesis_residual,
+    tagged_difference_residual,
+)
 
 from stclab import simulate
 from stclab.channel import (
@@ -22,7 +27,6 @@ from stclab.designs import (
     GeneratorSet,
     alamouti_generators,
     analyze,
-    conjugate_basis_pair,
     make_generator_set,
     pairwise_difference_check,
     read_generator_file,
@@ -36,12 +40,7 @@ from stclab.detectors import (
     ml_block_decode,
     viterbi_decode,
 )
-from stclab.expansion import (
-    decompose_direct_sum,
-    expand,
-    rotated_synthesis_residual,
-    tagged_difference_residual,
-)
+from stclab.expansion import decompose_direct_sum, expand
 from stclab.simulate import SimConfig, parse_config_file
 
 CONFIG = """# a valid trellis run

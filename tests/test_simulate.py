@@ -185,6 +185,29 @@ def test_batched_draws_equal_per_call_draws(seed, point, first, count, sections)
         assert g.tobytes() == w.tobytes()
 
 
+def test_each_refill_of_the_uniform_buffer_starts_on_a_cache_line(monkeypatch):
+    # the first row of each refill is the buffer's start; numpy promises 16
+    # bytes, so an unaligned buffer would show in some of these calls
+    generator, starts = np.random.Generator, []
+
+    class Spy:
+        def __init__(self, bit_generator):
+            self.gen = generator(bit_generator)
+            self.bit_generator = self.gen.bit_generator
+
+        def random(self, out):
+            starts.append(out.ctypes.data)
+            return self.gen.random(out=out)
+
+    monkeypatch.setattr(simulate.np.random, "Generator", Spy)
+    for sections in range(1, 9):
+        cfg = SimConfig(base_seed=4, sections_per_frame=sections)
+        starts.clear()
+        _draw_frames(cfg, 0, 0, 40, 4 * sections)
+        assert len(starts) == 40 and starts[0] == starts[32]
+        assert starts[0] % 64 == 0, sections
+
+
 @pytest.fixture
 def spawn_keys(monkeypatch):
     """The spawn key of each SeedSequence that simulate builds, in order.
@@ -357,19 +380,39 @@ def test_counts_do_not_depend_on_chunk_size(mode, monkeypatch, spawn_keys):
         assert counts(last, chunk) == want, chunk
 
 
-def test_an_early_stop_cuts_a_whole_chunk(monkeypatch, spawn_keys):
-    # a point that stops at frame `stop` draws ceil(stop / chunk) chunks: its
-    # chunks keep their size and the last is cut at the stop, rather than
-    # shrinking to the frame errors still allowed
-    cfg = SimConfig(snr_list_db=(0.0,), frames_per_point=500, base_seed=3,
-                    max_frame_errors=10, sections_per_frame=10)
-    stop = run_point(cfg, 0).frames
-    for chunk in (1, 3, 4, stop - 1, stop):
-        monkeypatch.setattr(simulate, "CHUNK_SECTIONS", chunk * cfg.sections_per_frame)
-        spawn_keys.clear()
-        row = run_point(cfg, 0)
-        assert (row.frames, row.frame_errors) == (stop, 10)
-        assert spawn_keys == [(0,)] * -(-stop // chunk), chunk
+def test_an_early_stop_sizes_its_last_chunks_by_the_error_rate(monkeypatch, spawn_keys):
+    # once a point has frame errors, a chunk holds at most need + need // 4 + 8
+    # frames, need being the frames the error budget still needs at the FER
+    # seen so far; this point runs at a steady FER and stops in the fourth
+    # 32-frame chunk, which the rule cuts to 28 frames
+    cfg = SimConfig(snr_list_db=(6.0,), frames_per_point=500, base_seed=3,
+                    max_frame_errors=40, sections_per_frame=10)
+    monkeypatch.setattr(simulate, "CHUNK_SECTIONS", cfg.sections_per_frame)
+    want = run_point(cfg, 0)
+    chunk, drawn, draw = 32, [], simulate._draw_frames
+    monkeypatch.setattr(simulate, "CHUNK_SECTIONS", chunk * cfg.sections_per_frame)
+    monkeypatch.setattr(simulate, "_draw_frames", lambda cfg, point, first, count, bits: (
+        drawn.append((first, count)) or draw(cfg, point, first, count, bits)))
+    spawn_keys.clear()
+    row = run_point(cfg, 0)
+    stop, chunks, sequences = row.frames, drawn[:], len(spawn_keys)
+    # the counts are the frame-by-frame run's
+    assert row == replace(want, elapsed_seconds=row.elapsed_seconds)
+    assert (stop, row.frame_errors) == (120, 40)
+    # no more chunks than whole chunks would take
+    assert sequences <= -(-stop // chunk)
+    # each chunk's size follows the rule from the frame errors before it
+    assert [first for first, _ in chunks] == list(np.cumsum([0] + [n for _, n in chunks[:-1]]))
+    for first, count in chunks:
+        errors = run_point(replace(cfg, frames_per_point=first), 0).frame_errors if first else 0
+        size = chunk
+        if errors:
+            need = (cfg.max_frame_errors - errors) * first // errors
+            size = min(size, need + need // 4 + 8)
+        assert count == size, (first, errors)
+    assert [count for _, count in chunks] == [32, 32, 32, 28]
+    # the last chunk draws no more than its margin past the stop
+    assert first + count - stop <= need // 4 + 8
 
 
 @pytest.mark.parametrize("mode", ["uncoded", "trellis"])
