@@ -214,11 +214,9 @@ def distance_spectrum(which: str = "FULL") -> dict:
     """
     if which not in ("BASE", "PRIMED", "FULL"):
         raise ValueError("which must be BASE, PRIMED, or FULL, got %r" % (which,))
-    pool = [e for e in build_constellation() if which in ("FULL", e.subconstellation.value)]
-    spectrum = {}
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            d2 = float(np.sum(np.abs(pool[i].matrix - pool[j].matrix) ** 2))
-            key = round(d2 / 1e-9) * 1e-9
-            spectrum[key] = spectrum.get(key, 0) + 1
-    return dict(sorted(spectrum.items()))
+    m = np.array([e.matrix for e in build_constellation()
+                  if which in ("FULL", e.subconstellation.value)])
+    a, b = np.triu_indices(len(m), k=1)
+    d2 = np.sum(np.abs(m[a] - m[b]) ** 2, axis=(1, 2))
+    keys, counts = np.unique(np.round(d2 / 1e-9) * 1e-9, return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))

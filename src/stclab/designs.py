@@ -66,17 +66,17 @@ def content_lines(text: str) -> list:
             if line and not line.startswith("#")]
 
 
-def checked_coordinates(values, what: str, dtype=np.float64, size=None) -> np.ndarray:
-    """values as a flat contiguous dtype array, the one check of coordinate input.
+def checked_coordinates(values, what: str, size=None) -> np.ndarray:
+    """values as a flat contiguous float64 array, the one check of coordinate input.
 
-    Raises ValueError on a non-finite entry, in real coordinates (dtype
-    float64) on a complex entry, whose imaginary part a cast would drop,
-    and, when size is not None, unless there are size entries.
+    Raises ValueError on a complex entry, whose imaginary part a cast would
+    drop, on a non-finite entry and, when size is not None, unless there
+    are size entries.
     """
     a = np.asarray(values)
-    if dtype == np.float64 and np.iscomplexobj(a):
+    if np.iscomplexobj(a):
         raise ValueError("%s must be real coordinates, got complex entries" % what)
-    x = np.ascontiguousarray(a, dtype=dtype).reshape(-1)
+    x = np.ascontiguousarray(a, dtype=np.float64).reshape(-1)
     if not np.isfinite(x).all():
         raise ValueError("%s entries must be finite" % what)
     if size is not None and x.size != size:

@@ -17,53 +17,15 @@ default_rng(SeedSequence(base_seed, spawn_key=(point_index, frame_index))),
 with the frozen in-frame draw order (payload bits, then channel, then
 noise).  Runs are therefore reproducible for a given config regardless of
 how frames are scheduled.  One channel draw per frame, held constant across
-the frame's blocks, independent across frames.
+the frame's blocks, independent across frames.  The Gaussian bytes are
+pinned per numpy version and per CPU dispatch target only: np.log1p gives
+other last bits with numpy's AVX-512 kernels turned off.  Decisions and
+counts were found equal across dispatch targets over the blocks measured.
 
-The stream is realised without building those objects per frame: numpy
-hashes the seed and point once per chunk, and _frame_states, the one
-re-implementation of numpy's seeding, continues the hash over the chunk's
-frame words and turns each result into PCG64's state.  Each chunk's draw
-call builds its own PCG64 and loads it with those states in turn, so no
-generator outlives a call and the simulator may be called from several
-threads.  Both algorithms are frozen by numpy's stream-compatibility
-policy, and the tests compare the states and the uniforms with numpy's own
-objects.  The Gaussian bytes are pinned per numpy version and per CPU
-dispatch target only: np.log1p gives other last bits with numpy's AVX-512
-kernels turned off.  Decisions and counts were found equal across dispatch
-targets over the blocks measured.
-
-Each frame's stream is read with one rng.random call that fills the frame's
-row of uniforms in that order: the payload bits (u < 0.5), then the 4
-uniforms of the channel, then the 4 * sections of the noise.  On PCG64 one
-call of length a + b returns the same doubles as a call of length a
-followed by one of length b, since each double consumes one 64-bit output,
-so this equals drawing the bits, the channel and the noise with separate
-calls.  The rows of 32 frames at a time share one buffer on a 64-byte
-boundary, each frame's state is made as its row is filled, and Box-Muller
-(channel.normals_from_uniform) runs once per refill over its noise
-columns.  Each refill copies its channel columns into one (F, 4) array,
-and channels_from_uniform runs once per chunk over it.
-
-Frames are decoded in chunks of whole frames, up to CHUNK_SECTIONS sections
-and at least one frame.  A chunk's payload bits, channels and noise are
-drawn, then go through trellis_encode_frames, channel.transmit and one
-viterbi_decode_frames call.  Once a point has frame errors, the next chunk
-holds at most need + need // 4 + 8 frames, where need =
-(max_frame_errors - frame_errors) * frames // frame_errors is what the
-error budget still needs at the FER seen so far.  The chunk in which the
-frame errors reach max_frame_errors is decoded whole and cut after that
-frame, the frame where a frame-by-frame run stops.  Results therefore do
-not depend on the chunk size; the frames past the stop are drawn and
-decoded but not counted, and elapsed_seconds includes that work.  They are
-fewer than the last chunk: about need // 4 + 8 at a steady FER, and at
-most one chunk less one frame if the FER falls.  A chunk's memory does
-depend on its size: for 256 frames of 50 sections the tracemalloc peak is
-about 0.77 MiB uncoded and 0.97 MiB in trellis mode.  transmit forms the
-received blocks (400 KiB) in the noise's buffer, alive while the decoder
-holds the trellis's best label positions and survivors (100 KiB each) and
-one block of section scores, scored and selected in one pass, or uncoded
-one block of frames' filter outputs; one rule sizes both blocks, and
-tests/test_simulate.py holds both peaks to a ceiling.
+The mechanics are stated once, where their code is: _frame_states makes
+each frame's generator state without building numpy's objects per frame,
+_draw_frames reads the frames' streams in that order, and run_point
+decodes them in chunks and stops where a frame-by-frame run stops.
 """
 
 from __future__ import annotations
@@ -90,10 +52,14 @@ from .detectors import (
 #: Sections drawn and decoded together by run_point, in whole frames (256
 #: frames of 50 sections) and at least one: enough frames that the decoder's
 #: per-section loops cost little per frame, and a bound on the chunk's memory
-#: while no frame is longer; a longer frame is a chunk of its own.  Chunks
-#: have this size until a point has frame errors; then run_point caps each
-#: at need + need // 4 + 8 frames, need being the frames the error budget
-#: still needs at the FER seen so far.  Results do not depend on it.
+#: while no frame is longer; a longer frame is a chunk of its own.  For 256
+#: frames of 50 sections the tracemalloc peak is about 0.77 MiB uncoded and
+#: 0.97 MiB in trellis mode: transmit forms the received blocks (400 KiB) in
+#: the noise's buffer, alive while the decoder holds the trellis's best label
+#: positions and survivors (100 KiB each) and one block of section scores,
+#: scored and selected in one pass, or uncoded one block of frames' filter
+#: outputs; one rule sizes both blocks, and tests/test_simulate.py holds both
+#: peaks to a ceiling.  Results do not depend on it.
 CHUNK_SECTIONS = 12800
 
 CSV_HEADER = "snr_db,frames,bits,bit_errors,frame_errors,ber,fer,elapsed_seconds"
@@ -227,8 +193,10 @@ def _finite_sigma(snr_db: float) -> bool:
 
 # numpy's SeedSequence hash (O'Neill's seed_seq mix over a pool of 4 uint32
 # words) and PCG64's seeding, as numpy documents and freezes them (NEP 19).
-# _frame_states continues numpy's hash of the seed and point words over the
-# frame words, as uint32 array operations, and seeds PCG64 from the result.
+# _frame_states, the one re-implementation of numpy's seeding, continues
+# numpy's hash of the seed and point words over the frame words, as uint32
+# array operations, and seeds PCG64 from the result; the tests compare its
+# states and the uniforms drawn from them with numpy's own objects.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -298,23 +266,23 @@ def _draw_frames(cfg: SimConfig, point_index: int, first: int, count: int,
 
     Row f of a uniform buffer is filled by one random call on frame
     first + f's stream and read in the frozen order: bits_per_frame uniforms
-    for the payload bits, 4 for the channel, 4 * sections for the noise.
-    The call builds one PCG64 generator of its own and loads it with each
-    frame's state from _frame_states, so concurrent calls share no state.
+    for the payload bits (u < 0.5), 4 for the channel, 4 * sections for the
+    noise.  On PCG64 one call of length a + b returns the same doubles as a
+    call of length a followed by one of length b, since each double consumes
+    one 64-bit output, so this equals drawing the bits, the channel and the
+    noise with separate calls.  The call builds one PCG64 generator of its
+    own and loads it with each frame's state from _frame_states, made as its
+    row is filled, so no generator outlives a call, concurrent calls share
+    no state and the simulator may be called from several threads.
     The buffer holds 32 rows, whatever count is, and is refilled for each
-    32 frames in turn.  It starts on a 64-byte boundary, where numpy
-    promises 16, so its rows' layout against cache lines does not depend on
-    where the allocator puts it.  Box-Muller runs once over the noise part
-    of each refill, into an array sized for all count frames; each refill's
-    channel uniforms are copied into one (count, 4) array, and the channels
-    go through Box-Muller once per call.
+    32 frames in turn.  Box-Muller runs once over the noise part of each
+    refill, into an array sized for all count frames; each refill's channel
+    uniforms are copied into one (count, 4) array, and the channels go
+    through Box-Muller once per call.
     """
     ch_end = bits_per_frame + 4
     width = ch_end + 4 * cfg.sections_per_frame
-    size = min(count, 32) * width
-    raw = np.empty(size + 7)
-    skip = -raw.ctypes.data % 64 // 8        # in doubles
-    u = raw[skip:skip + size].reshape(-1, width)
+    u = np.empty((min(count, 32), width))
     tx_bits = np.empty((count, bits_per_frame), dtype=np.uint8)
     chan = np.empty((count, 4))
     noise = np.empty((count, 4 * cfg.sections_per_frame))
@@ -345,16 +313,20 @@ def run_point(cfg: SimConfig, point_index: int,
               spec: TrellisSpec | None = None) -> SimResultRow:
     """One SNR point over spec (default: the config's), stopping at max_frame_errors.
 
-    Chunks are sized by CHUNK_SECTIONS and the frames left.  Once the point
-    has frame errors, a chunk also holds at most need + need // 4 + 8
-    frames, need = (max_frame_errors - frame_errors) * frames // frame_errors
-    being the frames the error budget still needs at the FER seen so far,
-    so the point stops near its budget rather than up to a chunk past it.
-    The chunk that reaches max_frame_errors is decoded whole and counted up
-    to the frame that reaches it, so the counts equal a frame-by-frame
-    run's.  The frames decoded past that one, fewer than the last chunk
-    (about need // 4 + 8 at a steady FER), are not counted but are timed in
-    elapsed_seconds.  Each chunk is decoded without counting ties, since the
+    Frames are decoded in chunks of whole frames, sized by CHUNK_SECTIONS
+    and the frames left: a chunk's payload bits, channels and noise are
+    drawn, then go through trellis_encode_frames, channel.transmit and one
+    viterbi_decode_frames call.  Once the point has frame errors, a chunk
+    also holds at most need + need // 4 + 8 frames, need = (max_frame_errors
+    - frame_errors) * frames // frame_errors being the frames the error
+    budget still needs at the FER seen so far, so the point stops near its
+    budget rather than up to a chunk past it.  The chunk that reaches
+    max_frame_errors is decoded whole and counted up to the frame that
+    reaches it, so the counts equal a frame-by-frame run's and do not depend
+    on the chunk size.  The frames decoded past that one are not counted but
+    are timed in elapsed_seconds; they are fewer than the last chunk: about
+    need // 4 + 8 at a steady FER, and at most one chunk less one frame if
+    the FER falls.  Each chunk is decoded without counting ties, since the
     row does not report them.
     """
     snr_db = cfg.snr_list_db[point_index]

@@ -3,15 +3,15 @@
 Each function measures one identity of a design or an expansion, so that a
 test can hold it to a tolerance: the conjugation split of a symbol slot,
 the semiunitary difference of like-tagged points, and the rotation
-identity.  They check their index and coordinate arguments with the
-package's own checks, designs.checked_index and designs.checked_coordinates.
+identity.  They check their index arguments with the package's own check,
+designs.checked_index; rotated_synthesis_residual checks its complex
+symbols itself, with the messages of designs.checked_coordinates.
 """
 
 import numpy as np
 
 from stclab.designs import (
     GeneratorSet,
-    checked_coordinates,
     checked_index,
     pairwise_difference_check,
     rotate_generators,
@@ -53,7 +53,11 @@ def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int) -> floa
 def rotated_synthesis_residual(g: GeneratorSet, symbols, zeta) -> float:
     """Defect of the rotation identity: rotated-basis synthesis of z*zeta
     versus zeta * S(z).  Zero for every unimodular zeta."""
-    z = checked_coordinates(symbols, "symbols", np.complex128, g.num_symbols)
+    z = np.array(symbols, dtype=np.complex128).reshape(-1)
+    if not np.isfinite(z).all():
+        raise ValueError("symbols entries must be finite")
+    if z.size != g.num_symbols:
+        raise ValueError("symbols must have length %d, got %d" % (g.num_symbols, z.size))
     rot = rotate_generators(g, zeta)
     lhs = synthesize(rot, (z * complex(zeta)).view(np.float64))
     rhs = complex(zeta) * synthesize(g, z.view(np.float64))

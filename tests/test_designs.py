@@ -253,8 +253,8 @@ def test_real_coordinates_must_not_be_complex():
     with pytest.raises(ValueError, match="^chi_b must have length 4, got 5$"):
         pairwise_difference_check(g, np.zeros(4), np.zeros(5))
     assert np.array_equal(synthesize(g, [[1, 0], [0, 1]]), synthesize(g, [1.0, 0, 0, 1.0]))
-    z = checked_coordinates(np.arange(8, dtype=complex)[::2], "symbols", np.complex128)
-    assert z.flags.c_contiguous and z.tolist() == [0, 2, 4, 6]
+    x = checked_coordinates(np.arange(8.0)[::2], "chi")
+    assert x.flags.c_contiguous and x.tolist() == [0, 2, 4, 6]
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2, 1), (1, 2), (0, 2)])

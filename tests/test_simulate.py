@@ -185,27 +185,37 @@ def test_batched_draws_equal_per_call_draws(seed, point, first, count, sections)
         assert g.tobytes() == w.tobytes()
 
 
-def test_each_refill_of_the_uniform_buffer_starts_on_a_cache_line(monkeypatch):
-    # the first row of each refill is the buffer's start; numpy promises 16
-    # bytes, so an unaligned buffer would show in some of these calls
-    generator, starts = np.random.Generator, []
+@pytest.mark.parametrize("sections", [1, 7, 50])
+@pytest.mark.parametrize("count", [1, 40])
+def test_draws_do_not_depend_on_where_their_arrays_are_placed(monkeypatch, sections, count):
+    # call i of np.empty, in _draw_frames, normals_from_uniform or numpy
+    # itself, starts at offset + 8 * i mod 64, so each array takes each
+    # offset once over the 8 runs; 40 frames refill the 32-row buffer and
+    # cross frame 2^32
+    cfg = SimConfig(base_seed=4, sections_per_frame=sections)
+    want = _draw_frames(cfg, 3, 2**32 - 20, count, 4 * sections)
+    empty = np.empty
+    for offset in range(0, 64, 8):
+        starts = []
 
-    class Spy:
-        def __init__(self, bit_generator):
-            self.gen = generator(bit_generator)
-            self.bit_generator = self.gen.bit_generator
-
-        def random(self, out):
+        def placed(shape, dtype=float):
+            dtype = np.dtype(dtype)
+            nbytes = int(np.prod(shape)) * dtype.itemsize
+            raw = empty(nbytes + 64, dtype=np.uint8)
+            skip = (offset + 8 * len(starts) - raw.ctypes.data) % 64
+            out = raw[skip:skip + nbytes].view(dtype).reshape(shape)
             starts.append(out.ctypes.data)
-            return self.gen.random(out=out)
+            return out
 
-    monkeypatch.setattr(simulate.np.random, "Generator", Spy)
-    for sections in range(1, 9):
-        cfg = SimConfig(base_seed=4, sections_per_frame=sections)
-        starts.clear()
-        _draw_frames(cfg, 0, 0, 40, 4 * sections)
-        assert len(starts) == 40 and starts[0] == starts[32]
-        assert starts[0] % 64 == 0, sections
+        monkeypatch.setattr(np, "empty", placed)
+        got = _draw_frames(cfg, 3, 2**32 - 20, count, 4 * sections)
+        monkeypatch.setattr(np, "empty", empty)
+        # 4 arrays of _draw_frames, Box-Muller's output per refill and once more
+        assert len(starts) >= 5 + -(-count // 32)
+        assert [a % 64 for a in starts] == [(offset + 8 * i) % 64 for i in range(len(starts))]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 @pytest.fixture
