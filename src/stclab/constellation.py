@@ -59,28 +59,11 @@ def matrix_from_indices(index_matrix) -> np.ndarray:
 
 def _parse_table(text: str):
     rows = []
-    for no, line in content_lines(text):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 6:
-            raise ValueError("line %d: expected 6 comma fields, got %d" % (no, len(fields)))
-        try:
-            idx = int(fields[0])
-            cells = [int(x) for x in fields[1].split()]
-            q8_coset = int(fields[2])
-            q8_bits = fields[3]
-            q16_coset = int(fields[4])
-            q16_bit = fields[5]
-        except ValueError as exc:
-            raise ValueError("line %d: %s" % (no, exc)) from None
-        if len(cells) != 4 or any(not 0 <= c <= 3 for c in cells):    # named by its line
-            raise ValueError("line %d: need four 4PSK indices in 0..3" % no)
-        if len(q8_bits) != 2 or not set(q8_bits) <= {"0", "1"}:
-            raise ValueError("line %d: q8 bits must be two binary digits" % no)
-        if q16_bit not in ("0", "1"):
-            raise ValueError("line %d: q16 bit must be one binary digit" % no)
-        rows.append((idx, ((cells[0], cells[1]), (cells[2], cells[3])),
-                     q8_coset, q8_bits, q16_coset, q16_bit))
-    if [r[0] for r in rows] != list(range(32)):
+    for _, line in content_lines(text):
+        idx, cells, q8_coset, q8_bits, q16_coset, q16_bit = (f.strip() for f in line.split(","))
+        a, b, c, d = map(int, cells.split())
+        rows.append((int(idx), ((a, b), (c, d)), int(q8_coset), q8_bits, int(q16_coset), q16_bit))
+    if [r[0] for r in rows] != list(range(32)):    # entry i is read from row i
         raise ValueError("table must list indices 0..31 in order")
     return rows
 

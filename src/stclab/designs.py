@@ -207,7 +207,7 @@ def radon_hurwitz_check(g: GeneratorSet) -> RadonHurwitzReport:
     """
     diag = np.diag_indices(g.num_antennas)
     resid = np.empty((len(g.basis), len(g.basis)))
-    for l, bl in enumerate(g.basis):
+    for l, bl in enumerate(g.basis):    # a batched product holds (2K N)^2 values
         for p, bp in enumerate(g.basis):
             defect = bl.conj().T @ bp + bp.conj().T @ bl
             if l == p:
@@ -248,20 +248,6 @@ def analyze(g: GeneratorSet, s) -> tuple[np.ndarray, float]:
     return chi, float(np.linalg.norm(sm - synthesize(g, chi)))
 
 
-def pairwise_difference_check(g: GeneratorSet, chi_a, chi_b) -> float:
-    """Max-abs defect of (S - S')^H (S - S') = c ||chi_a - chi_b||^2 I.
-
-    Returns the residual; values above RH_TOL mean the semiunitary
-    difference identity does not hold for this pair.
-    """
-    xa = checked_coordinates(chi_a, "chi_a", size=2 * g.num_symbols)
-    xb = checked_coordinates(chi_b, "chi_b", size=2 * g.num_symbols)
-    d = synthesize(g, xa) - synthesize(g, xb)
-    lhs = d.conj().T @ d
-    expect = g.scale * float(np.sum((xa - xb) ** 2)) * np.eye(g.num_antennas)
-    return float(np.max(np.abs(lhs - expect)))
-
-
 def rotate_generators(g: GeneratorSet, zeta: complex) -> GeneratorSet:
     """Generator set absorbing a unimodular symbol rotation zeta.
 
@@ -295,7 +281,7 @@ def span_residuals(g: GeneratorSet, matrices) -> np.ndarray:
             for m in (*g.basis, *(design_matrix(g, m) for m in matrices))]
     a = np.column_stack(flat[:len(g.basis)])
     out = []
-    for v in flat[len(g.basis):]:
+    for v in flat[len(g.basis):]:       # one multi-column lstsq rounds differently
         coef, *_ = np.linalg.lstsq(a, v, rcond=None)
         out.append(float(np.linalg.norm(v - a @ coef)))
     return np.array(out)

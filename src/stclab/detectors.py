@@ -473,7 +473,7 @@ def _decisions(spec: TrellisSpec, path, best_pos) -> np.ndarray:
     """Decided bits (F, S * bits_per_section), uint8, along path (F, S) of transitions:
     per section the transition's coded value, then its label row's best position."""
     frames, sections = path.shape
-    flat = spec.coset_of[path]          # flat index into best_pos, built in place
+    flat = spec.coset_of[path]   # flat index into best_pos, in place: beats a fancy index
     flat *= frames
     flat += np.arange(sections) * best_pos[0].size
     flat += np.arange(frames)[:, None]
@@ -502,7 +502,7 @@ def _matched(spec: TrellisSpec, received, channels, ties):
         a = (r[lo:hi] @ g[lo:hi]).reshape(-1, sections, bits)
         if ties is not None:
             ties[lo:hi] += np.count_nonzero(np.any(a == 0, axis=-1), axis=1)
-        yield a
+        yield a                  # a preallocated output raises the peak memory
 
 
 def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: int = 0,

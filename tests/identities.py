@@ -2,9 +2,10 @@
 
 Each function measures one identity of a design or an expansion, so that a
 test can hold it to a tolerance: the conjugation split of a symbol slot,
-the semiunitary difference of like-tagged points, and the rotation
-identity.  They check their index arguments with the package's own check,
-designs.checked_index; rotated_synthesis_residual checks its complex
+the semiunitary difference of two coordinate vectors and of two like-tagged
+points, and the rotation identity.  They check their index and coordinate
+arguments with the package's own checks, designs.checked_index and
+designs.checked_coordinates; rotated_synthesis_residual checks its complex
 symbols itself, with the messages of designs.checked_coordinates.
 """
 
@@ -12,8 +13,8 @@ import numpy as np
 
 from stclab.designs import (
     GeneratorSet,
+    checked_coordinates,
     checked_index,
-    pairwise_difference_check,
     rotate_generators,
     synthesize,
 )
@@ -33,6 +34,20 @@ def conjugate_basis_pair(g: GeneratorSet, l: int) -> tuple[np.ndarray, np.ndarra
     plus = (be + 1j * bo) / 2.0
     minus = (be - 1j * bo) / 2.0
     return plus, minus
+
+
+def pairwise_difference_check(g: GeneratorSet, chi_a, chi_b) -> float:
+    """Max-abs defect of (S - S')^H (S - S') = c ||chi_a - chi_b||^2 I.
+
+    Returns the residual; values above designs.RH_TOL mean the semiunitary
+    difference identity does not hold for this pair.
+    """
+    xa = checked_coordinates(chi_a, "chi_a", size=2 * g.num_symbols)
+    xb = checked_coordinates(chi_b, "chi_b", size=2 * g.num_symbols)
+    d = synthesize(g, xa) - synthesize(g, xb)
+    lhs = d.conj().T @ d
+    expect = g.scale * float(np.sum((xa - xb) ** 2)) * np.eye(g.num_antennas)
+    return float(np.max(np.abs(lhs - expect)))
 
 
 def tagged_difference_residual(e: ExpandedConstellation, i: int, j: int) -> float:

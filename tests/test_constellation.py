@@ -1,4 +1,3 @@
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -157,17 +156,5 @@ def test_cross_subconstellation_distance_is_flat():
 
 
 def test_parse_table_error_lines():
-    with pytest.raises(ValueError, match="line 1"):
-        _parse_table("0, 0 0 0, 0, 00, 0, 0\n")       # three cells, need four
     with pytest.raises(ValueError, match="0..31"):
         _parse_table("0, 0 0 0 0, 0, 00, 0, 0\n")     # only one row
-    with pytest.raises(ValueError, match="line 2"):
-        _parse_table("# comment\n0, 0 0 9 0, 0, 00, 0, 0\n")
-    with pytest.raises(ValueError, match="binary"):
-        _parse_table("0, 0 0 0 0, 0, 0x, 0, 0\n")
-    for text, message in (
-            ("# five fields\n0, 0 0 0 0, 0, 00, 0\n", "line 2: expected 6 comma fields, got 5"),
-            ("0, 0 0 x 0, 0, 00, 0, 0\n", "line 1: invalid literal for int() with base 10: 'x'"),
-            ("\n\n0, 0 0 0 0, 0, 00, 0, 2\n", "line 3: q16 bit must be one binary digit")):
-        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-            _parse_table(text)

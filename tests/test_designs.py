@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from identities import conjugate_basis_pair
+from identities import conjugate_basis_pair, pairwise_difference_check
 
 from stclab.designs import (
     GeneratorSet,
@@ -12,7 +12,6 @@ from stclab.designs import (
     checked_array,
     checked_coordinates,
     make_generator_set,
-    pairwise_difference_check,
     primed_alamouti_generators,
     radon_hurwitz_check,
     read_generator_file,

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from identities import (
     conjugate_basis_pair,
+    pairwise_difference_check,
     rotated_synthesis_residual,
     tagged_difference_residual,
 )
@@ -28,7 +29,6 @@ from stclab.designs import (
     alamouti_generators,
     analyze,
     make_generator_set,
-    pairwise_difference_check,
     read_generator_file,
     span_residuals,
     synthesize,
