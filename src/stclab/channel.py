@@ -3,12 +3,9 @@
 One receive antenna.  Over a block of T channel uses with codematrix C and
 channel vector h (length N, constant over the frame), the received samples
 are r = C h + n with circularly symmetric Gaussian noise, variance sigma^2
-per real dimension.  transmit forms C h of each frame's 32 candidates from
-its one channel draw and adds the sent blocks to noise drawn beforehand, in
-the noise's own buffer.
-A channel is a complex array, (N,) for one draw or (D, N) for D draws or
-one per section; channels_from_uniform draws it, and designs.checked_array
-checks every channel and received-block input.
+per real dimension.  A channel is a complex array, (N,) for one draw or
+(D, N) for D draws or one per section; channels_from_uniform draws it, and
+designs.checked_array checks every channel and received-block input.
 
 Flattening r to real coordinates turns each tagged design into a frame of
 orthonormal columns: g_k = flatten(B_k h) / (sqrt(c) ||h||).  Stacking the
@@ -18,11 +15,8 @@ direct-sum coordinates of the transmitted point.  Distances and angles of
 coordinate vectors therefore survive the fade up to the single gain
 sqrt(c) ||h||: the constellation keeps its shape.
 
-shape_invariance_audit measures that over many channel draws at once.  It
-builds the constellation's constants once per call, evaluates the draws in
-chunks of CHUNK_DRAWS, and reports the worst error of each kind over all
-draws.  Each number is computed exactly as for the draw alone, and
-build_equivalent_real_model uses the same frame builder with one draw.
+shape_invariance_audit measures that over many channel draws at once, and
+build_equivalent_real_model gives the frames of one draw.
 """
 
 from __future__ import annotations
@@ -75,14 +69,18 @@ def transmit(channels: np.ndarray, indices: np.ndarray, noise: np.ndarray,
              sigma: float) -> np.ndarray:
     """Received blocks r = C h + n of F frames, shape (F, blocks, T).
 
-    Block b of frame f sends codematrix indices[f, b] over channels[f], one
-    draw h (N,) per frame.  noise (F, 2 * blocks * T), integer or float,
-    holds standard normal draws, interleaved re/im per channel use, scaled
-    by sigma, a finite real >= 0, per real dimension.  transmit takes the
-    noise over: a writeable C-contiguous float64 noise array is scaled in
-    place and the blocks C h are added into it, so the result is a view of
-    its buffer and the noise values are gone (any other noise is copied
-    first).  Every input is checked; channels and indices are not written to.
+    Block b of frame f sends codematrix indices[f, b], an integer in 0..31,
+    over channels[f], one draw h (N,) per frame.  noise (F, 2 * blocks * T),
+    integer or float, holds standard normal draws, interleaved re/im per
+    channel use, scaled by sigma, a finite real >= 0, per real dimension.
+    transmit takes the noise over: a writeable C-contiguous float64 noise
+    array is scaled in place and the blocks C h are added into it, so the
+    result is a view of its buffer and the noise values are gone (any other
+    noise is copied first).  Every input is checked, channels by
+    checked_array; noise of another dtype (complex, bool, strings) is
+    rejected before any cast, but its values are not scanned:
+    viterbi_decode_frames rejects non-finite received blocks.  channels and
+    indices are not written to.
     """
     mats = matrix_stack()
     channels = checked_array(channels, "channel", mats.shape[2], ndims=(2,))

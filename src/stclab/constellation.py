@@ -70,7 +70,13 @@ def _parse_table(text: str):
 
 @lru_cache(maxsize=None)
 def build_constellation() -> tuple:
-    """Load the shipped table and materialize all 32 entries, with read-only matrices."""
+    """Load the shipped table and materialize all 32 entries, with read-only matrices.
+
+    No caller supplies another table, so its reader checks only what would
+    pass silently: the rows list indices 0..31 in order, and chi_table checks
+    that every entry lies in its tagged design.  Any other fault in the file
+    raises where the value is used.
+    """
     text = importlib.resources.files("stclab.data").joinpath(DATA_FILE).read_text()
     entries = []
     for idx, im, q8c, q8b, q16c, q16b in _parse_table(text):

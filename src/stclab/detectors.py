@@ -1,34 +1,14 @@
-"""Maximum-likelihood block detection and trellis (Viterbi) decoding.
+"""Maximum-likelihood block detection, trellis encoding and Viterbi decoding.
 
 Both detectors assume receiver-side channel knowledge.  ml_block_decode
 scores candidates by the squared Euclidean distance ||r - C h||^2 of the
-received block from the faded codematrix.  The trellis decoder scores them
-by the correlation -Re<r, C h> instead: every codematrix C has
-C^H C = c ||chi||^2 I with the same ||chi||^2, so all 32 faded
-candidates C h have one energy and both scores rank them alike, up to
-rounding-level near-ties.  It makes one pass per block of sections of a
-chunk of frames, scoring the block and running add-compare-select over it
-in the same loop, on a section trellis whose branches carry parallel
-codematrix labels (one coset per branch), each resolved to its best label
-first.  C = sum_l chi_l B_l over its half's generators, so the correlation
-is linear in chi: every label row is a sign-flip coset, and its best label
-takes one matched-filter sign per uncoded bit, each filter half the
-difference of two of the row's codematrices (Alamouti's linear ML,
-decoupled over parallel transitions as in Jafarkhani and Seshadri, 2003).
-Uncoded BASE transmission is the one-state trellis (uncoded_trellis),
-per-block ML with no path: its bits are those signs alone, one matmul per
-block of frames.  The decoder returns the bits it decides, which the
-encoder maps to codematrix indices; viterbi_decode re-sums their exact
-||r - C h||^2, the path's squared distance.  All tie-breaks are
-deterministic: smaller predecessor state, then smaller label position.
-Ties are counted only on request (viterbi_decode always asks).  A
-TrellisSpec is its transitions plus the arrays derived from them, which the
-encoder and decoder read; its constructor is the one structural check of a
-trellis, and load_trellis adds the rules of the file format and names a
-line in every error of a listing that has a header.  The format's 8- and
-16-state rules follow constellation's q8 and q16 coset tables (q8_cosets,
-q16_cosets), at any state count its coset column names each distinct label
-row once, and a label's half is read off chi_table.
+received block from the faded codematrix.  The trellis decoder,
+viterbi_decode_frames, scores them by the correlation -Re<r, C h> instead:
+every codematrix C has C^H C = c ||chi||^2 I with the same ||chi||^2, so
+all 32 faded candidates C h have one energy and both scores rank them
+alike, up to rounding-level near-ties.  TrellisSpec holds a trellis and is
+its one structural check, load_trellis adds the rules of the file format,
+and uncoded_trellis is uncoded BASE transmission as a one-state trellis.
 """
 
 from __future__ import annotations
@@ -392,11 +372,13 @@ def _acs(spec: TrellisSpec, received, channels, initial_state: int, ties):
     (_filters), negated when bit i of p is set, and a_rest that of the
     coordinates no bit flips.  So the best position sets bit i exactly when
     a_i < 0 (an exact 0 keeps the lower position) and correlates
-    sum_i |a_i| + a_rest.  Each a_i = sum_{t,n} Re(M_i[t, n] conj(r_t) h_n)
-    is one real matmul row: the parts of M_i against the 4 T N products of
-    a part of r_t with a part of h_n, formed for a block of sections of all
-    frames at once (_blocks).  So every output is rounded alike whatever the
-    block (one frame alone goes through BLAS's matrix-vector path).
+    sum_i |a_i| + a_rest: Alamouti's linear ML, decoupled over parallel
+    transitions as in Jafarkhani and Seshadri (2003).  Each
+    a_i = sum_{t,n} Re(M_i[t, n] conj(r_t) h_n) is one real matmul row: the
+    parts of M_i against the 4 T N products of a part of r_t with a part of
+    h_n, formed for a block of sections of all frames at once (_blocks).  So
+    every output is rounded alike whatever the block (one frame alone goes
+    through BLAS's matrix-vector path).
 
     Each section then adds to the metric of every from-state in spec.groups
     the score of its transition's label row (subtracts its correlation: the
@@ -511,11 +493,7 @@ def viterbi_decode_frames(spec: TrellisSpec, received, channels, initial_state: 
 
     received is (F, sections, T); channels is (F, N), one draw per frame,
     or (F, sections, N), one per section.  Every frame starts in the known
-    initial_state and ends in a free state (best final metric).  _acs
-    scores every label row of a block of sections by matched-filter signs
-    and keeps the survivors over that block before it scores the next, so
-    that the scores of one block are alive at a time; then _traceback with
-    _decisions reads the bits off the path.
+    initial_state and ends in a free state (best final metric).
 
     Returns (bits (F, sections * bits_per_section) as uint8, ties_broken
     (F,)); trellis_encode_frames maps the bits to the decided codematrix
@@ -561,6 +539,7 @@ def viterbi_decode(spec: TrellisSpec, received_blocks, channels,
     viterbi_decode_frames; trellis_encode_frames maps its bits to the
     decided indices, whose exact ||r - C h||^2 is the metric, summed in
     section order (0.0 + b0 + b1 + ...) as an ACS over exact distances.
+    Ties are counted (count_ties).
     """
     mats = matrix_stack()
     rec = checked_array(received_blocks, "received block", mats.shape[1], ndims=(2,),

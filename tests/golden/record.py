@@ -1,14 +1,14 @@
 """Write the golden fixtures that pin simulate, viterbi_decode and CLI outputs.
 
-The simulate and Viterbi fixtures were recorded once, before the
-frame-batched engine replaced the per-frame, per-section code; the audit,
-spectrum and show-constellation outputs were added before the channel,
-constellation and CLI were trimmed, the 300-draw INVARIANCE audit before
-the audit was batched over channel draws, and the odd-length simulate
-configs before each frame's stream was read with one uniform fill.  The
-tests compare later code against them.  Never rerun this to make a failing
-golden test pass: a changed fixture is a changed result, and it must be
-explained, not re-recorded.
+The simulate and Viterbi fixtures were recorded once, with the per-frame
+simulator and the per-section Viterbi decoder, including its
+irregular-trellis branch; the audit, spectrum and show-constellation
+outputs before the channel, constellation and CLI were trimmed, the
+300-draw INVARIANCE audit before the audit was batched over channel draws,
+and the odd-length simulate configs before each frame's stream was read
+with one uniform fill.  The tests compare later code against them.  Never
+rerun this to make a failing golden test pass: a changed fixture is a
+changed result, and it must be explained, not re-recorded.
 
     python tests/golden/record.py            # write every fixture
     python tests/golden/record.py --check    # compare, write nothing
@@ -16,9 +16,12 @@ explained, not re-recorded.
 The script puts the repository's ``src`` first on ``sys.path``, so it runs
 from any directory without ``PYTHONPATH``.
 
-``--check`` regenerates every fixture in memory, writes nothing, and exits 1
+``--check`` computes every fixture in memory, writes nothing, and exits 1
 naming each fixture whose bytes differ from the file on disk (0 when all
-match).
+match).  It regenerates every fixture whole but viterbi.json, whose
+outputs it recomputes from the inputs stored in it: those inputs are
+Box-Muller draws, whose last bits depend on numpy's CPU dispatch target,
+so they are drawn only to record.
 """
 
 from __future__ import annotations
@@ -125,26 +128,48 @@ def _cases(spec, rng):
     return cases
 
 
-def viterbi_fixture() -> dict:
+#: The fields of viterbi.json's cases and encode cases that are inputs; the
+#: others are what the code computes from them.
+CASE_INPUTS = ("trellis", "initial_state", "received", "channels")
+ENCODE_INPUTS = ("trellis", "bits", "initial_state")
+
+
+def viterbi_inputs(stored=None) -> dict:
+    """viterbi.json's inputs: those of stored, the parsed fixture, or else drawn
+    from a seeded generator.  The irregular trellis is always made afresh."""
+    out = {"irregular_trellis": irregular_trellis_text(), "cases": [], "encode": []}
+    if stored is not None:
+        for key, fields in (("cases", CASE_INPUTS), ("encode", ENCODE_INPUTS)):
+            out[key] = [{k: case[k] for k in fields} for case in stored[key]]
+        return out
     rng = np.random.default_rng(20240505)
-    out = {"irregular_trellis": irregular_trellis_text(), "cases": []}
     for name, spec in (("default", default_trellis()),
-                       ("irregular", load_trellis(irregular_trellis_text()))):
+                       ("irregular", load_trellis(out["irregular_trellis"]))):
         for rec, hs, start in _cases(spec, rng):
-            res, bits = viterbi_decode(spec, rec, np.array(hs), initial_state=start)
             out["cases"].append({
                 "trellis": name, "initial_state": start,
                 "received": [[[z.real, z.imag] for z in r] for r in rec],
-                "channels": [[[z.real, z.imag] for z in h] for h in hs],
-                "decided_indices": list(res.decided_indices),
-                "bits": bits.tolist(), "metric": res.metric,
-                "ties_broken": res.ties_broken,
-            })
+                "channels": [[[z.real, z.imag] for z in h] for h in hs]})
         enc_bits = rng.integers(0, 2, size=40 * spec.bits_per_section)
-        out.setdefault("encode", []).append({
-            "trellis": name, "bits": enc_bits.tolist(),
-            "initial_state": 5,
-            "indices": trellis_encode(spec, enc_bits, initial_state=5)})
+        out["encode"].append({"trellis": name, "bits": enc_bits.tolist(), "initial_state": 5})
+    return out
+
+
+def viterbi_fixture(inputs: dict) -> dict:
+    """inputs with the outputs of viterbi_decode and trellis_encode added to each case."""
+    specs = {"default": default_trellis(), "irregular": load_trellis(inputs["irregular_trellis"])}
+    out = dict(inputs, cases=[], encode=[])
+    for case in inputs["cases"]:
+        rec, hs = (np.array([[complex(re, im) for re, im in row] for row in case[key]])
+                   for key in ("received", "channels"))
+        res, bits = viterbi_decode(specs[case["trellis"]], rec, hs,
+                                   initial_state=case["initial_state"])
+        out["cases"].append(dict(case, decided_indices=list(res.decided_indices),
+                                 bits=bits.tolist(), metric=res.metric,
+                                 ties_broken=res.ties_broken))
+    for case in inputs["encode"]:
+        out["encode"].append(dict(case, indices=trellis_encode(
+            specs[case["trellis"]], case["bits"], initial_state=case["initial_state"])))
     return out
 
 
@@ -160,11 +185,12 @@ def dump(fixture: dict) -> str:
     return "{\n %s\n}\n" % ",\n ".join(fields)
 
 
-def fixtures() -> dict:
-    """File name -> the text the current code produces for it."""
+def fixtures(stored_viterbi=None) -> dict:
+    """File name -> the text the current code produces for it, viterbi.json's
+    from the inputs of stored_viterbi when it is given."""
     out = {fname: strip_elapsed(format_csv(cfg, run_simulation(cfg)))
            for fname, cfg in SIMULATE_CONFIGS.items()}
-    out["viterbi.json"] = dump(viterbi_fixture())
+    out["viterbi.json"] = dump(viterbi_fixture(viterbi_inputs(stored_viterbi)))
     out.update((fname, cli_stdout(argv)) for fname, argv in CLI_FIXTURES.items())
     return out
 
@@ -174,7 +200,8 @@ def main(argv=None) -> int:
     if argv not in ([], ["--check"]):
         print("usage: record.py [--check]", file=sys.stderr)
         return 2
-    texts = fixtures()
+    stored = HERE / "viterbi.json"
+    texts = fixtures(json.loads(stored.read_text()) if argv and stored.exists() else None)
     if not argv:
         for fname, text in texts.items():
             (HERE / fname).write_text(text)

@@ -1,15 +1,11 @@
-"""Outputs pinned by fixtures recorded before the code that makes them changed.
-
-tests/golden/record.py wrote the simulate and Viterbi fixtures with the
-per-frame simulator and the per-section Viterbi decoder, including its
-irregular-trellis branch, the audit, spectrum and show-constellation
-fixtures before the channel, constellation and CLI were trimmed, and the
-300-draw INVARIANCE audit before the audit was batched over channel draws.
-Later code must reproduce them exactly; a fixture is never re-recorded to
-hide a changed result.
-"""
+"""Outputs pinned by the fixtures that tests/golden/record.py recorded (its
+docstring says when).  Later code must reproduce them exactly; a fixture is
+never re-recorded to hide a changed result."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -63,12 +59,25 @@ def test_record_check_names_each_differing_fixture(tmp_path, monkeypatch, capsys
     changed = tmp_path / "audit_invariance.txt"
     changed.write_text(changed.read_text().replace("trials=300", "trials=301"))
     (tmp_path / "spectrum_base.csv").unlink()
+    viterbi = json.loads((tmp_path / "viterbi.json").read_text())
+    viterbi["cases"][0]["ties_broken"] += 1      # an output, recomputed from the inputs
+    (tmp_path / "viterbi.json").write_text(record.dump(viterbi))
     before = {p.name: p.read_text() for p in tmp_path.iterdir()}
     monkeypatch.setattr(record, "HERE", tmp_path)
     assert record.main(["--check"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "differs: audit_invariance.txt", "differs: spectrum_base.csv"]
+        "differs: viterbi.json", "differs: audit_invariance.txt", "differs: spectrum_base.csv"]
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+
+
+def test_record_check_holds_across_dispatch_targets():
+    # numpy's AVX-512 kernels off: log1p, and so the Box-Muller draws that
+    # viterbi.json's inputs came from, give other last bits; on a CPU
+    # without AVX-512 this changes nothing
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    run = subprocess.run([sys.executable, str(GOLDEN / "record.py"), "--check"],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_irregular_trellis_has_uneven_in_degree():
