@@ -194,10 +194,6 @@ class ShapeInvarianceReport:
     max_cross_distance_error: float
 
 
-def _worst(values: np.ndarray) -> float:
-    return float(np.max(values)) if values.size else 0.0
-
-
 def shape_invariance_audit(e: ExpandedConstellation, hs) -> ShapeInvarianceReport:
     """Measure how well channel draws preserve the constellation shape.
 
@@ -249,15 +245,15 @@ def shape_invariance_audit(e: ExpandedConstellation, hs) -> ShapeInvarianceRepor
                 d_phys = np.sqrt(d_phys)
                 d_coord = gain[:, None] * d_chi
                 rel = np.abs(d_phys - d_coord) / d_coord
-                dist_err = max(dist_err, _worst(rel[:, :n_same]))
-                cross_err = max(cross_err, _worst(rel[:, n_same:]))
+                dist_err = max(dist_err, float(np.max(rel[:, :n_same], initial=0.0)))
+                cross_err = max(cross_err, float(np.max(rel[:, n_same:], initial=0.0)))
 
                 # pairwise cosine angles of the coordinate vectors against their images
                 images = stacked @ chis                                           # (D, 4K, P)
                 inorms = np.linalg.norm(images, axis=1)
                 cos_img = (np.swapaxes(images, 1, 2) @ images)[:, a_c, b_c]
                 cos_img /= (inorms[:, a_c] * inorms[:, b_c]).clip(min=1e-300)
-                angle_err = max(angle_err, _worst(np.abs(cos_img - cos_src)))
+                angle_err = max(angle_err, float(np.max(np.abs(cos_img - cos_src), initial=0.0)))
     except FloatingPointError:
         raise ValueError("channel draw too large: received distances overflow") from None
 

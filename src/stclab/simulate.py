@@ -205,15 +205,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hash_constants(start: int, mult: int, n: int) -> np.ndarray:
-    """start, start * mult, ... mod 2^32: the n + 1 constants of n hash steps,
-    as a uint32 column (n + 1, 1)."""
-    out = [start]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
 def _hash(value, xor, mult):
     """One hash step on uint32 arrays (mod 2^32)."""
     value = (value ^ xor) * mult
@@ -245,13 +236,14 @@ def _frame_states(base_seed: int, point_index: int, first: int, count: int):
     seed_words, point_words = (max(1, -(-n.bit_length() // 32))
                                for n in (base_seed, point_index))
     steps = 4 * (max(seq.pool_size, seed_words) + point_words)
-    c = _hash_constants(_INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32, _MULT_A, 8)
+    c = np.cumprod([_INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32] + [_MULT_A] * 8,
+                  dtype=np.uint32)[:, None]
     frames = np.arange(first, first + count, dtype=np.uint64)
     high = (frames >> 32).astype(np.uint32)
     pool = _mix(seq.pool[:, None], _hash(frames.astype(np.uint32), c[:4], c[1:5]))
     if high.any():
         pool = np.where(high != 0, _mix(pool, _hash(high, c[4:8], c[5:9])), pool)
-    o = _hash_constants(_INIT_B, _MULT_B, 8)
+    o = np.cumprod([_INIT_B] + [_MULT_B] * 8, dtype=np.uint32)[:, None]
     out = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], o[:8], o[1:]).astype(np.uint64)
     for seed_hi, seed_lo, seq_hi, seq_lo in (out[0::2] | out[1::2] << 32).T.tolist():
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128

@@ -1,9 +1,14 @@
 """Compare the draws and decisions in this tree with those of another checkout.
 
     python tests/golden/flips.py --against DIR [--seeds 7,2026]
+                                 [--against-env NAME=VALUE ...]
 
 DIR is the root of another checkout of the repository, for example the
-parent commit extracted with ``git archive``.  For each seed and in both
+parent commit extracted with ``git archive``, or ``.`` to compare this tree
+with itself under another environment: each ``--against-env`` sets one
+variable in the DIR side's process only, for example
+``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` to run it on
+numpy's lower CPU dispatch targets.  For each seed and in both
 modes, each tree draws 5,120 frames of 50 sections at each of 15 SNRs from
 -10 to 40 dB with the simulator's own draws (``simulate._draw_frames``, the
 trellis encoder and ``channel.transmit``) and decodes them with
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import subprocess
 import sys
 import tempfile
@@ -90,10 +96,11 @@ def _dump(src: str, seed: int, out: str) -> None:
     np.savez(out, **arrays)
 
 
-def _decode(tree: Path, seed: int, out: Path) -> dict:
-    """The arrays _dump saves for the tree at tree, run in a process of its own."""
+def _decode(tree: Path, seed: int, out: Path, env: dict) -> dict:
+    """The arrays _dump saves for the tree at tree, run in a process of its own
+    with env added to this process's environment."""
     subprocess.run([sys.executable, __file__, "--dump", str(tree), str(seed), str(out)],
-                   check=True)
+                   check=True, env=dict(os.environ, **env))
     with np.load(out) as data:
         return dict(data)
 
@@ -119,13 +126,15 @@ def _report(label: str, ours: dict, theirs: dict, mode: str, suffix: str = "") -
     return sum(counts)
 
 
-def compare(against: Path, seeds) -> int:
-    """Print the differences per seed and mode; the number of differing items."""
+def compare(against: Path, seeds, against_env: dict) -> int:
+    """Print the differences per seed and mode, with against_env set in the
+    against side's process; the number of differing items."""
     total = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
-            trees = {side: _decode(tree, seed, Path(tmp) / ("%s-%d.npz" % (side, seed)))
-                     for side, tree in (("here", REPO), ("there", against))}
+            trees = {side: _decode(tree, seed, Path(tmp) / ("%s-%d.npz" % (side, seed)), env)
+                     for side, tree, env in (("here", REPO, {}),
+                                             ("there", against, against_env))}
             for mode in MODES:
                 total += _report("seed %d %s" % (seed, mode), trees["here"], trees["there"],
                                  mode)
@@ -140,6 +149,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--against", type=Path, help="root of the other checkout")
     p.add_argument("--seeds", default="7,2026", help="comma-separated base seeds")
+    p.add_argument("--against-env", action="append", default=[], metavar="NAME=VALUE",
+                   help="set in the other checkout's process only; may be repeated")
     p.add_argument("--dump", nargs=3, metavar=("TREE", "SEED", "OUT"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.dump:
@@ -147,7 +158,11 @@ def main(argv=None) -> int:
         return 0
     if args.against is None:
         p.error("--against is required")
-    return 1 if compare(args.against.resolve(), [int(s) for s in args.seeds.split(",")]) else 0
+    if not all("=" in item for item in args.against_env):
+        p.error("--against-env takes NAME=VALUE")
+    env = dict(item.split("=", 1) for item in args.against_env)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    return 1 if compare(args.against.resolve(), seeds, env) else 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from stclab.channel import (
     shape_invariance_audit,
     transmit,
 )
-from stclab.constellation import build_constellation, chi_coordinates, matrix_stack
+from stclab.constellation import build_constellation, chi_coordinates, chi_table, matrix_stack
 from stclab.designs import alamouti_generators
 from stclab.expansion import Subconstellation, expand
 
@@ -250,6 +250,17 @@ def test_shape_invariance_audit_errors_near_machine_eps():
         worst_cross = max(worst_cross, rep.max_cross_distance_error)
     # cross-subconstellation distances genuinely move with the fade
     assert worst_cross > 0.1
+
+
+def test_audit_without_primed_points_reports_a_float_zero_cross_error():
+    # U = I maps every base point onto itself, so no PRIMED point is kept and
+    # there is no cross-subconstellation pair to take a worst value over
+    e = expand(alamouti_generators(), list(chi_table()[:16, :4]), np.eye(2))
+    assert {p.tag for p in e.points} == {Subconstellation.BASE}
+    rep = shape_invariance_audit(e, np.stack([_channel(np.random.default_rng(s))
+                                              for s in range(3)]))
+    assert rep.max_cross_distance_error == 0.0
+    assert [type(getattr(rep, f.name)) for f in fields(rep)] == [float] * 4
 
 
 @pytest.mark.parametrize("trials", [1, CHUNK_DRAWS - 1, CHUNK_DRAWS + 1, 300])

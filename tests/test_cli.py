@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from unittest import mock
 
@@ -25,6 +26,16 @@ def test_every_exported_name_resolves():
     # a name left in __all__ after its object is gone breaks `from stclab import *`
     assert [name for name in stclab.__all__ if not hasattr(stclab, name)] == []
     assert len(set(stclab.__all__)) == len(stclab.__all__)
+    # __all__ is derived from the package's imports, so each export must be what
+    # one of its modules holds under that name, and a class or function must be
+    # defined in the package: a stray import fails here
+    modules = [m for m in vars(stclab).values()
+               if isinstance(m, types.ModuleType) and m.__name__.startswith("stclab.")]
+    for name in stclab.__all__:
+        obj = getattr(stclab, name)
+        assert not name.startswith("_") and not isinstance(obj, types.ModuleType), name
+        assert any(getattr(m, name, None) is obj for m in modules), name
+        assert not callable(obj) or obj.__module__.startswith("stclab."), name
 
 
 #: The set-up steps the benchmark times, in a fresh interpreter.
