@@ -27,10 +27,13 @@ whose bytes differ, so that a change to the draw path can show byte
 identity and unchanged decisions in one run.  Each tree also decodes the
 same frames in chunks of 37 frames, and the script prints the same
 differences between that decode and the tree's own 256-frame decode, so
-that a decoder whose blocks follow the chunk shows it.  It exits 1 on any
-difference (0 when there is none).  A decoder change that only reorders
-rounding should flip nothing; a flip at a near-tie is reported here, not
-hidden.
+that a decoder whose blocks follow the chunk shows it.
+
+Exit status: 1 when any decided block, decided bit or tie count differs; 3
+when only draws or received blocks differ, as they do in their last bits
+under another dispatch target (``log1p``), with every decision the same; 0
+when nothing differs.  A decoder change that only reorders rounding should
+flip nothing; a flip at a near-tie is reported here, not hidden.
 """
 
 from __future__ import annotations
@@ -105,9 +108,10 @@ def _decode(tree: Path, seed: int, out: Path, env: dict) -> dict:
         return dict(data)
 
 
-def _report(label: str, ours: dict, theirs: dict, mode: str, suffix: str = "") -> int:
+def _report(label: str, ours: dict, theirs: dict, mode: str, suffix: str = "") -> np.ndarray:
     """Print, under label, the differences of mode's arrays named with suffix
-    in ours from those without in theirs; the number of differing items."""
+    in ours from those without in theirs; the number of differing decisions
+    (blocks, bits and tie counts) and of differing draws and received blocks."""
     here, there = ours[mode + "_decided" + suffix], theirs[mode + "_decided"]
     dec = here != there
     bits = np.unpackbits(ours[mode + "_bits" + suffix] ^ theirs[mode + "_bits"], axis=1)
@@ -123,13 +127,14 @@ def _report(label: str, ours: dict, theirs: dict, mode: str, suffix: str = "") -
         point, frame = divmod(int(row), FRAMES)
         print("  snr %g dB frame %d section %d: %d, against %d"
               % (SNRS_DB[point], frame, section, here[row, section], there[row, section]))
-    return sum(counts)
+    return np.array([sum(counts[:3]), sum(counts[3:])])
 
 
-def compare(against: Path, seeds, against_env: dict) -> int:
+def compare(against: Path, seeds, against_env: dict) -> np.ndarray:
     """Print the differences per seed and mode, with against_env set in the
-    against side's process; the number of differing items."""
-    total = 0
+    against side's process; the number of differing decisions and of
+    differing draws and received blocks, as _report gives them."""
+    total = np.zeros(2, np.int64)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             trees = {side: _decode(tree, seed, Path(tmp) / ("%s-%d.npz" % (side, seed)), env)
@@ -162,7 +167,8 @@ def main(argv=None) -> int:
         p.error("--against-env takes NAME=VALUE")
     env = dict(item.split("=", 1) for item in args.against_env)
     seeds = [int(s) for s in args.seeds.split(",")]
-    return 1 if compare(args.against.resolve(), seeds, env) else 0
+    decisions, draws = compare(args.against.resolve(), seeds, env)
+    return 1 if decisions else 3 if draws else 0
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 from dataclasses import replace
 from unittest import mock
@@ -14,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stclab
-from stclab import cli, constellation
-from stclab.channel import channels_from_uniform
+from stclab import cli, constellation, simulate
+from stclab.channel import channels_from_uniform, shape_invariance_audit
 from stclab.cli import main
-from stclab.constellation import distance_spectrum
+from stclab.constellation import distance_spectrum, table_expansion
 from stclab.designs import RH_TOL, alamouti_generators, write_generator_file
 from stclab.expansion import SPAN_SEPARATION_TOL
 
@@ -129,6 +130,7 @@ def test_which_error_echoes_the_text_as_typed(capsys):
 
 def test_audit_bad_trials_is_usage_error(capsys):
     for flags, says in ((["--trials", "0"], "--trials must be positive"),
+                        (["--trials", str(2**32 + 1)], "--trials must be at most 2**32"),
                         (["--which", "INVARIANCE", "--seed", "-5"],
                          "--seed must be nonnegative")):
         assert main(["audit"] + flags) == 2
@@ -136,10 +138,42 @@ def test_audit_bad_trials_is_usage_error(capsys):
 
 
 def test_audit_trials_beyond_memory_is_exit_2(capsys):
-    # 4e15 uniforms (32 PB) exceed any address space: the allocation is refused at once
+    # 1e15 trials are past the 2**32 bound, checked before any block is drawn
     assert main(["audit", "--which", "INVARIANCE", "--trials", "1000000000000000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _invariance_peak_mib(trials: int) -> float:
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["audit", "--which", "INVARIANCE", "--trials", str(trials)]) == 0
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_invariance_audit_memory_does_not_grow_with_trials(capsys):
+    # the draws are held one block at a time; drawing every trial first
+    # peaked at 10.7 MiB for 100,000 trials against 0.74 MiB for 1,000
+    assert main(["audit", "--which", "INVARIANCE", "--trials", "3"]) == 0    # warm caches
+    assert _invariance_peak_mib(100_000) - _invariance_peak_mib(1_000) <= 0.5
+
+
+def test_invariance_report_over_blocks_equals_one_audit_of_every_draw(capsys):
+    # 10,000 trials are 3 blocks; the report must be that of all draws at once
+    assert 10_000 > 2 * 256 * cli.CHUNK_DRAWS
+    assert main(["audit", "--which", "INVARIANCE", "--trials", "10000", "--seed", "3"]) == 0
+    rng = np.random.default_rng(3)
+    rep = shape_invariance_audit(table_expansion(),
+                                 channels_from_uniform(rng.random(40_000).reshape(-1, 4)))
+    want = ["invariance.trials=10000"]
+    want += ["invariance.%s=%.6e tol=%g" % (f, getattr(rep, f), tol)
+             for f, tol in cli.INVARIANCE_TOLS.items()]
+    want.append("invariance.max_cross_distance_error=%.6e (reported, not asserted)"
+                % rep.max_cross_distance_error)
+    assert capsys.readouterr().out.splitlines()[:5] == want
 
 
 def test_printed_thresholds_are_the_ones_that_decide(monkeypatch, capsys):
@@ -271,6 +305,25 @@ def test_simulate_stdout_and_file_agree_modulo_elapsed(tmp_path, capsys):
 
     assert strip(stdout_text) == strip(out.read_text())
     assert "snr_db,frames,bits" in stdout_text
+
+
+def test_out_that_cannot_be_opened_is_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
+    # --out is opened before the command runs: a bad path costs no frame
+    missing = tmp_path / "missing" / "x.csv"
+    for argv, work, module in ((["simulate", "--frames", "5"], "_draw_frames", simulate),
+                               (["spectrum"], "distance_spectrum", cli)):
+        spy = mock.Mock(wraps=getattr(module, work))
+        monkeypatch.setattr(module, work, spy)
+        assert main(argv + ["--out", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: %r\n" % str(missing)
+        spy.assert_not_called()
+    # a run that fails after the open leaves the file empty, as a shell redirect does
+    out = tmp_path / "r.csv"
+    out.write_text("old")
+    assert main(["simulate", "--frames", "0", "--out", str(out)]) == 2
+    assert out.read_text() == ""
 
 
 def test_simulate_config_file_with_flag_override(tmp_path, capsys):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from golden import record
+from golden import flips, record
 from golden.record import (
     CLI_FIXTURES,
     SIMULATE_CONFIGS,
@@ -78,6 +78,33 @@ def test_record_check_holds_across_dispatch_targets():
     run = subprocess.run([sys.executable, str(GOLDEN / "record.py"), "--check"],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def _flips_arrays(rows=4, sections=3):
+    """Arrays shaped as flips._dump saves them, all zero."""
+    shapes = {"_decided": (rows, sections), "_bits": (rows, 1), "_ties": (rows,),
+              "_draws": (rows, 3, 16), "_received": (rows, 16)}
+    return {mode + name + suffix: np.zeros(shape, np.uint8)
+            for mode in flips.MODES for name, shape in shapes.items() for suffix in flips.CHUNKS}
+
+
+@pytest.mark.parametrize("changed, code", [
+    ((), 0),
+    (("trellis_draws", "uncoded_received"), 3),       # as under another dispatch target
+    (("uncoded_decided",), 1),
+    (("trellis_bits", "trellis_draws"), 1),           # a flip counts whatever the draws do
+    (("uncoded_ties",), 1),
+])
+def test_flips_exit_status_tells_decisions_from_draws(changed, code, tmp_path, monkeypatch,
+                                                      capsys):
+    ours, theirs = _flips_arrays(), _flips_arrays()
+    for name in changed:
+        for suffix in flips.CHUNKS:
+            theirs[name + suffix][1] += 1
+    monkeypatch.setattr(flips, "_decode",
+                        lambda tree, *_: ours if tree == flips.REPO else theirs)
+    assert flips.main(["--against", str(tmp_path), "--seeds", "7"]) == code
+    assert "seed 7 trellis: 12 blocks" in capsys.readouterr().out
 
 
 def test_irregular_trellis_has_uneven_in_degree():
